@@ -50,7 +50,8 @@ class ModInt:
 
     Arithmetic is closed within a single modulus.  Mixing moduli, or
     mixing with rationals, raises FieldMismatchError; plain ints are
-    coerced.
+    coerced.  An int compares equal only to the residue of which it is
+    the least representative, so that equal values hash equal.
     """
 
     __slots__ = ("v", "p")
@@ -129,7 +130,7 @@ class ModInt:
         if isinstance(other, ModInt):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -513,12 +514,6 @@ class Matrix:
             [list(r) + list(s) for r, s in zip(self.rows, other.rows)],
             ncols=self.ncols + other.ncols,
         )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        _same_field(self.field, other.field, "matrices")
-        if self.ncols != other.ncols:
-            raise ValueError("column counts differ")
-        return Matrix(self.field, list(self.rows) + list(other.rows), ncols=self.ncols)
 
     def rank(self) -> int:
         return len(rref(self)[1])

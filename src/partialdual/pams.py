@@ -372,6 +372,13 @@ def _matrix_pairs(m: Matrix):
 
 
 def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
+    """Re-derive that iota is an algebra and comodule map and pi a
+    coalgebra and module map.
+
+    A deliberate independent re-check of what certify_coideal and
+    build_quotient certify: CoidealQuotient is a public constructor, so
+    certify_pams cannot assume that its input came out of build_quotient.
+    """
     h = q.parent
     bsub = q.coideal
     field = q.field

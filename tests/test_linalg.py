@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partialdual.linalg import (
@@ -93,6 +93,15 @@ def test_modint_arithmetic():
     assert a / b == ModInt(2, 5)
     assert -a == ModInt(2, 5)
     assert a**-1 == ModInt(2, 5)
+
+
+@given(st.integers(-20, 20), st.sampled_from([2, 3, 5, 7]), st.integers(-20, 20))
+@example(1, 5, 6)
+def test_modint_equal_values_hash_equal(v, p, n):
+    x = ModInt(v, p)
+    if x == n:
+        assert hash(x) == hash(n)
+    assert (n in {x}) == (x == n)
 
 
 def test_modint_division_by_zero():

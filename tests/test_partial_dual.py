@@ -23,6 +23,7 @@ from partialdual.partial_dual import (
     left_partial_dual,
     op_iso_check,
     right_partial_dual,
+    verify_quasi_hopf,
 )
 
 F5 = PrimeField(5)
@@ -243,6 +244,25 @@ def test_strictly_quasi_detection(c4_strict):
         "zeta-algebra-gamma-coalgebra": False,
     }
     assert right_partial_dual(p, qh).report.ok
+
+
+def test_left_report_is_construction_checks_then_verifier(taft1, c4_strict):
+    """The construction states only the cross-checks it alone can make;
+    every quasi-Hopf axiom comes from the intrinsic verifier, in order."""
+    construction = [
+        "dimension-matches-parent",
+        "mult-forms-agree",
+        "comult-product-form",
+        "comult-splitting-form-left",
+        "comult-splitting-form-right",
+        "comult-parent-basis-form",
+        "associator-inverse-forms-agree",
+        "upsilon-forms-agree",
+        "preantipode-unique",
+    ]
+    for _, _, qh in (taft1, c4_strict):
+        verifier = [name for name, _, _ in verify_quasi_hopf(qh).checks]
+        assert [name for name, _, _ in qh.report.checks] == construction + verifier
 
 
 def test_strictly_quasi_transports(c4_strict):
