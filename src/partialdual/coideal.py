@@ -22,7 +22,6 @@ from partialdual.hopf import (
     Report,
     coopposite,
     dual,
-    vector_witness,
 )
 from partialdual.linalg import (
     Matrix,

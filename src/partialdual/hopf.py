@@ -8,6 +8,11 @@ Conventions, fixed once for the whole package:
 * the dual basis of H* is indexed like the basis of H, and tensor legs
   flatten row-major: index of e_i (x) e_j in H (x) H is i*dim + j
 
+Products read the nonzero structure constants: Algebra.terms lists, for
+each pair of basis indices, the nonzero (k, m[i,j,k]), and Algebra.multiply
+and power_multiply walk only the nonzero coordinates of their operands
+against it; no n x n matrix is built for a product.
+
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
 check and a witness.
@@ -15,7 +20,7 @@ check and a witness.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from partialdual.linalg import (
     Field,
@@ -23,6 +28,7 @@ from partialdual.linalg import (
     Scalar,
     Tensor3,
     Vector,
+    _same_field,
     contract,
     solve,
 )
@@ -170,7 +176,13 @@ class LinMap:
 
 
 class Algebra:
-    """Unital associative algebra given by structure constants."""
+    """Unital algebra given by structure constants; verify_algebra checks
+    associativity and the unit law.
+
+    `terms[i][j]` lists the nonzero (k, m[i,j,k]) of e_i e_j.  It is
+    built once here, and every product (multiply, power_multiply) reads
+    it instead of the dense tensor.
+    """
 
     __slots__ = ("field", "dim", "mult", "unit", "terms")
 
@@ -186,7 +198,6 @@ class Algebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "unit", unit)
-        # terms[i][j] lists the nonzero (k, m[i,j,k]) of e_i e_j
         terms = tuple(
             tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
             for plane in mult.data
@@ -197,7 +208,29 @@ class Algebra:
         raise AttributeError("Algebra is immutable")
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
-        return contract(self.mult, 0, u).transpose() @ v
+        """u v: sums u_a v_b m[a,b,t] over the nonzero u_a, v_b and terms[a][b]."""
+        field = self.field
+        _same_field(field, u.field, "algebra and vector")
+        _same_field(field, v.field, "algebra and vector")
+        n = self.dim
+        if len(u) != n or len(v) != n:
+            raise ValueError(
+                f"cannot multiply vectors of lengths {len(u)} and {len(v)} in dimension {n}"
+            )
+        out = [field.zero] * n
+        v_nonzeros = [(b, y) for b, y in enumerate(v.entries) if y]
+        for a, x in enumerate(u.entries):
+            if not x:
+                continue
+            row = self.terms[a]
+            for b, y in v_nonzeros:
+                pair = row[b]
+                if not pair:
+                    continue
+                xy = x * y
+                for t, w in pair:
+                    out[t] = out[t] + xy * w
+        return Vector(field, out)
 
     def left_mult_matrix(self, u: Vector) -> Matrix:
         """Matrix of v -> u v."""
@@ -515,14 +548,15 @@ def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
     f = a.field
     n = a.dim
     es = [a.basis(i) for i in range(n)]
+    prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
     ok = True
     witness = ""
     for i in range(n):
         for j in range(n):
-            ij = a.multiply(es[i], es[j])
+            ij = prods[i][j]
             for k in range(n):
                 lhs = a.multiply(ij, es[k])
-                rhs = a.multiply(es[i], a.multiply(es[j], es[k]))
+                rhs = a.multiply(es[i], prods[j][k])
                 if lhs != rhs:
                     ok = False
                     witness = (
@@ -582,11 +616,12 @@ def verify_compatibility(
     n = a.dim
     es = [a.basis(i) for i in range(n)]
     deltas = [c.comultiply_flat(e) for e in es]
+    prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
     ok = True
     witness = ""
     for i in range(n):
         for j in range(n):
-            lhs = c.comultiply_flat(a.multiply(es[i], es[j]))
+            lhs = c.comultiply_flat(prods[i][j])
             rhs = power_multiply(a, 2, deltas[i], deltas[j])
             if lhs != rhs:
                 ok = False
@@ -606,7 +641,7 @@ def verify_compatibility(
     witness = ""
     for i in range(n):
         for j in range(n):
-            lhs = c.counit_of(a.multiply(es[i], es[j]))
+            lhs = c.counit_of(prods[i][j])
             rhs = c.counit[i] * c.counit[j]
             if lhs != rhs:
                 ok = False
@@ -638,22 +673,23 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     a, c, s = h.algebra, h.coalgebra, h.antipode
     report = Report(h.name or f"hopf algebra of dimension {n}")
     verify_bialgebra(a, c, report)
+    es = [h.basis(i) for i in range(n)]
+    scols = [s.column(i) for i in range(n)]
 
     ok_l = True
     ok_r = True
     wit_l = ""
     wit_r = ""
     for i in range(n):
-        e = h.basis(i)
-        d = c.comultiply(e)
+        d = c.comultiply(es[i])
         acc_l = Vector.zero(f, n)
         acc_r = Vector.zero(f, n)
         for j in range(n):
             for k in range(n):
                 x = d[j, k]
                 if x:
-                    acc_l = acc_l + a.multiply(s @ h.basis(j), h.basis(k)).scale(x)
-                    acc_r = acc_r + a.multiply(h.basis(j), s @ h.basis(k)).scale(x)
+                    acc_l = acc_l + a.multiply(scols[j], es[k]).scale(x)
+                    acc_r = acc_r + a.multiply(es[j], scols[k]).scale(x)
         target = a.unit.scale(c.counit[i])
         if ok_l and acc_l != target:
             ok_l = False
@@ -668,8 +704,8 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     witness = ""
     for i in range(n):
         for j in range(n):
-            lhs = s @ a.multiply(h.basis(i), h.basis(j))
-            rhs = a.multiply(s @ h.basis(j), s @ h.basis(i))
+            lhs = s @ a.multiply(es[i], es[j])
+            rhs = a.multiply(scols[j], scols[i])
             if lhs != rhs:
                 ok = False
                 witness = f"S(e{i} e{j}) != S(e{j})S(e{i})"
@@ -682,8 +718,8 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     ok = True
     witness = ""
     for i in range(n):
-        lhs = c.comultiply_flat(s @ h.basis(i))
-        swapped = tensor_permute(c.comultiply_flat(h.basis(i)), (n, n), (1, 0))
+        lhs = c.comultiply_flat(scols[i])
+        swapped = tensor_permute(c.comultiply_flat(es[i]), (n, n), (1, 0))
         rhs = tensor_apply(tensor_apply(swapped, (n, n), 0, s), (n, n), 1, s)
         if lhs != rhs:
             ok = False
@@ -692,7 +728,7 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     report.add("antipode-anti-comultiplicative", ok, witness)
     report.add(
         "antipode-preserves-counit",
-        Vector(f, [c.counit.dot(s @ h.basis(i)) for i in range(n)]) == c.counit,
+        Vector(f, [c.counit.dot(scols[i]) for i in range(n)]) == c.counit,
         "eps after S != eps",
     )
     report.add("antipode-invertible", s.rank() == n, "antipode matrix is singular")

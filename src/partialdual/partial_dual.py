@@ -41,7 +41,7 @@ from .hopf import (
     verify_compatibility,
     verify_hopf,
 )
-from .linalg import Matrix, Tensor3, Vector, contract, nullspace, solve
+from .linalg import Matrix, Tensor3, Vector, nullspace, solve
 from .pams import Pams
 
 __all__ = [
@@ -156,14 +156,23 @@ class CoquasiHopfAlgebra:
     not necessarily associative, multiplication.  Coassociator and
     antipode data live implicitly in the duality with the left side."""
 
-    __slots__ = ("coalgebra", "mult", "unit", "pams", "report")
+    __slots__ = ("coalgebra", "algebra", "pams", "report")
 
     def __init__(self, coalgebra: Coalgebra, mult: Tensor3, unit: Vector, pams: Pams | None, report: Report):
         self.coalgebra = coalgebra
-        self.mult = mult
-        self.unit = unit
+        # products go through Algebra.multiply; the multiplication is
+        # unital but, in general, not associative
+        self.algebra = Algebra(coalgebra.field, mult, unit)
         self.pams = pams
         self.report = report
+
+    @property
+    def mult(self) -> Tensor3:
+        return self.algebra.mult
+
+    @property
+    def unit(self) -> Vector:
+        return self.algebra.unit
 
     @property
     def field(self):
@@ -177,7 +186,7 @@ class CoquasiHopfAlgebra:
         return Vector.basis(self.field, self.dim, i)
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
-        return contract(self.mult, 0, u).transpose() @ v
+        return self.algebra.multiply(u, v)
 
     def hopf_view(self) -> HopfAlgebra:
         """Reassemble as an ordinary Hopf algebra.
@@ -186,8 +195,7 @@ class CoquasiHopfAlgebra:
         is recovered as the convolution inverse of the identity and the
         result is fully re-verified.
         """
-        alg = Algebra(self.field, self.mult, self.unit)
-        s = convolution_inverse(LinMap.identity(self.field, self.dim), self.coalgebra, alg)
+        s = convolution_inverse(LinMap.identity(self.field, self.dim), self.coalgebra, self.algebra)
         h = HopfAlgebra(
             self.field,
             self.mult,
@@ -274,6 +282,13 @@ def _antipode_axioms(
     nn = alg.dim
     es = [alg.basis(i) for i in range(nn)]
     scols = [s.column(i) for i in range(nn)]
+    # the products every identity below is assembled from, once per triple
+    e_beta = [alg.multiply(e, beta) for e in es]  # e_i beta
+    alpha_e = [alg.multiply(alpha, e) for e in es]  # alpha e_k
+    s_alpha = [alg.multiply(x, alpha) for x in scols]  # S(e_i) alpha
+    beta_s = [alg.multiply(beta, x) for x in scols]  # beta S(e_k)
+    e_beta_s = [[alg.multiply(x, y) for y in scols] for x in e_beta]  # (e_i beta) S(e_j)
+    s_alpha_e = [[alg.multiply(x, e) for e in es] for x in s_alpha]  # (S(e_i) alpha) e_j
     ok_l = True
     ok_r = True
     wit_l = wit_r = ""
@@ -283,8 +298,8 @@ def _antipode_axioms(
         right = Vector(field, [field.zero] * nn)
         for idx, c in flat_nonzeros(col):
             i, j = divmod(idx, nn)
-            left = left + alg.multiply(alg.multiply(scols[i], alpha), es[j]).scale(c)
-            right = right + alg.multiply(alg.multiply(es[i], beta), scols[j]).scale(c)
+            left = left + s_alpha_e[i][j].scale(c)
+            right = right + e_beta_s[i][j].scale(c)
         if ok_l and left != alpha.scale(eps[a]):
             ok_l = False
             wit_l = f"basis {a}"
@@ -297,14 +312,14 @@ def _antipode_axioms(
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nn * nn)
         j, k = divmod(rest, nn)
-        term = alg.multiply(alg.multiply(alg.multiply(es[i], beta), scols[j]), alg.multiply(alpha, es[k]))
+        term = alg.multiply(e_beta_s[i][j], alpha_e[k])
         acc3 = acc3 + term.scale(c)
     report.add(prefix + "associator-antipode", acc3 == alg.unit, "sum phi1 beta S(phi2) alpha phi3")
     acc4 = Vector(field, [field.zero] * nn)
     for idx, c in flat_nonzeros(phi_inv):
         i, rest = divmod(idx, nn * nn)
         j, k = divmod(rest, nn)
-        term = alg.multiply(alg.multiply(alg.multiply(scols[i], alpha), es[j]), alg.multiply(beta, scols[k]))
+        term = alg.multiply(s_alpha_e[i][j], beta_s[k])
         acc4 = acc4 + term.scale(c)
     report.add(prefix + "associator-inverse-antipode", acc4 == alg.unit, "sum S(phibar1) alpha phibar2 beta S(phibar3)")
 
@@ -823,10 +838,12 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     ups = qh.upsilon
     report.add("upsilon-is-t-of-unit", ups == t_map @ unit_vec, "upsilon != T(1)")
 
-    lmm = [alg.left_mult_matrix(es[i]) for i in range(nd)]
-    rmm = [alg.right_mult_matrix(es[i]) for i in range(nd)]
+    # the products the preantipode identities are assembled from:
+    # T(e_i e_j), e_i T(e_j) and T(e_i) e_j
     mult = alg.mult
-    pair = [[Vector(field, list(mult.data[i][j])) for j in range(nd)] for i in range(nd)]
+    t_pair = [[t_map @ Vector(field, list(mult.data[i][j])) for j in range(nd)] for i in range(nd)]
+    e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
+    t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
     ok_a = ok_b = True
     wit_a = wit_b = ""
     for a in range(nd):
@@ -836,8 +853,8 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
             acc_a = Vector(field, [field.zero] * nd)
             acc_b = Vector(field, [field.zero] * nd)
             for (i, j), c in dsupp:
-                acc_a = acc_a + (rmm[j] @ (t_map @ pair[i][b2])).scale(c)
-                acc_b = acc_b + (lmm[i] @ (t_map @ pair[b2][j])).scale(c)
+                acc_a = acc_a + alg.multiply(t_pair[i][b2], es[j]).scale(c)
+                acc_b = acc_b + alg.multiply(es[i], t_pair[b2][j]).scale(c)
             if ok_a and acc_a != target:
                 ok_a = False
                 wit_a = f"pair ({a},{b2})"
@@ -853,13 +870,13 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nd * nd)
         j, k = divmod(rest, nd)
-        acc = acc + (rmm[k] @ (lmm[i] @ t_cols[j])).scale(c)
+        acc = acc + alg.multiply(e_t[i][j], es[k]).scale(c)
     report.add("preantipode-associator", acc == unit_vec, "sum phi1 T(phi2) phi3")
     acc = Vector(field, [field.zero] * nd)
     for idx, c in flat_nonzeros(phi_inv):
         i, rest = divmod(idx, nd * nd)
         j, k = divmod(rest, nd)
-        acc = acc + alg.multiply(alg.multiply(t_cols[i], es[j]), t_cols[k]).scale(c)
+        acc = acc + alg.multiply(t_e[i][j], t_cols[k]).scale(c)
     report.add("preantipode-associator-inverse", acc == ups, "sum T(phibar1) phibar2 T(phibar3) != T(eps#1)")
 
     report.add(
@@ -963,13 +980,12 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
 
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)
+    right = CoquasiHopfAlgebra(coalg, mult_r, unit_r, p, report)
     ok = True
     witness = ""
     for i in range(nd):
         ei = Vector.basis(field, nd, i)
-        left_prod = contract(mult_r, 0, unit_r).transpose() @ ei
-        right_prod = contract(mult_r, 0, ei).transpose() @ unit_r
-        if left_prod != ei or right_prod != ei:
+        if right.multiply(unit_r, ei) != ei or right.multiply(ei, unit_r) != ei:
             ok = False
             witness = f"basis {i}"
             break
@@ -1012,7 +1028,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     bad = report.failures()
     if bad:
         raise CertificationError("duality-failure", f"{bad[0][0]}: {bad[0][1]}", report=report)
-    return CoquasiHopfAlgebra(coalg, mult_r, unit_r, p, report)
+    return right
 
 
 def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:

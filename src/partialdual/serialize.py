@@ -24,7 +24,6 @@ from partialdual.pams import Pams, certify_pams
 from partialdual.partial_dual import (
     CoquasiHopfAlgebra,
     QuasiHopfAlgebra,
-    _delta_tensor,
     _derive_antipodes,
 )
 

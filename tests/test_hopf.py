@@ -28,7 +28,7 @@ from partialdual.hopf import (
     verify_hopf,
 )
 from partialdual.examples import group_algebra, symmetric, taft4
-from partialdual.linalg import QQ, Matrix, PrimeField, Tensor3, Vector
+from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector, contract
 
 
 def cyclic_group_hopf(n, field=QQ):
@@ -186,12 +186,19 @@ def test_power_multiply_in_tensor_square():
 
 
 
-# --- power_multiply against a leg-by-leg reference ------------------------------
+# --- products against dense references ------------------------------------------
 #
-# An operand is a list of pure tensors (c, [x_1, ..., x_k]) standing for
-# sum c x_1 (x) ... (x) x_k.  The reference multiplies two of them leg by
-# leg with Algebra.multiply and reassembles with tensor_of, so it shares
-# nothing with the kernel but bilinearity.
+# Algebra.multiply and power_multiply both read Algebra.terms.  The
+# oracle for a single product is the dense left-multiplication matrix
+# built from the multiplication tensor, kept here only.  An operand of
+# power_multiply is a list of pure tensors (c, [x_1, ..., x_k]) standing
+# for sum c x_1 (x) ... (x) x_k; its reference multiplies two of them
+# leg by leg with the dense oracle and reassembles with tensor_of, so it
+# shares nothing with the kernel but bilinearity.
+
+
+def _dense_product(algebra, u, v):
+    return contract(algebra.mult, 0, u).transpose() @ v
 
 
 def _scalar(field, rng):
@@ -241,7 +248,7 @@ def _reference_product(algebra, k, us, vs):
     def leg(x, y):
         key = (x.entries, y.entries)
         if key not in legs:
-            legs[key] = algebra.multiply(x, y)
+            legs[key] = _dense_product(algebra, x, y)
         return legs[key]
 
     terms = [
@@ -258,7 +265,7 @@ def _in_basis(algebra, columns):
     p = Matrix(field, columns)
     back = p.inverse()
     basis = [p.column(i) for i in range(n)]
-    mult = [[list(back @ algebra.multiply(x, y)) for y in basis] for x in basis]
+    mult = [[list(back @ _dense_product(algebra, x, y)) for y in basis] for x in basis]
     return Algebra(field, Tensor3(field, mult), back @ algebra.unit)
 
 
@@ -299,3 +306,43 @@ def test_power_multiply_dense_four_legs_of_function_algebra():
     us, vs = ops["dense"], ops["dense"][::-1]
     u, v = _flat(QQ, 6, 4, us), _flat(QQ, 6, 4, vs)
     assert power_multiply(algebra, 4, u, v) == _reference_product(algebra, 4, us, vs)
+
+
+def _vectors(field, n, rng):
+    """zero, every basis vector, two-term sparse vectors, and dense ones."""
+    out = [Vector.zero(field, n)] + [Vector.basis(field, n, i) for i in range(n)]
+    for _ in range(3):
+        entries = [field.zero] * n
+        for i in rng.sample(range(n), min(2, n)):
+            entries[i] = _scalar(field, rng)
+        out.append(Vector(field, entries))
+    out += [Vector(field, [_scalar(field, rng) for _ in range(n)]) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("name", list(POWER_ALGEBRAS))
+def test_algebra_multiply_matches_dense_contract(name):
+    algebra = POWER_ALGEBRAS[name]()
+    field, n = algebra.field, algebra.dim
+    vectors = _vectors(field, n, random.Random(n))
+    es = [algebra.basis(i) for i in range(n)]
+    for u in vectors:
+        for v in vectors:
+            assert algebra.multiply(u, v) == _dense_product(algebra, u, v), (name, u, v)
+        left, right = algebra.left_mult_matrix(u), algebra.right_mult_matrix(u)
+        for j in range(n):
+            assert left.column(j) == algebra.multiply(u, es[j]), (name, u, j)
+            assert right.column(j) == algebra.multiply(es[j], u), (name, u, j)
+
+
+def test_algebra_multiply_rejects_mixed_fields_and_wrong_lengths():
+    algebra = cyclic_group_hopf(3).algebra
+    one = algebra.unit
+    residue = Vector.basis(PrimeField(5), 3, 0)
+    for u, v in ((one, residue), (residue, one)):
+        with pytest.raises(FieldMismatchError):
+            algebra.multiply(u, v)
+    short = Vector.basis(QQ, 2, 0)
+    for u, v in ((one, short), (short, one)):
+        with pytest.raises(ValueError):
+            algebra.multiply(u, v)

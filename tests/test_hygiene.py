@@ -1,0 +1,84 @@
+"""Source hygiene: no module-level import in the package goes unused.
+
+No linter ships with the project, so this stdlib-`ast` check stands in
+for one.  A name bound by a module-level import must be read somewhere
+in its module or be listed in `__all__`; `__init__.py` files are exempt
+because their imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialdual"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name read anywhere, including the roots of dotted attribute
+    chains and the names inside string annotations such as "Report | None"."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = _used(tree) | _exported(tree)
+    return [f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    source = "from typing import Callable, Sequence\nimport json\n\ndef f(x: Sequence) -> None:\n    json.dumps(x)\n"
+    assert unused_imports(source) == ["Callable (line 1)"]
+
+
+def test_checker_counts_exports_and_annotations_not_docstrings():
+    source = (
+        "from a import exported, annotated, named_in_text\n"
+        "__all__ = ['exported']\n"
+        "def f(x: 'annotated | None') -> None:\n    'named_in_text'\n"
+    )
+    assert unused_imports(source) == ["named_in_text (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []
