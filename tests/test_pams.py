@@ -7,6 +7,7 @@ from partialdual.examples import cyclic, group_algebra, symmetric, taft4
 from partialdual.hopf import (
     CertificationError,
     LinMap,
+    Report,
     biopposite,
     coopposite,
     dual,
@@ -15,6 +16,7 @@ from partialdual.hopf import (
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
 from partialdual.pams import (
     INDUCED_KINDS,
+    _check_dual_side,
     biunitarize,
     certify_pams,
     cointegral_space,
@@ -24,6 +26,7 @@ from partialdual.pams import (
 )
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def taft_quotient(field, lam):
@@ -296,3 +299,177 @@ def test_induced_rejects_unknown_kind(taft_pams):
     _, _, p = taft_pams
     with pytest.raises(ValueError):
         induced_pams(p, "sideways")
+
+
+DUAL_SIDE_CHECKS = [
+    "iota-star-module-law",
+    "btr-zeta-star-form",
+    "zeta-star-comodule-law",
+    "pi-star-comodule-law",
+    "gamma-star-module-law",
+    "conv-unit-dual",
+    "gamma-star-zeta-star",
+    "zeta-star-splits",
+    "gamma-star-splits",
+    "bar-identity-left",
+    "bar-identity-right",
+    "bar-identity-middle",
+    "bar-identity-antipode",
+    "fusion-a",
+    "fusion-b",
+    "fusion-c",
+    "fusion-d",
+    "fusion-e",
+    "gammabar-star-mult-law",
+    "zetabar-star-coaction-law",
+    "gammabar-star-shift",
+    "zetabar-star-antipode-law",
+]
+
+CONV_UNIT = ("conv-unit-dual", "(zeta* iota*) * (pi* gamma*) != id")
+GAMMA_ZETA = ("gamma-star-zeta-star", "gamma* zeta* != <-, 1_B> eps_C")
+ZETA_SPLITS = ("zeta-star-splits", "iota* zeta* != id_B*")
+GAMMA_SPLITS = ("gamma-star-splits", "gamma* pi* != id_C*")
+BAR_LEFT = ("bar-identity-left", "id * (pi* gammabar*) != zeta* iota*")
+BAR_RIGHT = ("bar-identity-right", "S* * (zeta* iota*) != pi* gammabar*")
+BAR_MIDDLE = ("bar-identity-middle", "(pi* gamma*) * S* != zetabar* iota*")
+BAR_ANTIPODE = ("bar-identity-antipode", "(pi* gammabar*) * (zetabar* iota*) != S*")
+
+
+def _fusion(a, b, c, d, e):
+    """The five fusion failures with their first failing coordinates."""
+    return [
+        ("fusion-a", f"at {a}"),
+        ("fusion-b", f"at {b}"),
+        ("fusion-c", f"at {c}"),
+        ("fusion-d", f"at {d}"),
+        ("fusion-e", f"at {e}"),
+    ]
+
+
+# failures of the dual-side family under one-entry perturbations of a
+# certified system, each with the first failing coordinate of its witness
+DUAL_SIDE_FAILURES = {
+    "taft": {
+        "zeta_bar=zeta": [
+            BAR_MIDDLE,
+            BAR_ANTIPODE,
+            ("zetabar-star-coaction-law", "at b*1"),
+            ("zetabar-star-antipode-law", "at b*1"),
+        ],
+        "gamma[0,0]+1": [CONV_UNIT, GAMMA_ZETA, GAMMA_SPLITS, BAR_MIDDLE]
+        + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
+        "zeta[0,1]+1": [
+            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*1"),
+            CONV_UNIT,
+            GAMMA_ZETA,
+            BAR_LEFT,
+            BAR_RIGHT,
+        ]
+        + _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*1", "f0, f0, b*1"),
+        "zeta[1,0]+1": [
+            ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
+            CONV_UNIT,
+            GAMMA_ZETA,
+            ZETA_SPLITS,
+            BAR_LEFT,
+            BAR_RIGHT,
+        ]
+        + _fusion("f1, b*1", "b*1", "f1, b*1", "f0, b*1", "f0, f1, b*1"),
+        "gamma[1,0]+1": [
+            ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
+            CONV_UNIT,
+            GAMMA_ZETA,
+            GAMMA_SPLITS,
+            BAR_MIDDLE,
+        ]
+        + _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*0", "f0, f1, b*0"),
+        "gamma_bar[1,0]+1": [
+            BAR_LEFT,
+            BAR_RIGHT,
+            BAR_ANTIPODE,
+            ("gammabar-star-mult-law", "at x*0, f1"),
+            ("gammabar-star-shift", "at x*0, f1"),
+        ],
+    },
+    "c4": {
+        "zeta_bar=zeta": [],
+        "gamma[0,0]+1": [CONV_UNIT, GAMMA_ZETA, GAMMA_SPLITS, BAR_MIDDLE]
+        + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
+        "zeta[0,1]+1": [
+            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
+            CONV_UNIT,
+            BAR_LEFT,
+            BAR_RIGHT,
+            ("fusion-a", "at f1, b*0"),
+            ("fusion-b", "at b*0"),
+            ("fusion-c", "at f1, b*0"),
+        ],
+        "zeta[1,0]+1": [
+            ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
+            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
+            CONV_UNIT,
+            GAMMA_ZETA,
+            ZETA_SPLITS,
+            BAR_LEFT,
+            BAR_RIGHT,
+        ]
+        + _fusion("f1, b*0", "b*0", "f2, b*0", "f0, b*0", "f0, f2, b*0"),
+        "gamma[1,0]+1": [
+            ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
+            CONV_UNIT,
+            GAMMA_ZETA,
+            GAMMA_SPLITS,
+            BAR_MIDDLE,
+        ]
+        + _fusion("f1, b*0", "b*0", "f1, b*1", "f0, b*0", "f0, f1, b*1"),
+        "gamma_bar[1,0]+1": [
+            BAR_LEFT,
+            BAR_RIGHT,
+            BAR_ANTIPODE,
+            ("gammabar-star-mult-law", "at x*0, f1"),
+            ("gammabar-star-shift", "at x*0, f1"),
+        ],
+    },
+}
+
+
+def _bumped(m, i, j):
+    rows = [list(r) for r in m.matrix.rows]
+    rows[i][j] = rows[i][j] + m.field.one
+    return LinMap(Matrix(m.field, rows, ncols=m.source))
+
+
+@pytest.fixture(scope="module")
+def c4_f7_pams():
+    h = group_algebra(cyclic(4), F7)
+    iota = LinMap(Matrix(F7, [[1, 0], [0, 0], [0, 1], [0, 0]]))
+    q = build_quotient(certify_coideal(h, iota))
+    return h, q, certify_pams(q, find_cointegral(q))
+
+
+@pytest.mark.parametrize("system", ["taft", "c4"])
+def test_dual_side_pins_names_failures_and_witnesses(system, taft_pams, c4_f7_pams):
+    """The transposed family, driven to FAIL directly (certify_pams would
+    stop at the primal side first): every check runs, in a fixed order,
+    and each perturbation fails exactly the recorded checks at the
+    recorded first coordinate."""
+    _, q, p = taft_pams if system == "taft" else c4_f7_pams
+    clean = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
+    perturbed = {
+        "zeta_bar=zeta": {"zeta_bar": p.zeta},
+        "gamma[0,0]+1": {"gamma": _bumped(p.gamma, 0, 0)},
+        "zeta[0,1]+1": {"zeta": _bumped(p.zeta, 0, 1)},
+        "zeta[1,0]+1": {"zeta": _bumped(p.zeta, 1, 0)},
+        "gamma[1,0]+1": {"gamma": _bumped(p.gamma, 1, 0)},
+        "gamma_bar[1,0]+1": {"gamma_bar": _bumped(p.gamma_bar, 1, 0)},
+    }
+    report = Report("dual side")
+    _check_dual_side(q, report=report, **clean)
+    assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS
+    assert report.ok
+    for label, change in perturbed.items():
+        report = Report("dual side")
+        _check_dual_side(q, report=report, **dict(clean, **change))
+        assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS, label
+        assert report.failures() == DUAL_SIDE_FAILURES[system][label], label
