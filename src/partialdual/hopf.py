@@ -217,20 +217,7 @@ class Algebra:
             raise ValueError(
                 f"cannot multiply vectors of lengths {len(u)} and {len(v)} in dimension {n}"
             )
-        out = [field.zero] * n
-        v_nonzeros = [(b, y) for b, y in enumerate(v.entries) if y]
-        for a, x in enumerate(u.entries):
-            if not x:
-                continue
-            row = self.terms[a]
-            for b, y in v_nonzeros:
-                pair = row[b]
-                if not pair:
-                    continue
-                xy = x * y
-                for t, w in pair:
-                    out[t] = out[t] + xy * w
-        return Vector(field, out)
+        return Vector(field, _terms_product(self.terms, field.zero, u.entries, v.entries))
 
     def left_mult_matrix(self, u: Vector) -> Matrix:
         """Matrix of v -> u v."""
@@ -261,6 +248,27 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim} over {self.field.descriptor})"
+
+
+def _terms_product(
+    terms: Sequence, zero: Scalar, u: Sequence[Scalar], v: Sequence[Scalar]
+) -> list[Scalar]:
+    """The product of two coordinate lists through an Algebra.terms table:
+    sums u_a v_b m[a,b,t] over the nonzero u_a, v_b and terms[a][b]."""
+    out = [zero] * len(terms)
+    v_nonzeros = [(b, y) for b, y in enumerate(v) if y]
+    for a, x in enumerate(u):
+        if not x:
+            continue
+        row = terms[a]
+        for b, y in v_nonzeros:
+            pair = row[b]
+            if not pair:
+                continue
+            xy = x * y
+            for t, w in pair:
+                out[t] = out[t] + xy * w
+    return out
 
 
 class Coalgebra:
@@ -830,13 +838,17 @@ def convolution_product(f: LinMap, g: LinMap, c: Coalgebra, a: Algebra) -> LinMa
         raise ValueError("convolution factors must be defined on the coalgebra")
     if f.target != a.dim or g.target != a.dim:
         raise ValueError("convolution factors must land in the algebra")
+    zero = a.field.zero
+    f_cols, g_cols = f.matrix.columns(), g.matrix.columns()
     cols = []
     for i in range(c.dim):
-        acc = Vector.zero(a.field, a.dim)
-        for (i0, j, k), x in _comult_row(c, i):
-            acc = acc + a.multiply(f.column(j), g.column(k)).scale(x)
+        acc = [zero] * a.dim
+        for (_, j, k), x in _comult_row(c, i):
+            for t, y in enumerate(a.multiply(f_cols[j], g_cols[k]).entries):
+                if y:
+                    acc[t] = acc[t] + x * y
         cols.append(acc)
-    return LinMap(Matrix.from_columns(a.field, cols, nrows=a.dim))
+    return LinMap(Matrix(a.field, [list(row) for row in zip(*cols)], ncols=c.dim))
 
 
 def _comult_row(c: Coalgebra, i: int):

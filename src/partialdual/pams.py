@@ -13,6 +13,7 @@ opposite, co-opposite and dual Hopf algebras.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -26,9 +27,9 @@ from .coideal import (
 from .hopf import (
     Algebra,
     CertificationError,
-    Coalgebra,
     LinMap,
     Report,
+    _terms_product,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -364,11 +365,39 @@ def find_cointegral(q: CoidealQuotient, strategy: dict | None = None) -> LinMap:
 # --- certification ----------------------------------------------------------------
 
 
-def _matrix_pairs(m: Matrix):
-    for i, row in enumerate(m.rows):
+def _matrix_pairs(rows):
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if x:
                 yield i, j, x
+
+
+def _nonzeros(entries) -> tuple:
+    return tuple((k, x) for k, x in enumerate(entries) if x)
+
+
+def _sparse_rows(rows) -> list[tuple]:
+    return [_nonzeros(row) for row in rows]
+
+
+def _dual_comult(a: Algebra) -> list[list[tuple]]:
+    """Delta(f_k) = sum m[i,j,k] f_i (x) f_j of the dual coalgebra, as (i, j, m[i,j,k])."""
+    out = [[] for _ in range(a.dim)]
+    for i, plane in enumerate(a.terms):
+        for j, pair in enumerate(plane):
+            for k, x in pair:
+                out[k].append((i, j, x))
+    return out
+
+
+def _first_mismatch(witness: str, sides, *dims: int) -> tuple[bool, str]:
+    """(ok, witness) of lhs == rhs for (lhs, rhs) = sides(*index) over the
+    index grid in lexicographic order; the witness names the first failure."""
+    for index in itertools.product(*map(range, dims)):
+        lhs, rhs = sides(*index)
+        if lhs != rhs:
+            return False, witness.format(*index)
+    return True, ""
 
 
 def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
@@ -572,34 +601,21 @@ def _check_dual_side(
 ) -> None:
     """The transposed identity family on H*, B* and C*.
 
-    Elements of X* (x) Y* are handled as matrices with the first tensor
-    leg on rows; every identity is evaluated on the full basis.
+    Every identity is evaluated on the full basis, in a fixed index order,
+    so a witness names the first failing coordinate.  Elements are lists
+    of coordinates and elements of X* (x) Y* nested lists with the first
+    leg outside; dense matrices appear only where whole maps are compared.
+    A transposed map applies as a combination of the sparse rows of the
+    map, products go through the Algebra.terms tables of H* and C*, every
+    table that does not depend on the indices is built once, and the
+    products inside the fusion sums are memoized.
     """
     h = q.parent
     bsub = q.coideal
     field = q.field
+    zero = field.zero
     n, bdim, cdim = h.dim, bsub.dim, q.dim
     hs = dual(h)
-    iostar = bsub.iota.transpose()
-    pistar = q.pi.transpose()
-    zetastar = zeta.transpose()
-    gammastar = gamma.transpose()
-    zetabarstar = zeta_bar.transpose()
-    gammabarstar = gamma_bar.transpose()
-    sstar = LinMap(hs.antipode)
-    sstar_inv = hs.antipode_inverse()
-
-    bstar = Coalgebra(
-        field,
-        Tensor3(
-            field,
-            [
-                [[bsub.mult[j, k, i] for k in range(bdim)] for j in range(bdim)]
-                for i in range(bdim)
-            ],
-        ),
-        Vector(field, bsub.unit.entries),
-    )
     cstar = Algebra(
         field,
         Tensor3(
@@ -611,68 +627,94 @@ def _check_dual_side(
         ),
         Vector(field, q.coalgebra.counit.entries),
     )
+    hterms, cterms = hs.algebra.terms, cstar.terms
 
-    btr = _btr_tensor(q)
-    btrm = [contract(btr, 0, hs.basis(i)).transpose() for i in range(n)]
-    lh = [hs.algebra.left_mult_matrix(hs.basis(i)) for i in range(n)]
+    def vsum(width, terms):  # sum c e_k over (k, c)
+        out = [zero] * width
+        for k, c in terms:
+            out[k] = out[k] + c
+        return out
 
-    ok, witness = True, ""
-    for a in range(n):
-        for b2 in range(n):
-            if iostar.matrix @ lh[a].column(b2) != btrm[a] @ iostar.column(b2):
-                ok, witness = False, f"iota*(f{a} f{b2}) != f{a} |> iota*(f{b2})"
-                break
-        if not ok:
-            break
-    report.add("iota-star-module-law", ok, witness)
+    def msum(nrows, ncols, terms):  # sum c e_r (x) e_k over (r, k, c)
+        out = [[zero] * ncols for _ in range(nrows)]
+        for r, k, c in terms:
+            out[r][k] = out[r][k] + c
+        return out
 
-    ok, witness = True, ""
-    for a in range(n):
-        for u in range(bdim):
-            if btrm[a].column(u) != iostar.matrix @ (lh[a] @ zetastar.column(u)):
-                ok, witness = False, f"f{a} |> b*{u} != iota*(f{a} zeta*(b*{u}))"
-                break
-        if not ok:
-            break
-    report.add("btr-zeta-star-form", ok, witness)
+    def combine(rows, width):  # y -> sum y_k rows[k]: a transposed map, or f_a (-)
+        return lambda y: vsum(width, ((t, c * x) for k, c in enumerate(y) if c for t, x in rows[k]))
 
-    dzs = [hs.coalgebra.comultiply(zetastar.column(v)) for v in range(bdim)]
-    db = [bstar.comultiply(Vector.basis(field, bdim, beta)) for beta in range(bdim)]
-    ok, witness = True, ""
-    for beta in range(bdim):
-        lhs = iostar.matrix @ dzs[beta]
-        rhs = db[beta] @ zetastar.matrix.transpose()
-        if lhs != rhs:
-            ok, witness = False, f"left B*-colinearity of zeta* fails at b*{beta}"
-            break
-    report.add("zeta-star-comodule-law", ok, witness)
+    def hmul(u, v):
+        return _terms_product(hterms, zero, u, v)
 
-    ok, witness = True, ""
-    for t in range(cdim):
-        lhs = hs.coalgebra.comultiply(pistar.column(t))
-        rhs = pistar.matrix @ contract(q.action, 2, Vector.basis(field, cdim, t))
-        if lhs != rhs:
-            ok, witness = False, f"Delta(pi*(x*{t})) != sum pi*(x*_s) (x) f_i"
-            break
-    report.add("pi-star-comodule-law", ok, witness)
+    def cmul(u, v):
+        return _terms_product(cterms, zero, u, v)
 
-    ok, witness = True, ""
-    for a in range(n):
-        for t in range(cdim):
-            lhs = gammastar.matrix @ (lh[a] @ pistar.column(t))
-            rhs = cstar.multiply(gammastar.column(a), Vector.basis(field, cdim, t))
-            if lhs != rhs:
-                ok, witness = False, f"gamma*(f{a} pi*(x*{t})) != gamma*(f{a}) x*{t}"
-                break
-        if not ok:
-            break
-    report.add("gamma-star-module-law", ok, witness)
+    def coproduct(w):
+        return msum(n, n, ((i, j, c * x) for k, c in enumerate(w) if c for i, j, x in dh[k]))
+
+    iota_rows, zeta_rows, pi_rows, zbar_rows = (
+        _sparse_rows(m.matrix.rows) for m in (bsub.iota, zeta, q.pi, zeta_bar)
+    )
+    iota_s, zeta_s, pi_s = combine(iota_rows, bdim), combine(zeta_rows, n), combine(pi_rows, n)
+    gamma_s = combine(_sparse_rows(gamma.matrix.rows), cdim)
+    gbar_s = combine(_sparse_rows(gamma_bar.matrix.rows), cdim)
+    left = [combine(plane, n) for plane in hterms]
+    btr = _btr_tensor(q).data
+    btr_rows = [_sparse_rows(plane) for plane in btr]
+    btr_s = [combine(rows, bdim) for rows in btr_rows]  # f_a |> (-)
+    dh, db = _dual_comult(h.algebra), _dual_comult(bsub.algebra)
+    act = [  # the (s, i, <x*_t, x_s <| e_i>) with a nonzero pairing, for each t
+        [(s, i, row[t]) for s, plane in enumerate(q.action.data) for i, row in enumerate(plane) if row[t]]
+        for t in range(cdim)
+    ]
+    cbasis = Matrix.identity(field, cdim).rows
+    zs, gs, gbs, pis = (
+        [list(r) for r in m.matrix.rows] for m in (zeta, gamma, gamma_bar, q.pi)
+    )
+    fprod = [[vsum(n, pair) for pair in plane] for plane in hterms]
+    fz = [[left[a](z) for z in zs] for a in range(n)]
+    dzs = [coproduct(z) for z in zs]
+    dzs_nz = [list(_matrix_pairs(d)) for d in dzs]
+
+    report.add("iota-star-module-law", *_first_mismatch(
+        "iota*(f{0} f{1}) != f{0} |> iota*(f{1})",
+        lambda a, b: (iota_s(fprod[a][b]), btr_s[a](bsub.iota.matrix.rows[b])),
+        n, n,
+    ))
+    report.add("btr-zeta-star-form", *_first_mismatch(
+        "f{0} |> b*{1} != iota*(f{0} zeta*(b*{1}))",
+        lambda a, u: (list(btr[a][u]), iota_s(fz[a][u])),
+        n, bdim,
+    ))
+    report.add("zeta-star-comodule-law", *_first_mismatch(
+        "left B*-colinearity of zeta* fails at b*{0}",
+        lambda beta: (
+            msum(bdim, n, ((u, qq, x * y) for p, qq, x in dzs_nz[beta] for u, y in iota_rows[p])),
+            msum(bdim, n, ((u, qq, x * y) for u, v, x in db[beta] for qq, y in zeta_rows[v])),
+        ),
+        bdim,
+    ))
+    report.add("pi-star-comodule-law", *_first_mismatch(
+        "Delta(pi*(x*{0})) != sum pi*(x*_s) (x) f_i",
+        lambda t: (
+            coproduct(pis[t]),
+            msum(n, n, ((p, i, x * y) for s, i, x in act[t] for p, y in pi_rows[s])),
+        ),
+        cdim,
+    ))
+    report.add("gamma-star-module-law", *_first_mismatch(
+        "gamma*(f{0} pi*(x*{1})) != gamma*(f{0}) x*{1}",
+        lambda a, t: (gamma_s(left[a](pis[t])), cmul(gs[a], cbasis[t])),
+        n, cdim,
+    ))
 
     ident = LinMap.identity(field, n)
-    zi = LinMap(zetastar.matrix @ iostar.matrix)
-    zbi = LinMap(zetabarstar.matrix @ iostar.matrix)
-    pg = LinMap(pistar.matrix @ gammastar.matrix)
-    pgbar = LinMap(pistar.matrix @ gammabarstar.matrix)
+    sstar = LinMap(hs.antipode)
+    zi = LinMap((bsub.iota.matrix @ zeta.matrix).transpose())
+    zbi = LinMap((bsub.iota.matrix @ zeta_bar.matrix).transpose())
+    pg = LinMap((gamma.matrix @ q.pi.matrix).transpose())
+    pgbar = LinMap((gamma_bar.matrix @ q.pi.matrix).transpose())
     report.add(
         "conv-unit-dual",
         convolution_product(zi, pg, hs.coalgebra, hs.algebra) == ident,
@@ -680,7 +722,7 @@ def _check_dual_side(
     )
     report.add(
         "gamma-star-zeta-star",
-        gammastar.matrix @ zetastar.matrix
+        (zeta.matrix @ gamma.matrix).transpose()
         == Matrix(
             field,
             [[e * x for x in bsub.unit.entries] for e in q.coalgebra.counit.entries],
@@ -690,12 +732,12 @@ def _check_dual_side(
     )
     report.add(
         "zeta-star-splits",
-        iostar.matrix @ zetastar.matrix == Matrix.identity(field, bdim),
+        (zeta.matrix @ bsub.iota.matrix).transpose() == Matrix.identity(field, bdim),
         "iota* zeta* != id_B*",
     )
     report.add(
         "gamma-star-splits",
-        gammastar.matrix @ pistar.matrix == Matrix.identity(field, cdim),
+        (q.pi.matrix @ gamma.matrix).transpose() == Matrix.identity(field, cdim),
         "gamma* pi* != id_C*",
     )
     report.add(
@@ -721,184 +763,159 @@ def _check_dual_side(
 
     # the fusion family: products of zeta*, pi* gamma* and the |> action
     # recombine into plain multiplication by H* on the image of zeta*
-    dh = [hs.coalgebra.comultiply(hs.basis(a)) for a in range(n)]
-    prodz = [[lh[j] @ zetastar.column(v) for v in range(bdim)] for j in range(n)]
-    zsb = [
-        [zetastar.matrix @ btrm[i].column(u) for u in range(bdim)] for i in range(n)
-    ]
-    lz = [
-        [hs.algebra.left_mult_matrix(zsb[i][u]) for u in range(bdim)] for i in range(n)
-    ]
-    lzs = [hs.algebra.left_mult_matrix(zetastar.column(u)) for u in range(bdim)]
-    pgm = pg.matrix
-    pgf = [[pgm @ lh[j].column(p) for p in range(n)] for j in range(n)]
+    zsb = [[zeta_s(row) for row in plane] for plane in btr]  # zeta*(f_i |> b*_u)
+    pgf = [[pi_s(gamma_s(w)) for w in row] for row in fprod]  # pi* gamma*(f_j f_p)
+    gz = [[gamma_s(w) for w in row] for row in fz]  # gamma*(f_a zeta*(b*_u))
+    gff_dense = [[gamma_s(w) for w in row] for row in fprod]  # gamma*(f_a f_p)
+    gff = [[_nonzeros(w) for w in row] for row in gff_dense]
 
-    ok, witness = True, ""
-    for alpha in range(n):
-        for beta in range(bdim):
-            acc = [[field.zero] * n for _ in range(n)]
-            for i, j, xa in _matrix_pairs(dh[alpha]):
-                for u, v, xb in _matrix_pairs(db[beta]):
-                    xab = xa * xb
-                    for p, qq, xz in _matrix_pairs(dzs[v]):
-                        w = lz[i][u] @ pgf[j][p]
-                        x = xab * xz
-                        for m, wm in enumerate(w.entries):
-                            if wm:
-                                acc[m][qq] = acc[m][qq] + x * wm
-            if Matrix(field, acc, ncols=n) != lh[alpha] @ dzs[beta]:
-                ok, witness = False, f"at f{alpha}, b*{beta}"
-                break
-        if not ok:
-            break
-    report.add("fusion-a", ok, witness)
+    @functools.cache
+    def zsb_pgf(i, u, j):  # p -> zsb[i][u] pgf[j][p]
+        return [_nonzeros(hmul(zsb[i][u], w)) for w in pgf[j]]
 
-    ok, witness = True, ""
-    for beta in range(bdim):
-        acc = [[field.zero] * n for _ in range(n)]
-        for u, v, xb in _matrix_pairs(db[beta]):
-            for p, qq, xz in _matrix_pairs(dzs[v]):
-                w = lzs[u] @ pgm.column(p)
-                x = xb * xz
-                for m, wm in enumerate(w.entries):
-                    if wm:
-                        acc[m][qq] = acc[m][qq] + x * wm
-        if Matrix(field, acc, ncols=n) != dzs[beta]:
-            ok, witness = False, f"at b*{beta}"
-            break
-    report.add("fusion-b", ok, witness)
+    def fusion_a(alpha, beta):
+        acc = [[zero] * n for _ in range(n)]
+        for i, j, xa in dh[alpha]:
+            for u, v, xb in db[beta]:
+                prods, xab = zsb_pgf(i, u, j), xa * xb
+                for p, qq, xz in dzs_nz[v]:
+                    x = xab * xz
+                    for m, y in prods[p]:
+                        acc[m][qq] = acc[m][qq] + x * y
+        return acc, msum(
+            n, n, ((m, qq, x * y) for p, qq, x in dzs_nz[beta] for m, y in hterms[alpha][p])
+        )
 
-    pgz = [[pgm @ prodz[j][v] for v in range(bdim)] for j in range(n)]
-    ok, witness = True, ""
-    for alpha in range(n):
-        for beta in range(bdim):
-            acc = Vector.zero(field, n)
-            for i, j, xa in _matrix_pairs(dh[alpha]):
-                for u, v, xb in _matrix_pairs(db[beta]):
-                    acc = acc + (lz[i][u] @ pgz[j][v]).scale(xa * xb)
-            if acc != lh[alpha] @ zetastar.column(beta):
-                ok, witness = False, f"at f{alpha}, b*{beta}"
-                break
-        if not ok:
-            break
-    report.add("fusion-c", ok, witness)
+    report.add("fusion-a", *_first_mismatch("at f{0}, b*{1}", fusion_a, n, bdim))
 
-    gz = [[gammastar.matrix @ prodz[a][u] for u in range(bdim)] for a in range(n)]
-    lcz = [[cstar.left_mult_matrix(gz[a][u]) for u in range(bdim)] for a in range(n)]
-    gff = [[gammastar.matrix @ lh[a].column(p) for p in range(n)] for a in range(n)]
-    ok, witness = True, ""
-    for alpha in range(n):
-        for beta in range(bdim):
-            acc = [[field.zero] * n for _ in range(cdim)]
-            for u, v, xb in _matrix_pairs(db[beta]):
-                for p, qq, xz in _matrix_pairs(dzs[v]):
-                    w = lcz[alpha][u] @ gammastar.column(p)
-                    x = xb * xz
-                    for m, wm in enumerate(w.entries):
-                        if wm:
-                            acc[m][qq] = acc[m][qq] + x * wm
-            expected = [[field.zero] * n for _ in range(cdim)]
-            for p, qq, xz in _matrix_pairs(dzs[beta]):
-                for m, wm in enumerate(gff[alpha][p].entries):
-                    if wm:
-                        expected[m][qq] = expected[m][qq] + xz * wm
-            if Matrix(field, acc, ncols=n) != Matrix(field, expected, ncols=n):
-                ok, witness = False, f"at f{alpha}, b*{beta}"
-                break
-        if not ok:
-            break
-    report.add("fusion-d", ok, witness)
+    @functools.cache
+    def zs_pgf(u, p):
+        return _nonzeros(hmul(zs[u], pi_s(gs[p])))
 
-    gkz = [
-        [[gammastar.matrix @ (lh[k2] @ zsb[i][u]) for u in range(bdim)] for i in range(n)]
-        for k2 in range(n)
-    ]
-    ok, witness = True, ""
-    for k2 in range(n):
-        for alpha in range(n):
-            for beta in range(bdim):
-                acc = Vector.zero(field, cdim)
-                for i, j, xa in _matrix_pairs(dh[alpha]):
-                    for u, v, xb in _matrix_pairs(db[beta]):
-                        acc = acc + cstar.multiply(gkz[k2][i][u], gz[j][v]).scale(xa * xb)
-                if acc != gammastar.matrix @ (lh[k2] @ prodz[alpha][beta]):
-                    ok, witness = False, f"at f{k2}, f{alpha}, b*{beta}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("fusion-e", ok, witness)
+    report.add("fusion-b", *_first_mismatch(
+        "at b*{0}",
+        lambda beta: (
+            msum(n, n, (
+                (m, qq, xb * xz * y)
+                for u, v, xb in db[beta]
+                for p, qq, xz in dzs_nz[v]
+                for m, y in zs_pgf(u, p)
+            )),
+            dzs[beta],
+        ),
+        bdim,
+    ))
+
+    @functools.cache
+    def zsb_pgz(i, u, j):  # v -> zsb[i][u] pi* gamma*(f_j zeta*(b*_v))
+        return [_nonzeros(hmul(zsb[i][u], pi_s(w))) for w in gz[j]]
+
+    report.add("fusion-c", *_first_mismatch(
+        "at f{0}, b*{1}",
+        lambda alpha, beta: (
+            vsum(n, (
+                (m, xa * xb * y)
+                for i, j, xa in dh[alpha]
+                for u, v, xb in db[beta]
+                for m, y in zsb_pgz(i, u, j)[v]
+            )),
+            fz[alpha][beta],
+        ),
+        n, bdim,
+    ))
+
+    @functools.cache
+    def gz_gf(a, u):  # p -> gz[a][u] gamma*(f_p)
+        return [_nonzeros(cmul(gz[a][u], g)) for g in gs]
+
+    report.add("fusion-d", *_first_mismatch(
+        "at f{0}, b*{1}",
+        lambda alpha, beta: (
+            msum(cdim, n, (
+                (m, qq, xb * xz * y)
+                for u, v, xb in db[beta]
+                for p, qq, xz in dzs_nz[v]
+                for m, y in gz_gf(alpha, u)[p]
+            )),
+            msum(cdim, n, (
+                (m, qq, xz * y) for p, qq, xz in dzs_nz[beta] for m, y in gff[alpha][p]
+            )),
+        ),
+        n, bdim,
+    ))
+
+    # fusion-e is bilinear in zsb[i][u] (x) gz[j][v], a sum that does not depend on k2
+    zsb_nz = [[_nonzeros(w) for w in row] for row in zsb]
+    gz_nz = [[_nonzeros(w) for w in row] for row in gz]
+    fcc = [[[_nonzeros(cmul(g, x)) for x in cbasis] for g in row] for row in gff_dense]
+
+    @functools.cache
+    def zsb_gz(alpha, beta):
+        return list(_matrix_pairs(msum(n, cdim, (
+            (r, c, xa * xb * z * g)
+            for i, j, xa in dh[alpha]
+            for u, v, xb in db[beta]
+            for r, z in zsb_nz[i][u]
+            for c, g in gz_nz[j][v]
+        ))))
+
+    report.add("fusion-e", *_first_mismatch(
+        "at f{0}, f{1}, b*{2}",
+        lambda k2, alpha, beta: (
+            vsum(cdim, (
+                (m, x * y) for r, c, x in zsb_gz(alpha, beta) for m, y in fcc[k2][r][c]
+            )),
+            gamma_s(left[k2](fz[alpha][beta])),
+        ),
+        n, n, bdim,
+    ))
 
     # convolution-inverse side laws
     one_c = q.pi(h.unit)
-    lcb = [cstar.left_mult_matrix(Vector.basis(field, cdim, s)) for s in range(cdim)]
-    gbf = [[gammabarstar.matrix @ lh[a].column(i) for i in range(n)] for a in range(n)]
-    ok, witness = True, ""
-    for t in range(cdim):
-        for alpha in range(n):
-            acc = Vector.zero(field, cdim)
-            for s in range(cdim):
-                for i in range(n):
-                    x = q.action[s, i, t]
-                    if x:
-                        acc = acc + (lcb[s] @ gbf[alpha][i]).scale(x)
-            if acc != gammabarstar.column(alpha).scale(one_c[t]):
-                ok, witness = False, f"at x*{t}, f{alpha}"
-                break
-        if not ok:
-            break
-    report.add("gammabar-star-mult-law", ok, witness)
-
-    dzb = [hs.coalgebra.comultiply(zetabarstar.column(u)) for u in range(bdim)]
-    ok, witness = True, ""
-    for beta in range(bdim):
-        acc = [[field.zero] * n for _ in range(bdim)]
-        for u, v, xb in _matrix_pairs(db[beta]):
-            for p, qq, xz in _matrix_pairs(dzb[u]):
-                w = btrm[p].column(v)
-                x = xb * xz
-                for m, wm in enumerate(w.entries):
-                    if wm:
-                        acc[m][qq] = acc[m][qq] + x * wm
-        expected = Matrix(
-            field,
-            [
-                [bsub.counit[r] * zetabarstar.matrix[m2, beta] for m2 in range(n)]
-                for r in range(bdim)
-            ],
-            ncols=n,
-        )
-        if Matrix(field, acc, ncols=n) != expected:
-            ok, witness = False, f"at b*{beta}"
-            break
-    report.add("zetabar-star-coaction-law", ok, witness)
-
-    spi = [sstar_inv @ pistar.column(t) for t in range(cdim)]
-    ok, witness = True, ""
-    for t in range(cdim):
-        for alpha in range(n):
-            lhs = lcb[t] @ gammabarstar.column(alpha)
-            rhs = gammabarstar.matrix @ (lh[alpha] @ spi[t])
-            if lhs != rhs:
-                ok, witness = False, f"at x*{t}, f{alpha}"
-                break
-        if not ok:
-            break
-    report.add("gammabar-star-shift", ok, witness)
-
-    isv = [iostar.matrix @ sstar_inv.column(p) for p in range(n)]
-    ok, witness = True, ""
-    for beta in range(bdim):
-        acc = [[field.zero] * bdim for _ in range(n)]
-        for p, qq, xz in _matrix_pairs(dzb[beta]):
-            for v2, y in enumerate(isv[p].entries):
-                if y:
-                    acc[qq][v2] = acc[qq][v2] + xz * y
-        if zetabarstar.matrix @ db[beta] != Matrix(field, acc, ncols=bdim):
-            ok, witness = False, f"at b*{beta}"
-            break
-    report.add("zetabar-star-antipode-law", ok, witness)
+    gbf = [[_nonzeros(gbar_s(w)) for w in row] for row in fprod]  # gammabar*(f_a f_i)
+    report.add("gammabar-star-mult-law", *_first_mismatch(
+        "at x*{0}, f{1}",
+        lambda t, alpha: (
+            vsum(cdim, (
+                (k, x * y * w)
+                for s, i, x in act[t]
+                for j, y in gbf[alpha][i]
+                for k, w in cterms[s][j]
+            )),
+            [one_c[t] * y for y in gbs[alpha]],
+        ),
+        cdim, n,
+    ))
+    dzb_nz = [list(_matrix_pairs(coproduct(row))) for row in zeta_bar.matrix.rows]
+    report.add("zetabar-star-coaction-law", *_first_mismatch(
+        "at b*{0}",
+        lambda beta: (
+            msum(bdim, n, (
+                (m, qq, xb * xz * y)
+                for u, v, xb in db[beta]
+                for p, qq, xz in dzb_nz[u]
+                for m, y in btr_rows[p][v]
+            )),
+            [[e * z for z in zeta_bar.matrix.rows[beta]] for e in bsub.counit.entries],
+        ),
+        bdim,
+    ))
+    sstar_inv = hs.antipode_inverse()
+    spi = (q.pi.matrix @ sstar_inv.transpose()).rows  # S*^-1 pi*(x*_t)
+    report.add("gammabar-star-shift", *_first_mismatch(
+        "at x*{0}, f{1}",
+        lambda t, alpha: (cmul(cbasis[t], gbs[alpha]), gbar_s(left[alpha](spi[t]))),
+        cdim, n,
+    ))
+    isv = _sparse_rows((sstar_inv.transpose() @ bsub.iota.matrix).rows)  # iota* S*^-1 (f_p)
+    report.add("zetabar-star-antipode-law", *_first_mismatch(
+        "at b*{0}",
+        lambda beta: (
+            msum(n, bdim, ((m, v, x * y) for u, v, x in db[beta] for m, y in zbar_rows[u])),
+            msum(n, bdim, ((qq, v2, x * y) for p, qq, x in dzb_nz[beta] for v2, y in isv[p])),
+        ),
+        bdim,
+    ))
 
 
 def certify_pams(
