@@ -222,9 +222,29 @@ def test_criterion_7_transport_isomorphisms():
     assert err.value.witness
 
 
+PAMS_CHECKS = [
+    # inclusion and projection, zeta, gamma and their inverses
+    "iota-algebra-map", "iota-comodule-map", "iota-injective", "pi-coalgebra-map",
+    "pi-module-map", "pi-surjective", "coinvariants-equal-image", "zeta-module-map",
+    "zeta-biunitary", "zeta-invertible", "gamma-invertible",
+    # the primal identities
+    "gamma-comodule-map", "gamma-biunitary", "zetabar-biunitary", "gammabar-biunitary",
+    "conv-unit", "zeta-splits-iota", "gamma-splits-pi", "gamma-pi-convolution",
+    "gammabar-formula", "zeta-gamma-triviality", "pi-s-inv-iota-trivial",
+    # the dual side
+    "iota-star-module-law", "btr-zeta-star-form", "zeta-star-comodule-law",
+    "pi-star-comodule-law", "gamma-star-module-law", "conv-unit-dual", "gamma-star-zeta-star",
+    "zeta-star-splits", "gamma-star-splits", "bar-identity-left", "bar-identity-right",
+    "bar-identity-middle", "bar-identity-antipode", "fusion-a", "fusion-b", "fusion-c",
+    "fusion-d", "fusion-e", "gammabar-star-mult-law", "zetabar-star-coaction-law",
+    "gammabar-star-shift", "zetabar-star-antipode-law",
+]
+
+
 def test_criterion_8_pams_identity_suite(corpus_pams):
     for p in corpus_pams:
         assert p.report.ok, p.report.render()
+        assert [name for name, _, _ in p.report.checks] == PAMS_CHECKS
     _, p, _ = taft_pipeline(QQ, 1)
     for kind in INDUCED_KINDS:
         assert induced_pams(p, kind).report.ok, kind
