@@ -291,22 +291,27 @@ def example_taft4(lam: str, field_desc: str) -> None:
 
 
 _PAIR_FIXTURES = ("s3", "c2xc3")
+_PAIR_FIELD_HELP = "Q or Fp:<p>  [default: the field of the pair; Q for s3 and c2xc3]"
 
 
-def _pair_from(arg: str) -> MatchedPair:
+def _pair_from(arg: str, field_desc: str | None) -> MatchedPair:
+    """The pair, over `field_desc` when given and over its own field otherwise."""
     if arg == "s3":
-        return s3_pair()
-    if arg == "c2xc3":
-        return direct_product_pair(cyclic(2), cyclic(3))
-    m = parse(_read(arg))
-    if not isinstance(m, MatchedPair):
-        raise DocumentError("expected a matched-pair document")
-    return m
+        m = s3_pair()
+    elif arg == "c2xc3":
+        m = direct_product_pair(cyclic(2), cyclic(3))
+    else:
+        m = parse(_read(arg))
+        if not isinstance(m, MatchedPair):
+            raise DocumentError("expected a matched-pair document")
+    if field_desc is None:
+        return m
+    return MatchedPair(m.f, m.g, m.act_on_f, m.act_on_g, field_from_descriptor(field_desc))
 
 
 @example_group.command("matched-pair")
 @click.argument("fixture", default="s3")
-@click.option("--field", "field_desc", default="Q", show_default=True, metavar="F", help="Q or Fp:<p>.")
+@click.option("--field", "field_desc", metavar="F", help=_PAIR_FIELD_HELP)
 @click.option(
     "--emit",
     type=click.Choice(("pams", "pair")),
@@ -315,27 +320,25 @@ def _pair_from(arg: str) -> MatchedPair:
     help="Emit the certified mapping system or the bare group data.",
 )
 @checked
-def example_matched_pair(fixture: str, field_desc: str, emit: str) -> None:
+def example_matched_pair(fixture: str, field_desc: str | None, emit: str) -> None:
     """A matched pair of groups: built in (s3, c2xc3) or from a file."""
-    m = _pair_from(fixture)
+    m = _pair_from(fixture, field_desc)
     if emit == "pair":
         _emit(m)
         return
-    field = field_from_descriptor(field_desc)
-    _, _, p = matched_pair_hopf(m, field)
+    _, _, p = matched_pair_hopf(m, m.field)
     _note(p.report)
     _emit(p)
 
 
 @example_group.command("bismash")
 @click.argument("fixture", default="s3")
-@click.option("--field", "field_desc", default="Q", show_default=True, metavar="F", help="Q or Fp:<p>.")
+@click.option("--field", "field_desc", metavar="F", help=_PAIR_FIELD_HELP)
 @checked
-def example_bismash(fixture: str, field_desc: str) -> None:
+def example_bismash(fixture: str, field_desc: str | None) -> None:
     """The bismash product Hopf algebra of a matched pair."""
-    m = _pair_from(fixture)
-    field = field_from_descriptor(field_desc)
-    h = bismash_product(m, field)
+    m = _pair_from(fixture, field_desc)
+    h = bismash_product(m, m.field)
     rep = verify_hopf(h)
     _note(rep)
     if not rep.ok:

@@ -21,7 +21,7 @@ from partialdual.hopf import (
     dual,
     verify_hopf,
 )
-from partialdual.linalg import Field, Matrix, Tensor3, Vector, nullspace
+from partialdual.linalg import QQ, Field, Matrix, Tensor3, Vector, nullspace
 from partialdual.pams import Pams, certify_pams, gamma_from_zeta
 
 __all__ = [
@@ -226,8 +226,8 @@ def taft4(field: Field, lam: object) -> tuple[HopfAlgebra, CoidealSubalgebra, Li
 class MatchedPair:
     """A matched pair of finite groups (F, G) with mutual actions.
 
-    `act_on_f[x][b]` is x |> b in F and `act_on_g[x][b]` is x <| b in G.
-    Construction validates the unit conditions and both compatibility
+    `act_on_f[x][b]` is x |> b in F and `act_on_g[x][b]` is x <| b in G;
+    `field` is the coefficient field the builders use.  Construction validates the unit conditions and both compatibility
     laws, then builds the double cross product group on F x G, whose
     associativity is re-checked independently by FiniteGroup.
     """
@@ -238,8 +238,10 @@ class MatchedPair:
         g: FiniteGroup,
         act_on_f: Sequence[Sequence[int]],
         act_on_g: Sequence[Sequence[int]],
+        field: Field = QQ,
     ):
         self.f = f
+        self.field = field
         self.g = g
         self.act_on_f = tuple(tuple(row) for row in act_on_f)
         self.act_on_g = tuple(tuple(row) for row in act_on_g)

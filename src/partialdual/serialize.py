@@ -131,7 +131,7 @@ def serialize(obj) -> str:
         doc = {
             "format": FORMAT,
             "kind": "matched-pair",
-            "field": "Q",
+            "field": obj.field.descriptor,
             "dims": {"f_order": obj.f.order, "g_order": obj.g.order},
             "tables": {
                 "f": [list(row) for row in obj.f.table],
@@ -297,6 +297,7 @@ def parse(text: str):
             g,
             _read_int_table(tables, "act_on_f", ng, nf, nf),
             _read_int_table(tables, "act_on_g", ng, nf, ng),
+            field,
         )
 
     tensors = _want(doc, "tensors", dict, "document")

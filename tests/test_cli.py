@@ -110,6 +110,16 @@ def test_matched_pair_emit_pair_round_trips(runner):
     assert json.loads(out)["dims"]["dim"] == 6
 
 
+def test_matched_pair_builders_take_the_pair_field(runner):
+    pair_doc = run(runner, ["example", "matched-pair", "c2xc3", "--field", "Fp:5", "--emit", "pair"]).stdout
+    assert json.loads(pair_doc)["field"] == "Fp:5"
+    for command in ("matched-pair", "bismash"):
+        out = run(runner, ["example", command, "-"], input=pair_doc).stdout
+        assert json.loads(out)["field"] == "Fp:5", command
+        out = run(runner, ["example", command, "-", "--field", "Fp:7"], input=pair_doc).stdout
+        assert json.loads(out)["field"] == "Fp:7", command
+
+
 def test_usage_and_kind_errors(runner):
     assert runner.invoke(main, ["pams", "induce", "-", "--kind", "sideways"], input="").exit_code == 2
     assert runner.invoke(main, ["coideal", "-"], input="{}").exit_code == 2

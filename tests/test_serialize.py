@@ -108,6 +108,13 @@ def test_matched_pair_round_trip():
         assert m2.act_on_g == m.act_on_g
 
 
+def test_matched_pair_keeps_its_field():
+    doc = serialize(s3_pair()).replace('"field": "Q"', '"field": "Fp:5"')
+    assert '"field": "Fp:5"' in doc
+    assert parse(doc).field is PrimeField(5)
+    assert serialize(parse(doc)) == doc
+
+
 def test_canonical_form(taft_pams):
     text = serialize(taft_pams)
     assert text == serialize(taft_pams)
