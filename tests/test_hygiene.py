@@ -1,9 +1,13 @@
-"""Source hygiene: no module-level import in the package goes unused.
+"""Source hygiene: no import and no function-local assignment in the
+package goes unused.
 
-No linter ships with the project, so this stdlib-`ast` check stands in
+No linter ships with the project, so these stdlib-`ast` checks stand in
 for one.  A name bound by a module-level import must be read somewhere
 in its module or be listed in `__all__`; `__init__.py` files are exempt
-because their imports are the package's re-exports.
+because their imports are the package's re-exports.  A name bound in a
+function by a plain single-name assignment must be read in that function
+or in a function nested in it, which catches a table that a rewrite
+leaves computed but unused; tuple-unpacking targets are exempt.
 """
 
 import ast
@@ -82,3 +86,72 @@ def test_checker_counts_exports_and_annotations_not_docstrings():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _own_scope(func):
+    """The nodes of a function body, not descending into nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source: str) -> list[str]:
+    """Function-local names bound by `x = ...` or `x: T = ...` and never
+    read in the function, as "function.name (line)"."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        declared, assigned = set(), []
+        for node in _own_scope(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                assigned.append((node.targets[0], node.lineno))
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                assigned.append((node.target, node.lineno))
+        found += [
+            f"{func.name}.{target.id} (line {line})"
+            for target, line in sorted(assigned, key=lambda pair: pair[1])
+            if isinstance(target, ast.Name) and target.id not in read and target.id not in declared
+        ]
+    return found
+
+
+def test_checker_flags_an_unread_local():
+    source = (
+        "def f(xs):\n"
+        "    table = [x * x for x in xs]\n"
+        "    total: int = 0\n"
+        "    head, tail = xs[0], xs[1:]\n"
+        "    return len(xs)\n"
+    )
+    assert unread_locals(source) == ["f.table (line 2)", "f.total (line 3)"]
+
+
+def test_checker_counts_closures_and_declared_names():
+    source = (
+        "counter = 0\n"
+        "def f(xs):\n"
+        "    global counter\n"
+        "    counter = len(xs)\n"
+        "    scale = 2\n"
+        "    def g(x):\n"
+        "        unused = x\n"
+        "        return x * scale\n"
+        "    return [g(x) for x in xs]\n"
+    )
+    assert unread_locals(source) == ["g.unused (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_function_local(path):
+    assert unread_locals(path.read_text()) == []
