@@ -227,9 +227,10 @@ class MatchedPair:
     """A matched pair of finite groups (F, G) with mutual actions.
 
     `act_on_f[x][b]` is x |> b in F and `act_on_g[x][b]` is x <| b in G;
-    `field` is the coefficient field the builders use.  Construction validates the unit conditions and both compatibility
-    laws, then builds the double cross product group on F x G, whose
-    associativity is re-checked independently by FiniteGroup.
+    `field` is the coefficient field the builders use.  Construction
+    validates the unit conditions and both compatibility laws, then builds
+    the double cross product group on F x G, whose associativity is
+    re-checked independently by FiniteGroup.
     """
 
     def __init__(

@@ -669,9 +669,7 @@ def _check_dual_side(
         for t in range(cdim)
     ]
     cbasis = Matrix.identity(field, cdim).rows
-    zs, gs, gbs, pis = (
-        [list(r) for r in m.matrix.rows] for m in (zeta, gamma, gamma_bar, q.pi)
-    )
+    zs, gs, gbs, pis = (m.matrix.rows for m in (zeta, gamma, gamma_bar, q.pi))
     fprod = [[vsum(n, pair) for pair in plane] for plane in hterms]
     fz = [[left[a](z) for z in zs] for a in range(n)]
     dzs = [coproduct(z) for z in zs]
