@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -22,6 +23,7 @@ from partialdual.hopf import (
     opposite,
     power_multiply,
     tensor_apply,
+    tensor_comult_leg,
     tensor_functional,
     tensor_of,
     tensor_permute,
@@ -176,6 +178,123 @@ def test_tensor_functional_removes_leg():
     u = Vector(QQ, [1, 2, 3, 4, 5, 6])  # dims (2, 3)
     phi = Vector(QQ, [1, 1, 1])
     assert tensor_functional(u, (2, 3), 1, phi) == Vector(QQ, [6, 15])
+
+
+# --- leg functions against digit walkers ---------------------------------------
+#
+# The reference decodes every flat index into its row-major digits, edits
+# the digits and encodes them again.  It is kept here only, so the leg
+# functions are checked against an indexing that shares no code with them.
+
+
+def _ref_decode(idx, dims):
+    digits = []
+    for n in reversed(dims):
+        digits.append(idx % n)
+        idx //= n
+    return tuple(reversed(digits))
+
+
+def _ref_encode(digits, dims):
+    idx = 0
+    for d, n in zip(digits, dims):
+        idx = idx * n + d
+    return idx
+
+
+def _ref_walk(u, dims, new_dims, images):
+    """sum c e_{new digits} over the nonzeros c e_{digits} of u and the
+    (new digits, w) in images(digits)."""
+    total = 1
+    for n in new_dims:
+        total *= n
+    out = [u.field.zero] * total
+    for idx, c in enumerate(u.entries):
+        if c:
+            for new_digits, w in images(_ref_decode(idx, dims)):
+                j = _ref_encode(new_digits, new_dims)
+                out[j] = out[j] + c * w
+    return Vector(u.field, out)
+
+
+def _ref_apply(u, dims, leg, m):
+    new_dims = dims[:leg] + (m.nrows,) + dims[leg + 1 :]
+    return _ref_walk(u, dims, new_dims, lambda d: [
+        (d[:leg] + (r,) + d[leg + 1 :], m.rows[r][d[leg]]) for r in range(m.nrows) if m.rows[r][d[leg]]
+    ])
+
+
+def _ref_functional(u, dims, leg, phi):
+    new_dims = dims[:leg] + dims[leg + 1 :]
+    return _ref_walk(u, dims, new_dims, lambda d: [(d[:leg] + d[leg + 1 :], phi[d[leg]])] if phi[d[leg]] else [])
+
+
+def _ref_permute(u, dims, perm):
+    new_dims = tuple(dims[p] for p in perm)
+    return _ref_walk(u, dims, new_dims, lambda d: [(tuple(d[p] for p in perm), u.field.one)])
+
+
+def _ref_comult_leg(coalgebra, u, dims, leg):
+    n = coalgebra.dim
+    new_dims = dims[:leg] + (n, n) + dims[leg + 1 :]
+    comult = coalgebra.comult.data
+    return _ref_walk(u, dims, new_dims, lambda d: [
+        (d[:leg] + (j, k) + d[leg + 1 :], comult[d[leg]][j][k])
+        for j in range(n) for k in range(n) if comult[d[leg]][j][k]
+    ])
+
+
+LEG_DIMS = [(3,), (2, 3), (3, 1), (2, 3, 4), (4, 2, 3), (2, 3, 1, 2)]
+
+
+def _flat_operands(field, size, rng):
+    """zero, one basis vector, a sparse and a dense flat tensor."""
+    sparse = [field.zero] * size
+    for i in rng.sample(range(size), min(3, size)):
+        sparse[i] = _scalar(field, rng)
+    return [
+        Vector.zero(field, size),
+        Vector.basis(field, size, rng.randrange(size)),
+        Vector(field, sparse),
+        Vector(field, [_scalar(field, rng) for _ in range(size)]),
+    ]
+
+
+def _size(dims):
+    total = 1
+    for n in dims:
+        total *= n
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_leg_functions_match_digit_walkers(field):
+    rng = random.Random(11)
+    for dims in LEG_DIMS:
+        for u in _flat_operands(field, _size(dims), rng):
+            for leg, n in enumerate(dims):
+                for rows in (n, n + 1):
+                    sparse = [[field.zero] * n for _ in range(rows)]
+                    sparse[rng.randrange(rows)][rng.randrange(n)] = _scalar(field, rng)
+                    dense = [[_scalar(field, rng) for _ in range(n)] for _ in range(rows)]
+                    for m in (Matrix(field, sparse, ncols=n), Matrix(field, dense, ncols=n)):
+                        assert tensor_apply(u, dims, leg, m) == _ref_apply(u, dims, leg, m), (dims, leg, m)
+                for phi in _flat_operands(field, n, rng):
+                    assert tensor_functional(u, dims, leg, phi) == _ref_functional(u, dims, leg, phi), (dims, leg)
+            for perm in permutations(range(len(dims))):
+                assert tensor_permute(u, dims, perm) == _ref_permute(u, dims, perm), (dims, perm)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_comult_leg_matches_digit_walker_on_taft(field):
+    # Taft-4 is not cocommutative, so a swapped pair of new legs shows
+    coalgebra = taft4(field, 1)[0].coalgebra
+    rng = random.Random(12)
+    for dims in [(4,), (4, 3), (2, 4), (4, 2, 3), (2, 4, 3), (2, 3, 4), (2, 4, 1, 3)]:
+        for u in _flat_operands(field, _size(dims), rng):
+            for leg in [l for l, n in enumerate(dims) if n == 4]:
+                got = tensor_comult_leg(coalgebra, u, dims, leg)
+                assert got == _ref_comult_leg(coalgebra, u, dims, leg), (dims, leg, u)
 
 
 def test_power_multiply_in_tensor_square():
