@@ -1,5 +1,5 @@
-"""Source hygiene: no import and no function-local assignment in the
-package goes unused.
+"""Source hygiene: no import, no function-local assignment and no private
+helper in the package goes unused.
 
 No linter ships with the project, so these stdlib-`ast` checks stand in
 for one.  A name bound by a module-level import must be read somewhere
@@ -7,7 +7,10 @@ in its module or be listed in `__all__`; `__init__.py` files are exempt
 because their imports are the package's re-exports.  A name bound in a
 function by a plain single-name assignment must be read in that function
 or in a function nested in it, which catches a table that a rewrite
-leaves computed but unused; tuple-unpacking targets are exempt.
+leaves computed but unused; tuple-unpacking targets are exempt.  A
+module-level function or class whose name starts with `_` must be read
+by some module of the package, which catches a helper that a rewrite
+leaves defined but no longer called.
 """
 
 import ast
@@ -155,3 +158,36 @@ def test_checker_counts_closures_and_declared_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_function_local(path):
     assert unread_locals(path.read_text()) == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named `_x` that no module of the
+    package reads, by name or as an attribute, as "module._x (line)"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _used(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_checker_flags_an_unread_private_definition():
+    sources = {
+        "a": "def _shared(x):\n    return x\n\ndef _orphan():\n    pass\n\nclass _Unused:\n    pass\n",
+        "b": "from a import _shared\nimport a\n\ndef public(x):\n    return _shared(x) + a._by_attribute(x)\n",
+        "c": "def _by_attribute(x):\n    return x\n\ndef __getattr__(name):\n    raise AttributeError(name)\n",
+    }
+    assert unread_private_definitions(sources) == ["a._orphan (line 4)", "a._Unused (line 7)"]
+
+
+def test_no_unread_private_definition():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_definitions(sources) == []
