@@ -11,7 +11,9 @@ Conventions, fixed once for the whole package:
 Products read the nonzero structure constants: Algebra.terms lists, for
 each pair of basis indices, the nonzero (k, m[i,j,k]), and Algebra.multiply
 and power_multiply walk only the nonzero coordinates of their operands
-against it; no n x n matrix is built for a product.
+against it; no n x n matrix is built for a product.  Flat sums of pure
+tensors are indexed through two primitives: _kron_acc adds c (v_1 (x) ... (x) v_k)
+into a flat coordinate list, and _leg_map rewrites one leg of a flat tensor.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -20,6 +22,7 @@ check and a witness.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterator, Sequence
 
 from partialdual.linalg import (
@@ -389,7 +392,9 @@ class HopfAlgebra:
 # --- flat tensor utilities ----------------------------------------------------
 #
 # Elements of mixed tensor products V_1 (x) ... (x) V_k are flat Vectors with a
-# dims tuple (n_1, ..., n_k), flattened row-major.
+# dims tuple (n_1, ..., n_k), flattened row-major.  The leg functions below
+# and the construction of the partial duals index them only through the two
+# primitives _kron_acc (add a scaled pure tensor) and _leg_map (rewrite a leg).
 
 
 def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
@@ -398,94 +403,100 @@ def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
             yield i, x
 
 
-def _decode(idx: int, dims: Sequence[int]) -> tuple[int, ...]:
-    digits = []
-    for n in reversed(dims):
-        digits.append(idx % n)
-        idx //= n
-    return tuple(reversed(digits))
+def _kron_acc(out: list, c: Scalar, *legs: Sequence[Scalar]) -> None:
+    """Add c (legs[0] (x) legs[1] (x) ...) into the flat list `out`, row-major
+    over the leg lengths, visiting only the nonzero coordinates of each leg."""
+    if not c:
+        return
+    partial = [(0, c)]
+    for leg in legs:
+        n = len(leg)
+        nonzeros = [(i, x) for i, x in enumerate(leg) if x]
+        partial = [(base * n + i, w * x) for base, w in partial for i, x in nonzeros]
+    for idx, w in partial:
+        out[idx] = out[idx] + w
 
 
-def _encode(digits: Sequence[int], dims: Sequence[int]) -> int:
-    idx = 0
-    for d, n in zip(digits, dims):
-        idx = idx * n + d
-    return idx
+def _leg_map(
+    u: Vector, dims: Sequence[int], leg: int, width: int, images: Sequence[Sequence[tuple[int, Scalar]]]
+) -> Vector:
+    """Replace one leg of a flat tensor by a leg of length `width`: e_d on
+    that leg becomes sum c e_r over the (r, c) in images[d]."""
+    dims = tuple(dims)
+    if len(u) != prod(dims):
+        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
+    n, inner = dims[leg], prod(dims[leg + 1 :])
+    out = [u.field.zero] * (len(u) // n * width)
+    for idx, c in flat_nonzeros(u):
+        outer, rest = divmod(idx, n * inner)
+        d, low = divmod(rest, inner)
+        for r, w in images[d]:
+            j = (outer * width + r) * inner + low
+            out[j] = out[j] + c * w
+    return Vector(u.field, out)
 
 
 def tensor_of(vectors: Sequence[Vector]) -> Vector:
-    out = vectors[0]
+    """The Kronecker product of the vectors, in order."""
+    field = vectors[0].field
     for v in vectors[1:]:
-        out = out.tensor(v)
-    return out
+        _same_field(field, v.field, "vectors")
+    out = [field.zero] * prod(len(v) for v in vectors)
+    _kron_acc(out, field.one, *(v.entries for v in vectors))
+    return Vector(field, out)
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
     """Apply a matrix to one leg of a flat tensor."""
-    dims = tuple(dims)
     if m.ncols != dims[leg]:
         raise ValueError(f"matrix acts on dimension {m.ncols}, leg has {dims[leg]}")
-    new_dims = dims[:leg] + (m.nrows,) + dims[leg + 1 :]
-    total = 1
-    for n in new_dims:
-        total *= n
-    out = [u.field.zero] * total
-    for idx, c in flat_nonzeros(u):
-        digits = _decode(idx, dims)
-        col = digits[leg]
-        for r in range(m.nrows):
-            x = m.rows[r][col]
-            if x:
-                new_digits = digits[:leg] + (r,) + digits[leg + 1 :]
-                j = _encode(new_digits, new_dims)
-                out[j] = out[j] + c * x
-    return Vector(u.field, out)
+    images = [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)]
+    return _leg_map(u, dims, leg, m.nrows, images)
 
 
 def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> Vector:
     """Pair one leg against a functional, removing that leg."""
-    dims = tuple(dims)
     if len(phi) != dims[leg]:
         raise ValueError(f"functional has length {len(phi)}, leg has {dims[leg]}")
-    new_dims = dims[:leg] + dims[leg + 1 :]
-    total = 1
-    for n in new_dims:
-        total *= n
-    out = [u.field.zero] * total
-    for idx, c in flat_nonzeros(u):
-        digits = _decode(idx, dims)
-        w = phi[digits[leg]]
-        if w:
-            j = _encode(digits[:leg] + digits[leg + 1 :], new_dims)
-            out[j] = out[j] + c * w
-    return Vector(u.field, out)
+    return _leg_map(u, dims, leg, 1, [[(0, w)] if w else [] for w in phi.entries])
 
 
 def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
     """Reorder legs: new leg l carries what old leg perm[l] carried."""
     dims = tuple(dims)
-    new_dims = tuple(dims[p] for p in perm)
-    total = 1
-    for n in new_dims:
-        total *= n
-    out = [u.field.zero] * total
+    if len(u) != prod(dims):
+        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the {len(dims)} legs")
+    # stride[p]: the step of the new flat index per unit of old leg p
+    stride = [0] * len(dims)
+    step = 1
+    for new_leg in reversed(range(len(perm))):
+        stride[perm[new_leg]] = step
+        step *= dims[perm[new_leg]]
+    out = [u.field.zero] * len(u)
     for idx, c in flat_nonzeros(u):
-        digits = _decode(idx, dims)
-        out[_encode(tuple(digits[p] for p in perm), new_dims)] = c
+        j = 0
+        for p in reversed(range(len(dims))):
+            idx, d = divmod(idx, dims[p])
+            j += d * stride[p]
+        out[j] = c
     return Vector(u.field, out)
 
 
 def _prefix_tree(v: Vector, n: int, k: int) -> dict:
     """Nonzeros of a flat k-leg tensor as nested dicts, one level per leg:
     tree[d_0][d_1]...[d_{k-1}] is the coefficient of e_{d_0} (x) ... (x) e_{d_{k-1}}."""
-    dims = (n,) * k
     tree: dict = {}
     for idx, c in flat_nonzeros(v):
+        digits = []  # last leg first
+        for _ in range(k):
+            idx, d = divmod(idx, n)
+            digits.append(d)
         node = tree
-        *head, last = _decode(idx, dims)
-        for d in head:
+        for d in reversed(digits[1:]):
             node = node.setdefault(d, {})
-        node[last] = c
+        node[digits[0]] = c
     return tree
 
 
@@ -526,27 +537,14 @@ def power_unit(algebra: Algebra, k: int) -> Vector:
 
 def tensor_comult_leg(coalgebra: Coalgebra, u: Vector, dims: Sequence[int], leg: int) -> Vector:
     """Apply the comultiplication to one leg, splitting it in two."""
-    dims = tuple(dims)
     n = coalgebra.dim
     if dims[leg] != n:
         raise ValueError(f"leg {leg} has dimension {dims[leg]}, coalgebra has {n}")
-    new_dims = dims[:leg] + (n, n) + dims[leg + 1 :]
-    total = 1
-    for m in new_dims:
-        total *= m
-    out = [u.field.zero] * total
-    comult = coalgebra.comult.data
-    for idx, c in flat_nonzeros(u):
-        digits = _decode(idx, dims)
-        plane = comult[digits[leg]]
-        for j in range(n):
-            row = plane[j]
-            for k2 in range(n):
-                if row[k2]:
-                    nd = digits[:leg] + (j, k2) + digits[leg + 1 :]
-                    t = _encode(nd, new_dims)
-                    out[t] = out[t] + c * row[k2]
-    return Vector(u.field, out)
+    images = [
+        [(j * n + k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x]
+        for plane in coalgebra.comult.data
+    ]
+    return _leg_map(u, dims, leg, n * n, images)
 
 
 # --- Hopf verification ---------------------------------------------------------

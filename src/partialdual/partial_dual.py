@@ -24,6 +24,7 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _kron_acc,
     convolution_inverse,
     dual,
     flat_nonzeros,
@@ -34,7 +35,6 @@ from .hopf import (
     tensor_apply,
     tensor_comult_leg,
     tensor_functional,
-    tensor_of,
     tensor_permute,
     verify_algebra,
     verify_coalgebra,
@@ -244,11 +244,6 @@ def _delta_tensor(field, delta: Matrix, n: int) -> Tensor3:
     )
 
 
-def _acc(out: list, vec: Vector, scale) -> None:
-    for idx, c in flat_nonzeros(vec):
-        out[idx] = out[idx] + scale * c
-
-
 def _action_support(q: CoidealQuotient) -> list[list[tuple[int, int, object]]]:
     """Per C-basis column t: the (s, i, coefficient) support of the mixed
     coaction rho(f_t) = sum f_s (x) h*_i."""
@@ -377,8 +372,10 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         Vector(field, list(q.coalgebra.counit.entries)),
     )
     bunit = bsub.unit
-    ebs = [cstar.unit.tensor(Vector.basis(field, bdim, u)) for u in range(bdim)]
-    fbs = [Vector.basis(field, cdim, a).tensor(bunit) for a in range(cdim)]
+    ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
+    eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
+    ebs = [cstar.unit.tensor(eb[u]) for u in range(bdim)]
+    fbs = [ec[a].tensor(bunit) for a in range(cdim)]
     unit_vec = cstar.unit.tensor(bunit)
 
     zs = [p.zeta.matrix.row(u) for u in range(bdim)]
@@ -393,7 +390,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         [Vector(field, [action[s, m, g] for s in range(cdim)]) for g in range(cdim)]
         for m in range(n)
     ]
-    lcs = [cstar.left_mult_matrix(Vector.basis(field, cdim, a)) for a in range(cdim)]
+    lcs = [cstar.left_mult_matrix(ec[a]) for a in range(cdim)]
     mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
     for a in range(cdim):
         for b in range(bdim):
@@ -402,19 +399,12 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
                 for g in range(cdim):
                     w = lcs[a] @ hitc[m][g]
                     for d in range(bdim):
-                        bb = bsub.mult.data[k][d]
-                        col = plane[g * bdim + d]
-                        for s, ws in enumerate(w.entries):
-                            if ws:
-                                xws = x * ws
-                                for j2, bj in enumerate(bb):
-                                    if bj:
-                                        col[s * bdim + j2] = col[s * bdim + j2] + xws * bj
+                        _kron_acc(plane[g * bdim + d], x, w, bsub.mult.data[k][d])
     mult = Tensor3(field, mdata)
 
     # second form: sum f g1 # (b harpoon g2) c
     bca = [[Vector(field, list(coaction.data[b][i])) for i in range(n)] for b in range(bdim)]
-    rbm = [bsub.algebra.right_mult_matrix(Vector.basis(field, bdim, d)) for d in range(bdim)]
+    rbm = [bsub.algebra.right_mult_matrix(eb[d]) for d in range(bdim)]
     ok = True
     witness = ""
     for a in range(cdim):
@@ -423,14 +413,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
                 for d in range(bdim):
                     col2 = [field.zero] * nd
                     for s, i, x in rho[g]:
-                        cw = lcs[a].column(s)
-                        bw = rbm[d] @ bca[b][i]
-                        for t2, ct in enumerate(cw.entries):
-                            if ct:
-                                xc = x * ct
-                                for j2, bj in enumerate(bw.entries):
-                                    if bj:
-                                        col2[t2 * bdim + j2] = col2[t2 * bdim + j2] + xc * bj
+                        _kron_acc(col2, x, lcs[a].column(s), rbm[d] @ bca[b][i])
                     if col2 != mdata[a * bdim + b][g * bdim + d]:
                         ok = False
                         witness = f"product ({a},{b})*({g},{d})"
@@ -456,14 +439,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         out = [field.zero] * (nd * nd)
         for s, i, x in rho[a]:
             for u in range(bdim):
-                base = (s * bdim + u) * nd
-                vec = g2[i][u]
-                for t2, c2 in enumerate(vec.entries):
-                    if c2:
-                        xc = x * c2
-                        for j2, oj in enumerate(bunit.entries):
-                            if oj:
-                                out[base + t2 * bdim + j2] = out[base + t2 * bdim + j2] + xc * oj
+                _kron_acc(out, x, ec[s], eb[u], g2[i][u], bunit)
         d32.append(Vector(field, out))
 
     # comultiplication on eps # b
@@ -472,56 +448,32 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         out = [field.zero] * (nd * nd)
         for m, k, x in coact[b]:
             for t in range(cdim):
-                second = t * bdim + k
-                zv = zgm[t][m]
-                for t1, e1 in enumerate(cstar.unit.entries):
-                    if e1:
-                        xe = x * e1
-                        for j1, z1 in enumerate(zv.entries):
-                            if z1:
-                                idx = (t1 * bdim + j1) * nd + second
-                                out[idx] = out[idx] + xe * z1
+                _kron_acc(out, x, cstar.unit, zgm[t][m], ec[t], eb[k])
         d33.append(Vector(field, out))
 
     # full comultiplication, single-sum form over the B and C bases
     bu_z = [
-        [[bsub.algebra.multiply(Vector.basis(field, bdim, u), zgm[t][m]) for m in range(n)] for t in range(cdim)]
+        [[bsub.algebra.multiply(eb[u], zgm[t][m]) for m in range(n)] for t in range(cdim)]
         for u in range(bdim)
     ]
     gf = [
-        [[cstar.multiply(g2[i][u], Vector.basis(field, cdim, t)) for t in range(cdim)] for u in range(bdim)]
+        [[cstar.multiply(g2[i][u], ec[t]) for t in range(cdim)] for u in range(bdim)]
         for i in range(n)
     ]
-    w_inner: list[list[list[list[object]]]] = [[None] * n for _ in range(n)]
+    # w_inner[i][m]: sum over u, t of b_u zeta(gamma(f_t) e_m) (x) g2[i][u] f_t, legs (B, C)
+    w_inner = [[[field.zero] * (bdim * cdim) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for m in range(n):
-            acc = [[field.zero] * cdim for _ in range(bdim)]
             for u in range(bdim):
                 for t in range(cdim):
-                    bv = bu_z[u][t][m]
-                    cv = gf[i][u][t]
-                    for j2, bj in enumerate(bv.entries):
-                        if bj:
-                            row = acc[j2]
-                            for t2, ct in enumerate(cv.entries):
-                                if ct:
-                                    row[t2] = row[t2] + bj * ct
-            w_inner[i][m] = acc
+                    _kron_acc(w_inner[i][m], field.one, bu_z[u][t][m], gf[i][u][t])
     delta_cols = []
     for a in range(cdim):
         for b in range(bdim):
             out = [field.zero] * (nd * nd)
             for s, i, xa in rho[a]:
                 for m, k, xc in coact[b]:
-                    x = xa * xc
-                    acc = w_inner[i][m]
-                    for j2 in range(bdim):
-                        base = (s * bdim + j2) * nd
-                        row = acc[j2]
-                        for t2 in range(cdim):
-                            if row[t2]:
-                                idx = base + t2 * bdim + k
-                                out[idx] = out[idx] + x * row[t2]
+                    _kron_acc(out, xa * xc, ec[s], w_inner[i][m], eb[k])
             delta_cols.append(Vector(field, out))
     delta = Matrix.from_columns(field, delta_cols, nrows=nd * nd)
 
@@ -546,15 +498,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         out = [field.zero] * (nd * nd)
         for s, i, x in rho[a]:
             for t in range(cdim):
-                second = t * bdim  # f_t # 1 needs the unit of B below
-                bv = hrv[t][i]
-                for j1, z1 in enumerate(bv.entries):
-                    if z1:
-                        base = (s * bdim + j1) * nd
-                        xz = x * z1
-                        for j2, oj in enumerate(bunit.entries):
-                            if oj:
-                                out[base + second + j2] = out[base + second + j2] + xz * oj
+                _kron_acc(out, x, ec[s], hrv[t][i], ec[t], bunit)
         if Vector(field, out) != d32[a]:
             ok = False
             witness = f"basis f_{a} # 1"
@@ -568,16 +512,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         out = [field.zero] * (nd * nd)
         for m, k, x in coact[b]:
             for u in range(bdim):
-                gv = gammastar @ (rtm[m] @ zs[u])
-                ebu = ebs[u]
-                for i1, c1 in enumerate(ebu.entries):
-                    if c1:
-                        base = i1 * nd
-                        xc1 = x * c1
-                        for t2, c2 in enumerate(gv.entries):
-                            if c2:
-                                idx = base + t2 * bdim + k
-                                out[idx] = out[idx] + xc1 * c2
+                _kron_acc(out, x, ebs[u], gammastar @ (rtm[m] @ zs[u]), eb[k])
         if Vector(field, out) != d33[b]:
             ok = False
             witness = f"basis eps # b_{b}"
@@ -594,18 +529,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             out = [field.zero] * (nd * nd)
             for s, ip, xa in rho[a]:
                 for m, k, xc in coact[b]:
-                    x = xa * xc
                     for i in range(n):
-                        bv = zem[i][m]
-                        cv = gss[ip][i]
-                        for j2, bj in enumerate(bv.entries):
-                            if bj:
-                                base = (s * bdim + j2) * nd
-                                xb = x * bj
-                                for t2, ct in enumerate(cv.entries):
-                                    if ct:
-                                        idx = base + t2 * bdim + k
-                                        out[idx] = out[idx] + xb * ct
+                        _kron_acc(out, xa * xc, ec[s], zem[i][m], gss[ip][i], eb[k])
             if Vector(field, out) != delta_cols[a * bdim + b]:
                 ok = False
                 witness = f"basis ({a},{b})"
@@ -628,13 +553,11 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for p2 in range(n):
             row = dzu.rows[p2]
             for r in range(n):
-                c = row[r]
-                if c:
-                    for v in range(bdim):
-                        _acc(phi_list, tensor_of([ebs[u], mid[v][p2], leg3[v][r]]), c)
+                for v in range(bdim):
+                    _kron_acc(phi_list, row[r], ebs[u], mid[v][p2], leg3[v][r])
     phi = Vector(field, phi_list)
 
-    leg2i = [[gammastar.column(p2).tensor(Vector.basis(field, bdim, v)) for v in range(bdim)] for p2 in range(n)]
+    leg2i = [[gammastar.column(p2).tensor(eb[v]) for v in range(bdim)] for p2 in range(n)]
     leg3i = [[(gammastar @ hsalg.multiply(hsb[r], zs[v])).tensor(bunit) for v in range(bdim)] for r in range(n)]
     phi_inv_list = [field.zero] * (nd ** 3)
     for u in range(bdim):
@@ -642,10 +565,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for p2 in range(n):
             row = dzu.rows[p2]
             for r in range(n):
-                c = row[r]
-                if c:
-                    for v in range(bdim):
-                        _acc(phi_inv_list, tensor_of([ebs[u], leg2i[p2][v], leg3i[r][v]]), c)
+                for v in range(bdim):
+                    _kron_acc(phi_inv_list, row[r], ebs[u], leg2i[p2][v], leg3i[r][v])
     phi_inv = Vector(field, phi_inv_list)
 
     # inverse associator, quotient-side form
@@ -656,12 +577,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for a2 in range(n):
             row = dw.rows[a2]
             for c2 in range(n):
-                c = row[c2]
-                if c:
-                    for t in range(cdim):
-                        leg1 = cstar.unit.tensor(zgm[t][a2])
-                        leg2 = Vector.basis(field, cdim, t).tensor(zecol[c2])
-                        _acc(alt, tensor_of([leg1, leg2, fbs[w]]), c)
+                for t in range(cdim):
+                    _kron_acc(alt, row[c2], cstar.unit, zgm[t][a2], ec[t], zecol[c2], fbs[w])
     report.add("associator-inverse-forms-agree", phi_inv == Vector(field, alt), "two closed forms")
 
     # preantipode
@@ -699,23 +616,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
                 row_a = [field.zero] * nsq
                 row_b = [field.zero] * nsq
                 for (i, j), c in dsupp:
-                    pj = pair[i][b2]
-                    rj = rmm[j]
-                    li = lmm[i]
-                    pb = pair[b2][j]
-                    for m in range(nd):
-                        cr = c * rj[o, m]
-                        cl = c * li[o, m]
-                        if cr:
-                            base = m * nd
-                            for k2, pv in enumerate(pj.entries):
-                                if pv:
-                                    row_a[base + k2] = row_a[base + k2] + cr * pv
-                        if cl:
-                            base = m * nd
-                            for k2, pv in enumerate(pb.entries):
-                                if pv:
-                                    row_b[base + k2] = row_b[base + k2] + cl * pv
+                    _kron_acc(row_a, c, rmm[j].rows[o], pair[i][b2])
+                    _kron_acc(row_b, c, lmm[i].rows[o], pair[b2][j])
                 if ea:
                     row_a[o * nd + b2] = row_a[o * nd + b2] - ea
                     row_b[o * nd + b2] = row_b[o * nd + b2] - ea
@@ -729,11 +631,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         j, k = divmod(rest, nd)
         pmat = rmm[k] @ lmm[i]
         for o in range(nd):
-            prow = phi_rows[o]
-            for m in range(nd):
-                cv = c * pmat[o, m]
-                if cv:
-                    prow[m * nd + j] = prow[m * nd + j] + cv
+            _kron_acc(phi_rows[o], c, pmat.rows[o], es[j])
     for o in range(nd):
         rows.append(phi_rows[o])
         rhs_entries.append(unit_vec[o])
@@ -929,26 +827,17 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     for (p2, s, t), c in comult_c.nonzero():
         ccs[p2].append((s, t, c))
 
-    cdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
+    ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
+    eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
+    cdata = []
     for p2 in range(cdim):
         for u in range(bdim):
-            plane = cdata[p2 * bdim + u]
+            plane = [field.zero] * (nd * nd)
             for s, t, x1 in ccs[p2]:
                 for i in range(n):
-                    act_row = action.data[t][i]
-                    if not any(act_row):
-                        continue
                     for a2, c2, x2 in dbs[u]:
-                        btr_row = btr.data[i][a2]
-                        x12 = x1 * x2
-                        for w, xw in enumerate(btr_row):
-                            if xw:
-                                row_out = plane[s * bdim + w]
-                                xww = x12 * xw
-                                for r, xr in enumerate(act_row):
-                                    if xr:
-                                        idx = r * bdim + c2
-                                        row_out[idx] = row_out[idx] + xww * xr
+                        _kron_acc(plane, x1 * x2, ec[s], btr.data[i][a2], action.data[t][i], eb[c2])
+            cdata.append([plane[j * nd : (j + 1) * nd] for j in range(nd)])
     comult_r = Tensor3(field, cdata)
     counit_r = q.coalgebra.counit.tensor(bsub.unit)
     unit_r = q.pi(h.unit).tensor(bsub.counit)
@@ -959,23 +848,12 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
         for q2 in range(cdim):
             for a2, c2, x2 in dbs[u]:
                 for s, t, x1 in ccs[q2]:
-                    hh = hit_left(h, zs[a2], gcol[s])
-                    mbtl = btl_matrix(q, hh)
-                    hst = lt[t] @ zs[c2]
-                    mbtr = btr_matrix(q, hst)
-                    x12 = x1 * x2
+                    mbtl = btl_matrix(q, hit_left(h, zs[a2], gcol[s])).transpose()
+                    mbtr = btr_matrix(q, lt[t] @ zs[c2]).transpose()
                     for pp in range(cdim):
-                        for p3 in range(cdim):
-                            xa = mbtl[p3, pp]
-                            if xa:
-                                xap = x12 * xa
-                                for v in range(bdim):
-                                    row_out = mdata[pp * bdim + u][q2 * bdim + v]
-                                    for w3 in range(bdim):
-                                        xb = mbtr[w3, v]
-                                        if xb:
-                                            idx = p3 * bdim + w3
-                                            row_out[idx] = row_out[idx] + xap * xb
+                        for v in range(bdim):
+                            row_out = mdata[pp * bdim + u][q2 * bdim + v]
+                            _kron_acc(row_out, x1 * x2, mbtl.rows[pp], mbtr.rows[v])
     mult_r = Tensor3(field, mdata)
 
     coalg = Coalgebra(field, comult_r, counit_r)
@@ -1140,13 +1018,13 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     report = Report("opposite comparison")
 
     cstar_unit = Vector(field, list(q.coalgebra.counit.entries))
+    ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
     ebs = [cstar_unit.tensor(Vector.basis(field, bdim, u)) for u in range(bdim)]
-    fbs = [Vector.basis(field, cdim, a).tensor(bsub.unit) for a in range(cdim)]
+    fbs = [ec[a].tensor(bsub.unit) for a in range(cdim)]
     cols = [q1.multiply(ebs[b], fbs[a]) for a in range(cdim) for b in range(bdim)]
     phim = Matrix.from_columns(field, cols, nrows=nd)
 
-    hs = dual(q.parent)
-    sinv = hs.antipode_inverse()
+    sinv = dual(q.parent).antipode_inverse()
     rho = _action_support(q)
     coaction = bsub.coaction
     n = q.parent.dim
@@ -1157,15 +1035,8 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
         for b in range(bdim):
             acc = [field.zero] * nd
             for s, i, x in rho[a]:
-                w = sinv.column(i)
-                bvec = Vector(field, [field.zero] * bdim)
-                for m, wm in enumerate(w.entries):
-                    if wm:
-                        bvec = bvec + bca[b][m].scale(wm)
-                for k2, bk in enumerate(bvec.entries):
-                    if bk:
-                        idx = s * bdim + k2
-                        acc[idx] = acc[idx] + x * bk
+                for m in range(n):
+                    _kron_acc(acc, x * sinv[m, i], ec[s], bca[b][m])
             if Vector(field, acc) != cols[a * bdim + b]:
                 ok = False
                 witness = f"basis ({a},{b})"
@@ -1179,10 +1050,7 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
         for b in range(bdim):
             acc = [field.zero] * nd
             for s, i, x in rho[a]:
-                for k2, bk in enumerate(bca[b][i].entries):
-                    if bk:
-                        idx = s * bdim + k2
-                        acc[idx] = acc[idx] + x * bk
+                _kron_acc(acc, x, ec[s], bca[b][i])
             inv_cols.append(Vector(field, acc))
     phim_inv = Matrix.from_columns(field, inv_cols, nrows=nd)
     ident = Matrix.identity(field, nd)

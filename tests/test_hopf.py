@@ -11,6 +11,7 @@ from partialdual.hopf import (
     CertificationError,
     HopfAlgebra,
     LinMap,
+    _kron_acc,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -295,6 +296,40 @@ def test_comult_leg_matches_digit_walker_on_taft(field):
             for leg in [l for l, n in enumerate(dims) if n == 4]:
                 got = tensor_comult_leg(coalgebra, u, dims, leg)
                 assert got == _ref_comult_leg(coalgebra, u, dims, leg), (dims, leg, u)
+
+
+def test_leg_functions_reject_malformed_input():
+    kc2 = cyclic_group_hopf(2)
+    u = Vector(QQ, [1, 2, 3, 4, 5, 6])  # dims (2, 3)
+    with pytest.raises(ValueError):  # five entries for dims (2, 3)
+        tensor_apply(Vector(QQ, [1, 2, 3, 4, 5]), (2, 3), 0, Matrix.identity(QQ, 2))
+    with pytest.raises(ValueError):  # seven entries for dims (2, 3)
+        tensor_functional(Vector(QQ, [1] * 7), (2, 3), 1, Vector(QQ, [1, 1, 1]))
+    with pytest.raises(ValueError):  # three entries for dims (2,)
+        tensor_comult_leg(kc2.coalgebra, Vector(QQ, [1, 2, 3]), (2,), 0)
+    with pytest.raises(ValueError):
+        tensor_permute(Vector(QQ, [1, 2, 3, 4, 5]), (2, 3), (1, 0))
+    for perm in ((0, 0), (1,), (0, 1, 2), (1, 2)):
+        with pytest.raises(ValueError):
+            tensor_permute(u, (2, 3), perm)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_kron_acc_adds_the_kronecker_product(field):
+    rng = random.Random(13)
+    for dims in [(3,), (2, 3), (3, 1), (2, 3, 4), (2, 3, 1, 2)]:
+        pools = [_flat_operands(field, n, rng) for n in dims]
+        for _ in range(12):
+            legs = [rng.choice(pool) for pool in pools]
+            kron = legs[0]
+            for leg in legs[1:]:
+                kron = kron.tensor(leg)
+            assert tensor_of(legs) == kron, dims
+            start = [_scalar(field, rng) for _ in range(len(kron))]
+            for c in (field.zero, field.one, _scalar(field, rng)):
+                out = list(start)
+                _kron_acc(out, c, *legs)
+                assert out == [s + c * x for s, x in zip(start, kron.entries)], (dims, c)
 
 
 def test_power_multiply_in_tensor_square():
