@@ -200,6 +200,7 @@ class CoidealQuotient:
         self.ideal_basis = ideal_basis
         self.canonical = canonical
         self.report = report
+        self._hstar: HopfAlgebra | None = None
         self._dual_parent: HopfAlgebra | None = None
         self._dual_coideal: CoidealSubalgebra | None = None
         self._section: Matrix | None = None
@@ -210,10 +211,17 @@ class CoidealQuotient:
         return self.parent.field
 
     @property
+    def hstar(self) -> HopfAlgebra:
+        """H*, the dual Hopf algebra of the parent, built once."""
+        if self._hstar is None:
+            self._hstar = dual(self.parent)
+        return self._hstar
+
+    @property
     def dual_parent(self) -> HopfAlgebra:
         """The co-opposite of the dual, the ambient Hopf algebra of C*."""
         if self._dual_parent is None:
-            self._dual_parent = coopposite(dual(self.parent))
+            self._dual_parent = coopposite(self.hstar)
         return self._dual_parent
 
     def basis(self, i: int) -> Vector:
@@ -416,7 +424,7 @@ def _btr_tensor(q: CoidealQuotient) -> Tensor3:
     field = q.field
     n = q.parent.dim
     bdim = q.coideal.dim
-    hstar = dual(q.parent)
+    hstar = q.hstar
     iota_star = q.coideal.iota.matrix.transpose()
     section = _dual_section(q)
 

@@ -35,7 +35,6 @@ from .hopf import (
     convolution_product,
     convolution_unit,
     coopposite,
-    dual,
     opposite,
 )
 from .linalg import (
@@ -615,7 +614,7 @@ def _check_dual_side(
     field = q.field
     zero = field.zero
     n, bdim, cdim = h.dim, bsub.dim, q.dim
-    hs = dual(h)
+    hs = q.hstar
     cstar = Algebra(
         field,
         Tensor3(
@@ -1045,7 +1044,7 @@ def induced_pams(p: Pams, kind: str) -> Pams:
         counit_c2 = q.coalgebra.counit
         action2 = action
     elif kind in ("biop-dual", "cop-dual", "op-dual"):
-        hs = dual(h)
+        hs = q.hstar
         section = _dual_section(q)
         btr = _btr_tensor(q)
         iota_t, pi_t = iota_m.transpose(), pi_m.transpose()

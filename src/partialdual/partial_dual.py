@@ -26,7 +26,6 @@ from .hopf import (
     Report,
     _kron_acc,
     convolution_inverse,
-    dual,
     flat_nonzeros,
     hit_left,
     hit_right,
@@ -354,7 +353,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     report = Report(f"left partial dual (dim {nd} over {field.descriptor})")
     report.add("dimension-matches-parent", nd == n, f"dim C* # B = {nd}, dim H = {n}")
 
-    hs = dual(h)
+    hs = q.hstar
     hsalg = hs.algebra
     action = q.action
     coaction = bsub.coaction
@@ -1024,7 +1023,7 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     cols = [q1.multiply(ebs[b], fbs[a]) for a in range(cdim) for b in range(bdim)]
     phim = Matrix.from_columns(field, cols, nrows=nd)
 
-    sinv = dual(q.parent).antipode_inverse()
+    sinv = q.hstar.antipode_inverse()
     rho = _action_support(q)
     coaction = bsub.coaction
     n = q.parent.dim

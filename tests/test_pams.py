@@ -1,5 +1,7 @@
 """Cointegral search, the derived splitting gamma, and PAMS certification."""
 
+import sys
+
 import pytest
 
 from partialdual.coideal import build_quotient, certify_coideal
@@ -24,6 +26,7 @@ from partialdual.pams import (
     gamma_from_zeta,
     induced_pams,
 )
+from partialdual.partial_dual import left_partial_dual, right_partial_dual
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -299,6 +302,25 @@ def test_induced_rejects_unknown_kind(taft_pams):
     _, _, p = taft_pams
     with pytest.raises(ValueError):
         induced_pams(p, "sideways")
+
+
+def test_pipeline_builds_the_dual_of_the_parent_once(monkeypatch):
+    import partialdual
+
+    h, q, zeta = taft_quotient(QQ, 1)
+    calls = []
+
+    def counted(hopf):
+        calls.append(hopf)
+        return dual(hopf)
+
+    for name, module in sys.modules.items():
+        if name.startswith(partialdual.__name__) and getattr(module, "dual", None) is dual:
+            monkeypatch.setattr(module, "dual", counted)
+    p = certify_pams(q, zeta)
+    right_partial_dual(p, left_partial_dual(p))
+    assert calls == [h]
+    assert q.dual_parent == coopposite(q.hstar)
 
 
 DUAL_SIDE_CHECKS = [
