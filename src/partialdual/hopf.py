@@ -422,7 +422,6 @@ def _leg_map(
 ) -> Vector:
     """Replace one leg of a flat tensor by a leg of length `width`: e_d on
     that leg becomes sum c e_r over the (r, c) in images[d]."""
-    dims = tuple(dims)
     if len(u) != prod(dims):
         raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
     n, inner = dims[leg], prod(dims[leg + 1 :])
@@ -463,7 +462,6 @@ def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> 
 
 def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
     """Reorder legs: new leg l carries what old leg perm[l] carried."""
-    dims = tuple(dims)
     if len(u) != prod(dims):
         raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
     if sorted(perm) != list(range(len(dims))):
