@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -206,10 +207,7 @@ def _ref_encode(digits, dims):
 def _ref_walk(u, dims, new_dims, images):
     """sum c e_{new digits} over the nonzeros c e_{digits} of u and the
     (new digits, w) in images(digits)."""
-    total = 1
-    for n in new_dims:
-        total *= n
-    out = [u.field.zero] * total
+    out = [u.field.zero] * prod(new_dims)
     for idx, c in enumerate(u.entries):
         if c:
             for new_digits, w in images(_ref_decode(idx, dims)):
@@ -261,18 +259,11 @@ def _flat_operands(field, size, rng):
     ]
 
 
-def _size(dims):
-    total = 1
-    for n in dims:
-        total *= n
-    return total
-
-
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_leg_functions_match_digit_walkers(field):
     rng = random.Random(11)
     for dims in LEG_DIMS:
-        for u in _flat_operands(field, _size(dims), rng):
+        for u in _flat_operands(field, prod(dims), rng):
             for leg, n in enumerate(dims):
                 for rows in (n, n + 1):
                     sparse = [[field.zero] * n for _ in range(rows)]
@@ -292,7 +283,7 @@ def test_comult_leg_matches_digit_walker_on_taft(field):
     coalgebra = taft4(field, 1)[0].coalgebra
     rng = random.Random(12)
     for dims in [(4,), (4, 3), (2, 4), (4, 2, 3), (2, 4, 3), (2, 3, 4), (2, 4, 1, 3)]:
-        for u in _flat_operands(field, _size(dims), rng):
+        for u in _flat_operands(field, prod(dims), rng):
             for leg in [l for l, n in enumerate(dims) if n == 4]:
                 got = tensor_comult_leg(coalgebra, u, dims, leg)
                 assert got == _ref_comult_leg(coalgebra, u, dims, leg), (dims, leg, u)
