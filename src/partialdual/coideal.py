@@ -22,16 +22,15 @@ from partialdual.hopf import (
     Report,
     coopposite,
     dual,
+    flat_nonzeros,
 )
 from partialdual.linalg import (
+    Elimination,
     Matrix,
     Tensor3,
     Vector,
     contract,
     nullspace,
-    rref,
-    solve,
-    subspace_basis,
 )
 
 __all__ = [
@@ -115,14 +114,21 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
         raise CertificationError("iota-shape", "inclusion is over the wrong field")
     report = Report(f"coideal subalgebra of {h.name or 'H'}")
 
+    # one reduction of iota answers the unit, every product and every
+    # coaction leg: right-hand side 0 is 1, then products, then legs
+    cols = [iota.column(i) for i in range(b)]
+    products = [h.algebra.multiply(cols[i], cols[j]).entries for i in range(b) for j in range(b)]
+    legs = [row for i in range(b) for row in h.coalgebra.comultiply(cols[i]).rows]
+    inclusion = Elimination.of_matrix(iota.matrix, [h.unit.entries, *products, *legs])
+
     report.add(
         "iota-injective",
-        iota.matrix.rank() == b,
-        f"inclusion matrix has rank {iota.matrix.rank()} < {b}",
+        inclusion.rank == b,
+        f"inclusion matrix has rank {inclusion.rank} < {b}",
     )
     report.raise_if_failed()
 
-    unit_b = solve(iota.matrix, h.unit)
+    unit_b = inclusion.solution(0)
     report.add("contains-unit", unit_b is not None, "1 is not in the image of iota")
     report.raise_if_failed()
     assert unit_b is not None
@@ -133,8 +139,7 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     for i in range(b):
         plane = []
         for j in range(b):
-            prod = h.algebra.multiply(iota.column(i), iota.column(j))
-            x = solve(iota.matrix, prod)
+            x = inclusion.solution(1 + i * b + j)
             if x is None:
                 ok = False
                 witness = f"iota(e{i}) iota(e{j}) is not in the image of iota"
@@ -149,11 +154,9 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     ok = True
     witness = ""
     for i in range(b):
-        d = h.coalgebra.comultiply(iota.column(i))
         plane = []
         for j in range(n):
-            leg = Vector(field, d.rows[j])
-            x = solve(iota.matrix, leg)
+            x = inclusion.solution(1 + b * b + i * n + j)
             if x is None:
                 ok = False
                 witness = (
@@ -204,6 +207,7 @@ class CoidealQuotient:
         self._dual_parent: HopfAlgebra | None = None
         self._dual_coideal: CoidealSubalgebra | None = None
         self._section: Matrix | None = None
+        self._iota_star: Elimination | None = None
         self._btr: Tensor3 | None = None
 
     @property
@@ -255,7 +259,9 @@ def build_quotient(
         v = b.iota(bplus.row(r))
         for j in range(n):
             spanning.append(h.algebra.multiply(v, h.basis(j)))
-    ideal = subspace_basis(spanning, field=field, length=n)
+    # the reduced span is the canonical ideal basis; its pivots fix the quotient basis
+    reduction = Elimination(field, n, [dict(flat_nonzeros(v)) for v in spanning])
+    ideal = reduction.reduced_rows()
     c = n - ideal.nrows
 
     report.add(
@@ -269,7 +275,7 @@ def build_quotient(
         raise ValueError("supply pi and lift together or not at all")
     canonical = pi is None
     if pi is None:
-        pivot_set = set(rref(ideal)[1])
+        pivot_set = set(reduction.pivots)
         free = [j for j in range(n) if j not in pivot_set]
         basis_rows = [list(ideal.rows[r]) for r in range(ideal.nrows)]
         for j in free:
@@ -300,11 +306,8 @@ def build_quotient(
         (pi(ideal.row(r))).is_zero() for r in range(ideal.nrows)
     )
     report.add("pi-kills-ideal", ok, "pi does not vanish on B+ H")
-    report.add(
-        "pi-surjective",
-        pi.matrix.rank() == c,
-        f"projection has rank {pi.matrix.rank()} < {c}",
-    )
+    rank = pi.matrix.rank()
+    report.add("pi-surjective", rank == c, f"projection has rank {rank} < {c}")
     report.raise_if_failed()
 
     comult_rows = []
@@ -399,15 +402,16 @@ def btl_matrix(q: CoidealQuotient, h: Vector) -> Matrix:
 def _dual_section(q: CoidealQuotient) -> Matrix:
     """A fixed linear section of iota* : H* -> B* (columns solve iota^T s = e_j)."""
     if q._section is None:
-        iota_star = q.coideal.iota.matrix.transpose()
-        cols = []
-        for j in range(q.coideal.dim):
-            s = solve(iota_star, Vector.basis(q.field, q.coideal.dim, j))
-            if s is None:
-                raise CertificationError(
-                    "iota-star-not-surjective", "restriction of functionals failed"
-                )
-            cols.append(s)
+        # one reduction of iota*, kept for the kernel that _btr_tensor reads
+        bdim = q.coideal.dim
+        q._iota_star = Elimination.of_matrix(
+            q.coideal.iota.matrix.transpose(), Matrix.identity(q.field, bdim).rows
+        )
+        cols = [q._iota_star.solution(j) for j in range(bdim)]
+        if any(s is None for s in cols):
+            raise CertificationError(
+                "iota-star-not-surjective", "restriction of functionals failed"
+            )
         q._section = Matrix.from_columns(q.field, cols, nrows=q.parent.dim)
     return q._section
 
@@ -428,7 +432,7 @@ def _btr_tensor(q: CoidealQuotient) -> Tensor3:
     iota_star = q.coideal.iota.matrix.transpose()
     section = _dual_section(q)
 
-    kernel = nullspace(iota_star)
+    kernel = q._iota_star.kernel()
     for r in range(kernel.nrows):
         k = kernel.row(r)
         for i in range(n):

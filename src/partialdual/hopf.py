@@ -26,6 +26,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from partialdual.linalg import (
+    Elimination,
     Field,
     Matrix,
     Scalar,
@@ -867,18 +868,26 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
         raise ValueError("map is not an element of Hom(C, A)")
     nc, na = c.dim, a.dim
     field = a.field
-    left_mults = [a.left_mult_matrix(f.column(j)) for j in range(nc)]
-    rows = []
+    zero = field.zero
+    # the unknown is X[k * na + b] = <e*_b, X(c_k)>; row (i, r) of f * X = unit
+    # sums x f[s, j] m[s, b, r] over the terms x c_j (x) c_k of Delta(c_i)
+    f_rows = f.matrix.rows
+    rows: list[dict] = []
     rhs = []
     for i in range(nc):
-        blocks = [Matrix.zeros(field, na, na) for _ in range(nc)]
+        block: list[dict] = [{} for _ in range(na)]
         for (_, j, k), x in _comult_row(c, i):
-            blocks[k] = blocks[k] + left_mults[j].scale(x)
-        for r in range(na):
-            rows.append([blocks[k].rows[r][b] for k in range(nc) for b in range(na)])
-        target = a.unit.scale(c.counit[i])
-        rhs.extend(target.entries)
-    x = solve(Matrix(field, rows, ncols=nc * na), Vector(field, rhs))
+            for s in range(na):
+                if not f_rows[s][j]:
+                    continue
+                w = x * f_rows[s][j]
+                for b in range(na):
+                    at = k * na + b
+                    for r, y in a.terms[s][b]:
+                        block[r][at] = block[r].get(at, zero) + w * y
+        rows += block
+        rhs.extend(a.unit.scale(c.counit[i]).entries)
+    x = Elimination(field, nc * na, rows, [rhs]).solution()
     if x is None:
         raise CertificationError(
             "not-convolution-invertible",

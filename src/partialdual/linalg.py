@@ -1,10 +1,19 @@
-"""Exact dense linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and prime fields.
 
 Scalars are `fractions.Fraction` over Q and `ModInt` residues over F_p;
-floating point is rejected outright.  All routines are deterministic:
-row reduction scans columns left to right and always picks the topmost
-usable row, so reduced forms, solution vectors and subspace bases are
-canonical functions of their input.
+floating point is rejected outright.  Vectors, matrices and rank-3
+tensors are stored dense.
+
+Every linear system is solved by one sparse elimination, `Elimination`:
+rows are {column: scalar} mappings, right-hand sides ride along beside
+them, and an incremental Gauss-Jordan reduction brings the rows to the
+fully reduced row echelon form once.  That form is unique for the row
+space, whatever the row order or the choice of pivots, so the pivots,
+the solution with every free unknown set to zero, the kernel basis read
+off the free columns and the spanning-set bases are canonical functions
+of the input.  `rref`, `solve`, `nullspace`, `subspace_basis`,
+`Matrix.rank` and `Matrix.inverse` are thin wrappers that hand a dense
+matrix to it.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ __all__ = [
     "Vector",
     "Matrix",
     "Tensor3",
+    "Elimination",
     "rref",
     "solve",
     "nullspace",
@@ -505,27 +515,17 @@ class Matrix:
             ncols=self.nrows,
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        _same_field(self.field, other.field, "matrices")
-        if self.nrows != other.nrows:
-            raise ValueError("row counts differ")
-        return Matrix(
-            self.field,
-            [list(r) + list(s) for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return Elimination.of_matrix(self).rank
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
-        aug, pivots = rref(self.hstack(Matrix.identity(self.field, n)))
-        if pivots != tuple(range(n)):
+        e = Elimination.of_matrix(self, Matrix.identity(self.field, n).rows)
+        if e.rank != n:
             raise ValueError("matrix is not invertible")
-        return Matrix(self.field, [r[n:] for r in aug.rows], ncols=n)
+        return Matrix.from_columns(self.field, [e.solution(k) for k in range(n)], nrows=n)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -647,35 +647,154 @@ class Tensor3:
         return f"Tensor3({self.field.descriptor}; {self.dims[0]}x{self.dims[1]}x{self.dims[2]})"
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
+class Elimination:
+    """The reduced row echelon form of one sparse linear system.
 
-    Column scan is left to right; within a column the topmost nonzero
-    entry at or below the current row becomes the pivot.
+    `rows` are mappings {column: scalar} over `ncols` unknowns; zero
+    entries may be left out.  Each right-hand side in `rhs` holds one
+    scalar per row and is carried through the row operations beside the
+    rows, never pivoted on, so one reduction answers every right-hand
+    side.  The reduction runs once, in the constructor, and the object
+    then exposes `rank`, `pivots`, `solution(k)` and `kernel()`.
+
+    Rows are reduced one at a time (Gauss-Jordan): a new row is reduced
+    against the pivot rows found so far, its leftmost remaining column
+    becomes a new pivot, the row is scaled to 1 there and that column is
+    cleared from every earlier pivot row.  A pivot row never gains an
+    entry left of its pivot, so the pivot rows end up as the nonzero rows
+    of the reduced row echelon form, which is unique; the results do not
+    depend on the row order or the pivoting.
     """
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    lead = 0
-    for col in range(m.ncols):
-        pivot_row = None
-        for r in range(lead, m.nrows):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = m.field.one / rows[lead][col]
-        rows[lead] = [inv * x for x in rows[lead]]
-        for r in range(m.nrows):
-            if r != lead and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == m.nrows:
-            break
-    return Matrix(m.field, rows, ncols=m.ncols), tuple(pivots)
+
+    __slots__ = ("field", "ncols", "nrhs", "pivots", "rank", "_rows", "_inconsistent")
+
+    def __init__(
+        self,
+        field: Field,
+        ncols: int,
+        rows: Iterable[dict[int, object]],
+        rhs: Sequence[Sequence[object]] = (),
+    ) -> None:
+        rows = list(rows)
+        for b in rhs:
+            if len(b) != len(rows):
+                raise ValueError(
+                    f"right-hand side has length {len(b)}, the system has {len(rows)} rows"
+                )
+        coerce = field.coerce
+        one = field.one
+        pivot_rows: dict[int, dict[int, Scalar]] = {}
+        inconsistent: set[int] = set()
+        # right-hand side k rides along as column ncols + k
+        for i, row in enumerate(rows):
+            r = {}
+            for j, x in row.items():
+                if x:
+                    if not 0 <= j < ncols:
+                        raise IndexError(f"column {j} out of range for {ncols} unknowns")
+                    r[j] = coerce(x)
+            for k, b in enumerate(rhs):
+                if b[i]:
+                    r[ncols + k] = coerce(b[i])
+            # pivot rows vanish on the other pivot columns, so one pass clears them all
+            for c in [c for c in r if c in pivot_rows]:
+                _add_multiple(r, -r.pop(c), pivot_rows[c])
+            lead = min((c for c in r if c < ncols), default=None)
+            if lead is None:
+                inconsistent.update(c - ncols for c in r)
+                continue
+            inv = one / r.pop(lead)
+            if inv != one:
+                r = {j: inv * x for j, x in r.items()}
+            for other in pivot_rows.values():
+                f = other.pop(lead, None)
+                if f is not None:
+                    _add_multiple(other, -f, r)
+            pivot_rows[lead] = r
+        pivots = tuple(sorted(pivot_rows))
+        self.field = field
+        self.ncols = ncols
+        self.nrhs = len(rhs)
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self._rows = [pivot_rows[c] for c in pivots]
+        self._inconsistent = inconsistent
+
+    @classmethod
+    def of_matrix(cls, a: Matrix, rhs: Sequence[Sequence[object]] = ()) -> "Elimination":
+        """The reduction of the rows of a dense matrix."""
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+        return cls(a.field, a.ncols, rows, rhs)
+
+    def solution(self, k: int = 0) -> Vector | None:
+        """The solution of right-hand side k with every free unknown set
+        to zero, or None when that right-hand side is inconsistent."""
+        if not 0 <= k < self.nrhs:
+            raise IndexError(f"no right-hand side {k}; the system has {self.nrhs}")
+        if k in self._inconsistent:
+            return None
+        zero = self.field.zero
+        key = self.ncols + k
+        entries = [zero] * self.ncols
+        for c, r in zip(self.pivots, self._rows):
+            entries[c] = r.get(key, zero)
+        return Vector(self.field, entries)
+
+    def reduced_rows(self) -> Matrix:
+        """The nonzero rows of the reduced row echelon form, in pivot order."""
+        field, n = self.field, self.ncols
+        zero, one = field.zero, field.one
+        out = []
+        for c, r in zip(self.pivots, self._rows):
+            row = [zero] * n
+            row[c] = one
+            for j, x in r.items():
+                if j < n:
+                    row[j] = x
+            out.append(row)
+        return Matrix(field, out, ncols=n)
+
+    def kernel(self) -> Matrix:
+        """Canonical basis of the right kernel, one vector per row.
+
+        Each free column contributes the vector with 1 there and the
+        negated reduced-form column entries at the pivot positions.
+        """
+        field, n = self.field, self.ncols
+        zero, one = field.zero, field.one
+        pivot_set = set(self.pivots)
+        free = [j for j in range(n) if j not in pivot_set]
+        index = {j: t for t, j in enumerate(free)}
+        out = [[zero] * n for _ in free]
+        for t, j in enumerate(free):
+            out[t][j] = one
+        for c, r in zip(self.pivots, self._rows):
+            for j, x in r.items():
+                if j < n:
+                    out[index[j]][c] = -x
+        return Matrix(field, out, ncols=n)
+
+
+def _add_multiple(r: dict, f: Scalar, s: dict) -> None:
+    """r += f s on sparse rows, dropping entries that cancel; f is nonzero."""
+    for j, y in s.items():
+        v = r.get(j)
+        if v is None:
+            r[j] = f * y
+        else:
+            v = v + f * y
+            if v:
+                r[j] = v
+            else:
+                del r[j]
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form, zero rows last, and the tuple of pivot columns."""
+    e = Elimination.of_matrix(m)
+    zero = m.field.zero
+    rows = list(e.reduced_rows().rows) + [[zero] * m.ncols] * (m.nrows - e.rank)
+    return Matrix(m.field, rows, ncols=m.ncols), e.pivots
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -687,33 +806,12 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     _same_field(a.field, b.field, "matrix and vector")
     if a.nrows != len(b):
         raise ValueError(f"matrix has {a.nrows} rows but vector has length {len(b)}")
-    aug = a.hstack(Matrix(a.field, [[x] for x in b], ncols=1))
-    reduced, pivots = rref(aug)
-    if a.ncols in pivots:
-        return None
-    entries = [a.field.zero] * a.ncols
-    for r, col in enumerate(pivots):
-        entries[col] = reduced.rows[r][a.ncols]
-    return Vector(a.field, entries)
+    return Elimination.of_matrix(a, [b.entries]).solution()
 
 
 def nullspace(a: Matrix) -> Matrix:
-    """Canonical basis of the right kernel of a, one vector per row.
-
-    Each free column contributes the vector with 1 there and the negated
-    reduced-form column entries at the pivot positions.
-    """
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.ncols) if j not in pivot_set]
-    rows = []
-    for j in free:
-        v = [a.field.zero] * a.ncols
-        v[j] = a.field.one
-        for r, col in enumerate(pivots):
-            v[col] = -reduced.rows[r][j]
-        rows.append(v)
-    return Matrix(a.field, rows, ncols=a.ncols)
+    """Canonical basis of the right kernel of a, one vector per row."""
+    return Elimination.of_matrix(a).kernel()
 
 
 def subspace_basis(
@@ -736,9 +834,8 @@ def subspace_basis(
                 raise ValueError("spanning vectors have unequal lengths")
     elif field is None or length is None:
         raise ValueError("an empty spanning set needs explicit field and length")
-    stacked = Matrix(field, [list(v) for v in vecs], ncols=length)
-    reduced, pivots = rref(stacked)
-    return Matrix(field, [reduced.rows[r] for r in range(len(pivots))], ncols=length)
+    rows = [{j: x for j, x in enumerate(v.entries) if x} for v in vecs]
+    return Elimination(field, length, rows).reduced_rows()
 
 
 def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:

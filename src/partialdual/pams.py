@@ -35,16 +35,17 @@ from .hopf import (
     convolution_product,
     convolution_unit,
     coopposite,
+    flat_nonzeros,
     opposite,
 )
 from .linalg import (
+    Elimination,
     Field,
     Matrix,
     Tensor3,
     Vector,
     contract,
     nullspace,
-    solve,
     subspace_basis,
 )
 
@@ -234,41 +235,36 @@ def cointegral_space(q: CoidealQuotient) -> tuple[Vector | None, Matrix]:
     n = h.dim
     bdim = bsub.dim
     zero = field.zero
-    left_h = [h.algebra.left_mult_matrix(bsub.iota.column(i)) for i in range(bdim)]
-    left_b = [bsub.algebra.left_mult_matrix(bsub.basis(i)) for i in range(bdim)]
+    # <e*_m, iota(b_beta) e_j> at [beta][j] and <b*_t, b_beta b_s> at [beta][t]
+    left_h = [
+        [list(flat_nonzeros(h.algebra.multiply(bsub.iota.column(beta), h.basis(j)))) for j in range(n)]
+        for beta in range(bdim)
+    ]
+    left_b: list[list[list]] = [[[] for _ in range(bdim)] for _ in range(bdim)]
+    for beta in range(bdim):
+        for s in range(bdim):
+            for t, x in bsub.algebra.terms[beta][s]:
+                left_b[beta][t].append((s, x))
 
-    rows = []
+    rows: list[dict] = []
     rhs = []
     for beta in range(bdim):
-        lh, lb = left_h[beta], left_b[beta]
         for t in range(bdim):
             for j in range(n):
-                row = [zero] * (bdim * n)
-                for m in range(n):
-                    x = lh[m, j]
-                    if x:
-                        row[t * n + m] = row[t * n + m] + x
-                for s in range(bdim):
-                    x = lb[t, s]
-                    if x:
-                        row[s * n + j] = row[s * n + j] - x
+                row = {t * n + m: x for m, x in left_h[beta][j]}
+                for s, x in left_b[beta][t]:
+                    row[s * n + j] = row.get(s * n + j, zero) - x
                 rows.append(row)
                 rhs.append(zero)
     for t in range(bdim):
-        row = [zero] * (bdim * n)
-        for m in range(n):
-            row[t * n + m] = h.unit[m]
-        rows.append(row)
+        rows.append({t * n + m: x for m, x in flat_nonzeros(h.unit)})
         rhs.append(bsub.unit[t])
     for j in range(n):
-        row = [zero] * (bdim * n)
-        for t in range(bdim):
-            row[t * n + j] = bsub.counit[t]
-        rows.append(row)
+        rows.append({t * n + j: x for t, x in flat_nonzeros(bsub.counit)})
         rhs.append(h.counit[j])
 
-    system = Matrix(field, rows, ncols=bdim * n)
-    return solve(system, Vector(field, rhs)), nullspace(system)
+    system = Elimination(field, bdim * n, rows, [rhs])
+    return system.solution(), system.kernel()
 
 
 def _zeta_from_flat(field: Field, z: Vector, bdim: int, n: int) -> LinMap:

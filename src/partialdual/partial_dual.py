@@ -40,7 +40,7 @@ from .hopf import (
     verify_compatibility,
     verify_hopf,
 )
-from .linalg import Matrix, Tensor3, Vector, nullspace, solve
+from .linalg import Elimination, Matrix, Tensor3, Vector
 from .pams import Pams
 
 __all__ = [
@@ -259,6 +259,17 @@ def _coaction_support(coaction: Tensor3, bdim: int) -> list[list[tuple[int, int,
     return supp
 
 
+def _pair_acc(out: dict, c, left, right, width: int) -> None:
+    """Add c x y at index m * width + k of the sparse row `out` for every
+    (m, x) in `left` and (k, y) in `right`."""
+    for m, x in left:
+        cx = c * x
+        base = m * width
+        for k, y in right:
+            at = base + k
+            out[at] = out[at] + cx * y if at in out else cx * y
+
+
 def _antipode_axioms(
     alg: Algebra,
     delta: Matrix,
@@ -426,7 +437,6 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     report.add("mult-forms-agree", ok, witness)
 
     alg = Algebra(field, mult, unit_vec)
-    es = [alg.basis(i) for i in range(nd)]
 
     eps_vec = q.pi(h.unit).tensor(bsub.counit)
 
@@ -599,50 +609,53 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         ups2 = ups2 + alg.multiply(ebs[u], (gbarstar @ zbs[u]).tensor(bunit))
     report.add("upsilon-forms-agree", ups == ups2, "T(1) vs direct sum")
 
-    lmm = [alg.left_mult_matrix(es[i]) for i in range(nd)]
-    rmm = [alg.right_mult_matrix(es[i]) for i in range(nd)]
-    pair = [[Vector(field, list(mult.data[i][j])) for j in range(nd)] for i in range(nd)]
-
-    # uniqueness: the defining identities pin T as the only solution
-    rows: list[list] = []
+    # uniqueness: the defining identities pin T as the only solution.  The
+    # unknown is t[m * nd + k] = <e*_m, T(e_k)>; the rows are built sparse
+    # from the structure constants and the system is reduced once
+    terms = alg.terms
+    left_of = [[[] for _ in range(nd)] for _ in range(nd)]  # (m, <e*_o, e_i e_m>) at [i][o]
+    right_of = [[[] for _ in range(nd)] for _ in range(nd)]  # (m, <e*_o, e_m e_j>) at [j][o]
+    for x in range(nd):
+        for y in range(nd):
+            for o, c in terms[x][y]:
+                left_of[x][o].append((y, c))
+                right_of[y][o].append((x, c))
+    rows: list[dict] = []
     rhs_entries: list = []
-    nsq = nd * nd
     for a in range(nd):
         dsupp = [(divmod(idx, nd), c) for idx, c in flat_nonzeros(delta_cols[a])]
         ea = eps_vec[a]
         for b2 in range(nd):
             for o in range(nd):
-                row_a = [field.zero] * nsq
-                row_b = [field.zero] * nsq
+                row_a: dict = {}
+                row_b: dict = {}
                 for (i, j), c in dsupp:
-                    _kron_acc(row_a, c, rmm[j].rows[o], pair[i][b2])
-                    _kron_acc(row_b, c, lmm[i].rows[o], pair[b2][j])
+                    _pair_acc(row_a, c, right_of[j][o], terms[i][b2], nd)
+                    _pair_acc(row_b, c, left_of[i][o], terms[b2][j], nd)
                 if ea:
-                    row_a[o * nd + b2] = row_a[o * nd + b2] - ea
-                    row_b[o * nd + b2] = row_b[o * nd + b2] - ea
-                rows.append(row_a)
-                rhs_entries.append(field.zero)
-                rows.append(row_b)
-                rhs_entries.append(field.zero)
-    phi_rows = [[field.zero] * nsq for _ in range(nd)]
+                    idx = o * nd + b2
+                    row_a[idx] = row_a.get(idx, field.zero) - ea
+                    row_b[idx] = row_b.get(idx, field.zero) - ea
+                rows += [row_a, row_b]
+                rhs_entries += [field.zero, field.zero]
+    phi_rows: list[dict] = [{} for _ in range(nd)]
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nd * nd)
         j, k = divmod(rest, nd)
-        pmat = rmm[k] @ lmm[i]
-        for o in range(nd):
-            _kron_acc(phi_rows[o], c, pmat.rows[o], es[j])
-    for o in range(nd):
-        rows.append(phi_rows[o])
-        rhs_entries.append(unit_vec[o])
-    system = Matrix(field, rows)
-    rhs_vec = Vector(field, rhs_entries)
-    sol = solve(system, rhs_vec)
+        for m in range(nd):
+            at = m * nd + j
+            for r, x in terms[i][m]:
+                for o, y in terms[r][k]:  # <e*_o, (e_i e_m) e_k>
+                    row = phi_rows[o]
+                    row[at] = row.get(at, field.zero) + c * x * y
+    rows += phi_rows
+    rhs_entries += unit_vec.entries
+    system = Elimination(field, nd * nd, rows, [rhs_entries])
     tvec = Vector(field, [t_map[m, k2] for m in range(nd) for k2 in range(nd)])
-    kern = nullspace(system)
     report.add(
         "preantipode-unique",
-        sol is not None and sol == tvec and kern.nrows == 0,
-        f"kernel rank {kern.nrows}",
+        system.solution() == tvec and system.rank == nd * nd,
+        f"kernel rank {nd * nd - system.rank}",
     )
 
     antipodes = _derive_antipodes(alg, t_map, ups)
@@ -842,17 +855,19 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     unit_r = q.pi(h.unit).tensor(bsub.counit)
 
     lt = [h.algebra.left_mult_matrix(gcol[t]).transpose() for t in range(cdim)]
+    # the action matrices depend only on (a2, s) and (t, c2): build each once
+    mbtl = [[btl_matrix(q, hit_left(h, zs[a2], gcol[s])).transpose() for s in range(cdim)] for a2 in range(bdim)]
+    mbtr = [[btr_matrix(q, lt[t] @ zs[c2]).transpose() for c2 in range(bdim)] for t in range(cdim)]
     mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
     for u in range(bdim):
         for q2 in range(cdim):
             for a2, c2, x2 in dbs[u]:
                 for s, t, x1 in ccs[q2]:
-                    mbtl = btl_matrix(q, hit_left(h, zs[a2], gcol[s])).transpose()
-                    mbtr = btr_matrix(q, lt[t] @ zs[c2]).transpose()
+                    left_rows, right_rows = mbtl[a2][s].rows, mbtr[t][c2].rows
                     for pp in range(cdim):
                         for v in range(bdim):
                             row_out = mdata[pp * bdim + u][q2 * bdim + v]
-                            _kron_acc(row_out, x1 * x2, mbtl.rows[pp], mbtr.rows[v])
+                            _kron_acc(row_out, x1 * x2, left_rows[pp], right_rows[v])
     mult_r = Tensor3(field, mdata)
 
     coalg = Coalgebra(field, comult_r, counit_r)
@@ -1123,22 +1138,15 @@ def _sufficiency_diagnostics(p: Pams) -> dict[str, bool]:
                 break
 
     # B a subcoalgebra: every coaction leg on the parent side lands in iota(B)
-    sub = True
-    db_mats: list[Matrix | None] = []
-    for j in range(bdim):
-        rows = []
-        for k in range(bdim):
-            wjk = Vector(field, [bsub.coaction[j, m, k] for m in range(n)])
-            v = solve(bsub.iota.matrix, wjk)
-            if v is None:
-                sub = False
-                break
-            rows.append(v)
-        if not sub:
-            break
-        db_mats.append(Matrix(field, [[rows[k][u] for k in range(bdim)] for u in range(bdim)]))
-    zeta_coalg = sub
+    legs = [[bsub.coaction[j, m, k] for m in range(n)] for j in range(bdim) for k in range(bdim)]
+    inclusion = Elimination.of_matrix(bsub.iota.matrix, legs)
+    solutions = [inclusion.solution(r) for r in range(len(legs))]
+    zeta_coalg = all(v is not None for v in solutions)
     if zeta_coalg:
+        db_mats = [
+            Matrix(field, [[solutions[j * bdim + k][u] for k in range(bdim)] for u in range(bdim)])
+            for j in range(bdim)
+        ]
         zm = p.zeta.matrix
         zmt = zm.transpose()
         for a in range(n):

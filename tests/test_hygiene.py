@@ -10,7 +10,10 @@ or in a function nested in it, which catches a table that a rewrite
 leaves computed but unused; tuple-unpacking targets are exempt.  A
 module-level function or class whose name starts with `_` must be read
 by some module of the package, which catches a helper that a rewrite
-leaves defined but no longer called.
+leaves defined but no longer called.  Within one function, no system may
+reach the elimination entry points twice (say `solve(a, b)` and then
+`nullspace(a)`): one `Elimination` answers the solution, the rank and the
+kernel together.
 """
 
 import ast
@@ -191,3 +194,58 @@ def test_checker_flags_an_unread_private_definition():
 def test_no_unread_private_definition():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+# functions whose first argument is the system they reduce; for
+# `Elimination(field, ncols, rows, ...)` it is the rows
+ELIMINATING_CALLS = {"rref": 0, "solve": 0, "nullspace": 0, "subspace_basis": 0, "of_matrix": 0, "Elimination": 2}
+# matrix methods that reduce their receiver
+ELIMINATING_METHODS = {"rank", "inverse"}
+
+
+def repeated_eliminations(source: str) -> list[str]:
+    """Systems that one function passes to elimination entry points more
+    than once, as "function: system (lines)".  Systems are compared as
+    source expressions, so `solve(a.matrix, b)` and `a.matrix.rank()`
+    match; nested functions are scopes of their own."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        lines: dict[str, list[int]] = {}
+        for node in _own_scope(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name in ELIMINATING_CALLS and len(node.args) > ELIMINATING_CALLS[name]:
+                system = node.args[ELIMINATING_CALLS[name]]
+            elif name in ELIMINATING_METHODS and isinstance(callee, ast.Attribute) and not node.args:
+                system = callee.value
+            else:
+                continue
+            lines.setdefault(ast.unparse(system), []).append(node.lineno)
+        found += [
+            f"{func.name}: {system} (lines {', '.join(map(str, sorted(at)))})"
+            for system, at in sorted(lines.items())
+            if len(at) > 1
+        ]
+    return found
+
+
+def test_checker_flags_a_system_reduced_twice():
+    source = (
+        "def f(system, b, m):\n"
+        "    x = solve(system, b)\n"
+        "    return x, nullspace(system), m.rank(), rank(m)\n"
+        "def g(a):\n"
+        "    def inner():\n"
+        "        return a.matrix.rank()\n"
+        "    return Elimination(a.field, 3, rows), Elimination(a.field, 3, rows, [b]), inner(), solve(a.matrix, b)\n"
+    )
+    assert repeated_eliminations(source) == ["f: system (lines 2, 3)", "g: rows (lines 7, 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_system_reduced_twice_in_one_function(path):
+    assert repeated_eliminations(path.read_text()) == []

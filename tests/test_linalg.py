@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from partialdual.linalg import (
     QQ,
+    Elimination,
     FieldMismatchError,
     Matrix,
     ModInt,
@@ -284,3 +285,152 @@ def test_subspace_basis_depends_only_on_span(m, data):
     )
     shuffled = [vectors[i].scale(c) for i, c in zip(perm, scales)]
     assert subspace_basis(vectors) == subspace_basis(shuffled)
+
+
+# --- differential: sparse elimination against the dense reference ------------
+#
+# The dense row reduction below is the algorithm the package used before its
+# elimination went sparse, kept here only as an oracle.  The reduced row
+# echelon form is unique, so both must agree exactly: same entries of the
+# same types, same pivots, same solutions (None included), same kernels.
+
+F7 = PrimeField(7)
+
+
+def dense_rref(m):
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    lead = 0
+    for col in range(m.ncols):
+        pivot_row = next((r for r in range(lead, m.nrows) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+        inv = m.field.one / rows[lead][col]
+        rows[lead] = [inv * x for x in rows[lead]]
+        for r in range(m.nrows):
+            if r != lead and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == m.nrows:
+            break
+    return Matrix(m.field, rows, ncols=m.ncols), tuple(pivots)
+
+
+def dense_solve(a, b):
+    aug = Matrix(a.field, [list(r) + [x] for r, x in zip(a.rows, b)], ncols=a.ncols + 1)
+    reduced, pivots = dense_rref(aug)
+    if a.ncols in pivots:
+        return None
+    entries = [a.field.zero] * a.ncols
+    for r, col in enumerate(pivots):
+        entries[col] = reduced.rows[r][a.ncols]
+    return Vector(a.field, entries)
+
+
+def dense_nullspace(a):
+    reduced, pivots = dense_rref(a)
+    rows = []
+    for j in (j for j in range(a.ncols) if j not in pivots):
+        v = [a.field.zero] * a.ncols
+        v[j] = a.field.one
+        for r, col in enumerate(pivots):
+            v[col] = -reduced.rows[r][j]
+        rows.append(v)
+    return Matrix(a.field, rows, ncols=a.ncols)
+
+
+def assert_identical(x, y):
+    """Equal and built from scalars of the same types, entry by entry."""
+    assert type(x) is type(y)
+    if x is None:
+        return
+    assert x == y
+    flat = lambda z: [e for r in z.rows for e in r] if isinstance(z, Matrix) else list(z.entries)
+    assert [type(e) for e in flat(x)] == [type(e) for e in flat(y)]
+
+
+def scalars(field):
+    nonzero = (
+        rationals.filter(bool) if field is QQ else st.integers(1, 6).map(field.coerce)
+    )
+    # mostly zeros, as in the systems the package builds
+    return st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+
+
+@st.composite
+def systems(draw):
+    """A matrix over Q or F_7 with zero and duplicate rows mixed in, plus
+    right-hand sides: some consistent by construction, some arbitrary."""
+    field = draw(st.sampled_from([QQ, F7]))
+    ncols = draw(st.integers(1, 5))
+    tall = draw(st.booleans())
+    base = draw(st.integers(4, 12) if tall else st.integers(0, 4))
+    entry = scalars(field)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=base, max_size=base))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows += [[field.zero] * ncols] * draw(st.integers(0, 2))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    a = Matrix(field, rows, ncols=ncols)
+    rhs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            rhs.append(a @ Vector(field, draw(st.lists(entry, min_size=ncols, max_size=ncols))))
+        else:
+            rhs.append(Vector(field, draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))))
+    return a, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems())
+@example(system=(Matrix(QQ, [], ncols=2), [Vector(QQ, [])]))
+@example(system=(Matrix(F7, [[0, 0], [0, 0], [0, 0]]), [Vector(F7, [0, 1, 0])]))
+def test_elimination_matches_dense_reference(system):
+    a, rhs = system
+    reduced, pivots = dense_rref(a)
+    got, got_pivots = rref(a)
+    assert_identical(got, reduced)
+    assert type(got_pivots) is tuple and got_pivots == pivots
+    assert_identical(nullspace(a), dense_nullspace(a))
+    assert a.rank() == len(pivots)
+    assert_identical(
+        subspace_basis([a.row(i) for i in range(a.nrows)], field=a.field, length=a.ncols),
+        Matrix(a.field, reduced.rows[: len(pivots)], ncols=a.ncols),
+    )
+
+    # one reduction of sparse rows (explicit zeros included) answers every rhs
+    rows = [{j: x for j, x in enumerate(r) if x or j % 2} for r in a.rows]
+    e = Elimination(a.field, a.ncols, rows, [b.entries for b in rhs])
+    assert e.rank == len(pivots) and e.pivots == pivots
+    assert_identical(e.reduced_rows(), Matrix(a.field, reduced.rows[: len(pivots)], ncols=a.ncols))
+    assert_identical(e.kernel(), dense_nullspace(a))
+    for k, b in enumerate(rhs):
+        assert_identical(e.solution(k), dense_solve(a, b))
+        assert_identical(solve(a, b), dense_solve(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, F7]), n=st.integers(1, 4))
+def test_inverse_matches_dense_reference(data, field, n):
+    a = Matrix(field, data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), min_size=n, max_size=n)))
+    aug = Matrix(field, [list(r) + list(s) for r, s in zip(a.rows, Matrix.identity(field, n).rows)])
+    reduced, pivots = dense_rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        with pytest.raises(ValueError):
+            a.inverse()
+        return
+    assert_identical(a.inverse(), Matrix(field, [r[n:] for r in reduced.rows], ncols=n))
+
+
+def test_elimination_rejects_bad_shapes():
+    with pytest.raises(IndexError):
+        Elimination(QQ, 2, [{2: Fraction(1)}])
+    with pytest.raises(ValueError):
+        Elimination(QQ, 2, [{0: Fraction(1)}], [[1, 2]])
+    with pytest.raises(IndexError):
+        Elimination(QQ, 2, [{0: Fraction(1)}], [[1]]).solution(1)
+    with pytest.raises(FieldMismatchError):
+        Elimination(QQ, 1, [{0: ModInt(1, 7)}])

@@ -1,5 +1,7 @@
 """Left and right partial duals: golden values, isomorphisms, detection."""
 
+import hashlib
+
 import pytest
 
 from partialdual.coideal import build_quotient, certify_coideal
@@ -25,6 +27,7 @@ from partialdual.partial_dual import (
     right_partial_dual,
     verify_quasi_hopf,
 )
+from partialdual.serialize import serialize
 
 F5 = PrimeField(5)
 
@@ -366,3 +369,24 @@ def test_bismash_matches_left_dual(pair):
     assert det.hopf == bismash_product(pair, QQ)
     r = right_partial_dual(p, qh)
     assert dual(bismash_product(pair, QQ)) == r.hopf_view()
+
+
+def test_dim12_pipeline_documents_are_pinned():
+    """Scale rung: k(S3 x C2) over kK for K = S3 x {e} (dim 12 over Q).
+
+    Every stage runs, including the 3,468 x 144 preantipode system, and the
+    PAMS, left and right documents hash to the digest recorded before
+    elimination went sparse.
+    """
+    g = symmetric(3).direct_product(cyclic(2))
+    h = group_algebra(g, QQ)
+    k = [a * 2 for a in range(6)]  # (s, e) is indexed s * 2 + 0
+    b = certify_coideal(h, LinMap(Matrix.from_columns(QQ, [h.basis(i) for i in k], nrows=h.dim)))
+    q = build_quotient(b)
+    p = certify_pams(q, find_cointegral(q))
+    left = left_partial_dual(p)
+    right = right_partial_dual(p, left)
+    text = "".join(serialize(x) for x in (p, left, right))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e4ec5788c2554a71a449f935d0cf77e14fc0d76ad9d292b23e4109670e4947f9"
+    )
