@@ -342,14 +342,17 @@ def dense_nullspace(a):
     return Matrix(a.field, rows, ncols=a.ncols)
 
 
+def scalar_types(z):
+    entries = [e for r in z.rows for e in r] if isinstance(z, Matrix) else z.entries
+    return [type(e) for e in entries]
+
+
 def assert_identical(x, y):
     """Equal and built from scalars of the same types, entry by entry."""
     assert type(x) is type(y)
-    if x is None:
-        return
-    assert x == y
-    flat = lambda z: [e for r in z.rows for e in r] if isinstance(z, Matrix) else list(z.entries)
-    assert [type(e) for e in flat(x)] == [type(e) for e in flat(y)]
+    if x is not None:
+        assert x == y
+        assert scalar_types(x) == scalar_types(y)
 
 
 def scalars(field):
