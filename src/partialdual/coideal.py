@@ -20,6 +20,7 @@ from partialdual.hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _first_mismatch,
     coopposite,
     dual,
     flat_nonzeros,
@@ -133,41 +134,23 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     report.raise_if_failed()
     assert unit_b is not None
 
-    mult_rows = []
-    ok = True
-    witness = ""
-    for i in range(b):
-        plane = []
-        for j in range(b):
-            x = inclusion.solution(1 + i * b + j)
-            if x is None:
-                ok = False
-                witness = f"iota(e{i}) iota(e{j}) is not in the image of iota"
-                x = Vector.zero(field, b)
-            plane.append(list(x))
-        mult_rows.append(plane)
-    report.add("closed-under-multiplication", ok, witness)
+    mult_rows = [[inclusion.solution(1 + i * b + j) for j in range(b)] for i in range(b)]
+    report.add("closed-under-multiplication", *_first_mismatch(
+        "iota(e{0}) iota(e{1}) is not in the image of iota".format,
+        lambda i, j: (mult_rows[i][j] is not None, True),
+        b, b,
+    ))
     report.raise_if_failed()
-    mult_b = Tensor3(field, mult_rows, dims=(b, b, b))
+    mult_b = Tensor3(field, [[list(x) for x in plane] for plane in mult_rows], dims=(b, b, b))
 
-    coaction_rows = []
-    ok = True
-    witness = ""
-    for i in range(b):
-        plane = []
-        for j in range(n):
-            x = inclusion.solution(1 + b * b + i * n + j)
-            if x is None:
-                ok = False
-                witness = (
-                    f"Delta(iota(e{i})) has second leg outside iota(B) at e{j} (x) -"
-                )
-                x = Vector.zero(field, b)
-            plane.append(list(x))
-        coaction_rows.append(plane)
-    report.add("left-coideal", ok, witness)
+    coaction_rows = [[inclusion.solution(1 + b * b + i * n + j) for j in range(n)] for i in range(b)]
+    report.add("left-coideal", *_first_mismatch(
+        "Delta(iota(e{0})) has second leg outside iota(B) at e{1} (x) -".format,
+        lambda i, j: (coaction_rows[i][j] is not None, True),
+        b, n,
+    ))
     report.raise_if_failed()
-    coaction = Tensor3(field, coaction_rows, dims=(b, n, b))
+    coaction = Tensor3(field, [[list(x) for x in plane] for plane in coaction_rows], dims=(b, n, b))
 
     counit_b = Vector(field, [h.counit.dot(iota.column(i)) for i in range(b)])
     return CoidealSubalgebra(h, iota, mult_b, unit_b, counit_b, coaction, report)
@@ -178,8 +161,8 @@ class CoidealQuotient:
 
     Carries the projection pi, a linear section lift, the quotient
     coalgebra, the action tensor for x <| h = pi(lift(x) h), and lazy
-    dual-side data: the dual coideal C* inside the co-opposite dual and
-    the action tensor for h* |> b* on B*.
+    dual-side data: the algebra C*, the dual coideal C* inside the
+    co-opposite dual and the action tensor for h* |> b* on B*.
     """
 
     def __init__(
@@ -204,6 +187,7 @@ class CoidealQuotient:
         self.canonical = canonical
         self.report = report
         self._hstar: HopfAlgebra | None = None
+        self._cstar: Algebra | None = None
         self._dual_parent: HopfAlgebra | None = None
         self._dual_coideal: CoidealSubalgebra | None = None
         self._section: Matrix | None = None
@@ -220,6 +204,17 @@ class CoidealQuotient:
         if self._hstar is None:
             self._hstar = dual(self.parent)
         return self._hstar
+
+    @property
+    def cstar(self) -> Algebra:
+        """C*, the dual algebra of the quotient coalgebra (convolution
+        product, unit eps_C), built once."""
+        if self._cstar is None:
+            field, comult, c = self.field, self.coalgebra.comult, self.dim
+            mult = [[[comult[k, i, j] for k in range(c)] for j in range(c)] for i in range(c)]
+            unit = Vector(field, self.coalgebra.counit.entries)
+            self._cstar = Algebra(field, Tensor3(field, mult, dims=(c, c, c)), unit)
+        return self._cstar
 
     @property
     def dual_parent(self) -> HopfAlgebra:
@@ -310,28 +305,26 @@ def build_quotient(
     report.add("pi-surjective", rank == c, f"projection has rank {rank} < {c}")
     report.raise_if_failed()
 
+    hb = [h.basis(i) for i in range(n)]
+    pis = [pi(e) for e in hb]
+    pi_t = pi.matrix.transpose()
     comult_rows = []
     for r in range(c):
         d = h.coalgebra.comultiply(lift.column(r))
-        projected = pi.matrix @ d @ pi.matrix.transpose()
+        projected = pi.matrix @ d @ pi_t
         comult_rows.append([list(row) for row in projected.rows])
     comult_c = Tensor3(field, comult_rows, dims=(c, c, c))
     counit_c = Vector(field, [h.counit.dot(lift.column(r)) for r in range(c)])
     coalg = Coalgebra(field, comult_c, counit_c)
 
-    ok = True
-    witness = ""
-    for i in range(n):
-        lhs = pi.matrix @ h.coalgebra.comultiply(h.basis(i)) @ pi.matrix.transpose()
-        rhs = coalg.comultiply(pi(h.basis(i)))
-        if lhs != rhs:
-            ok = False
-            witness = f"Delta_C(pi(e{i})) disagrees with (pi (x) pi)Delta(e{i})"
-            break
-    report.add("pi-coalgebra-map", ok, witness)
+    report.add("pi-coalgebra-map", *_first_mismatch(
+        "Delta_C(pi(e{0})) disagrees with (pi (x) pi)Delta(e{0})".format,
+        lambda i: (pi.matrix @ h.coalgebra.comultiply(hb[i]) @ pi_t, coalg.comultiply(pis[i])),
+        n,
+    ))
     report.add(
         "pi-counit",
-        Vector(field, [counit_c.dot(pi(h.basis(i))) for i in range(n)]) == h.counit,
+        Vector(field, [counit_c.dot(x) for x in pis]) == h.counit,
         "eps_C after pi != eps",
     )
 
@@ -347,43 +340,30 @@ def build_quotient(
         "pi iota != eps_B(-) pi(1)",
     )
 
-    ok = True
-    witness = ""
-    for r in range(ideal.nrows):
-        v = ideal.row(r)
-        for j in range(n):
-            img = pi(h.algebra.multiply(v, h.basis(j)))
-            if not img.is_zero():
-                ok = False
-                witness = f"pi((B+ H) e{j}) != 0 at ideal basis row {r}"
-                break
-        if not ok:
-            break
-    report.add("action-well-defined", ok, witness)
+    ideal_rows = [ideal.row(r) for r in range(ideal.nrows)]
+    zero_c = Vector.zero(field, c)
+    report.add("action-well-defined", *_first_mismatch(
+        "pi((B+ H) e{1}) != 0 at ideal basis row {0}".format,
+        lambda r, j: (pi(h.algebra.multiply(ideal_rows[r], hb[j])), zero_c),
+        len(ideal_rows), n,
+    ))
     report.raise_if_failed()
 
     action_rows = []
     for r in range(c):
         v = lift.column(r)
         plane = []
-        for j in range(n):
-            plane.append(list(pi(h.algebra.multiply(v, h.basis(j)))))
+        for e in hb:
+            plane.append(list(pi(h.algebra.multiply(v, e))))
         action_rows.append(plane)
     action = Tensor3(field, action_rows, dims=(c, n, c))
 
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            lhs = pi(h.algebra.multiply(h.basis(i), h.basis(j)))
-            rhs = contract(action, 1, h.basis(j)).transpose() @ pi(h.basis(i))
-            if lhs != rhs:
-                ok = False
-                witness = f"pi(e{i} e{j}) != pi(e{i}) <| e{j}"
-                break
-        if not ok:
-            break
-    report.add("pi-module-map", ok, witness)
+    acted = [contract(action, 1, e).transpose() for e in hb]
+    report.add("pi-module-map", *_first_mismatch(
+        "pi(e{0} e{1}) != pi(e{0}) <| e{1}".format,
+        lambda i, j: (pi(h.algebra.multiply(hb[i], hb[j])), acted[j] @ pis[i]),
+        n, n,
+    ))
     report.raise_if_failed()
 
     return CoidealQuotient(b, pi, lift, coalg, action, ideal, canonical, report)

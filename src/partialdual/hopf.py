@@ -17,13 +17,15 @@ into a flat coordinate list, and _leg_map rewrites one leg of a flat tensor.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
-check and a witness.
+check and a witness.  A check over an index grid is one _first_mismatch
+walk, whose witness names the first failing index.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from partialdual.linalg import (
     Elimination,
@@ -120,6 +122,23 @@ class Report:
         n_bad = len(self.failures())
         state = "ok" if not n_bad else f"{n_bad} failed"
         return f"Report({self.title!r}: {len(self.checks)} checks, {state})"
+
+
+def _first_mismatch(witness: Callable[..., str], sides: Callable, *dims: int) -> tuple[bool, str]:
+    """(ok, witness) of lhs == rhs for (lhs, rhs) = sides(*index) over the
+    index grid range(dims[0]) x range(dims[1]) x ...
+
+    The policy of every grid check: the grid is walked in lexicographic
+    order and the first failure wins; its witness is
+    witness(*index, lhs, rhs), and the walk stops there.  A bound
+    "... {0} ...".format serves a text that names only the index.  With
+    no dims, sides() is compared once.
+    """
+    for index in itertools.product(*map(range, dims)):
+        lhs, rhs = sides(*index)
+        if lhs != rhs:
+            return False, witness(*index, lhs, rhs)
+    return True, ""
 
 
 def _fmt(field: Field, x: Scalar) -> str:
@@ -554,53 +573,27 @@ def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
     n = a.dim
     es = [a.basis(i) for i in range(n)]
     prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            ij = prods[i][j]
-            for k in range(n):
-                lhs = a.multiply(ij, es[k])
-                rhs = a.multiply(es[i], prods[j][k])
-                if lhs != rhs:
-                    ok = False
-                    witness = (
-                        f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); "
-                        + vector_witness(f, lhs, rhs)
-                    )
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(prefix + "associativity", ok, witness)
-
-    ok = True
-    witness = ""
-    for i in range(n):
-        left = a.multiply(a.unit, es[i])
-        right = a.multiply(es[i], a.unit)
-        if left != es[i] or right != es[i]:
-            ok = False
-            witness = f"unit fails at e{i}"
-            break
-    report.add(prefix + "unit-law", ok, witness)
+    report.add(prefix + "associativity", *_first_mismatch(
+        lambda i, j, k, lhs, rhs: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); " + vector_witness(f, lhs, rhs),
+        lambda i, j, k: (a.multiply(prods[i][j], es[k]), a.multiply(es[i], prods[j][k])),
+        n, n, n,
+    ))
+    report.add(prefix + "unit-law", *_first_mismatch(
+        "unit fails at e{0}".format,
+        lambda i: ((a.multiply(a.unit, es[i]), a.multiply(es[i], a.unit)), (es[i], es[i])),
+        n,
+    ))
 
 
 def verify_coalgebra(c: Coalgebra, report: Report, prefix: str = "") -> None:
     f = c.field
     n = c.dim
-    ok = True
-    witness = ""
-    for i in range(n):
-        d = c.comultiply_flat(c.basis(i))
-        lhs = tensor_comult_leg(c, d, (n, n), 0)
-        rhs = tensor_comult_leg(c, d, (n, n), 1)
-        if lhs != rhs:
-            ok = False
-            witness = f"at e{i}: " + vector_witness(f, lhs, rhs)
-            break
-    report.add(prefix + "coassociativity", ok, witness)
+    deltas = [c.comultiply_flat(c.basis(i)) for i in range(n)]
+    report.add(prefix + "coassociativity", *_first_mismatch(
+        lambda i, lhs, rhs: f"at e{i}: " + vector_witness(f, lhs, rhs),
+        lambda i: (tensor_comult_leg(c, deltas[i], (n, n), 0), tensor_comult_leg(c, deltas[i], (n, n), 1)),
+        n,
+    ))
 
     left = contract(c.comult, 1, c.counit)
     right = contract(c.comult, 2, c.counit)
@@ -622,19 +615,11 @@ def verify_compatibility(
     es = [a.basis(i) for i in range(n)]
     deltas = [c.comultiply_flat(e) for e in es]
     prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            lhs = c.comultiply_flat(prods[i][j])
-            rhs = power_multiply(a, 2, deltas[i], deltas[j])
-            if lhs != rhs:
-                ok = False
-                witness = f"Delta(e{i} e{j}): " + vector_witness(f, lhs, rhs)
-                break
-        if not ok:
-            break
-    report.add(prefix + "comult-algebra-map", ok, witness)
+    report.add(prefix + "comult-algebra-map", *_first_mismatch(
+        lambda i, j, lhs, rhs: f"Delta(e{i} e{j}): " + vector_witness(f, lhs, rhs),
+        lambda i, j: (c.comultiply_flat(prods[i][j]), power_multiply(a, 2, deltas[i], deltas[j])),
+        n, n,
+    ))
 
     report.add(
         prefix + "comult-unital",
@@ -642,19 +627,11 @@ def verify_compatibility(
         "Delta(1) != 1 (x) 1",
     )
 
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            lhs = c.counit_of(prods[i][j])
-            rhs = c.counit[i] * c.counit[j]
-            if lhs != rhs:
-                ok = False
-                witness = f"eps(e{i} e{j}) = {_fmt(f, lhs)} != {_fmt(f, rhs)}"
-                break
-        if not ok:
-            break
-    report.add(prefix + "counit-algebra-map", ok, witness)
+    report.add(prefix + "counit-algebra-map", *_first_mismatch(
+        lambda i, j, lhs, rhs: f"eps(e{i} e{j}) = {_fmt(f, lhs)} != {_fmt(f, rhs)}",
+        lambda i, j: (c.counit_of(prods[i][j]), c.counit[i] * c.counit[j]),
+        n, n,
+    ))
 
     report.add(
         prefix + "counit-unital",
@@ -680,57 +657,35 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     verify_bialgebra(a, c, report)
     es = [h.basis(i) for i in range(n)]
     scols = [s.column(i) for i in range(n)]
+    supports = [list(_comult_row(c, i)) for i in range(n)]
 
-    ok_l = True
-    ok_r = True
-    wit_l = ""
-    wit_r = ""
-    for i in range(n):
-        d = c.comultiply(es[i])
-        acc_l = Vector.zero(f, n)
-        acc_r = Vector.zero(f, n)
-        for j in range(n):
-            for k in range(n):
-                x = d[j, k]
-                if x:
-                    acc_l = acc_l + a.multiply(scols[j], es[k]).scale(x)
-                    acc_r = acc_r + a.multiply(es[j], scols[k]).scale(x)
-        target = a.unit.scale(c.counit[i])
-        if ok_l and acc_l != target:
-            ok_l = False
-            wit_l = f"at e{i}: " + vector_witness(f, acc_l, target)
-        if ok_r and acc_r != target:
-            ok_r = False
-            wit_r = f"at e{i}: " + vector_witness(f, acc_r, target)
-    report.add("antipode-left", ok_l, wit_l)
-    report.add("antipode-right", ok_r, wit_r)
+    def convolved(i, u, v):  # (sum x u_j v_k over Delta(e_i), eps(e_i) 1)
+        acc = Vector.zero(f, n)
+        for (_, j, k), x in supports[i]:
+            acc = acc + a.multiply(u[j], v[k]).scale(x)
+        return acc, a.unit.scale(c.counit[i])
 
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            lhs = s @ a.multiply(es[i], es[j])
-            rhs = a.multiply(scols[j], scols[i])
-            if lhs != rhs:
-                ok = False
-                witness = f"S(e{i} e{j}) != S(e{j})S(e{i})"
-                break
-        if not ok:
-            break
-    report.add("antipode-anti-multiplicative", ok, witness)
+    def at_e(i, lhs, rhs):
+        return f"at e{i}: " + vector_witness(f, lhs, rhs)
+
+    report.add("antipode-left", *_first_mismatch(at_e, lambda i: convolved(i, scols, es), n))
+    report.add("antipode-right", *_first_mismatch(at_e, lambda i: convolved(i, es, scols), n))
+    report.add("antipode-anti-multiplicative", *_first_mismatch(
+        "S(e{0} e{1}) != S(e{1})S(e{0})".format,
+        lambda i, j: (s @ a.multiply(es[i], es[j]), a.multiply(scols[j], scols[i])),
+        n, n,
+    ))
     report.add("antipode-fixes-unit", s @ a.unit == a.unit, "S(1) != 1")
 
-    ok = True
-    witness = ""
-    for i in range(n):
-        lhs = c.comultiply_flat(scols[i])
+    def swapped_under_s(i):  # (S (x) S) of the flipped Delta(e_i)
         swapped = tensor_permute(c.comultiply_flat(es[i]), (n, n), (1, 0))
-        rhs = tensor_apply(tensor_apply(swapped, (n, n), 0, s), (n, n), 1, s)
-        if lhs != rhs:
-            ok = False
-            witness = f"Delta(S(e{i})): " + vector_witness(f, lhs, rhs)
-            break
-    report.add("antipode-anti-comultiplicative", ok, witness)
+        return tensor_apply(tensor_apply(swapped, (n, n), 0, s), (n, n), 1, s)
+
+    report.add("antipode-anti-comultiplicative", *_first_mismatch(
+        lambda i, lhs, rhs: f"Delta(S(e{i})): " + vector_witness(f, lhs, rhs),
+        lambda i: (c.comultiply_flat(scols[i]), swapped_under_s(i)),
+        n,
+    ))
     report.add(
         "antipode-preserves-counit",
         Vector(f, [c.counit.dot(scols[i]) for i in range(n)]) == c.counit,

@@ -24,6 +24,7 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _first_mismatch,
     _kron_acc,
     convolution_inverse,
     flat_nonzeros,
@@ -294,25 +295,18 @@ def _antipode_axioms(
     beta_s = [alg.multiply(beta, x) for x in scols]  # beta S(e_k)
     e_beta_s = [[alg.multiply(x, y) for y in scols] for x in e_beta]  # (e_i beta) S(e_j)
     s_alpha_e = [[alg.multiply(x, e) for e in es] for x in s_alpha]  # (S(e_i) alpha) e_j
-    ok_l = True
-    ok_r = True
-    wit_l = wit_r = ""
-    for a in range(nn):
-        col = delta.column(a)
-        left = Vector(field, [field.zero] * nn)
-        right = Vector(field, [field.zero] * nn)
-        for idx, c in flat_nonzeros(col):
-            i, j = divmod(idx, nn)
-            left = left + s_alpha_e[i][j].scale(c)
-            right = right + e_beta_s[i][j].scale(c)
-        if ok_l and left != alpha.scale(eps[a]):
-            ok_l = False
-            wit_l = f"basis {a}"
-        if ok_r and right != beta.scale(eps[a]):
-            ok_r = False
-            wit_r = f"basis {a}"
-    report.add(prefix + "antipode-left", ok_l, wit_l)
-    report.add(prefix + "antipode-right", ok_r, wit_r)
+    supports = [[(divmod(idx, nn), c) for idx, c in flat_nonzeros(delta.column(a))] for a in range(nn)]
+
+    def summed(table, target):  # a -> (sum c table[i][j] over Delta(e_a), eps(e_a) target)
+        def sides(a):
+            acc = Vector(field, [field.zero] * nn)
+            for (i, j), c in supports[a]:
+                acc = acc + table[i][j].scale(c)
+            return acc, target.scale(eps[a])
+        return sides
+
+    report.add(prefix + "antipode-left", *_first_mismatch("basis {0}".format, summed(s_alpha_e, alpha), nn))
+    report.add(prefix + "antipode-right", *_first_mismatch("basis {0}".format, summed(e_beta_s, beta), nn))
     acc3 = Vector(field, [field.zero] * nn)
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nn * nn)
@@ -368,19 +362,10 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     hsalg = hs.algebra
     action = q.action
     coaction = bsub.coaction
-    comult_c = q.coalgebra.comult
     rho = _action_support(q)
     coact = _coaction_support(coaction, bdim)
 
-    # C* with convolution product, unit the counit of C
-    cstar = Algebra(
-        field,
-        Tensor3(
-            field,
-            [[[comult_c[k, i, j] for k in range(cdim)] for j in range(cdim)] for i in range(cdim)],
-        ),
-        Vector(field, list(q.coalgebra.counit.entries)),
-    )
+    cstar = q.cstar
     bunit = bsub.unit
     ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
     eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
@@ -415,26 +400,19 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     # second form: sum f g1 # (b harpoon g2) c
     bca = [[Vector(field, list(coaction.data[b][i])) for i in range(n)] for b in range(bdim)]
     rbm = [bsub.algebra.right_mult_matrix(eb[d]) for d in range(bdim)]
-    ok = True
-    witness = ""
-    for a in range(cdim):
-        for b in range(bdim):
-            for g in range(cdim):
-                for d in range(bdim):
-                    col2 = [field.zero] * nd
-                    for s, i, x in rho[g]:
-                        _kron_acc(col2, x, lcs[a].column(s), rbm[d] @ bca[b][i])
-                    if col2 != mdata[a * bdim + b][g * bdim + d]:
-                        ok = False
-                        witness = f"product ({a},{b})*({g},{d})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("mult-forms-agree", ok, witness)
+    lcols = [lcs[a].columns() for a in range(cdim)]
+    # (b harpoon h*_i) b_d at [b][d][i]
+    harpooned = [[[rbm[d] @ x for x in bca[b]] for d in range(bdim)] for b in range(bdim)]
+
+    def second_form(a, b, g, d):
+        col2 = [field.zero] * nd
+        for s, i, x in rho[g]:
+            _kron_acc(col2, x, lcols[a][s], harpooned[b][d][i])
+        return col2, mdata[a * bdim + b][g * bdim + d]
+
+    report.add("mult-forms-agree", *_first_mismatch(
+        "product ({0},{1})*({2},{3})".format, second_form, cdim, bdim, cdim, bdim
+    ))
 
     alg = Algebra(field, mult, unit_vec)
 
@@ -487,66 +465,51 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     delta = Matrix.from_columns(field, delta_cols, nrows=nd * nd)
 
     # the full form must be the product of the two restricted forms
-    ok = True
-    witness = ""
-    for a in range(cdim):
-        for b in range(bdim):
-            if power_multiply(alg, 2, d32[a], d33[b]) != delta_cols[a * bdim + b]:
-                ok = False
-                witness = f"basis ({a},{b})"
-                break
-        if not ok:
-            break
-    report.add("comult-product-form", ok, witness)
+    report.add("comult-product-form", *_first_mismatch(
+        "basis ({0},{1})".format,
+        lambda a, b: (power_multiply(alg, 2, d32[a], d33[b]), delta_cols[a * bdim + b]),
+        cdim, bdim,
+    ))
 
     # splitting forms for the two restricted comultiplications
     hrv = [[p.zeta(hit_right(h, gcol[t], hsb[i])) for i in range(n)] for t in range(cdim)]
-    ok = True
-    witness = ""
-    for a in range(cdim):
+
+    def split_left(a):
         out = [field.zero] * (nd * nd)
         for s, i, x in rho[a]:
             for t in range(cdim):
                 _kron_acc(out, x, ec[s], hrv[t][i], ec[t], bunit)
-        if Vector(field, out) != d32[a]:
-            ok = False
-            witness = f"basis f_{a} # 1"
-            break
-    report.add("comult-splitting-form-left", ok, witness)
+        return Vector(field, out), d32[a]
+
+    report.add("comult-splitting-form-left", *_first_mismatch("basis f_{0} # 1".format, split_left, cdim))
 
     rtm = [h.algebra.right_mult_matrix(h.basis(m)).transpose() for m in range(n)]
-    ok = True
-    witness = ""
-    for b in range(bdim):
+    gzr = [[gammastar @ (rtm[m] @ zs[u]) for u in range(bdim)] for m in range(n)]
+
+    def split_right(b):
         out = [field.zero] * (nd * nd)
         for m, k, x in coact[b]:
             for u in range(bdim):
-                _kron_acc(out, x, ebs[u], gammastar @ (rtm[m] @ zs[u]), eb[k])
-        if Vector(field, out) != d33[b]:
-            ok = False
-            witness = f"basis eps # b_{b}"
-            break
-    report.add("comult-splitting-form-right", ok, witness)
+                _kron_acc(out, x, ebs[u], gzr[m][u], eb[k])
+        return Vector(field, out), d33[b]
+
+    report.add("comult-splitting-form-right", *_first_mismatch("basis eps # b_{0}".format, split_right, bdim))
 
     # parent-basis expansion of the full comultiplication
     zem = [[p.zeta(h.algebra.multiply(h.basis(i), h.basis(m))) for m in range(n)] for i in range(n)]
     gss = [[gammastar @ hsalg.multiply(hsb[ip], hsb[i]) for i in range(n)] for ip in range(n)]
-    ok = True
-    witness = ""
-    for a in range(cdim):
-        for b in range(bdim):
-            out = [field.zero] * (nd * nd)
-            for s, ip, xa in rho[a]:
-                for m, k, xc in coact[b]:
-                    for i in range(n):
-                        _kron_acc(out, xa * xc, ec[s], zem[i][m], gss[ip][i], eb[k])
-            if Vector(field, out) != delta_cols[a * bdim + b]:
-                ok = False
-                witness = f"basis ({a},{b})"
-                break
-        if not ok:
-            break
-    report.add("comult-parent-basis-form", ok, witness)
+
+    def parent_basis_form(a, b):
+        out = [field.zero] * (nd * nd)
+        for s, ip, xa in rho[a]:
+            for m, k, xc in coact[b]:
+                for i in range(n):
+                    _kron_acc(out, xa * xc, ec[s], zem[i][m], gss[ip][i], eb[k])
+        return Vector(field, out), delta_cols[a * bdim + b]
+
+    report.add("comult-parent-basis-form", *_first_mismatch(
+        "basis ({0},{1})".format, parent_basis_form, cdim, bdim
+    ))
 
     # associator
     sinv_hs = hs.antipode_inverse()
@@ -693,18 +656,11 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     verify_algebra(alg, report)
     verify_compatibility(alg, coalg, report)
 
-    ok_l = ok_r = True
-    wit_l = wit_r = ""
-    for a in range(nd):
-        col = delta_cols[a]
-        if ok_l and tensor_functional(col, (nd, nd), 0, eps_vec) != es[a]:
-            ok_l = False
-            wit_l = f"basis {a}"
-        if ok_r and tensor_functional(col, (nd, nd), 1, eps_vec) != es[a]:
-            ok_r = False
-            wit_r = f"basis {a}"
-    report.add("counit-law-left", ok_l, wit_l)
-    report.add("counit-law-right", ok_r, wit_r)
+    basis = "basis {0}".format
+    for leg, side in ((0, "left"), (1, "right")):
+        report.add(f"counit-law-{side}", *_first_mismatch(
+            basis, lambda a: (tensor_functional(delta_cols[a], (nd, nd), leg, eps_vec), es[a]), nd
+        ))
 
     report.add(
         "associator-invertible",
@@ -719,17 +675,14 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
         "eps on a leg of phi",
     )
 
-    ok = True
-    witness = ""
-    for a in range(nd):
-        d = delta_cols[a]
-        lhs = power_multiply(alg, 3, phi, tensor_comult_leg(coalg, d, (nd, nd), 0))
-        rhs = power_multiply(alg, 3, tensor_comult_leg(coalg, d, (nd, nd), 1), phi)
-        if lhs != rhs:
-            ok = False
-            witness = f"basis {a}"
-            break
-    report.add("quasi-coassociativity", ok, witness)
+    report.add("quasi-coassociativity", *_first_mismatch(
+        basis,
+        lambda a: (
+            power_multiply(alg, 3, phi, tensor_comult_leg(coalg, delta_cols[a], (nd, nd), 0)),
+            power_multiply(alg, 3, tensor_comult_leg(coalg, delta_cols[a], (nd, nd), 1), phi),
+        ),
+        nd,
+    ))
 
     lhs = power_multiply(
         alg,
@@ -754,27 +707,23 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     t_pair = [[t_map @ Vector(field, list(mult.data[i][j])) for j in range(nd)] for i in range(nd)]
     e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
     t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
-    ok_a = ok_b = True
-    wit_a = wit_b = ""
-    for a in range(nd):
-        dsupp = [(divmod(idx, nd), c) for idx, c in flat_nonzeros(delta_cols[a])]
-        for b2 in range(nd):
-            target = t_cols[b2].scale(eps_vec[a])
-            acc_a = Vector(field, [field.zero] * nd)
-            acc_b = Vector(field, [field.zero] * nd)
-            for (i, j), c in dsupp:
-                acc_a = acc_a + alg.multiply(t_pair[i][b2], es[j]).scale(c)
-                acc_b = acc_b + alg.multiply(es[i], t_pair[b2][j]).scale(c)
-            if ok_a and acc_a != target:
-                ok_a = False
-                wit_a = f"pair ({a},{b2})"
-            if ok_b and acc_b != target:
-                ok_b = False
-                wit_b = f"pair ({a},{b2})"
-        if not ok_a and not ok_b:
-            break
-    report.add("preantipode-left", ok_a, wit_a)
-    report.add("preantipode-right", ok_b, wit_b)
+    dsupps = [[(divmod(idx, nd), c) for idx, c in flat_nonzeros(col)] for col in delta_cols]
+
+    def preantipode(product):  # (a, b2) -> (sum c product(i, j, b2) over Delta(e_a), eps(e_a) T(e_b2))
+        def sides(a, b2):
+            acc = Vector(field, [field.zero] * nd)
+            for (i, j), c in dsupps[a]:
+                acc = acc + product(i, j, b2).scale(c)
+            return acc, t_cols[b2].scale(eps_vec[a])
+        return sides
+
+    pair = "pair ({0},{1})".format
+    report.add("preantipode-left", *_first_mismatch(
+        pair, preantipode(lambda i, j, b2: alg.multiply(t_pair[i][b2], es[j])), nd, nd
+    ))
+    report.add("preantipode-right", *_first_mismatch(
+        pair, preantipode(lambda i, j, b2: alg.multiply(es[i], t_pair[b2][j])), nd, nd
+    ))
 
     acc = Vector(field, [field.zero] * nd)
     for idx, c in flat_nonzeros(phi):
@@ -798,14 +747,9 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
         for label, (sm, alpha, beta) in zip(("s1", "s2"), qh.antipodes):
             _antipode_axioms(alg, delta, eps_vec, phi, phi_inv, sm, alpha, beta, report, label + "-")
             report.add(label + "-upsilon-factorization", alg.multiply(beta, alpha) == ups, "beta alpha != upsilon")
-            ok = True
-            witness = ""
-            for a in range(nd):
-                if alg.multiply(alg.multiply(beta, sm.column(a)), alpha) != t_cols[a]:
-                    ok = False
-                    witness = f"basis {a}"
-                    break
-            report.add(label + "-preantipode-factorization", ok, witness)
+            report.add(label + "-preantipode-factorization", *_first_mismatch(
+                basis, lambda a: (alg.multiply(alg.multiply(beta, sm.column(a)), alpha), t_cols[a]), nd
+            ))
     return report
 
 
@@ -873,47 +817,23 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)
     right = CoquasiHopfAlgebra(coalg, mult_r, unit_r, p, report)
-    ok = True
-    witness = ""
-    for i in range(nd):
-        ei = Vector.basis(field, nd, i)
-        if right.multiply(unit_r, ei) != ei or right.multiply(ei, unit_r) != ei:
-            ok = False
-            witness = f"basis {i}"
-            break
-    report.add("unit-law", ok, witness)
+    ers = [Vector.basis(field, nd, i) for i in range(nd)]
+    report.add("unit-law", *_first_mismatch(
+        "basis {0}".format,
+        lambda i: ((right.multiply(unit_r, ers[i]), right.multiply(ers[i], unit_r)), (ers[i], ers[i])),
+        nd,
+    ))
 
     # exact duality with the left side under the flat pairing
     lual = left.algebra
-    ok = True
-    witness = ""
-    for i in range(nd):
-        for j in range(nd):
-            for k in range(nd):
-                if lual.mult[i, j, k] != comult_r[k, i, j]:
-                    ok = False
-                    witness = f"entry ({i},{j},{k})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("multiplication-comultiplication-duality", ok, witness)
-    ok = True
-    witness = ""
-    for i in range(nd):
-        col = left.delta.column(i)
-        for j in range(nd):
-            for k in range(nd):
-                if col[j * nd + k] != mult_r[j, k, i]:
-                    ok = False
-                    witness = f"entry ({i},{j},{k})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("comultiplication-multiplication-duality", ok, witness)
+    entry = "entry ({0},{1},{2})".format
+    report.add("multiplication-comultiplication-duality", *_first_mismatch(
+        entry, lambda i, j, k: (lual.mult[i, j, k], comult_r[k, i, j]), nd, nd, nd
+    ))
+    dcols = left.delta.columns()
+    report.add("comultiplication-multiplication-duality", *_first_mismatch(
+        entry, lambda i, j, k: (dcols[i][j * nd + k], mult_r[j, k, i]), nd, nd, nd
+    ))
     report.add("unit-counit-duality", lual.unit == counit_r, "unit vs counit")
     report.add("counit-unit-duality", left.eps == unit_r, "counit vs unit")
 
@@ -947,29 +867,20 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     theta_inv = theta.transpose()
 
     es = [q1.basis(i) for i in range(nd)]
-    ok = True
-    witness = ""
-    for i in range(nd):
-        for j in range(nd):
-            if theta @ q1.multiply(es[i], es[j]) != q2.multiply(theta @ es[j], theta @ es[i]):
-                ok = False
-                witness = f"pair ({i},{j})"
-                break
-        if not ok:
-            break
-    report.add("algebra-anti-map", ok, witness)
+    report.add("algebra-anti-map", *_first_mismatch(
+        "pair ({0},{1})".format,
+        lambda i, j: (theta @ q1.multiply(es[i], es[j]), q2.multiply(theta_cols[j], theta_cols[i])),
+        nd, nd,
+    ))
     report.add("unit-transport", theta @ q1.algebra.unit == q2.algebra.unit, "unit")
 
-    ok = True
-    witness = ""
-    for a in range(nd):
+    def pushed_flip(a):  # (theta (x) theta) of the flipped Delta(e_a)
         flipped = tensor_permute(q1.delta.column(a), (nd, nd), (1, 0))
-        mapped = tensor_apply(tensor_apply(flipped, (nd, nd), 0, theta), (nd, nd), 1, theta)
-        if mapped != q2.delta @ (theta @ es[a]):
-            ok = False
-            witness = f"basis {a}"
-            break
-    report.add("comultiplication-transport", ok, witness)
+        return tensor_apply(tensor_apply(flipped, (nd, nd), 0, theta), (nd, nd), 1, theta)
+
+    report.add("comultiplication-transport", *_first_mismatch(
+        "basis {0}".format, lambda a: (pushed_flip(a), q2.delta @ theta_cols[a]), nd
+    ))
     pulled = Vector(field, [q2.eps.dot(theta.column(a)) for a in range(nd)])
     report.add("counit-transport", pulled == q1.eps, "counit")
 
@@ -1031,9 +942,8 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
         raise CertificationError("mismatch", f"carrier dims {nd} and {q_op.dim} differ")
     report = Report("opposite comparison")
 
-    cstar_unit = Vector(field, list(q.coalgebra.counit.entries))
     ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
-    ebs = [cstar_unit.tensor(Vector.basis(field, bdim, u)) for u in range(bdim)]
+    ebs = [q.cstar.unit.tensor(Vector.basis(field, bdim, u)) for u in range(bdim)]
     fbs = [ec[a].tensor(bsub.unit) for a in range(cdim)]
     cols = [q1.multiply(ebs[b], fbs[a]) for a in range(cdim) for b in range(bdim)]
     phim = Matrix.from_columns(field, cols, nrows=nd)
@@ -1043,21 +953,15 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     coaction = bsub.coaction
     n = q.parent.dim
     bca = [[Vector(field, list(coaction.data[b][i])) for i in range(n)] for b in range(bdim)]
-    ok = True
-    witness = ""
-    for a in range(cdim):
-        for b in range(bdim):
-            acc = [field.zero] * nd
-            for s, i, x in rho[a]:
-                for m in range(n):
-                    _kron_acc(acc, x * sinv[m, i], ec[s], bca[b][m])
-            if Vector(field, acc) != cols[a * bdim + b]:
-                ok = False
-                witness = f"basis ({a},{b})"
-                break
-        if not ok:
-            break
-    report.add("map-forms-agree", ok, witness)
+
+    def second_form(a, b):
+        acc = [field.zero] * nd
+        for s, i, x in rho[a]:
+            for m in range(n):
+                _kron_acc(acc, x * sinv[m, i], ec[s], bca[b][m])
+        return Vector(field, acc), cols[a * bdim + b]
+
+    report.add("map-forms-agree", *_first_mismatch("basis ({0},{1})".format, second_form, cdim, bdim))
 
     inv_cols = []
     for a in range(cdim):
@@ -1071,30 +975,20 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     report.add("mutually-inverse", phim @ phim_inv == ident and phim_inv @ phim == ident, "composite")
 
     es = [q1.basis(i) for i in range(nd)]
-    ok = True
-    witness = ""
-    for i in range(nd):
-        for j in range(nd):
-            if phim @ q1.multiply(es[i], es[j]) != q_op.multiply(phim @ es[j], phim @ es[i]):
-                ok = False
-                witness = f"pair ({i},{j})"
-                break
-        if not ok:
-            break
-    report.add("algebra-anti-map", ok, witness)
+    report.add("algebra-anti-map", *_first_mismatch(
+        "pair ({0},{1})".format,
+        lambda i, j: (phim @ q1.multiply(es[i], es[j]), q_op.multiply(cols[j], cols[i])),
+        nd, nd,
+    ))
     report.add("unit-transport", phim @ q1.algebra.unit == q_op.algebra.unit, "unit")
-
-    ok = True
-    witness = ""
-    for a in range(nd):
-        mapped = tensor_apply(
-            tensor_apply(q1.delta.column(a), (nd, nd), 0, phim), (nd, nd), 1, phim
-        )
-        if mapped != q_op.delta @ (phim @ es[a]):
-            ok = False
-            witness = f"basis {a}"
-            break
-    report.add("comultiplication-transport", ok, witness)
+    report.add("comultiplication-transport", *_first_mismatch(
+        "basis {0}".format,
+        lambda a: (
+            tensor_apply(tensor_apply(q1.delta.column(a), (nd, nd), 0, phim), (nd, nd), 1, phim),
+            q_op.delta @ cols[a],
+        ),
+        nd,
+    ))
     pulled = Vector(field, [q_op.eps.dot(phim.column(a)) for a in range(nd)])
     report.add("counit-transport", pulled == q1.eps, "counit")
 
@@ -1125,17 +1019,15 @@ def _sufficiency_diagnostics(p: Pams) -> dict[str, bool]:
     n = h.dim
     bdim = bsub.dim
     cdim = q.dim
+    hb = [h.basis(i) for i in range(n)]
+    zcols = [p.zeta.column(i) for i in range(n)]
+    gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
 
-    zeta_alg = p.zeta(h.unit) == bsub.unit
-    if zeta_alg:
-        for i in range(n):
-            for j in range(n):
-                lhs = p.zeta(h.algebra.multiply(h.basis(i), h.basis(j)))
-                if lhs != bsub.algebra.multiply(p.zeta.column(i), p.zeta.column(j)):
-                    zeta_alg = False
-                    break
-            if not zeta_alg:
-                break
+    zeta_alg = p.zeta(h.unit) == bsub.unit and all(
+        p.zeta(h.algebra.multiply(hb[i], hb[j])) == bsub.algebra.multiply(zcols[i], zcols[j])
+        for i in range(n)
+        for j in range(n)
+    )
 
     # B a subcoalgebra: every coaction leg on the parent side lands in iota(B)
     legs = [[bsub.coaction[j, m, k] for m in range(n)] for j in range(bdim) for k in range(bdim)]
@@ -1149,66 +1041,45 @@ def _sufficiency_diagnostics(p: Pams) -> dict[str, bool]:
         ]
         zm = p.zeta.matrix
         zmt = zm.transpose()
-        for a in range(n):
-            lhs = zm @ h.coalgebra.comultiply(h.basis(a)) @ zmt
+
+        def pushed(a):  # sum zeta(e_a)_j Delta_B(b_j)
             rhs = Matrix.zeros(field, bdim, bdim)
-            for j, c in enumerate(p.zeta.column(a).entries):
+            for j, c in enumerate(zcols[a].entries):
                 if c:
                     rhs = rhs + db_mats[j].scale(c)
-            if lhs != rhs:
-                zeta_coalg = False
-                break
-        if zeta_coalg:
-            for a in range(n):
-                if bsub.counit.dot(p.zeta.column(a)) != h.counit[a]:
-                    zeta_coalg = False
-                    break
+            return rhs
 
-    left_ideal = True
-    for r in range(q.ideal_basis.nrows):
-        vr = q.ideal_basis.row(r)
-        for i in range(n):
-            if not q.pi(h.algebra.multiply(h.basis(i), vr)).is_zero():
-                left_ideal = False
-                break
-        if not left_ideal:
-            break
-    gamma_alg = left_ideal
-    if gamma_alg:
-        gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
-        one_c = q.pi(h.unit)
-        gone = Vector(field, [field.zero] * n)
-        for t, c in enumerate(one_c.entries):
+        zeta_coalg = all(zm @ h.coalgebra.comultiply(hb[a]) @ zmt == pushed(a) for a in range(n)) and all(
+            bsub.counit.dot(zcols[a]) == h.counit[a] for a in range(n)
+        )
+
+    ideal_rows = [q.ideal_basis.row(r) for r in range(q.ideal_basis.nrows)]
+    left_ideal = all(q.pi(h.algebra.multiply(e, v)).is_zero() for v in ideal_rows for e in hb)
+
+    def gamma_of(x):  # gamma(x) as a combination of the gamma columns
+        out = Vector(field, [field.zero] * n)
+        for t, c in enumerate(x.entries):
             if c:
-                gone = gone + gcol[t].scale(c)
-        if gone != h.unit:
-            gamma_alg = False
-        else:
-            for t in range(cdim):
-                for s in range(cdim):
-                    prod_c = q.pi(h.algebra.multiply(q.lift(q.coalgebra.basis(t)), q.lift(q.coalgebra.basis(s))))
-                    lhs = Vector(field, [field.zero] * n)
-                    for w, c in enumerate(prod_c.entries):
-                        if c:
-                            lhs = lhs + gcol[w].scale(c)
-                    if lhs != h.algebra.multiply(gcol[t], gcol[s]):
-                        gamma_alg = False
-                        break
-                if not gamma_alg:
-                    break
+                out = out + gcol[t].scale(c)
+        return out
 
-    gamma_coalg = True
+    lifts = [q.lift(q.coalgebra.basis(t)) for t in range(cdim)]
+    gamma_alg = (
+        left_ideal
+        and gamma_of(q.pi(h.unit)) == h.unit
+        and all(
+            gamma_of(q.pi(h.algebra.multiply(lifts[t], lifts[u]))) == h.algebra.multiply(gcol[t], gcol[u])
+            for t in range(cdim)
+            for u in range(cdim)
+        )
+    )
+
     gm = p.gamma.matrix
     gmt = gm.transpose()
-    for t in range(cdim):
-        if h.coalgebra.comultiply(gm.column(t)) != gm @ q.coalgebra.comultiply(q.coalgebra.basis(t)) @ gmt:
-            gamma_coalg = False
-            break
-    if gamma_coalg:
-        for t in range(cdim):
-            if h.counit.dot(gm.column(t)) != q.coalgebra.counit[t]:
-                gamma_coalg = False
-                break
+    gamma_coalg = all(
+        h.coalgebra.comultiply(gcol[t]) == gm @ q.coalgebra.comultiply(q.coalgebra.basis(t)) @ gmt
+        for t in range(cdim)
+    ) and all(h.counit.dot(gcol[t]) == q.coalgebra.counit[t] for t in range(cdim))
 
     return {
         "zeta-bialgebra-map": zeta_alg and zeta_coalg,

@@ -233,8 +233,8 @@ PAMS_CHECKS = [
     "gammabar-formula", "zeta-gamma-triviality", "pi-s-inv-iota-trivial",
     # the dual side
     "iota-star-module-law", "btr-zeta-star-form", "zeta-star-comodule-law",
-    "pi-star-comodule-law", "gamma-star-module-law", "conv-unit-dual", "gamma-star-zeta-star",
-    "zeta-star-splits", "gamma-star-splits", "bar-identity-left", "bar-identity-right",
+    "pi-star-comodule-law", "gamma-star-module-law", "conv-unit-dual",
+    "bar-identity-left", "bar-identity-right",
     "bar-identity-middle", "bar-identity-antipode", "fusion-a", "fusion-b", "fusion-c",
     "fusion-d", "fusion-e", "gammabar-star-mult-law", "zetabar-star-coaction-law",
     "gammabar-star-shift", "zetabar-star-antipode-law",

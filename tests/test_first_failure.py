@@ -375,16 +375,19 @@ FAILURES = {
         ],
     },
     "certify_coideal": {
+        # e1 e2 and e2 e1 both leave span(e0, e1, e2), and Delta(e1 + e3) =
+        # e1 (x) e1 + e3 (x) e3 leaves B at e1 and at e3: the witness names
+        # the first failing index
         "kC4 span(e0, e1, e2)": [
             ("iota-injective", True, ""),
             ("contains-unit", True, ""),
-            ("closed-under-multiplication", False, "iota(e2) iota(e1) is not in the image of iota"),
+            ("closed-under-multiplication", False, "iota(e1) iota(e2) is not in the image of iota"),
         ],
         "kC4 span(e0, e1 + e3, e2)": [
             ("iota-injective", True, ""),
             ("contains-unit", True, ""),
             ("closed-under-multiplication", True, ""),
-            ("left-coideal", False, "Delta(iota(e1)) has second leg outside iota(B) at e3 (x) -"),
+            ("left-coideal", False, "Delta(iota(e1)) has second leg outside iota(B) at e1 (x) -"),
         ],
     },
     "build_quotient": {

@@ -13,7 +13,9 @@ by some module of the package, which catches a helper that a rewrite
 leaves defined but no longer called.  Within one function, no system may
 reach the elimination entry points twice (say `solve(a, b)` and then
 `nullspace(a)`): one `Elimination` answers the solution, the rank and the
-kernel together.
+kernel together.  No check walks its index grid by hand (a loop setting
+`ok = False` that a later `report.add(..., ok, ...)` reads): the walk and
+its first-failure witness are `hopf._first_mismatch`.
 """
 
 import ast
@@ -249,3 +251,91 @@ def test_checker_flags_a_system_reduced_twice():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_system_reduced_twice_in_one_function(path):
     assert repeated_eliminations(path.read_text()) == []
+
+
+def _falsified(loop) -> set[str]:
+    """Names the loop assigns the constant False, also by tuple unpacking."""
+    names = set()
+    for node in ast.walk(loop):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            else:
+                pairs = [(target, node.value)]
+            names |= {
+                t.id for t, v in pairs
+                if isinstance(t, ast.Name) and isinstance(v, ast.Constant) and v.value is False
+            }
+    return names
+
+
+def hand_written_first_failure_loops(source: str) -> list[str]:
+    """Hand-written check loops, as "function (line)" of the outermost loop.
+
+    A loop is one when it assigns False to a name that a later `.add(...)`
+    call of the function reads, with no earlier `.add` of that name in
+    between.  Loops that feed paired names (`ok_l`, `ok_r`) or one name
+    in phases count once, at their first line."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_scope(func))
+        loops = [(node.lineno, _falsified(node)) for node in nodes if isinstance(node, (ast.For, ast.While))]
+        adds = sorted(
+            (node.lineno, arg.id)
+            for node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add"
+            for arg in node.args
+            if isinstance(arg, ast.Name)
+        )
+        previous: dict[str, int] = {}
+        sites = set()
+        for line, name in adds:
+            starts = [start for start, names in loops if name in names and previous.get(name, 0) < start < line]
+            if starts:
+                sites.add(min(starts))
+            previous[name] = line
+        found += [f"{func.name} (line {line})" for line in sorted(sites)]
+    return found
+
+
+def test_checker_flags_hand_written_first_failure_loops():
+    source = (
+        "def f(report, xs):\n"
+        "    ok_l = ok_r = True\n"
+        "    for x in xs:\n"
+        "        if x < 0:\n"
+        "            ok_l = False\n"
+        "        if x > 9:\n"
+        "            ok_r = False\n"
+        "    report.add('left', ok_l)\n"
+        "    report.add('right', ok_r)\n"
+        "    ok, witness = True, ''\n"
+        "    for x in xs:\n"
+        "        for y in xs:\n"
+        "            if x == y:\n"
+        "                ok, witness = False, f'{x}'\n"
+        "    for x in xs:\n"
+        "        if not x:\n"
+        "            ok = False\n"
+        "    report.add('pairs', ok, witness)\n"
+        "    while xs:\n"
+        "        ok = xs.pop() and False\n"
+        "        if not xs[-1:]:\n"
+        "            ok = False\n"
+        "    report.add('again', ok)\n"
+        "    seen = True\n"
+        "    for x in xs:\n"
+        "        seen = False\n"
+        "    report.add('walked', *_first_mismatch('{0}'.format, lambda i: (xs[i], 0), len(xs)))\n"
+        "    return seen\n"
+    )
+    assert hand_written_first_failure_loops(source) == ["f (line 3)", "f (line 11)", "f (line 19)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_first_failure_loop(path):
+    assert hand_written_first_failure_loops(path.read_text()) == []

@@ -19,6 +19,7 @@ from partialdual.linalg import QQ, Matrix, PrimeField, Vector
 from partialdual.pams import (
     INDUCED_KINDS,
     _check_dual_side,
+    _check_primal,
     biunitarize,
     certify_pams,
     cointegral_space,
@@ -328,9 +329,6 @@ DUAL_SIDE_CHECKS = [
     "pi-star-comodule-law",
     "gamma-star-module-law",
     "conv-unit-dual",
-    "gamma-star-zeta-star",
-    "zeta-star-splits",
-    "gamma-star-splits",
     "bar-identity-left",
     "bar-identity-right",
     "bar-identity-middle",
@@ -347,9 +345,6 @@ DUAL_SIDE_CHECKS = [
 ]
 
 CONV_UNIT = ("conv-unit-dual", "(zeta* iota*) * (pi* gamma*) != id")
-GAMMA_ZETA = ("gamma-star-zeta-star", "gamma* zeta* != <-, 1_B> eps_C")
-ZETA_SPLITS = ("zeta-star-splits", "iota* zeta* != id_B*")
-GAMMA_SPLITS = ("gamma-star-splits", "gamma* pi* != id_C*")
 BAR_LEFT = ("bar-identity-left", "id * (pi* gammabar*) != zeta* iota*")
 BAR_RIGHT = ("bar-identity-right", "S* * (zeta* iota*) != pi* gammabar*")
 BAR_MIDDLE = ("bar-identity-middle", "(pi* gamma*) * S* != zetabar* iota*")
@@ -377,12 +372,11 @@ DUAL_SIDE_FAILURES = {
             ("zetabar-star-coaction-law", "at b*1"),
             ("zetabar-star-antipode-law", "at b*1"),
         ],
-        "gamma[0,0]+1": [CONV_UNIT, GAMMA_ZETA, GAMMA_SPLITS, BAR_MIDDLE]
+        "gamma[0,0]+1": [CONV_UNIT, BAR_MIDDLE]
         + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
         "zeta[0,1]+1": [
             ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*1"),
             CONV_UNIT,
-            GAMMA_ZETA,
             BAR_LEFT,
             BAR_RIGHT,
         ]
@@ -390,8 +384,6 @@ DUAL_SIDE_FAILURES = {
         "zeta[1,0]+1": [
             ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
             CONV_UNIT,
-            GAMMA_ZETA,
-            ZETA_SPLITS,
             BAR_LEFT,
             BAR_RIGHT,
         ]
@@ -399,8 +391,6 @@ DUAL_SIDE_FAILURES = {
         "gamma[1,0]+1": [
             ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
             CONV_UNIT,
-            GAMMA_ZETA,
-            GAMMA_SPLITS,
             BAR_MIDDLE,
         ]
         + _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*0", "f0, f1, b*0"),
@@ -414,7 +404,7 @@ DUAL_SIDE_FAILURES = {
     },
     "c4": {
         "zeta_bar=zeta": [],
-        "gamma[0,0]+1": [CONV_UNIT, GAMMA_ZETA, GAMMA_SPLITS, BAR_MIDDLE]
+        "gamma[0,0]+1": [CONV_UNIT, BAR_MIDDLE]
         + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
         "zeta[0,1]+1": [
             ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
@@ -429,8 +419,6 @@ DUAL_SIDE_FAILURES = {
             ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
             ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
             CONV_UNIT,
-            GAMMA_ZETA,
-            ZETA_SPLITS,
             BAR_LEFT,
             BAR_RIGHT,
         ]
@@ -438,8 +426,6 @@ DUAL_SIDE_FAILURES = {
         "gamma[1,0]+1": [
             ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
             CONV_UNIT,
-            GAMMA_ZETA,
-            GAMMA_SPLITS,
             BAR_MIDDLE,
         ]
         + _fusion("f1, b*0", "b*0", "f1, b*1", "f0, b*0", "f0, f1, b*1"),
@@ -493,3 +479,42 @@ def test_dual_side_pins_names_failures_and_witnesses(system, taft_pams, c4_f7_pa
         _check_dual_side(q, report=report, **dict(clean, **change))
         assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS, label
         assert report.failures() == DUAL_SIDE_FAILURES[system][label], label
+
+
+# dual-side checks deleted as exact transposes of primal identities: each
+# with its primal counterpart and witness, and the perturbations of
+# DUAL_SIDE_FAILURES that failed it
+TRANSPOSED_CHECKS = {
+    "gamma-star-zeta-star": ("zeta-gamma-triviality", "zeta gamma != eps_C(-) 1_B"),
+    "zeta-star-splits": ("zeta-splits-iota", "zeta iota != id_B"),
+    "gamma-star-splits": ("gamma-splits-pi", "pi gamma != id_C"),
+}
+FAILED_TRANSPOSES = {
+    "taft": {
+        ("gamma", 0, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+        ("zeta", 0, 1): ["gamma-star-zeta-star"],
+        ("zeta", 1, 0): ["gamma-star-zeta-star", "zeta-star-splits"],
+        ("gamma", 1, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+    },
+    "c4": {
+        ("gamma", 0, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+        ("zeta", 1, 0): ["gamma-star-zeta-star", "zeta-star-splits"],
+        ("gamma", 1, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+    },
+}
+
+
+@pytest.mark.parametrize("system", ["taft", "c4"])
+def test_deleted_transposes_fail_their_primal_counterparts(system, taft_pams, c4_f7_pams):
+    """certify_pams raises after the primal checks, before the dual side:
+    every perturbation that failed a deleted transpose fails its primal
+    counterpart there, with the primal witness."""
+    _, q, p = taft_pams if system == "taft" else c4_f7_pams
+    clean = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
+    for (name, i, j), deleted in FAILED_TRANSPOSES[system].items():
+        report = Report("primal")
+        _check_primal(q, report=report, **dict(clean, **{name: _bumped(clean[name], i, j)}))
+        failures = dict(report.failures())
+        for check in deleted:
+            counterpart, witness = TRANSPOSED_CHECKS[check]
+            assert failures.get(counterpart) == witness, (name, i, j, check)
