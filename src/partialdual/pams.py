@@ -578,14 +578,14 @@ def _check_dual_side(
     checked here: zeta* iota* = id, gamma* pi* = id and gamma* zeta* =
     <-, 1_B> eps_C are the transposes of zeta-splits-iota, gamma-splits-pi
     and zeta-gamma-triviality, which _check_primal certifies first.
-    Every identity is evaluated on the full basis by one _first_mismatch
-    walk, so a witness names the first failing coordinate.  Elements are
-    lists of coordinates and elements of X* (x) Y* nested lists with the
-    first leg outside; dense matrices appear only where whole maps are
-    compared.  A transposed map applies as a combination of the sparse
-    rows of the map, products go through the Algebra.terms tables of H*
-    and C* (q.cstar), every table that does not depend on the indices is
-    built once, and the products inside the fusion sums are memoized.
+    Every identity over the basis is one _first_mismatch walk, so a
+    witness names the first failing coordinate.  Elements are lists of
+    coordinates and elements of X* (x) Y* nested lists with the first leg
+    outside; dense matrices appear only where whole maps are compared.
+    A transposed map applies as a combination of the sparse rows of the
+    map, products go through the Algebra.terms tables of H* and C*
+    (q.cstar), every table that does not depend on the indices is built
+    once, and the products inside the fusion sums are memoized.
     """
     h = q.parent
     bsub = q.coideal
