@@ -240,7 +240,7 @@ class Algebra:
             raise ValueError(
                 f"cannot multiply vectors of lengths {len(u)} and {len(v)} in dimension {n}"
             )
-        return Vector(field, _terms_product(self.terms, field.zero, u.entries, v.entries))
+        return Vector._of(field, _terms_product(self.terms, field.zero, u.entries, v.entries))
 
     def left_mult_matrix(self, u: Vector) -> Matrix:
         """Matrix of v -> u v."""
@@ -321,7 +321,7 @@ class Coalgebra:
 
     def comultiply_flat(self, v: Vector) -> Vector:
         m = self.comultiply(v)
-        return Vector(self.field, [x for row in m.rows for x in row])
+        return Vector._of(self.field, [x for row in m.rows for x in row])
 
     def counit_of(self, v: Vector) -> Scalar:
         return self.counit.dot(v)
@@ -452,7 +452,7 @@ def _leg_map(
         for r, w in images[d]:
             j = (outer * width + r) * inner + low
             out[j] = out[j] + c * w
-    return Vector(u.field, out)
+    return Vector._of(u.field, out)
 
 
 def tensor_of(vectors: Sequence[Vector]) -> Vector:
@@ -462,7 +462,7 @@ def tensor_of(vectors: Sequence[Vector]) -> Vector:
         _same_field(field, v.field, "vectors")
     out = [field.zero] * prod(len(v) for v in vectors)
     _kron_acc(out, field.one, *(v.entries for v in vectors))
-    return Vector(field, out)
+    return Vector._of(field, out)
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
@@ -499,7 +499,7 @@ def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vecto
             idx, d = divmod(idx, dims[p])
             j += d * stride[p]
         out[j] = c
-    return Vector(u.field, out)
+    return Vector._of(u.field, out)
 
 
 def _prefix_tree(v: Vector, n: int, k: int) -> dict:
@@ -522,7 +522,7 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
     """Product in the k-fold tensor power algebra, elements flat of length dim**k."""
     field = algebra.field
     if k == 0:
-        return Vector(field, [u[0] * v[0]])
+        return Vector._of(field, [u[0] * v[0]])
     n = algebra.dim
     terms = algebra.terms
     out = [field.zero] * (n**k)
@@ -546,7 +546,7 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
                     out[idx] = out[idx] + cuv * c
 
     descend(_prefix_tree(u, n, k), _prefix_tree(v, n, k), 0, [(0, field.one)])
-    return Vector(field, out)
+    return Vector._of(field, out)
 
 
 def power_unit(algebra: Algebra, k: int) -> Vector:
@@ -688,7 +688,7 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     ))
     report.add(
         "antipode-preserves-counit",
-        Vector(f, [c.counit.dot(scols[i]) for i in range(n)]) == c.counit,
+        Vector._of(f, [c.counit.dot(scols[i]) for i in range(n)]) == c.counit,
         "eps after S != eps",
     )
     report.add("antipode-invertible", s.rank() == n, "antipode matrix is singular")
@@ -706,26 +706,28 @@ def dual(h: HopfAlgebra) -> HopfAlgebra:
     """
     n = h.dim
     f = h.field
-    mult = Tensor3(
+    mult = Tensor3._of(
         f,
         [
             [[h.comult[k, i, j] for k in range(n)] for j in range(n)]
             for i in range(n)
         ],
+        (n, n, n),
     )
-    comult = Tensor3(
+    comult = Tensor3._of(
         f,
         [
             [[h.mult[j, k, i] for k in range(n)] for j in range(n)]
             for i in range(n)
         ],
+        (n, n, n),
     )
     return HopfAlgebra(
         f,
         mult,
-        Vector(f, h.counit.entries),
+        h.counit,
         comult,
-        Vector(f, h.unit.entries),
+        h.unit,
         h.antipode.transpose(),
         name=f"dual({h.name})" if h.name else "",
     )
@@ -776,10 +778,10 @@ def biopposite(h: HopfAlgebra) -> HopfAlgebra:
 def convolution_unit(c: Coalgebra, a: Algebra) -> LinMap:
     """The unit of the convolution algebra Hom(C, A): x -> eps(x) 1."""
     return LinMap(
-        Matrix(
+        Matrix._of(
             a.field,
             [[u * e for e in c.counit.entries] for u in a.unit.entries],
-            ncols=c.dim,
+            c.dim,
         )
     )
 
@@ -800,7 +802,7 @@ def convolution_product(f: LinMap, g: LinMap, c: Coalgebra, a: Algebra) -> LinMa
                 if y:
                     acc[t] = acc[t] + x * y
         cols.append(acc)
-    return LinMap(Matrix(a.field, [list(row) for row in zip(*cols)], ncols=c.dim))
+    return LinMap(Matrix._of(a.field, zip(*cols), c.dim))
 
 
 def _comult_row(c: Coalgebra, i: int):
@@ -849,7 +851,7 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
             "f * X = unit has no solution",
         )
     cols = [
-        Vector(field, [x[k * na + b] for b in range(na)]) for k in range(nc)
+        Vector._of(field, x.entries[k * na : (k + 1) * na]) for k in range(nc)
     ]
     inv = LinMap(Matrix.from_columns(field, cols, nrows=na))
     check = convolution_product(inv, f, c, a)

@@ -4,6 +4,19 @@ Scalars are `fractions.Fraction` over Q and `ModInt` residues over F_p;
 floating point is rejected outright.  Vectors, matrices and rank-3
 tensors are stored dense.
 
+Scalars are coerced once, at the boundary.  The public constructors
+`Vector(...)`, `Matrix(...)` and `Tensor3(...)` coerce and validate
+every entry; parsing, the examples, the command line, tests and user
+code build through them.  A result computed from containers already
+over the field holds field scalars by construction, since arithmetic
+among a field's scalars stays in the field, so every kernel output is
+built by the private trusted constructors `Vector._of`, `Matrix._of` and
+`Tensor3._of`, which store their entries as given.  Kernel code
+therefore starts every accumulator from `field.zero`, never from a bare
+int, so that no `int` reaches a trusted constructor, and a copy of
+another container's entries is built over that container's field, so
+that data over a different field still meets a field check.
+
 Every linear system is solved by one sparse elimination, `Elimination`:
 rows are {column: scalar} mappings, right-hand sides ride along beside
 them, and an incremental Gauss-Jordan reduction brings the rows to the
@@ -165,13 +178,9 @@ class RationalField:
     characteristic = 0
     descriptor = "Q"
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # Fraction is immutable, so one instance of each serves every caller
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x: object) -> Fraction:
         if isinstance(x, Fraction):
@@ -285,23 +294,39 @@ def _same_field(a: Field, b: Field, what: str) -> None:
         )
 
 
+_set = object.__setattr__
+
+
 class Vector:
-    """Immutable dense vector over a fixed field."""
+    """Immutable dense vector over a fixed field.
+
+    `Vector(field, entries)` coerces every entry into the field: external
+    input enters through it.  Operations build their results with the
+    trusted `Vector._of`, which stores entries that are already scalars
+    of the field as given.
+    """
 
     __slots__ = ("field", "entries")
 
     def __init__(self, field: Field, entries: Iterable[object]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "entries", tuple(field.coerce(x) for x in entries)
-        )
+        _set(self, "field", field)
+        _set(self, "entries", tuple(field.coerce(x) for x in entries))
+
+    @classmethod
+    def _of(cls, field: Field, entries: Iterable[Scalar]) -> "Vector":
+        """The vector of `entries`, which must already be scalars of
+        `field`: stored without coercion, for kernel outputs only."""
+        v = object.__new__(cls)
+        _set(v, "field", field)
+        _set(v, "entries", tuple(entries))
+        return v
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Vector is immutable")
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Vector":
-        return cls(field, [field.zero] * n)
+        return cls._of(field, [field.zero] * n)
 
     @classmethod
     def basis(cls, field: Field, n: int, i: int) -> "Vector":
@@ -309,7 +334,7 @@ class Vector:
             raise IndexError(f"basis index {i} out of range for dimension {n}")
         entries = [field.zero] * n
         entries[i] = field.one
-        return cls(field, entries)
+        return cls._of(field, entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -326,7 +351,7 @@ class Vector:
         _same_field(self.field, other.field, "vectors")
         if len(self) != len(other):
             raise ValueError(f"vector lengths differ: {len(self)} vs {len(other)}")
-        return Vector(self.field, [a + b for a, b in zip(self.entries, other.entries)])
+        return Vector._of(self.field, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Vector") -> "Vector":
         if not isinstance(other, Vector):
@@ -334,14 +359,14 @@ class Vector:
         _same_field(self.field, other.field, "vectors")
         if len(self) != len(other):
             raise ValueError(f"vector lengths differ: {len(self)} vs {len(other)}")
-        return Vector(self.field, [a - b for a, b in zip(self.entries, other.entries)])
+        return Vector._of(self.field, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Vector":
-        return Vector(self.field, [-a for a in self.entries])
+        return Vector._of(self.field, [-a for a in self.entries])
 
     def scale(self, c: object) -> "Vector":
         c = self.field.coerce(c)
-        return Vector(self.field, [c * a for a in self.entries])
+        return Vector._of(self.field, [c * a for a in self.entries])
 
     def dot(self, other: "Vector") -> Scalar:
         _same_field(self.field, other.field, "vectors")
@@ -355,7 +380,7 @@ class Vector:
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product; index (i, j) maps to i*len(other) + j."""
         _same_field(self.field, other.field, "vectors")
-        return Vector(
+        return Vector._of(
             self.field, [a * b for a in self.entries for b in other.entries]
         )
 
@@ -376,7 +401,13 @@ class Vector:
 
 
 class Matrix:
-    """Immutable dense matrix over a fixed field, stored row-major."""
+    """Immutable dense matrix over a fixed field, stored row-major.
+
+    `Matrix(field, rows)` coerces every entry and checks that the rows
+    are equally long: external input enters through it.  Operations
+    build their results with the trusted `Matrix._of`, which stores
+    rows of scalars of the field as given.
+    """
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -394,24 +425,35 @@ class Matrix:
             width = ncols
         if ncols is not None and ncols != width:
             raise ValueError(f"expected {ncols} columns, rows have {width}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "nrows", len(coerced))
-        object.__setattr__(self, "ncols", width)
+        _set(self, "field", field)
+        _set(self, "rows", coerced)
+        _set(self, "nrows", len(coerced))
+        _set(self, "ncols", width)
+
+    @classmethod
+    def _of(cls, field: Field, rows: Iterable[Iterable[Scalar]], ncols: int) -> "Matrix":
+        """The matrix of `rows`, each `ncols` scalars of `field` long:
+        stored without coercion or shape check, for kernel outputs only."""
+        m = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        _set(m, "field", field)
+        _set(m, "rows", rows)
+        _set(m, "nrows", len(rows))
+        _set(m, "ncols", ncols)
+        return m
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(field, [[field.zero] * ncols] * nrows, ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-            ncols=n,
+        zero, one = field.zero, field.one
+        return cls._of(
+            field, [[one if i == j else zero for j in range(n)] for i in range(n)], n
         )
 
     @classmethod
@@ -424,17 +466,15 @@ class Matrix:
                     raise ValueError("columns have unequal lengths")
         elif nrows is None:
             raise ValueError("an empty column list needs an explicit row count")
-        return cls(
-            field,
-            [[c[i] for c in columns] for i in range(nrows)],
-            ncols=len(columns),
-        )
+        if not columns:
+            return cls._of(field, [()] * nrows, 0)
+        return cls._of(field, zip(*(c.entries for c in columns)), len(columns))
 
     def row(self, i: int) -> Vector:
-        return Vector(self.field, self.rows[i])
+        return Vector._of(self.field, self.rows[i])
 
     def column(self, j: int) -> Vector:
-        return Vector(self.field, [r[j] for r in self.rows])
+        return Vector._of(self.field, [r[j] for r in self.rows])
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
@@ -449,10 +489,10 @@ class Matrix:
         _same_field(self.field, other.field, "matrices")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shapes differ")
-        return Matrix(
+        return Matrix._of(
             self.field,
             [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -461,15 +501,15 @@ class Matrix:
         _same_field(self.field, other.field, "matrices")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shapes differ")
-        return Matrix(
+        return Matrix._of(
             self.field,
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def scale(self, c: object) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._of(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other: object) -> "Matrix | Vector":
         if isinstance(other, Vector):
@@ -486,7 +526,7 @@ class Matrix:
                     if a and b:
                         acc = acc + a * b
                 out.append(acc)
-            return Vector(self.field, out)
+            return Vector._of(self.field, out)
         if isinstance(other, Matrix):
             _same_field(self.field, other.field, "matrices")
             if self.ncols != other.nrows:
@@ -505,15 +545,13 @@ class Matrix:
                             acc = acc + a * b
                     new_row.append(acc)
                 out.append(new_row)
-            return Matrix(self.field, out, ncols=other.ncols)
+            return Matrix._of(self.field, out, other.ncols)
         return NotImplemented
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        if not self.rows:
+            return Matrix._of(self.field, [()] * self.ncols, 0)
+        return Matrix._of(self.field, zip(*self.rows), self.nrows)
 
     def rank(self) -> int:
         return Elimination.of_matrix(self).rank
@@ -544,7 +582,11 @@ class Matrix:
 
 
 class Tensor3:
-    """Immutable rank-3 tensor, dense, indexed as T[i, j, k]."""
+    """Immutable rank-3 tensor, dense, indexed as T[i, j, k].
+
+    Like `Vector` and `Matrix`: the public constructor coerces and checks
+    the shape, the trusted `Tensor3._of` stores kernel outputs as given.
+    """
 
     __slots__ = ("field", "dims", "data")
 
@@ -570,9 +612,23 @@ class Tensor3:
             shape = dims
         if dims is not None and dims != shape:
             raise ValueError(f"expected dims {dims}, got {shape}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", shape)
-        object.__setattr__(self, "data", coerced)
+        _set(self, "field", field)
+        _set(self, "dims", shape)
+        _set(self, "data", coerced)
+
+    @classmethod
+    def _of(
+        cls, field: Field, data: Iterable[Iterable[Iterable[Scalar]]],
+        dims: tuple[int, int, int],
+    ) -> "Tensor3":
+        """The tensor of `data`, of shape `dims`, whose entries must already
+        be scalars of `field`: stored without coercion or shape check, for
+        kernel outputs only."""
+        t = object.__new__(cls)
+        _set(t, "field", field)
+        _set(t, "dims", dims)
+        _set(t, "data", tuple(tuple(map(tuple, plane)) for plane in data))
+        return t
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Tensor3 is immutable")
@@ -580,11 +636,7 @@ class Tensor3:
     @classmethod
     def zeros(cls, field: Field, dims: tuple[int, int, int]) -> "Tensor3":
         d0, d1, d2 = dims
-        return cls(
-            field,
-            [[[field.zero] * d2 for _ in range(d1)] for _ in range(d0)],
-            dims=dims,
-        )
+        return cls._of(field, [[[field.zero] * d2] * d1] * d0, dims)
 
     @classmethod
     def from_entries(
@@ -599,7 +651,7 @@ class Tensor3:
             if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
                 raise IndexError(f"tensor index ({i}, {j}, {k}) out of range for {dims}")
             data[i][j][k] = field.coerce(x)
-        return cls(field, data, dims=dims)
+        return cls._of(field, data, dims)
 
     def __getitem__(self, ijk: tuple[int, int, int]) -> Scalar:
         i, j, k = ijk
@@ -614,24 +666,18 @@ class Tensor3:
 
     def flip01(self) -> "Tensor3":
         d0, d1, d2 = self.dims
-        return Tensor3(
+        return Tensor3._of(
             self.field,
-            [
-                [[self.data[i][j][k] for k in range(d2)] for i in range(d0)]
-                for j in range(d1)
-            ],
-            dims=(d1, d0, d2),
+            [[self.data[i][j] for i in range(d0)] for j in range(d1)],
+            (d1, d0, d2),
         )
 
     def flip12(self) -> "Tensor3":
         d0, d1, d2 = self.dims
-        return Tensor3(
+        return Tensor3._of(
             self.field,
-            [
-                [[self.data[i][j][k] for j in range(d1)] for k in range(d2)]
-                for i in range(d0)
-            ],
-            dims=(d0, d2, d1),
+            [list(zip(*plane)) if plane else [()] * d2 for plane in self.data],
+            (d0, d2, d1),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -738,7 +784,7 @@ class Elimination:
         entries = [zero] * self.ncols
         for c, r in zip(self.pivots, self._rows):
             entries[c] = r.get(key, zero)
-        return Vector(self.field, entries)
+        return Vector._of(self.field, entries)
 
     def reduced_rows(self) -> Matrix:
         """The nonzero rows of the reduced row echelon form, in pivot order."""
@@ -752,7 +798,7 @@ class Elimination:
                 if j < n:
                     row[j] = x
             out.append(row)
-        return Matrix(field, out, ncols=n)
+        return Matrix._of(field, out, n)
 
     def kernel(self) -> Matrix:
         """Canonical basis of the right kernel, one vector per row.
@@ -772,7 +818,7 @@ class Elimination:
             for j, x in r.items():
                 if j < n:
                     out[index[j]][c] = -x
-        return Matrix(field, out, ncols=n)
+        return Matrix._of(field, out, n)
 
 
 def _add_multiple(r: dict, f: Scalar, s: dict) -> None:
@@ -794,7 +840,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     e = Elimination.of_matrix(m)
     zero = m.field.zero
     rows = list(e.reduced_rows().rows) + [[zero] * m.ncols] * (m.nrows - e.rank)
-    return Matrix(m.field, rows, ncols=m.ncols), e.pivots
+    return Matrix._of(m.field, rows, m.ncols), e.pivots
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -864,7 +910,7 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
                 for k in range(d2):
                     if row[k]:
                         out[j][k] = out[j][k] + c * row[k]
-        return Matrix(t.field, out, ncols=d2)
+        return Matrix._of(t.field, out, d2)
     if axis == 1:
         out = [[zero] * d2 for _ in range(d0)]
         for j, c in enumerate(v):
@@ -875,7 +921,7 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
                 for k in range(d2):
                     if row[k]:
                         out[i][k] = out[i][k] + c * row[k]
-        return Matrix(t.field, out, ncols=d2)
+        return Matrix._of(t.field, out, d2)
     out = [[zero] * d1 for _ in range(d0)]
     for k, c in enumerate(v):
         if not c:
@@ -885,4 +931,4 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
             for j in range(d1):
                 if plane[j][k]:
                     out[i][j] = out[i][j] + c * plane[j][k]
-    return Matrix(t.field, out, ncols=d1)
+    return Matrix._of(t.field, out, d1)

@@ -123,14 +123,15 @@ def _module_map_witness(q: CoidealQuotient, zeta: LinMap) -> str:
     return ""
 
 
-def _biunitary_witness(q: CoidealQuotient, zeta: LinMap) -> str:
+def _biunitary_witness(q: CoidealQuotient, zeta: LinMap, name: str = "zeta") -> str:
+    """Empty string iff the map H -> B called `name` is biunitary."""
     h = q.parent
     bsub = q.coideal
     if zeta(h.unit) != bsub.unit:
-        return "zeta(1) != 1_B"
+        return f"{name}(1) != 1_B"
     for j in range(h.dim):
         if bsub.counit.dot(zeta.column(j)) != h.counit[j]:
-            return f"eps_B(zeta(e{j})) != eps(e{j})"
+            return f"eps_B({name}(e{j})) != eps(e{j})"
     return ""
 
 
@@ -212,7 +213,7 @@ def biunitarize(q: CoidealQuotient, zeta0: LinMap) -> LinMap:
         raise CertificationError(
             "not-invertible", "translated pair is not a convolution-inverse pair"
         )
-    phi = Vector(field, [bsub.counit.dot(zb1.column(j)) for j in range(h.dim)])
+    phi = Vector._of(field, [bsub.counit.dot(zb1.column(j)) for j in range(h.dim)])
     zeta2 = LinMap(z1.matrix @ contract(h.comult, 2, phi).transpose())
     w = _module_map_witness(q, zeta2) or _biunitary_witness(q, zeta2)
     if w:
@@ -269,9 +270,7 @@ def cointegral_space(q: CoidealQuotient) -> tuple[Vector | None, Matrix]:
 
 
 def _zeta_from_flat(field: Field, z: Vector, bdim: int, n: int) -> LinMap:
-    return LinMap(
-        Matrix(field, [list(z.entries[t * n : (t + 1) * n]) for t in range(bdim)], ncols=n)
-    )
+    return LinMap(Matrix._of(field, [z.entries[t * n : (t + 1) * n] for t in range(bdim)], n))
 
 
 def _coefficient_tuples(k: int, bound: int, seed: int):
@@ -408,7 +407,7 @@ def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
     if ok:
         ok, witness = _first_mismatch(
             "iota(b{0} b{1}) != iota(b{0}) iota(b{1})".format,
-            lambda i, j: (iota(Vector(field, bsub.mult.data[i][j])), h.algebra.multiply(icols[i], icols[j])),
+            lambda i, j: (iota(Vector._of(bsub.mult.field, bsub.mult.data[i][j])), h.algebra.multiply(icols[i], icols[j])),
             bdim, bdim,
         )
     report.add("iota-algebra-map", ok, witness)
@@ -418,7 +417,7 @@ def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
         "Delta(iota(b{0})) != (id (x) iota)(coaction of b{0})".format,
         lambda i: (
             h.coalgebra.comultiply(icols[i]),
-            Matrix(field, bsub.coaction.data[i], ncols=bdim) @ iota_t,
+            Matrix._of(bsub.coaction.field, bsub.coaction.data[i], bdim) @ iota_t,
         ),
         bdim,
     ))
@@ -461,7 +460,7 @@ def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
                     s = s - one_c[t]
                 row.append(s)
             rows.append(row)
-    coinv = nullspace(Matrix(field, rows, ncols=n))
+    coinv = nullspace(Matrix._of(field, rows, n))
     report.add(
         "coinvariants-equal-image",
         subspace_basis([coinv.row(r) for r in range(coinv.nrows)], field=field, length=n)
@@ -506,7 +505,7 @@ def _check_primal(
         return ok, witness
 
     report.add("gamma-biunitary", *biunitary(gamma, "gamma"))
-    w = _biunitary_witness(q, zeta_bar)
+    w = _biunitary_witness(q, zeta_bar, "zeta_bar")
     report.add("zetabar-biunitary", not w, w)
     report.add("gammabar-biunitary", *biunitary(gamma_bar, "gamma_bar"))
 
@@ -542,20 +541,20 @@ def _check_primal(
         == convolution_product(LinMap(h.antipode), iz, h.coalgebra, h.algebra),
         "gamma_bar pi != S * (iota zeta)",
     )
-    trivial_bc = Matrix(
+    trivial_bc = Matrix._of(
         field,
         [[x * e for e in q.coalgebra.counit.entries] for x in bsub.unit.entries],
-        ncols=cdim,
+        cdim,
     )
     report.add(
         "zeta-gamma-triviality",
         zeta.matrix @ gamma.matrix == trivial_bc,
         "zeta gamma != eps_C(-) 1_B",
     )
-    trivial_cb = Matrix(
+    trivial_cb = Matrix._of(
         field,
         [[x * e for e in bsub.counit.entries] for x in one_c.entries],
-        ncols=bdim,
+        bdim,
     )
     report.add(
         "pi-s-inv-iota-trivial",
@@ -920,10 +919,10 @@ def certify_pams(
 
 def _tensor_from(field: Field, dims: tuple[int, int, int], fn) -> Tensor3:
     d0, d1, d2 = dims
-    return Tensor3(
+    return Tensor3._of(
         field,
         [[[fn(i, j, k) for k in range(d2)] for j in range(d1)] for i in range(d0)],
-        dims=dims,
+        dims,
     )
 
 
@@ -996,7 +995,7 @@ def induced_pams(p: Pams, kind: str) -> Pams:
         btr = _btr_tensor(q)
         iota_t, pi_t = iota_m.transpose(), pi_m.transpose()
         sinv_t = sinv_m.transpose()
-        counit_c2 = Vector(field, bsub.unit.entries)
+        counit_c2 = bsub.unit
         if kind == "biop-dual":
             h2 = biopposite(hs)
             iota2, pi2, lift2 = pi_t, iota_t, section

@@ -41,7 +41,7 @@ from .hopf import (
     verify_compatibility,
     verify_hopf,
 )
-from .linalg import Elimination, Matrix, Tensor3, Vector
+from .linalg import Elimination, Matrix, Tensor3, Vector, _same_field
 from .pams import Pams
 
 __all__ = [
@@ -129,7 +129,7 @@ class QuasiHopfAlgebra:
         return self.delta @ v
 
     def comult_tensor(self) -> Tensor3:
-        return _delta_tensor(self.field, self.delta, self.dim)
+        return _delta_tensor(self.delta, self.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiHopfAlgebra):
@@ -236,11 +236,12 @@ class HopfDetection:
         return f"HopfDetection(kind={self.kind!r}, diagnostics={self.diagnostics!r})"
 
 
-def _delta_tensor(field, delta: Matrix, n: int) -> Tensor3:
+def _delta_tensor(delta: Matrix, n: int) -> Tensor3:
     """Comultiplication matrix reshaped to structure-constant form."""
-    return Tensor3(
-        field,
-        [[[delta[j * n + k, i] for k in range(n)] for j in range(n)] for i in range(n)],
+    return Tensor3._of(
+        delta.field,
+        [[[delta.rows[j * n + k][i] for k in range(n)] for j in range(n)] for i in range(n)],
+        (n, n, n),
     )
 
 
@@ -299,7 +300,7 @@ def _antipode_axioms(
 
     def summed(table, target):  # a -> (sum c table[i][j] over Delta(e_a), eps(e_a) target)
         def sides(a):
-            acc = Vector(field, [field.zero] * nn)
+            acc = Vector.zero(field, nn)
             for (i, j), c in supports[a]:
                 acc = acc + table[i][j].scale(c)
             return acc, target.scale(eps[a])
@@ -307,14 +308,14 @@ def _antipode_axioms(
 
     report.add(prefix + "antipode-left", *_first_mismatch("basis {0}".format, summed(s_alpha_e, alpha), nn))
     report.add(prefix + "antipode-right", *_first_mismatch("basis {0}".format, summed(e_beta_s, beta), nn))
-    acc3 = Vector(field, [field.zero] * nn)
+    acc3 = Vector.zero(field, nn)
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nn * nn)
         j, k = divmod(rest, nn)
         term = alg.multiply(e_beta_s[i][j], alpha_e[k])
         acc3 = acc3 + term.scale(c)
     report.add(prefix + "associator-antipode", acc3 == alg.unit, "sum phi1 beta S(phi2) alpha phi3")
-    acc4 = Vector(field, [field.zero] * nn)
+    acc4 = Vector.zero(field, nn)
     for idx, c in flat_nonzeros(phi_inv):
         i, rest = divmod(idx, nn * nn)
         j, k = divmod(rest, nn)
@@ -382,7 +383,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
 
     # multiplication, first form: (f#b)(g#c) = sum f (b1 harpoon g) # b2 c
     hitc = [
-        [Vector(field, [action[s, m, g] for s in range(cdim)]) for g in range(cdim)]
+        [Vector._of(action.field, [action.data[s][m][g] for s in range(cdim)]) for g in range(cdim)]
         for m in range(n)
     ]
     lcs = [cstar.left_mult_matrix(ec[a]) for a in range(cdim)]
@@ -395,10 +396,10 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
                     w = lcs[a] @ hitc[m][g]
                     for d in range(bdim):
                         _kron_acc(plane[g * bdim + d], x, w, bsub.mult.data[k][d])
-    mult = Tensor3(field, mdata)
+    mult = Tensor3._of(field, mdata, (nd, nd, nd))
 
     # second form: sum f g1 # (b harpoon g2) c
-    bca = [[Vector(field, list(coaction.data[b][i])) for i in range(n)] for b in range(bdim)]
+    bca = [[Vector._of(coaction.field, coaction.data[b][i]) for i in range(n)] for b in range(bdim)]
     rbm = [bsub.algebra.right_mult_matrix(eb[d]) for d in range(bdim)]
     lcols = [lcs[a].columns() for a in range(cdim)]
     # (b harpoon h*_i) b_d at [b][d][i]
@@ -427,7 +428,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for s, i, x in rho[a]:
             for u in range(bdim):
                 _kron_acc(out, x, ec[s], eb[u], g2[i][u], bunit)
-        d32.append(Vector(field, out))
+        d32.append(Vector._of(field, out))
 
     # comultiplication on eps # b
     d33 = []
@@ -436,7 +437,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for m, k, x in coact[b]:
             for t in range(cdim):
                 _kron_acc(out, x, cstar.unit, zgm[t][m], ec[t], eb[k])
-        d33.append(Vector(field, out))
+        d33.append(Vector._of(field, out))
 
     # full comultiplication, single-sum form over the B and C bases
     bu_z = [
@@ -461,7 +462,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             for s, i, xa in rho[a]:
                 for m, k, xc in coact[b]:
                     _kron_acc(out, xa * xc, ec[s], w_inner[i][m], eb[k])
-            delta_cols.append(Vector(field, out))
+            delta_cols.append(Vector._of(field, out))
     delta = Matrix.from_columns(field, delta_cols, nrows=nd * nd)
 
     # the full form must be the product of the two restricted forms
@@ -479,7 +480,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for s, i, x in rho[a]:
             for t in range(cdim):
                 _kron_acc(out, x, ec[s], hrv[t][i], ec[t], bunit)
-        return Vector(field, out), d32[a]
+        return Vector._of(field, out), d32[a]
 
     report.add("comult-splitting-form-left", *_first_mismatch("basis f_{0} # 1".format, split_left, cdim))
 
@@ -491,7 +492,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for m, k, x in coact[b]:
             for u in range(bdim):
                 _kron_acc(out, x, ebs[u], gzr[m][u], eb[k])
-        return Vector(field, out), d33[b]
+        return Vector._of(field, out), d33[b]
 
     report.add("comult-splitting-form-right", *_first_mismatch("basis eps # b_{0}".format, split_right, bdim))
 
@@ -505,7 +506,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             for m, k, xc in coact[b]:
                 for i in range(n):
                     _kron_acc(out, xa * xc, ec[s], zem[i][m], gss[ip][i], eb[k])
-        return Vector(field, out), delta_cols[a * bdim + b]
+        return Vector._of(field, out), delta_cols[a * bdim + b]
 
     report.add("comult-parent-basis-form", *_first_mismatch(
         "basis ({0},{1})".format, parent_basis_form, cdim, bdim
@@ -527,7 +528,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             for r in range(n):
                 for v in range(bdim):
                     _kron_acc(phi_list, row[r], ebs[u], mid[v][p2], leg3[v][r])
-    phi = Vector(field, phi_list)
+    phi = Vector._of(field, phi_list)
 
     leg2i = [[gammastar.column(p2).tensor(eb[v]) for v in range(bdim)] for p2 in range(n)]
     leg3i = [[(gammastar @ hsalg.multiply(hsb[r], zs[v])).tensor(bunit) for v in range(bdim)] for r in range(n)]
@@ -539,7 +540,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             for r in range(n):
                 for v in range(bdim):
                     _kron_acc(phi_inv_list, row[r], ebs[u], leg2i[p2][v], leg3i[r][v])
-    phi_inv = Vector(field, phi_inv_list)
+    phi_inv = Vector._of(field, phi_inv_list)
 
     # inverse associator, quotient-side form
     zecol = [p.zeta.matrix.column(c2) for c2 in range(n)]
@@ -551,7 +552,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
             for c2 in range(n):
                 for t in range(cdim):
                     _kron_acc(alt, row[c2], cstar.unit, zgm[t][a2], ec[t], zecol[c2], fbs[w])
-    report.add("associator-inverse-forms-agree", phi_inv == Vector(field, alt), "two closed forms")
+    report.add("associator-inverse-forms-agree", phi_inv == Vector._of(field, alt), "two closed forms")
 
     # preantipode
     pistar_rows = [q.pi.matrix.row(t) for t in range(cdim)]
@@ -559,7 +560,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     t_cols = []
     for a in range(cdim):
         for bb in range(bdim):
-            acc = Vector(field, [field.zero] * nd)
+            acc = Vector.zero(field, nd)
             for u in range(bdim):
                 w = hsalg.multiply(pistar_rows[a], rbt[bb] @ zbs[u])
                 acc = acc + alg.multiply(ebs[u], (gbarstar @ w).tensor(bunit))
@@ -567,7 +568,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     t_map = Matrix.from_columns(field, t_cols, nrows=nd)
 
     ups = t_map @ unit_vec
-    ups2 = Vector(field, [field.zero] * nd)
+    ups2 = Vector.zero(field, nd)
     for u in range(bdim):
         ups2 = ups2 + alg.multiply(ebs[u], (gbarstar @ zbs[u]).tensor(bunit))
     report.add("upsilon-forms-agree", ups == ups2, "T(1) vs direct sum")
@@ -614,7 +615,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     rows += phi_rows
     rhs_entries += unit_vec.entries
     system = Elimination(field, nd * nd, rows, [rhs_entries])
-    tvec = Vector(field, [t_map[m, k2] for m in range(nd) for k2 in range(nd)])
+    tvec = Vector._of(field, [x for row in t_map.rows for x in row])
     report.add(
         "preantipode-unique",
         system.solution() == tvec and system.rank == nd * nd,
@@ -651,7 +652,8 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     delta_cols = [delta.column(i) for i in range(nd)]
     t_cols = [t_map.column(i) for i in range(nd)]
 
-    coalg = Coalgebra(field, _delta_tensor(field, delta, nd), eps_vec)
+    _same_field(field, delta.field, "multiplication and comultiplication")
+    coalg = Coalgebra(field, _delta_tensor(delta, nd), eps_vec)
     report = Report("quasi-Hopf axioms")
     verify_algebra(alg, report)
     verify_compatibility(alg, coalg, report)
@@ -704,14 +706,14 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     # the products the preantipode identities are assembled from:
     # T(e_i e_j), e_i T(e_j) and T(e_i) e_j
     mult = alg.mult
-    t_pair = [[t_map @ Vector(field, list(mult.data[i][j])) for j in range(nd)] for i in range(nd)]
+    t_pair = [[t_map @ Vector._of(field, mult.data[i][j]) for j in range(nd)] for i in range(nd)]
     e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
     t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
     dsupps = [[(divmod(idx, nd), c) for idx, c in flat_nonzeros(col)] for col in delta_cols]
 
     def preantipode(product):  # (a, b2) -> (sum c product(i, j, b2) over Delta(e_a), eps(e_a) T(e_b2))
         def sides(a, b2):
-            acc = Vector(field, [field.zero] * nd)
+            acc = Vector.zero(field, nd)
             for (i, j), c in dsupps[a]:
                 acc = acc + product(i, j, b2).scale(c)
             return acc, t_cols[b2].scale(eps_vec[a])
@@ -725,13 +727,13 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
         pair, preantipode(lambda i, j, b2: alg.multiply(es[i], t_pair[b2][j])), nd, nd
     ))
 
-    acc = Vector(field, [field.zero] * nd)
+    acc = Vector.zero(field, nd)
     for idx, c in flat_nonzeros(phi):
         i, rest = divmod(idx, nd * nd)
         j, k = divmod(rest, nd)
         acc = acc + alg.multiply(e_t[i][j], es[k]).scale(c)
     report.add("preantipode-associator", acc == unit_vec, "sum phi1 T(phi2) phi3")
-    acc = Vector(field, [field.zero] * nd)
+    acc = Vector.zero(field, nd)
     for idx, c in flat_nonzeros(phi_inv):
         i, rest = divmod(idx, nd * nd)
         j, k = divmod(rest, nd)
@@ -794,7 +796,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
                     for a2, c2, x2 in dbs[u]:
                         _kron_acc(plane, x1 * x2, ec[s], btr.data[i][a2], action.data[t][i], eb[c2])
             cdata.append([plane[j * nd : (j + 1) * nd] for j in range(nd)])
-    comult_r = Tensor3(field, cdata)
+    comult_r = Tensor3._of(field, cdata, (nd, nd, nd))
     counit_r = q.coalgebra.counit.tensor(bsub.unit)
     unit_r = q.pi(h.unit).tensor(bsub.counit)
 
@@ -812,7 +814,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
                         for v in range(bdim):
                             row_out = mdata[pp * bdim + u][q2 * bdim + v]
                             _kron_acc(row_out, x1 * x2, left_rows[pp], right_rows[v])
-    mult_r = Tensor3(field, mdata)
+    mult_r = Tensor3._of(field, mdata, (nd, nd, nd))
 
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)
@@ -881,7 +883,7 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     report.add("comultiplication-transport", *_first_mismatch(
         "basis {0}".format, lambda a: (pushed_flip(a), q2.delta @ theta_cols[a]), nd
     ))
-    pulled = Vector(field, [q2.eps.dot(theta.column(a)) for a in range(nd)])
+    pulled = Vector._of(field, [q2.eps.dot(theta.column(a)) for a in range(nd)])
     report.add("counit-transport", pulled == q1.eps, "counit")
 
     dims3 = (nd, nd, nd)
@@ -952,14 +954,14 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     rho = _action_support(q)
     coaction = bsub.coaction
     n = q.parent.dim
-    bca = [[Vector(field, list(coaction.data[b][i])) for i in range(n)] for b in range(bdim)]
+    bca = [[Vector._of(coaction.field, coaction.data[b][i]) for i in range(n)] for b in range(bdim)]
 
     def second_form(a, b):
         acc = [field.zero] * nd
         for s, i, x in rho[a]:
             for m in range(n):
                 _kron_acc(acc, x * sinv[m, i], ec[s], bca[b][m])
-        return Vector(field, acc), cols[a * bdim + b]
+        return Vector._of(field, acc), cols[a * bdim + b]
 
     report.add("map-forms-agree", *_first_mismatch("basis ({0},{1})".format, second_form, cdim, bdim))
 
@@ -969,7 +971,7 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
             acc = [field.zero] * nd
             for s, i, x in rho[a]:
                 _kron_acc(acc, x, ec[s], bca[b][i])
-            inv_cols.append(Vector(field, acc))
+            inv_cols.append(Vector._of(field, acc))
     phim_inv = Matrix.from_columns(field, inv_cols, nrows=nd)
     ident = Matrix.identity(field, nd)
     report.add("mutually-inverse", phim @ phim_inv == ident and phim_inv @ phim == ident, "composite")
@@ -989,7 +991,7 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
         ),
         nd,
     ))
-    pulled = Vector(field, [q_op.eps.dot(phim.column(a)) for a in range(nd)])
+    pulled = Vector._of(field, [q_op.eps.dot(phim.column(a)) for a in range(nd)])
     report.add("counit-transport", pulled == q1.eps, "counit")
 
     dims3 = (nd, nd, nd)
@@ -1036,7 +1038,7 @@ def _sufficiency_diagnostics(p: Pams) -> dict[str, bool]:
     zeta_coalg = all(v is not None for v in solutions)
     if zeta_coalg:
         db_mats = [
-            Matrix(field, [[solutions[j * bdim + k][u] for k in range(bdim)] for u in range(bdim)])
+            Matrix._of(field, [[solutions[j * bdim + k][u] for k in range(bdim)] for u in range(bdim)], bdim)
             for j in range(bdim)
         ]
         zm = p.zeta.matrix
@@ -1057,7 +1059,7 @@ def _sufficiency_diagnostics(p: Pams) -> dict[str, bool]:
     left_ideal = all(q.pi(h.algebra.multiply(e, v)).is_zero() for v in ideal_rows for e in hb)
 
     def gamma_of(x):  # gamma(x) as a combination of the gamma columns
-        out = Vector(field, [field.zero] * n)
+        out = Vector.zero(field, n)
         for t, c in enumerate(x.entries):
             if c:
                 out = out + gcol[t].scale(c)

@@ -454,7 +454,7 @@ FAILURES = {
             ("zeta-gamma-triviality", "zeta gamma != eps_C(-) 1_B"),
         ],
         "zeta_bar[0,1]+1": [
-            ("zetabar-biunitary", "eps_B(zeta(e1)) != eps(e1)"),
+            ("zetabar-biunitary", "eps_B(zeta_bar(e1)) != eps(e1)"),
             ("gamma-pi-convolution", "gamma pi != (iota zeta_bar) * id"),
         ],
         "gamma_bar[0,1]+1": [

@@ -15,7 +15,10 @@ reach the elimination entry points twice (say `solve(a, b)` and then
 `nullspace(a)`): one `Elimination` answers the solution, the rank and the
 kernel together.  No check walks its index grid by hand (a loop setting
 `ok = False` that a later `report.add(..., ok, ...)` reads): the walk and
-its first-failure witness are `hopf._first_mismatch`.
+its first-failure witness are `hopf._first_mismatch`.  Outside the
+package (tests, demos, the benchmark) nothing calls a private trusted
+constructor such as `Vector._of`: external input always enters through
+a coercing constructor.
 """
 
 import ast
@@ -23,8 +26,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialdual"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "partialdual"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# code that feeds the package from outside: it must use coercing constructors
+CLIENTS = sorted(p for d in ("tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -339,3 +345,30 @@ def test_checker_flags_hand_written_first_failure_loops():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_hand_written_first_failure_loop(path):
     assert hand_written_first_failure_loops(path.read_text()) == []
+
+
+def trusted_constructor_calls(source: str) -> list[str]:
+    """Calls of a private trusted constructor (`Vector._of(...)`,
+    `Matrix._of(...)`, `Tensor3._of(...)`), as "callee (line)"."""
+    return [
+        f"{ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_of"
+    ]
+
+
+def test_checker_flags_trusted_constructor_calls():
+    source = (
+        "from partialdual import linalg\n"
+        "from partialdual.linalg import Matrix, Vector\n"
+        "v = Vector._of(QQ, [1])\n"
+        "m = Matrix(QQ, [[1]])\n"
+        "build = Matrix.__dict__['_of'].__func__\n"
+        "t = linalg.Tensor3._of(QQ, data, (1, 1, 1))\n"
+    )
+    assert trusted_constructor_calls(source) == ["Vector._of (line 3)", "linalg.Tensor3._of (line 6)"]
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: str(p.relative_to(REPO)))
+def test_no_trusted_constructor_call_outside_the_package(path):
+    assert trusted_constructor_calls(path.read_text()) == []

@@ -1,11 +1,15 @@
 """Exact linear algebra: frozen examples and algebraic properties."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partialdual.coideal import build_quotient, certify_coideal
+from partialdual.examples import cyclic, group_algebra, symmetric, taft4
+from partialdual.hopf import LinMap
 from partialdual.linalg import (
     QQ,
     Elimination,
@@ -22,6 +26,9 @@ from partialdual.linalg import (
     solve,
     subspace_basis,
 )
+from partialdual.pams import certify_pams, find_cointegral, induced_pams
+from partialdual.partial_dual import detect_hopf, left_partial_dual, right_partial_dual, verify_quasi_hopf
+from partialdual.serialize import parse, serialize
 
 F5 = PrimeField(5)
 
@@ -437,3 +444,167 @@ def test_elimination_rejects_bad_shapes():
         Elimination(QQ, 2, [{0: Fraction(1)}], [[1]]).solution(1)
     with pytest.raises(FieldMismatchError):
         Elimination(QQ, 1, [{0: ModInt(1, 7)}])
+
+
+# --- trusted construction ------------------------------------------------------
+#
+# Operations build their results with the private `_of` constructors, which
+# store entries without coercing them.  Every result must therefore hold
+# exactly the field's scalar type: a Fraction over Q, a ModInt of the field's
+# modulus over F_p, never a bare int left over from an accumulator.
+
+
+def is_exact_scalar(field, x):
+    if field is QQ:
+        return type(x) is Fraction
+    return type(x) is ModInt and x.p == field.p
+
+
+def assert_exact_scalars(field, z):
+    """z is over `field`, has the shape it claims, and every entry is
+    exactly a scalar of the field."""
+    assert z.field is field
+    if isinstance(z, Vector):
+        assert type(z.entries) is tuple
+        entries = z.entries
+    elif isinstance(z, Matrix):
+        assert type(z.rows) is tuple and len(z.rows) == z.nrows
+        assert all(type(r) is tuple and len(r) == z.ncols for r in z.rows)
+        entries = [x for r in z.rows for x in r]
+    else:
+        d0, d1, d2 = z.dims
+        assert len(z.data) == d0
+        assert all(len(p) == d1 and all(type(r) is tuple and len(r) == d2 for r in p) for p in z.data)
+        entries = [x for p in z.data for r in p for x in r]
+    for x in entries:
+        assert is_exact_scalar(field, x), (x, type(x))
+
+
+def raw_scalars(field):
+    """Entries as user code passes them: ints as well as field scalars."""
+    return st.one_of(st.integers(-3, 3), scalars(field))
+
+
+@st.composite
+def operands(draw):
+    """A field, dims (m, n, k), two length-n vectors, an m x n and an n x k
+    matrix and an m x n x k tensor, all built by the public constructors
+    from a mix of ints and field scalars."""
+    field = draw(st.sampled_from([QQ, F5, F7]))
+    m, n, k = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = raw_scalars(field)
+
+    def rows(nrows, ncols):
+        return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+    u, v = (Vector(field, draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    a, b = Matrix(field, rows(m, n)), Matrix(field, rows(n, k))
+    t = Tensor3(field, [rows(n, k) for _ in range(m)])
+    return field, (m, n, k), u, v, a, b, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=operands(), c=st.integers(-3, 3), i=st.integers(0, 3))
+def test_vector_operations_build_exact_field_scalars(ops, c, i):
+    field, (m, n, k), u, v, a, _, _ = ops
+    i %= n
+    for z in (u + v, u - v, -u, u.scale(c), u.scale(field.coerce(c)), u.tensor(v),
+              Vector.zero(field, n), Vector.basis(field, n, i), a @ u):
+        assert_exact_scalars(field, z)
+    assert is_exact_scalar(field, u.dot(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=operands(), c=st.integers(-3, 3))
+def test_matrix_operations_build_exact_field_scalars(ops, c):
+    field, (m, n, k), u, _, a, b, _ = ops
+    results = [a + a, a - a, a.scale(c), a @ b, a.transpose(), Matrix.identity(field, n),
+               Matrix.zeros(field, m, k), Matrix.from_columns(field, [u, u.scale(c)]),
+               Matrix.from_columns(field, [], nrows=n)]
+    results += [a.row(r) for r in range(m)] + a.columns()
+    for z in results:
+        assert_exact_scalars(field, z)
+    square = a @ a.transpose()
+    if square.rank() == m:
+        assert_exact_scalars(field, square.inverse())
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=operands())
+def test_tensor_operations_build_exact_field_scalars(ops):
+    field, (m, n, k), u, _, _, _, t = ops
+    for axis, length in enumerate((m, n, k)):
+        w = Vector(field, [field.one] * length)
+        assert_exact_scalars(field, contract(t, axis, w.scale(2)))
+    for z in (t.flip01(), t.flip12(), Tensor3.zeros(field, (m, n, k)),
+              Tensor3.from_entries(field, (m, n, k), [((0, 0, 0), 1)])):
+        assert_exact_scalars(field, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=systems())
+def test_elimination_builds_exact_field_scalars(system):
+    a, rhs = system
+    field = a.field
+    e = Elimination.of_matrix(a, [b.entries for b in rhs])
+    for z in (e.reduced_rows(), e.kernel(), rref(a)[0], nullspace(a),
+              subspace_basis([a.row(r) for r in range(a.nrows)], field=field, length=a.ncols)):
+        assert_exact_scalars(field, z)
+    for k in range(len(rhs)):
+        x = e.solution(k)
+        if x is not None:
+            assert_exact_scalars(field, x)
+
+
+def _taft_quotient(field, lam):
+    _, b, zeta = taft4(field, lam)
+    return build_quotient(b), zeta
+
+
+def _subgroup_quotient(field, group, members):
+    h = group_algebra(group, field)
+    iota = LinMap(Matrix.from_columns(field, [h.basis(g) for g in members], nrows=h.dim))
+    return build_quotient(certify_coideal(h, iota))
+
+
+PIPELINES = {
+    "taft4 over Q": lambda: _taft_quotient(QQ, 1),
+    "taft4 over F5": lambda: _taft_quotient(F5, 3),
+    "kC4 > k{1, g^2} over F7": lambda: (_subgroup_quotient(F7, cyclic(4), (0, 2)), None),
+    # (0, 1, 2) and (1, 0, 2) are elements 0 and 2 of S3 in lexicographic order
+    "kS3 > kC2 over Q": lambda: (_subgroup_quotient(QQ, symmetric(3), (0, 2)), None),
+}
+
+
+@pytest.fixture
+def trusted_builds(monkeypatch):
+    """Wraps Vector._of, Matrix._of and Tensor3._of so that every object
+    they build is checked by assert_exact_scalars; counts the builds per
+    class."""
+    built = Counter()
+    for cls in (Vector, Matrix, Tensor3):
+        build = cls.__dict__["_of"].__func__
+
+        def checked(klass, field, *args, _build=build):
+            z = _build(klass, field, *args)
+            assert_exact_scalars(field, z)
+            built[klass.__name__] += 1
+            return z
+
+        monkeypatch.setattr(cls, "_of", classmethod(checked))
+    return built
+
+
+@pytest.mark.parametrize("name", PIPELINES)
+def test_pipeline_kernel_outputs_hold_exact_field_scalars(name, trusted_builds):
+    q, zeta = PIPELINES[name]()
+    if zeta is None:
+        zeta = find_cointegral(q)
+    p = certify_pams(q, zeta)
+    qh = left_partial_dual(p)
+    verify_quasi_hopf(qh).raise_if_failed()
+    right_partial_dual(p, qh)
+    detect_hopf(qh)
+    induced_pams(p, "biop-dual")
+    assert parse(serialize(qh)) == qh
+    assert min(trusted_builds[c] for c in ("Vector", "Matrix", "Tensor3")) > 0

@@ -16,7 +16,7 @@ from partialdual.examples import (
     taft4,
 )
 from partialdual.hopf import CertificationError, LinMap, dual, power_unit
-from partialdual.linalg import QQ, Matrix, PrimeField, Vector
+from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Vector
 from partialdual.pams import certify_pams, find_cointegral, induced_pams
 from partialdual.partial_dual import (
     QuasiHopfAlgebra,
@@ -228,6 +228,26 @@ def test_iso_checks_require_mapping_data(taft1):
         biop_iso_check(bare, qh)
     with pytest.raises(ValueError):
         op_iso_check(bare, qh)
+
+
+def test_verify_quasi_hopf_rejects_a_comultiplication_over_another_field(taft1):
+    """Kernel outputs skip coercion, so a comultiplication over F_5 under
+    an algebra over Q must still meet a field check."""
+    _, _, qh = taft1
+    mixed = QuasiHopfAlgebra(
+        qh.algebra,
+        taft_lpd(F5, 1)[2].delta,
+        qh.eps,
+        qh.phi,
+        qh.phi_inv,
+        qh.t_map,
+        qh.upsilon,
+        qh.antipodes,
+        qh.pams,
+        qh.report,
+    )
+    with pytest.raises(FieldMismatchError):
+        verify_quasi_hopf(mixed)
 
 
 def test_strictly_quasi_detection(c4_strict):
