@@ -12,8 +12,13 @@ Products read the nonzero structure constants: Algebra.terms lists, for
 each pair of basis indices, the nonzero (k, m[i,j,k]), and Algebra.multiply
 and power_multiply walk only the nonzero coordinates of their operands
 against it; no n x n matrix is built for a product.  Flat sums of pure
-tensors are indexed through two primitives: _kron_acc adds c (v_1 (x) ... (x) v_k)
-into a flat coordinate list, and _leg_map rewrites one leg of a flat tensor.
+tensors are built by linalg._kron_acc, which adds c (v_1 (x) ... (x) v_k)
+into a flat coordinate list, and _leg_map rewrites one leg of a flat
+tensor.  Flat tensors and structure tensors are read through three
+decoders: _support lists the nonzeros of a flat k-leg tensor with their
+leg indices, _weighted_sum adds up c term(indices) over such a list, and
+_grouped lists the nonzeros of a Tensor3 grouped by one leg.  No other
+module decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -37,6 +42,7 @@ from partialdual.linalg import (
     _same_field,
     contract,
     solve,
+    tensor_of,
 )
 
 __all__ = [
@@ -258,8 +264,11 @@ class Algebra:
         return x
 
     def is_invertible(self, u: Vector) -> bool:
-        x = solve(self.left_mult_matrix(u), self.unit)
-        return x is not None and self.multiply(x, u) == self.unit
+        try:
+            self.element_inverse(u)
+        except ValueError:
+            return False
+        return True
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
@@ -413,8 +422,9 @@ class HopfAlgebra:
 #
 # Elements of mixed tensor products V_1 (x) ... (x) V_k are flat Vectors with a
 # dims tuple (n_1, ..., n_k), flattened row-major.  The leg functions below
-# and the construction of the partial duals index them only through the two
-# primitives _kron_acc (add a scaled pure tensor) and _leg_map (rewrite a leg).
+# and the construction of the partial duals index them only through
+# linalg._kron_acc (add a scaled pure tensor), _leg_map (rewrite a leg) and
+# _support (list the nonzeros with their leg indices).
 
 
 def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
@@ -423,18 +433,33 @@ def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
             yield i, x
 
 
-def _kron_acc(out: list, c: Scalar, *legs: Sequence[Scalar]) -> None:
-    """Add c (legs[0] (x) legs[1] (x) ...) into the flat list `out`, row-major
-    over the leg lengths, visiting only the nonzero coordinates of each leg."""
-    if not c:
-        return
-    partial = [(0, c)]
-    for leg in legs:
-        n = len(leg)
-        nonzeros = [(i, x) for i, x in enumerate(leg) if x]
-        partial = [(base * n + i, w * x) for base, w in partial for i, x in nonzeros]
-    for idx, w in partial:
-        out[idx] = out[idx] + w
+def _support(v: Vector, n: int, k: int) -> list[tuple[tuple[int, ...], Scalar]]:
+    """The nonzeros of a flat k-leg tensor over legs of length n, as
+    ((d_0, ..., d_{k-1}), c) for c e_{d_0} (x) ... (x) e_{d_{k-1}}, in
+    flat (lexicographic) order."""
+    strides = [n ** (k - 1 - leg) for leg in range(k)]
+    return [(tuple(idx // s % n for s in strides), c) for idx, c in flat_nonzeros(v)]
+
+
+def _weighted_sum(field: Field, n: int, support: Sequence, term: Callable[..., Vector]) -> Vector:
+    """sum c term(*digits) over the (digits, c) of `support`, a vector of
+    length n accumulated over the nonzeros of each term."""
+    out = [field.zero] * n
+    for digits, c in support:
+        for t, x in enumerate(term(*digits).entries):
+            if x:
+                out[t] = out[t] + c * x
+    return Vector._of(field, out)
+
+
+def _grouped(t: Tensor3, axis: int) -> list[list[tuple[tuple[int, int], Scalar]]]:
+    """The nonzeros of t grouped by their index on leg `axis`: entry d lists
+    ((the other two indices), c) for the nonzeros with index d there, in
+    lexicographic order."""
+    out: list[list] = [[] for _ in range(t.dims[axis])]
+    for index, c in t.nonzero():
+        out[index[axis]].append((index[:axis] + index[axis + 1 :], c))
+    return out
 
 
 def _leg_map(
@@ -453,16 +478,6 @@ def _leg_map(
             j = (outer * width + r) * inner + low
             out[j] = out[j] + c * w
     return Vector._of(u.field, out)
-
-
-def tensor_of(vectors: Sequence[Vector]) -> Vector:
-    """The Kronecker product of the vectors, in order."""
-    field = vectors[0].field
-    for v in vectors[1:]:
-        _same_field(field, v.field, "vectors")
-    out = [field.zero] * prod(len(v) for v in vectors)
-    _kron_acc(out, field.one, *(v.entries for v in vectors))
-    return Vector._of(field, out)
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
@@ -506,15 +521,11 @@ def _prefix_tree(v: Vector, n: int, k: int) -> dict:
     """Nonzeros of a flat k-leg tensor as nested dicts, one level per leg:
     tree[d_0][d_1]...[d_{k-1}] is the coefficient of e_{d_0} (x) ... (x) e_{d_{k-1}}."""
     tree: dict = {}
-    for idx, c in flat_nonzeros(v):
-        digits = []  # last leg first
-        for _ in range(k):
-            idx, d = divmod(idx, n)
-            digits.append(d)
+    for digits, c in _support(v, n, k):
         node = tree
-        for d in reversed(digits[1:]):
+        for d in digits[:-1]:
             node = node.setdefault(d, {})
-        node[digits[0]] = c
+        node[digits[-1]] = c
     return tree
 
 
@@ -657,13 +668,10 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     verify_bialgebra(a, c, report)
     es = [h.basis(i) for i in range(n)]
     scols = [s.column(i) for i in range(n)]
-    supports = [list(_comult_row(c, i)) for i in range(n)]
+    supports = _grouped(c.comult, 0)
 
     def convolved(i, u, v):  # (sum x u_j v_k over Delta(e_i), eps(e_i) 1)
-        acc = Vector.zero(f, n)
-        for (_, j, k), x in supports[i]:
-            acc = acc + a.multiply(u[j], v[k]).scale(x)
-        return acc, a.unit.scale(c.counit[i])
+        return _weighted_sum(f, n, supports[i], lambda j, k: a.multiply(u[j], v[k])), a.unit.scale(c.counit[i])
 
     def at_e(i, lhs, rhs):
         return f"at e{i}: " + vector_witness(f, lhs, rhs)
@@ -792,25 +800,12 @@ def convolution_product(f: LinMap, g: LinMap, c: Coalgebra, a: Algebra) -> LinMa
         raise ValueError("convolution factors must be defined on the coalgebra")
     if f.target != a.dim or g.target != a.dim:
         raise ValueError("convolution factors must land in the algebra")
-    zero = a.field.zero
     f_cols, g_cols = f.matrix.columns(), g.matrix.columns()
-    cols = []
-    for i in range(c.dim):
-        acc = [zero] * a.dim
-        for (_, j, k), x in _comult_row(c, i):
-            for t, y in enumerate(a.multiply(f_cols[j], g_cols[k]).entries):
-                if y:
-                    acc[t] = acc[t] + x * y
-        cols.append(acc)
+    cols = [
+        _weighted_sum(a.field, a.dim, support, lambda j, k: a.multiply(f_cols[j], g_cols[k])).entries
+        for support in _grouped(c.comult, 0)
+    ]
     return LinMap(Matrix._of(a.field, zip(*cols), c.dim))
-
-
-def _comult_row(c: Coalgebra, i: int):
-    plane = c.comult.data[i]
-    for j, row in enumerate(plane):
-        for k, x in enumerate(row):
-            if x:
-                yield (i, j, k), x
 
 
 def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
@@ -831,9 +826,9 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
     f_rows = f.matrix.rows
     rows: list[dict] = []
     rhs = []
-    for i in range(nc):
+    for i, support in enumerate(_grouped(c.comult, 0)):
         block: list[dict] = [{} for _ in range(na)]
-        for (_, j, k), x in _comult_row(c, i):
+        for (j, k), x in support:
             for s in range(na):
                 if not f_rows[s][j]:
                     continue

@@ -2,7 +2,9 @@
 
 Scalars are `fractions.Fraction` over Q and `ModInt` residues over F_p;
 floating point is rejected outright.  Vectors, matrices and rank-3
-tensors are stored dense.
+tensors are stored dense.  `_kron_acc` adds a scaled Kronecker product
+into a flat list over the nonzeros of each factor; `tensor_of` and
+`Vector.tensor` are built on it.
 
 Scalars are coerced once, at the boundary.  The public constructors
 `Vector(...)`, `Matrix(...)` and `Tensor3(...)` coerce and validate
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "nullspace",
     "subspace_basis",
     "contract",
+    "tensor_of",
 ]
 
 
@@ -380,9 +383,9 @@ class Vector:
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product; index (i, j) maps to i*len(other) + j."""
         _same_field(self.field, other.field, "vectors")
-        return Vector._of(
-            self.field, [a * b for a in self.entries for b in other.entries]
-        )
+        out = [self.field.zero] * (len(self) * len(other))
+        _kron_acc(out, self.field.one, self.entries, other.entries)
+        return Vector._of(self.field, out)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -932,3 +935,27 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
                 if plane[j][k]:
                     out[i][j] = out[i][j] + c * plane[j][k]
     return Matrix._of(t.field, out, d1)
+
+
+def _kron_acc(out: list, c: Scalar, *legs: Sequence[Scalar]) -> None:
+    """Add c (legs[0] (x) legs[1] (x) ...) into the flat list `out`, row-major
+    over the leg lengths, visiting only the nonzero coordinates of each leg."""
+    if not c:
+        return
+    partial = [(0, c)]
+    for leg in legs:
+        n = len(leg)
+        nonzeros = [(i, x) for i, x in enumerate(leg) if x]
+        partial = [(base * n + i, w * x) for base, w in partial for i, x in nonzeros]
+    for idx, w in partial:
+        out[idx] = out[idx] + w
+
+
+def tensor_of(vectors: Sequence[Vector]) -> Vector:
+    """The Kronecker product of the vectors, in order."""
+    field = vectors[0].field
+    for v in vectors[1:]:
+        _same_field(field, v.field, "vectors")
+    out = [field.zero] * prod(len(v) for v in vectors)
+    _kron_acc(out, field.one, *(v.entries for v in vectors))
+    return Vector._of(field, out)

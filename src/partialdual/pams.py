@@ -25,11 +25,11 @@ from .coideal import (
     certify_coideal,
 )
 from .hopf import (
-    Algebra,
     CertificationError,
     LinMap,
     Report,
     _first_mismatch,
+    _grouped,
     _terms_product,
     biopposite,
     convolution_inverse,
@@ -375,16 +375,6 @@ def _sparse_rows(rows) -> list[tuple]:
     return [_nonzeros(row) for row in rows]
 
 
-def _dual_comult(a: Algebra) -> list[list[tuple]]:
-    """Delta(f_k) = sum m[i,j,k] f_i (x) f_j of the dual coalgebra, as (i, j, m[i,j,k])."""
-    out = [[] for _ in range(a.dim)]
-    for i, plane in enumerate(a.terms):
-        for j, pair in enumerate(plane):
-            for k, x in pair:
-                out[k].append((i, j, x))
-    return out
-
-
 def _check_inclusion_projection(q: CoidealQuotient, report: Report) -> None:
     """Re-derive that iota is an algebra and comodule map and pi a
     coalgebra and module map.
@@ -616,7 +606,7 @@ def _check_dual_side(
         return _terms_product(cterms, zero, u, v)
 
     def coproduct(w):
-        return msum(n, n, ((i, j, c * x) for k, c in enumerate(w) if c for i, j, x in dh[k]))
+        return msum(n, n, ((i, j, c * x) for k, c in enumerate(w) if c for (i, j), x in dh[k]))
 
     iota_rows, zeta_rows, pi_rows, zbar_rows = (
         _sparse_rows(m.matrix.rows) for m in (bsub.iota, zeta, q.pi, zeta_bar)
@@ -628,11 +618,9 @@ def _check_dual_side(
     btr = _btr_tensor(q).data
     btr_rows = [_sparse_rows(plane) for plane in btr]
     btr_s = [combine(rows, bdim) for rows in btr_rows]  # f_a |> (-)
-    dh, db = _dual_comult(h.algebra), _dual_comult(bsub.algebra)
-    act = [  # the (s, i, <x*_t, x_s <| e_i>) with a nonzero pairing, for each t
-        [(s, i, row[t]) for s, plane in enumerate(q.action.data) for i, row in enumerate(plane) if row[t]]
-        for t in range(cdim)
-    ]
+    # Delta(f_k) = sum m[i,j,k] f_i (x) f_j of the dual coalgebras, as ((i, j), m[i,j,k]) at [k]
+    dh, db = _grouped(h.mult, 2), _grouped(bsub.mult, 2)
+    act = _grouped(q.action, 2)  # the ((s, i), <x*_t, x_s <| e_i>) with a nonzero pairing, at [t]
     cbasis = Matrix.identity(field, cdim).rows
     zs, gs, gbs, pis = (m.matrix.rows for m in (zeta, gamma, gamma_bar, q.pi))
     fprod = [[vsum(n, pair) for pair in plane] for plane in hterms]
@@ -654,7 +642,7 @@ def _check_dual_side(
         "left B*-colinearity of zeta* fails at b*{0}".format,
         lambda beta: (
             msum(bdim, n, ((u, qq, x * y) for p, qq, x in dzs_nz[beta] for u, y in iota_rows[p])),
-            msum(bdim, n, ((u, qq, x * y) for u, v, x in db[beta] for qq, y in zeta_rows[v])),
+            msum(bdim, n, ((u, qq, x * y) for (u, v), x in db[beta] for qq, y in zeta_rows[v])),
         ),
         bdim,
     ))
@@ -662,7 +650,7 @@ def _check_dual_side(
         "Delta(pi*(x*{0})) != sum pi*(x*_s) (x) f_i".format,
         lambda t: (
             coproduct(pis[t]),
-            msum(n, n, ((p, i, x * y) for s, i, x in act[t] for p, y in pi_rows[s])),
+            msum(n, n, ((p, i, x * y) for (s, i), x in act[t] for p, y in pi_rows[s])),
         ),
         cdim,
     ))
@@ -718,8 +706,8 @@ def _check_dual_side(
 
     def fusion_a(alpha, beta):
         acc = [[zero] * n for _ in range(n)]
-        for i, j, xa in dh[alpha]:
-            for u, v, xb in db[beta]:
+        for (i, j), xa in dh[alpha]:
+            for (u, v), xb in db[beta]:
                 prods, xab = zsb_pgf(i, u, j), xa * xb
                 for p, qq, xz in dzs_nz[v]:
                     x = xab * xz
@@ -740,7 +728,7 @@ def _check_dual_side(
         lambda beta: (
             msum(n, n, (
                 (m, qq, xb * xz * y)
-                for u, v, xb in db[beta]
+                for (u, v), xb in db[beta]
                 for p, qq, xz in dzs_nz[v]
                 for m, y in zs_pgf(u, p)
             )),
@@ -758,8 +746,8 @@ def _check_dual_side(
         lambda alpha, beta: (
             vsum(n, (
                 (m, xa * xb * y)
-                for i, j, xa in dh[alpha]
-                for u, v, xb in db[beta]
+                for (i, j), xa in dh[alpha]
+                for (u, v), xb in db[beta]
                 for m, y in zsb_pgz(i, u, j)[v]
             )),
             fz[alpha][beta],
@@ -776,7 +764,7 @@ def _check_dual_side(
         lambda alpha, beta: (
             msum(cdim, n, (
                 (m, qq, xb * xz * y)
-                for u, v, xb in db[beta]
+                for (u, v), xb in db[beta]
                 for p, qq, xz in dzs_nz[v]
                 for m, y in gz_gf(alpha, u)[p]
             )),
@@ -796,8 +784,8 @@ def _check_dual_side(
     def zsb_gz(alpha, beta):
         return list(_matrix_pairs(msum(n, cdim, (
             (r, c, xa * xb * z * g)
-            for i, j, xa in dh[alpha]
-            for u, v, xb in db[beta]
+            for (i, j), xa in dh[alpha]
+            for (u, v), xb in db[beta]
             for r, z in zsb_nz[i][u]
             for c, g in gz_nz[j][v]
         ))))
@@ -821,7 +809,7 @@ def _check_dual_side(
         lambda t, alpha: (
             vsum(cdim, (
                 (k, x * y * w)
-                for s, i, x in act[t]
+                for (s, i), x in act[t]
                 for j, y in gbf[alpha][i]
                 for k, w in cterms[s][j]
             )),
@@ -835,7 +823,7 @@ def _check_dual_side(
         lambda beta: (
             msum(bdim, n, (
                 (m, qq, xb * xz * y)
-                for u, v, xb in db[beta]
+                for (u, v), xb in db[beta]
                 for p, qq, xz in dzb_nz[u]
                 for m, y in btr_rows[p][v]
             )),
@@ -854,7 +842,7 @@ def _check_dual_side(
     report.add("zetabar-star-antipode-law", *_first_mismatch(
         "at b*{0}".format,
         lambda beta: (
-            msum(n, bdim, ((m, v, x * y) for u, v, x in db[beta] for m, y in zbar_rows[u])),
+            msum(n, bdim, ((m, v, x * y) for (u, v), x in db[beta] for m, y in zbar_rows[u])),
             msum(n, bdim, ((qq, v2, x * y) for p, qq, x in dzb_nz[beta] for v2, y in isv[p])),
         ),
         bdim,

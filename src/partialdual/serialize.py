@@ -18,7 +18,7 @@ import json
 
 from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
 from partialdual.examples import MatchedPair, FiniteGroup
-from partialdual.hopf import Coalgebra, Algebra, HopfAlgebra, LinMap, Report
+from partialdual.hopf import Coalgebra, Algebra, HopfAlgebra, LinMap, Report, _support
 from partialdual.linalg import Field, Matrix, Tensor3, Vector, field_from_descriptor
 from partialdual.pams import Pams, certify_pams
 from partialdual.partial_dual import (
@@ -61,14 +61,7 @@ def _tensor_entries(t: Tensor3) -> list:
 
 def _flat_cube_entries(v: Vector, n: int) -> list:
     """A length n^3 vector written with unflattened three-part indices."""
-    field = v.field
-    out = []
-    for idx, c in enumerate(v.entries):
-        if c:
-            i, rest = divmod(idx, n * n)
-            j, k = divmod(rest, n)
-            out.append([[i, j, k], field.to_str(c)])
-    return out
+    return [[list(index), v.field.to_str(c)] for index, c in _support(v, n, 3)]
 
 
 def _hopf_tensors(h: HopfAlgebra) -> dict:

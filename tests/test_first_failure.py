@@ -197,8 +197,7 @@ QUASI_HOPF_CHECKS = [
     )
 ]
 LEFT_CHECKS = [
-    "dimension-matches-parent", "mult-forms-agree", "comult-product-form",
-    "comult-splitting-form-left", "comult-splitting-form-right", "comult-parent-basis-form",
+    "dimension-matches-parent", "comult-product-form", "comult-parent-basis-form",
     "associator-inverse-forms-agree", "upsilon-forms-agree", "preantipode-unique",
 ] + QUASI_HOPF_CHECKS
 RIGHT_CHECKS = [

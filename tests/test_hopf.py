@@ -12,7 +12,9 @@ from partialdual.hopf import (
     CertificationError,
     HopfAlgebra,
     LinMap,
-    _kron_acc,
+    _grouped,
+    _support,
+    _weighted_sum,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -32,7 +34,7 @@ from partialdual.hopf import (
     verify_hopf,
 )
 from partialdual.examples import group_algebra, symmetric, taft4
-from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector, contract
+from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector, _kron_acc, contract
 
 
 def cyclic_group_hopf(n, field=QQ):
@@ -305,22 +307,108 @@ def test_leg_functions_reject_malformed_input():
             tensor_permute(u, (2, 3), perm)
 
 
+def _ref_kron(legs, dims):
+    """The Kronecker product entry by entry: the product of legs[l][d_l]
+    over the digits of each flat index."""
+    field = legs[0].field
+    entries = []
+    for idx in range(prod(dims)):
+        x = field.one
+        for leg, d in zip(legs, _ref_decode(idx, dims)):
+            x = x * leg[d]
+        entries.append(x)
+    return Vector(field, entries)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_kron_acc_adds_the_kronecker_product(field):
     rng = random.Random(13)
-    for dims in [(3,), (2, 3), (3, 1), (2, 3, 4), (2, 3, 1, 2)]:
+    for dims in [(3,), (2, 3), (3, 1), (3, 3), (2, 3, 4), (2, 3, 1, 2), (2, 2, 2)]:
         pools = [_flat_operands(field, n, rng) for n in dims]
         for _ in range(12):
             legs = [rng.choice(pool) for pool in pools]
-            kron = legs[0]
-            for leg in legs[1:]:
-                kron = kron.tensor(leg)
+            kron = _ref_kron(legs, dims)
             assert tensor_of(legs) == kron, dims
+            chained = legs[0]
+            for leg in legs[1:]:
+                chained = chained.tensor(leg)
+            assert chained == kron, dims
+            assert all(type(x) is type(field.zero) for x in chained.entries), dims
             start = [_scalar(field, rng) for _ in range(len(kron))]
             for c in (field.zero, field.one, _scalar(field, rng)):
                 out = list(start)
                 _kron_acc(out, c, *legs)
                 assert out == [s + c * x for s, x in zip(start, kron.entries)], (dims, c)
+
+
+SUPPORT_SHAPES = [(3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_support_matches_digit_walker(field):
+    rng = random.Random(14)
+    for n, k in SUPPORT_SHAPES:
+        dims = (n,) * k
+        operands = _flat_operands(field, n**k, rng) + [_ref_kron(_flat_operands(field, n, rng)[2:3] * k, dims)]
+        for u in operands:
+            expected = [(_ref_decode(idx, dims), c) for idx, c in enumerate(u.entries) if c]
+            assert _support(u, n, k) == expected, (n, k, u)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_weighted_sum_matches_dense_sum(field):
+    rng = random.Random(15)
+    width = 4
+    for n, k in SUPPORT_SHAPES:
+        dims = (n,) * k
+        # term(*digits) is a fixed vector per flat index, zero for some of them
+        table = [rng.choice(_flat_operands(field, width, rng)) for _ in range(n**k)]
+
+        def term(*digits):
+            return table[_ref_encode(digits, dims)]
+
+        for u in _flat_operands(field, n**k, rng):
+            expected = Vector.zero(field, width)
+            for idx in range(n**k):
+                expected = expected + table[idx].scale(u[idx])
+            assert _weighted_sum(field, width, _support(u, n, k), term) == expected, (n, k, u)
+
+
+def _ref_grouped(t, axis):
+    """Walk the other two legs in lexicographic order for each index on `axis`."""
+    other = t.dims[:axis] + t.dims[axis + 1 :]
+    out = []
+    for d in range(t.dims[axis]):
+        group = []
+        for idx in range(prod(other)):
+            rest = _ref_decode(idx, other)
+            c = t[rest[:axis] + (d,) + rest[axis:]]
+            if c:
+                group.append((rest, c))
+        out.append(group)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_grouped_matches_nonzero_and_digit_walker(field):
+    rng = random.Random(16)
+    h, b, _ = taft4(field, 1)
+    tensors = [h.mult, h.comult, b.coaction, b.mult, Tensor3.zeros(field, (2, 3, 1))]
+    for dims in [(2, 3, 4), (3, 1, 2)]:
+        for density in (0.3, 1.0):
+            data = [
+                [[_scalar(field, rng) if rng.random() < density else 0 for _ in range(dims[2])] for _ in range(dims[1])]
+                for _ in range(dims[0])
+            ]
+            tensors.append(Tensor3(field, data))
+    for t in tensors:
+        nonzero = list(t.nonzero())
+        for axis in range(3):
+            groups = _grouped(t, axis)
+            assert groups == _ref_grouped(t, axis), (t, axis)
+            assert sorted(
+                (rest[:axis] + (d,) + rest[axis:], c) for d, group in enumerate(groups) for rest, c in group
+            ) == nonzero, (t, axis)
 
 
 def test_power_multiply_in_tensor_square():

@@ -18,7 +18,11 @@ kernel together.  No check walks its index grid by hand (a loop setting
 its first-failure witness are `hopf._first_mismatch`.  Outside the
 package (tests, demos, the benchmark) nothing calls a private trusted
 constructor such as `Vector._of`: external input always enters through
-a coercing constructor.
+a coercing constructor.  Outside `hopf`, which owns the flat layout, no
+loop over the coordinates of a flat tensor decodes an index with
+`divmod`: `hopf._support` lists the nonzeros with their leg indices.  No
+loop regroups the `.nonzero()` entries of a tensor into per-index lists
+by hand: that is `hopf._grouped`.
 """
 
 import ast
@@ -372,3 +376,102 @@ def test_checker_flags_trusted_constructor_calls():
 @pytest.mark.parametrize("path", CLIENTS, ids=lambda p: str(p.relative_to(REPO)))
 def test_no_trusted_constructor_call_outside_the_package(path):
     assert trusted_constructor_calls(path.read_text()) == []
+
+
+def _walks_flat_coordinates(source: ast.expr) -> bool:
+    """A loop source that walks the coordinates of a flat tensor:
+    `flat_nonzeros(...)` or `enumerate(<...>.entries)`."""
+    if not isinstance(source, ast.Call):
+        return False
+    name = source.func.id if isinstance(source.func, ast.Name) else getattr(source.func, "attr", None)
+    if name == "flat_nonzeros":
+        return True
+    return name == "enumerate" and bool(source.args) and getattr(source.args[0], "attr", None) == "entries"
+
+
+def _loops(func):
+    """(loop node, its sources) for the for-loops and comprehensions of a function."""
+    for node in _own_scope(func):
+        if isinstance(node, ast.For):
+            yield node, [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield node, [g.iter for g in node.generators]
+
+
+def hand_decoded_flat_indices(source: str) -> list[str]:
+    """Loops over the coordinates of a flat tensor that call `divmod`, as
+    "function (line)" of the loop."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop, sources in _loops(func):
+            if any(map(_walks_flat_coordinates, sources)) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "divmod"
+                for n in ast.walk(loop)
+            ):
+                found.add((loop.lineno, func.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_hand_decoded_flat_index():
+    source = (
+        "def f(v, n):\n"
+        "    for idx, c in flat_nonzeros(v):\n"
+        "        i, j = divmod(idx, n)\n"
+        "    pairs = [(divmod(idx, n), c) for idx, c in enumerate(v.entries) if c]\n"
+        "    for i in range(n * n):\n"
+        "        q, r = divmod(i, n)\n"
+        "    return pairs, [c for idx, c in enumerate(v.entries)]\n"
+    )
+    assert hand_decoded_flat_indices(source) == ["f (line 2)", "f (line 4)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "hopf.py"], ids=lambda p: p.name)
+def test_no_flat_index_decoded_by_hand_outside_hopf(path):
+    assert hand_decoded_flat_indices(path.read_text()) == []
+
+
+def hand_regrouped_nonzeros(source: str) -> list[str]:
+    """Loops over `<tensor>.nonzero()` that append to `<table>[index]`, as
+    "function (line)" of the loop; `_grouped` itself is the one allowed."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_grouped":
+            continue
+        for loop, sources in _loops(func):
+            walks_nonzero = any(
+                isinstance(s, ast.Call) and getattr(s.func, "attr", None) == "nonzero" for s in sources
+            )
+            if walks_nonzero and any(
+                isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) == "append"
+                and isinstance(n.func.value, ast.Subscript)
+                for n in ast.walk(loop)
+            ):
+                found.add((loop.lineno, func.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_hand_regrouped_nonzero_walk():
+    source = (
+        "def f(t, n):\n"
+        "    rho = [[] for _ in range(n)]\n"
+        "    for (s, i, u), c in t.nonzero():\n"
+        "        rho[u].append((s, i, c))\n"
+        "    flat = []\n"
+        "    for index, c in t.nonzero():\n"
+        "        flat.append(c)\n"
+        "    return rho, flat\n"
+        "def _grouped(t, axis):\n"
+        "    out = [[] for _ in range(3)]\n"
+        "    for index, c in t.nonzero():\n"
+        "        out[index[axis]].append(c)\n"
+        "    return out\n"
+    )
+    assert hand_regrouped_nonzeros(source) == ["f (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nonzero_regrouped_by_hand(path):
+    assert hand_regrouped_nonzeros(path.read_text()) == []

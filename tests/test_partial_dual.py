@@ -274,10 +274,7 @@ def test_left_report_is_construction_checks_then_verifier(taft1, c4_strict):
     every quasi-Hopf axiom comes from the intrinsic verifier, in order."""
     construction = [
         "dimension-matches-parent",
-        "mult-forms-agree",
         "comult-product-form",
-        "comult-splitting-form-left",
-        "comult-splitting-form-right",
         "comult-parent-basis-form",
         "associator-inverse-forms-agree",
         "upsilon-forms-agree",
