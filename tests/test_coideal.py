@@ -1,5 +1,8 @@
 """Coideal subalgebra certification and the quotient module coalgebra."""
 
+import collections
+import itertools
+
 import pytest
 
 from partialdual.coideal import (
@@ -12,8 +15,8 @@ from partialdual.coideal import (
     dual_coideal,
 )
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
-from partialdual.hopf import CertificationError, LinMap, coopposite, dual
-from partialdual.linalg import QQ, Matrix, Vector
+from partialdual.hopf import CertificationError, HopfAlgebra, LinMap, coopposite, dual
+from partialdual.linalg import QQ, Matrix, Tensor3, Vector
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +171,61 @@ def test_btr_action_values(taft):
     assert action_btr(q, pg, one_star) == Vector.zero(QQ, 2)
     # <p_x |> 1*, b> = <1*, b <- p_x>: only b = x has x in a left coaction leg
     assert action_btr(q, px, one_star) == x_star
+
+
+HOPF_AXIOMS = {
+    "associativity", "unit-law", "coassociativity", "counit-law", "comult-algebra-map",
+    "comult-unital", "counit-algebra-map", "counit-unital", "antipode-left", "antipode-right",
+}
+
+
+def _taft_parent_perturbations():
+    """Every one-entry +1 perturbation of Taft-4's (lambda = 1) mult,
+    comult and antipode, as (label, perturbed parent)."""
+    h, _, _ = taft4(QQ, 1)
+    tensors = {"mult": h.mult, "comult": h.comult}
+    for name, t in tensors.items():
+        for i, j, k in itertools.product(range(4), repeat=3):
+            data = [[list(row) for row in plane] for plane in t.data]
+            data[i][j][k] = data[i][j][k] + QQ.one
+            changed = dict(tensors, **{name: Tensor3(QQ, data, dims=t.dims)})
+            yield f"{name}[{i},{j},{k}]+1", HopfAlgebra(
+                QQ, changed["mult"], h.unit, changed["comult"], h.counit, h.antipode
+            )
+    for i, j in itertools.product(range(4), repeat=2):
+        rows = [list(row) for row in h.antipode.rows]
+        rows[i][j] = rows[i][j] + QQ.one
+        yield f"S[{i},{j}]+1", HopfAlgebra(
+            QQ, h.mult, h.unit, h.comult, h.counit, Matrix(QQ, rows, ncols=4)
+        )
+
+
+def _parent_failure(label):
+    h = dict(_taft_parent_perturbations())[label]
+    with pytest.raises(CertificationError) as err:
+        certify_coideal(h, taft4(QQ, 1)[1].iota)
+    return err.value.kind
+
+
+def test_certify_coideal_rejects_a_singular_antipode():
+    # S[2,3]+1 makes S singular; certify_pams used to stop on a bare
+    # ValueError when it inverted S
+    assert _parent_failure("S[2,3]+1") == "antipode-left"
+
+
+@pytest.mark.parametrize("label", ["comult[1,2,3]+1", "comult[1,3,3]+1"])
+def test_certify_coideal_rejects_a_non_coassociative_parent(label):
+    # these passed certify_coideal, build_quotient and certify_pams, and
+    # only the quasi-Hopf verifier of the left partial dual caught them
+    assert _parent_failure(label) == "coassociativity"
+
+
+def test_every_parent_perturbation_fails_a_hopf_axiom_at_the_entry():
+    iota = taft4(QQ, 1)[1].iota
+    kinds = collections.Counter()
+    for label, h in _taft_parent_perturbations():
+        with pytest.raises(CertificationError) as err:
+            certify_coideal(h, iota)
+        assert err.value.kind in HOPF_AXIOMS, label
+        kinds[err.value.kind] += 1
+    assert kinds == {"associativity": 64, "coassociativity": 62, "antipode-left": 16, "counit-law": 2}
