@@ -1,14 +1,20 @@
 """Left coideal subalgebras and their quotient module coalgebras.
 
 A coideal subalgebra is handed over as an inclusion matrix iota; the
-certifier checks injectivity, unitality, closure under products and the
-left coideal property, and stores the induced structure constants.  The
-quotient by the induced right ideal carries the quotient coalgebra, a
-right module action on the quotient, and a dual-side action of the dual
-Hopf algebra on the dual of the coideal.  Quotient presentations are
-canonical by default (complementing the row-reduced ideal basis with
-standard coordinates) but can be supplied, which the induced systems of
-the six-row table rely on.
+certifier first verifies the Hopf axioms of the parent H, the one place
+the pipeline does so, then checks injectivity, unitality, closure under
+products and the left coideal property, and stores the induced
+structure constants.  The quotient by the induced right ideal carries
+the quotient coalgebra, a right module action on the quotient, and a
+dual-side action of the dual Hopf algebra on the dual of the coideal.
+Quotient presentations are canonical by default (complementing the
+row-reduced ideal basis with standard coordinates) but can be supplied,
+which the induced systems of the six-row table rely on.
+
+CoidealSubalgebra and CoidealQuotient are built only by their
+certifiers, certify_coideal and build_quotient: their constructors take
+a module-private token and raise TypeError without it.  So every later
+stage may take what the certifiers checked as given.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from partialdual.hopf import (
     coopposite,
     dual,
     flat_nonzeros,
+    tensor_apply,
+    verify_hopf,
 )
 from partialdual.linalg import (
     Elimination,
@@ -32,6 +40,7 @@ from partialdual.linalg import (
     Vector,
     contract,
     nullspace,
+    subspace_basis,
 )
 
 __all__ = [
@@ -46,6 +55,14 @@ __all__ = [
     "dual_coideal",
 ]
 
+# held only by certify_coideal and build_quotient, the certifiers
+_CERTIFIED = object()
+
+
+def _require_certifier(token: object, cls: type, certifier: str) -> None:
+    if token is not _CERTIFIED:
+        raise TypeError(f"{cls.__name__} is built only by {certifier}")
+
 
 class CoidealSubalgebra:
     """A certified left coideal subalgebra B of a Hopf algebra.
@@ -57,6 +74,7 @@ class CoidealSubalgebra:
 
     def __init__(
         self,
+        token: object,
         parent: HopfAlgebra,
         iota: LinMap,
         mult: Tensor3,
@@ -65,6 +83,7 @@ class CoidealSubalgebra:
         coaction: Tensor3,
         report: Report,
     ):
+        _require_certifier(token, CoidealSubalgebra, "certify_coideal")
         self.parent = parent
         self.iota = iota
         self.dim = iota.source
@@ -101,9 +120,12 @@ class CoidealSubalgebra:
 def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     """Certify iota : B -> H as a left coideal subalgebra inclusion.
 
-    Raises CertificationError on the first structural failure; the
-    exception carries the full report.
+    The parent is verified first: a failing Hopf axiom raises
+    CertificationError named after it, carrying verify_hopf's report.
+    Then raises CertificationError on the first structural failure of
+    iota; the exception carries the full report.
     """
+    verify_hopf(h).raise_if_failed()
     field = h.field
     n = h.dim
     b = iota.source
@@ -153,7 +175,7 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     coaction = Tensor3._of(field, [[x.entries for x in plane] for plane in coaction_rows], (b, n, b))
 
     counit_b = Vector._of(field, [h.counit.dot(iota.column(i)) for i in range(b)])
-    return CoidealSubalgebra(h, iota, mult_b, unit_b, counit_b, coaction, report)
+    return CoidealSubalgebra(_CERTIFIED, h, iota, mult_b, unit_b, counit_b, coaction, report)
 
 
 class CoidealQuotient:
@@ -167,6 +189,7 @@ class CoidealQuotient:
 
     def __init__(
         self,
+        token: object,
         b: CoidealSubalgebra,
         pi: LinMap,
         lift: LinMap,
@@ -176,6 +199,7 @@ class CoidealQuotient:
         canonical: bool,
         report: Report,
     ):
+        _require_certifier(token, CoidealQuotient, "build_quotient")
         self.coideal = b
         self.parent = b.parent
         self.pi = pi
@@ -191,7 +215,6 @@ class CoidealQuotient:
         self._dual_parent: HopfAlgebra | None = None
         self._dual_coideal: CoidealSubalgebra | None = None
         self._section: Matrix | None = None
-        self._iota_star: Elimination | None = None
         self._btr: Tensor3 | None = None
 
     @property
@@ -249,8 +272,11 @@ def build_quotient(
     puts lift(pi(e_i)) - e_i in ker pi, and action-well-defined (on the
     ideal basis, so on all of B+ H by linearity) sends (B+ H) e_j into
     ker pi.  Hence pi(e_i e_j) = pi(lift(pi(e_i)) e_j), which by
-    linearity in x is pi(e_i) <| e_j.  certify_pams still re-derives it,
-    as its input need not come from here.
+    linearity in x is pi(e_i) <| e_j.
+
+    The last check, coinvariants-equal-image, solves for the
+    coinvariants {h : sum h_1 (x) pi(h_2) = h (x) pi(1)} and compares
+    their span with iota(B): B is recovered from the quotient map.
     """
     h = b.parent
     field = h.field
@@ -354,6 +380,13 @@ def build_quotient(
         lambda r, j: (pi(h.algebra.multiply(ideal_rows[r], hb[j])), zero_c),
         len(ideal_rows), n,
     ))
+    coinvariants = _coinvariants(h, pi)
+    report.add(
+        "coinvariants-equal-image",
+        subspace_basis([coinvariants.row(r) for r in range(coinvariants.nrows)], field=field, length=n)
+        == subspace_basis([b.iota.column(j) for j in range(b.dim)], field=field, length=n),
+        "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)",
+    )
     report.raise_if_failed()
 
     action_rows = []
@@ -365,7 +398,17 @@ def build_quotient(
         action_rows.append(plane)
     action = Tensor3._of(field, action_rows, (c, n, c))
 
-    return CoidealQuotient(b, pi, lift, coalg, action, ideal, canonical, report)
+    return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
+
+
+def _coinvariants(h: HopfAlgebra, pi: LinMap) -> Matrix:
+    """A basis, one vector per row, of {x in H : sum x_1 (x) pi(x_2) = x (x) pi(1)}."""
+    n = h.dim
+    one = pi(h.unit)
+    return nullspace(Matrix.from_columns(h.field, [
+        tensor_apply(h.coalgebra.comultiply_flat(e), (n, n), 1, pi.matrix) - e.tensor(one)
+        for e in map(h.basis, range(n))
+    ], nrows=n * pi.target))
 
 
 def action_btl(q: CoidealQuotient, x: Vector, h: Vector) -> Vector:
@@ -379,72 +422,39 @@ def btl_matrix(q: CoidealQuotient, h: Vector) -> Matrix:
 
 
 def _dual_section(q: CoidealQuotient) -> Matrix:
-    """A fixed linear section of iota* : H* -> B* (columns solve iota^T s = e_j)."""
+    """A fixed linear section of iota* : H* -> B* (columns solve iota^T s = e_j).
+
+    Every column exists: iota is injective (certify_coideal), so iota^T
+    has full row rank.
+    """
     if q._section is None:
-        # one reduction of iota*, kept for the kernel that _btr_tensor reads
         bdim = q.coideal.dim
-        q._iota_star = Elimination.of_matrix(
+        iota_star = Elimination.of_matrix(
             q.coideal.iota.matrix.transpose(), Matrix.identity(q.field, bdim).rows
         )
-        cols = [q._iota_star.solution(j) for j in range(bdim)]
-        if any(s is None for s in cols):
-            raise CertificationError(
-                "iota-star-not-surjective", "restriction of functionals failed"
-            )
+        cols = [iota_star.solution(j) for j in range(bdim)]
         q._section = Matrix.from_columns(q.field, cols, nrows=q.parent.dim)
     return q._section
 
 
 def _btr_tensor(q: CoidealQuotient) -> Tensor3:
-    """Action tensor of h* |> b* = iota*(h* varsigma(b*)), with checks.
+    """Action tensor of h* |> b* = iota*(h* varsigma(b*)), read off the coaction.
 
-    Well-definedness over the choice of section needs H* ker(iota*) to
-    stay inside ker(iota*); that and the adjointness against the right
-    hit of functionals on B are verified on construction.
+    For any section varsigma of iota*, the product of H* being Delta^T
+    and Delta(iota(b_t)) = sum coaction[t, i, l] e_i (x) iota(b_l) (the
+    coaction certify_coideal solved for),
+    <f_i |> b*_j, b_t> = <f_i (x) varsigma(b*_j), Delta(iota(b_t))>
+    = coaction[t, i, j].  So the action is well defined, and it is
+    adjoint to the right hit of functionals on B by construction.
     """
-    if q._btr is not None:
-        return q._btr
-    field = q.field
-    n = q.parent.dim
-    bdim = q.coideal.dim
-    hstar = q.hstar
-    iota_star = q.coideal.iota.matrix.transpose()
-    section = _dual_section(q)
-
-    kernel = q._iota_star.kernel()
-    for r in range(kernel.nrows):
-        k = kernel.row(r)
-        for i in range(n):
-            img = iota_star @ hstar.algebra.multiply(hstar.basis(i), k)
-            if not img.is_zero():
-                raise CertificationError(
-                    "btr-not-well-defined",
-                    f"H* ker(iota*) escapes ker(iota*) at f{i}, kernel row {r}",
-                )
-
-    rows = []
-    for i in range(n):
-        plane = []
-        for j in range(bdim):
-            img = iota_star @ hstar.algebra.multiply(hstar.basis(i), section.column(j))
-            plane.append(img.entries)
-        rows.append(plane)
-    btr = Tensor3._of(field, rows, (n, bdim, bdim))
-
-    # adjointness: <h* |> b*, b> = <b*, b <- h*>, where b <- h* pairs the
-    # first coaction leg against h*
-    for i in range(n):
-        hit_mat = contract(q.coideal.coaction, 1, hstar.basis(i))
-        for j in range(bdim):
-            acted = btr.data[i][j]
-            for t in range(bdim):
-                if acted[t] != hit_mat[t, j]:
-                    raise CertificationError(
-                        "btr-adjoint-mismatch",
-                        f"<f{i} |> b*{j}, b{t}> != <b*{j}, b{t} <- f{i}>",
-                    )
-    q._btr = btr
-    return btr
+    if q._btr is None:
+        coaction, n, bdim = q.coideal.coaction, q.parent.dim, q.coideal.dim
+        q._btr = Tensor3._of(
+            q.field,
+            [[[coaction[t, i, j] for t in range(bdim)] for j in range(bdim)] for i in range(n)],
+            (n, bdim, bdim),
+        )
+    return q._btr
 
 
 def action_btr(q: CoidealQuotient, hstar: Vector, bstar: Vector) -> Vector:

@@ -660,7 +660,17 @@ def verify_bialgebra(
 
 
 def verify_hopf(h: HopfAlgebra) -> Report:
-    """Check every bialgebra and antipode identity; returns the full report."""
+    """Check the Hopf axioms: the bialgebra checks, then S * id = eps 1 =
+    id * S (antipode-left, antipode-right); returns the full report.
+
+    Nothing else about S is checked, because the rest follows.  In a
+    bialgebra whose S passes both antipode checks, S is an algebra
+    anti-map with S(1) = 1, a coalgebra anti-map,
+    Delta S = (S (x) S) Delta^op, and eps S = eps (Sweedler, Hopf
+    Algebras, 1969, §4.0); and since H is finite-dimensional, S
+    is bijective (Larson and Sweedler, Amer. J. Math. 91, 1969).  So
+    antipode_inverse() cannot fail on an algebra that passes here.
+    """
     f = h.field
     n = h.dim
     a, c, s = h.algebra, h.coalgebra, h.antipode
@@ -678,28 +688,6 @@ def verify_hopf(h: HopfAlgebra) -> Report:
 
     report.add("antipode-left", *_first_mismatch(at_e, lambda i: convolved(i, scols, es), n))
     report.add("antipode-right", *_first_mismatch(at_e, lambda i: convolved(i, es, scols), n))
-    report.add("antipode-anti-multiplicative", *_first_mismatch(
-        "S(e{0} e{1}) != S(e{1})S(e{0})".format,
-        lambda i, j: (s @ a.multiply(es[i], es[j]), a.multiply(scols[j], scols[i])),
-        n, n,
-    ))
-    report.add("antipode-fixes-unit", s @ a.unit == a.unit, "S(1) != 1")
-
-    def swapped_under_s(i):  # (S (x) S) of the flipped Delta(e_i)
-        swapped = tensor_permute(c.comultiply_flat(es[i]), (n, n), (1, 0))
-        return tensor_apply(tensor_apply(swapped, (n, n), 0, s), (n, n), 1, s)
-
-    report.add("antipode-anti-comultiplicative", *_first_mismatch(
-        lambda i, lhs, rhs: f"Delta(S(e{i})): " + vector_witness(f, lhs, rhs),
-        lambda i: (c.comultiply_flat(scols[i]), swapped_under_s(i)),
-        n,
-    ))
-    report.add(
-        "antipode-preserves-counit",
-        Vector._of(f, [c.counit.dot(scols[i]) for i in range(n)]) == c.counit,
-        "eps after S != eps",
-    )
-    report.add("antipode-invertible", s.rank() == n, "antipode matrix is singular")
     return report
 
 

@@ -11,7 +11,7 @@ import functools
 
 import pytest
 
-from partialdual.coideal import CoidealQuotient, CoidealSubalgebra, build_quotient, certify_coideal
+from partialdual.coideal import _CERTIFIED, CoidealQuotient, CoidealSubalgebra, build_quotient, certify_coideal
 from partialdual.examples import cyclic, group_algebra, taft4
 from partialdual.hopf import (
     Algebra,
@@ -25,7 +25,6 @@ from partialdual.hopf import (
 from partialdual.linalg import QQ, Matrix, Tensor3, Vector
 from partialdual.pams import (
     Pams,
-    _check_inclusion_projection,
     _check_primal,
     certify_pams,
     find_cointegral,
@@ -83,13 +82,16 @@ def _with_quasi_hopf(qh, **changes):
 
 
 def _with_coideal(b, **changes):
-    return _replace(b, CoidealSubalgebra, ("parent", "iota", "mult", "unit", "counit", "coaction", "report"), **changes)
+    """A copy of a certified coideal with corrupted data, built past certify_coideal."""
+    fields = ("parent", "iota", "mult", "unit", "counit", "coaction", "report")
+    return _replace(b, functools.partial(CoidealSubalgebra, _CERTIFIED), fields, **changes)
 
 
 def _with_quotient(q, **changes):
+    """A copy of a certified quotient with corrupted data, built past build_quotient."""
     changes.setdefault("b", q.coideal)
     fields = ("b", "pi", "lift", "coalgebra", "action", "ideal_basis", "canonical", "report")
-    return _replace(q, CoidealQuotient, fields, **changes)
+    return _replace(q, functools.partial(CoidealQuotient, _CERTIFIED), fields, **changes)
 
 
 def _with_algebra_mult(qh, i, j, k):
@@ -140,12 +142,6 @@ def _quotient_under(**changes):
     return lambda: build_quotient(_with_coideal(b, parent=_taft_hopf(**changes)))
 
 
-def _inclusion_report(q):
-    report = Report("inclusion and projection")
-    _check_inclusion_projection(q, report)
-    return report
-
-
 def _primal_report(**changes):
     p, _ = _system("taft")
     maps = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
@@ -170,12 +166,6 @@ def _left(name):
 HOPF_CHECKS = [
     "associativity", "unit-law", "coassociativity", "counit-law", "comult-algebra-map",
     "comult-unital", "counit-algebra-map", "counit-unital", "antipode-left", "antipode-right",
-    "antipode-anti-multiplicative", "antipode-fixes-unit", "antipode-anti-comultiplicative",
-    "antipode-preserves-counit", "antipode-invertible",
-]
-INCLUSION_CHECKS = [
-    "iota-algebra-map", "iota-comodule-map", "iota-injective", "pi-coalgebra-map",
-    "pi-module-map", "pi-surjective", "coinvariants-equal-image",
 ]
 PRIMAL_CHECKS = [
     "gamma-comodule-map", "gamma-biunitary", "zetabar-biunitary", "gammabar-biunitary",
@@ -238,26 +228,6 @@ CASES = {
             _quotient_under(comult=_bump_tensor(_taft_hopf().comult, 2, 0, 0))
         ),
         "mult[3,2,1]+1": lambda: _raised_report(_quotient_under(mult=_bump_tensor(_taft_hopf().mult, 3, 2, 1))),
-    }),
-    "_check_inclusion_projection": (INCLUSION_CHECKS, {
-        "unit_B[1]+1": lambda: _inclusion_report(
-            _taft_quotient(b=_taft_coideal(unit=_bump_vector(_taft_coideal().unit, 1)))
-        ),
-        "mult_B[0,1,0]+1": lambda: _inclusion_report(
-            _taft_quotient(b=_taft_coideal(mult=_bump_tensor(_taft_coideal().mult, 0, 1, 0)))
-        ),
-        "coaction[1,2,0]+1": lambda: _inclusion_report(
-            _taft_quotient(b=_taft_coideal(coaction=_bump_tensor(_taft_coideal().coaction, 1, 2, 0)))
-        ),
-        "comult_C[1,1,1]+1": lambda: _inclusion_report(_taft_quotient(coalgebra=Coalgebra(
-            QQ, _bump_tensor(_taft_quotient().coalgebra.comult, 1, 1, 1), _taft_quotient().coalgebra.counit
-        ))),
-        "counit_C[1]+1": lambda: _inclusion_report(_taft_quotient(coalgebra=Coalgebra(
-            QQ, _taft_quotient().coalgebra.comult, _bump_vector(_taft_quotient().coalgebra.counit, 1)
-        ))),
-        "action[1,2,0]+1": lambda: _inclusion_report(
-            _taft_quotient(action=_bump_tensor(_taft_quotient().action, 1, 2, 0))
-        ),
     }),
     "_check_primal": (PRIMAL_CHECKS, {
         "zeta[0,2]+1": lambda: _primal_report(zeta=(0, 2)),
@@ -349,13 +319,11 @@ FAILURES = {
             ("unit-law", "unit fails at e1"),
             ("comult-algebra-map", "Delta(e0 e1): coordinate 5: 2 != 4"),
             ("counit-algebra-map", "eps(e0 e1) = 2 != 1"),
-            ("antipode-anti-multiplicative", "S(e0 e1) != S(e1)S(e0)"),
         ],
         "mult[1,2,3]+1": [
             ("associativity", "(e1 e1) e2 != e1 (e1 e2); coordinate 2: 1 != 0"),
             ("comult-algebra-map", "Delta(e2 e2): coordinate 14: 0 != 1"),
             ("antipode-left", "at e2: coordinate 3: 1 != 0"),
-            ("antipode-anti-multiplicative", "S(e1 e2) != S(e2)S(e1)"),
         ],
         "comult[2,2,0]+1": [
             ("coassociativity", "at e2: coordinate 32: 4 != 2"),
@@ -363,14 +331,10 @@ FAILURES = {
             ("comult-algebra-map", "Delta(e1 e2): coordinate 13: -1 != -2"),
             ("antipode-left", "at e2: coordinate 3: 1 != 0"),
             ("antipode-right", "at e2: coordinate 2: 1 != 0"),
-            ("antipode-anti-comultiplicative", "Delta(S(e2)): coordinate 3: 1 != 2"),
         ],
         "antipode[0,3]+1": [
             ("antipode-left", "at e3: coordinate 1: 1 != 0"),
             ("antipode-right", "at e3: coordinate 0: 1 != 0"),
-            ("antipode-anti-multiplicative", "S(e1 e2) != S(e2)S(e1)"),
-            ("antipode-anti-comultiplicative", "Delta(S(e3)): coordinate 4: 0 != 1"),
-            ("antipode-preserves-counit", "eps after S != eps"),
         ],
     },
     "certify_coideal": {
@@ -399,6 +363,7 @@ FAILURES = {
             ("pi-counit", True, ""),
             ("counit-splitting", True, ""),
             ("action-well-defined", True, ""),
+            ("coinvariants-equal-image", False, "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)"),
         ],
         "mult[3,2,1]+1": [
             ("dim-product-law", True, ""),
@@ -409,26 +374,7 @@ FAILURES = {
             ("pi-counit", True, ""),
             ("counit-splitting", True, ""),
             ("action-well-defined", False, "pi((B+ H) e2) != 0 at ideal basis row 1"),
-        ],
-    },
-    "_check_inclusion_projection": {
-        "unit_B[1]+1": [
-            ("iota-algebra-map", "iota(1_B) != 1"),
-        ],
-        "mult_B[0,1,0]+1": [
-            ("iota-algebra-map", "iota(b0 b1) != iota(b0) iota(b1)"),
-        ],
-        "coaction[1,2,0]+1": [
-            ("iota-comodule-map", "Delta(iota(b1)) != (id (x) iota)(coaction of b1)"),
-        ],
-        "comult_C[1,1,1]+1": [
-            ("pi-coalgebra-map", "(pi (x) pi) Delta(e1) != Delta_C(pi(e1))"),
-        ],
-        "counit_C[1]+1": [
-            ("pi-coalgebra-map", "eps_C(pi(e1)) != eps(e1)"),
-        ],
-        "action[1,2,0]+1": [
-            ("pi-module-map", "pi(e1 e2) != pi(e1) <| e2"),
+            ("coinvariants-equal-image", True, ""),
         ],
     },
     "_check_primal": {

@@ -22,7 +22,10 @@ a coercing constructor.  Outside `hopf`, which owns the flat layout, no
 loop over the coordinates of a flat tensor decodes an index with
 `divmod`: `hopf._support` lists the nonzeros with their leg indices.  No
 loop regroups the `.nonzero()` entries of a tensor into per-index lists
-by hand: that is `hopf._grouped`.
+by hand: that is `hopf._grouped`.  `verify_hopf` is called only where a
+Hopf algebra enters without certification: `certify_coideal`, the entry
+of the pipeline, and the commands and constructors that build or
+reassemble a Hopf algebra of their own.
 """
 
 import ast
@@ -475,3 +478,56 @@ def test_checker_flags_a_hand_regrouped_nonzero_walk():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_nonzero_regrouped_by_hand(path):
     assert hand_regrouped_nonzeros(path.read_text()) == []
+
+
+# the only functions of the package that may run verify_hopf: the entry
+# of the pipeline, and code that builds or reassembles a Hopf algebra
+VERIFY_HOPF_CALLERS = {
+    "coideal.certify_coideal",
+    "cli.verify_hopf_cmd",
+    "cli._transform",
+    "cli.example_bismash",
+    "examples.bismash_product",
+    "partial_dual.CoquasiHopfAlgebra.hopf_view",
+    "partial_dual.detect_hopf",
+}
+
+
+def verify_hopf_callers(source: str, module: str) -> list[str]:
+    """The function around each `verify_hopf(...)` call, as
+    "module.function" or "module.Class.method"."""
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call) and "verify_hopf" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                callers.append(".".join([module] + scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return callers
+
+
+def test_checker_names_the_callers_of_verify_hopf():
+    source = (
+        "from partialdual import hopf\n"
+        "def certify(h):\n"
+        "    verify_hopf(h).raise_if_failed()\n"
+        "class View:\n"
+        "    def check(self):\n"
+        "        return hopf.verify_hopf(self.h)\n"
+        "report = verify_hopf(h)\n"
+        "def verify_hopf_cmd(f):\n"
+        "    return f\n"
+    )
+    assert verify_hopf_callers(source, "m") == ["m.certify", "m.View.check", "m"]
+
+
+def test_verify_hopf_runs_only_at_the_entry_and_where_a_hopf_algebra_is_built():
+    callers = {c for path in MODULES for c in verify_hopf_callers(path.read_text(), path.stem)}
+    assert callers <= VERIFY_HOPF_CALLERS

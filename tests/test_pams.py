@@ -1,5 +1,6 @@
 """Cointegral search, the derived splitting gamma, and PAMS certification."""
 
+import random
 import sys
 
 import pytest
@@ -11,15 +12,19 @@ from partialdual.hopf import (
     LinMap,
     Report,
     biopposite,
+    convolution_inverse,
+    convolution_product,
     coopposite,
     dual,
     opposite,
+    verify_hopf,
 )
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
 from partialdual.pams import (
     INDUCED_KINDS,
     _check_dual_side,
     _check_primal,
+    _module_map_witness,
     biunitarize,
     certify_pams,
     cointegral_space,
@@ -305,34 +310,61 @@ def test_induced_rejects_unknown_kind(taft_pams):
         induced_pams(p, "sideways")
 
 
-def test_pipeline_builds_the_dual_of_the_parent_once(monkeypatch):
-    h, q, zeta = taft_quotient(QQ, 1)
+def _count_calls(monkeypatch, fn):
+    """Route every partialdual module's reference to fn through a counter;
+    returns the list of argument tuples of the calls made."""
     calls = []
 
-    def counted(hopf):
-        calls.append(hopf)
-        return dual(hopf)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    for name, module in sys.modules.items():
-        if name.startswith("partialdual") and getattr(module, "dual", None) is dual:
-            monkeypatch.setattr(module, "dual", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("partialdual") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_pipeline_builds_the_dual_of_the_parent_once(monkeypatch):
+    h, q, zeta = taft_quotient(QQ, 1)
+    calls = _count_calls(monkeypatch, dual)
     p = certify_pams(q, zeta)
     right_partial_dual(p, left_partial_dual(p))
-    assert calls == [h]
+    assert calls == [(h,)]
     assert q.dual_parent == coopposite(q.hstar)
+
+
+def test_pipeline_verifies_the_parent_once(monkeypatch):
+    h, b, zeta = taft4(QQ, 1)
+    calls = _count_calls(monkeypatch, verify_hopf)
+    p = certify_pams(build_quotient(certify_coideal(h, b.iota)), zeta)
+    right_partial_dual(p, left_partial_dual(p))
+    assert calls == [(h,)]
+
+
+def test_certify_pams_derives_each_inverse_once(monkeypatch):
+    _, q, zeta = taft_quotient(QQ, 1)
+    inverses = _count_calls(monkeypatch, convolution_inverse)
+    witnesses = _count_calls(monkeypatch, _module_map_witness)
+    p = certify_pams(q, zeta)
+    assert [args[0] for args in inverses] == [zeta, p.gamma]
+    assert witnesses == [(q, zeta)]
+
+
+def test_induced_pams_reuses_the_certified_zeta_bar(monkeypatch, taft_pams):
+    _, _, p = taft_pams
+    witnesses = _count_calls(monkeypatch, _module_map_witness)
+    derived = _count_calls(monkeypatch, gamma_from_zeta)
+    for kind in INDUCED_KINDS:
+        induced_pams(p, kind)
+    # one module-map witness per certify_pams, none for re-deriving gamma
+    assert len(witnesses) == len(INDUCED_KINDS)
+    assert derived == []
 
 
 DUAL_SIDE_CHECKS = [
     "iota-star-module-law",
     "btr-zeta-star-form",
-    "zeta-star-comodule-law",
-    "pi-star-comodule-law",
-    "gamma-star-module-law",
-    "conv-unit-dual",
-    "bar-identity-left",
-    "bar-identity-right",
-    "bar-identity-middle",
-    "bar-identity-antipode",
     "fusion-a",
     "fusion-b",
     "fusion-c",
@@ -343,12 +375,6 @@ DUAL_SIDE_CHECKS = [
     "gammabar-star-shift",
     "zetabar-star-antipode-law",
 ]
-
-CONV_UNIT = ("conv-unit-dual", "(zeta* iota*) * (pi* gamma*) != id")
-BAR_LEFT = ("bar-identity-left", "id * (pi* gammabar*) != zeta* iota*")
-BAR_RIGHT = ("bar-identity-right", "S* * (zeta* iota*) != pi* gammabar*")
-BAR_MIDDLE = ("bar-identity-middle", "(pi* gamma*) * S* != zetabar* iota*")
-BAR_ANTIPODE = ("bar-identity-antipode", "(pi* gammabar*) * (zetabar* iota*) != S*")
 
 
 def _fusion(a, b, c, d, e):
@@ -367,72 +393,31 @@ def _fusion(a, b, c, d, e):
 DUAL_SIDE_FAILURES = {
     "taft": {
         "zeta_bar=zeta": [
-            BAR_MIDDLE,
-            BAR_ANTIPODE,
             ("zetabar-star-coaction-law", "at b*1"),
             ("zetabar-star-antipode-law", "at b*1"),
         ],
-        "gamma[0,0]+1": [CONV_UNIT, BAR_MIDDLE]
-        + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
-        "zeta[0,1]+1": [
-            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*1"),
-            CONV_UNIT,
-            BAR_LEFT,
-            BAR_RIGHT,
-        ]
-        + _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*1", "f0, f0, b*1"),
-        "zeta[1,0]+1": [
-            ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
-            CONV_UNIT,
-            BAR_LEFT,
-            BAR_RIGHT,
-        ]
+        "gamma[0,0]+1": _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
+        "zeta[0,1]+1": _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*1", "f0, f0, b*1"),
+        "zeta[1,0]+1": [("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))")]
         + _fusion("f1, b*1", "b*1", "f1, b*1", "f0, b*1", "f0, f1, b*1"),
-        "gamma[1,0]+1": [
-            ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
-            CONV_UNIT,
-            BAR_MIDDLE,
-        ]
-        + _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*0", "f0, f1, b*0"),
+        "gamma[1,0]+1": _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*0", "f0, f1, b*0"),
         "gamma_bar[1,0]+1": [
-            BAR_LEFT,
-            BAR_RIGHT,
-            BAR_ANTIPODE,
             ("gammabar-star-mult-law", "at x*0, f1"),
             ("gammabar-star-shift", "at x*0, f1"),
         ],
     },
     "c4": {
         "zeta_bar=zeta": [],
-        "gamma[0,0]+1": [CONV_UNIT, BAR_MIDDLE]
-        + _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
+        "gamma[0,0]+1": _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
         "zeta[0,1]+1": [
-            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
-            CONV_UNIT,
-            BAR_LEFT,
-            BAR_RIGHT,
             ("fusion-a", "at f1, b*0"),
             ("fusion-b", "at b*0"),
             ("fusion-c", "at f1, b*0"),
         ],
-        "zeta[1,0]+1": [
-            ("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))"),
-            ("zeta-star-comodule-law", "left B*-colinearity of zeta* fails at b*0"),
-            CONV_UNIT,
-            BAR_LEFT,
-            BAR_RIGHT,
-        ]
+        "zeta[1,0]+1": [("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))")]
         + _fusion("f1, b*0", "b*0", "f2, b*0", "f0, b*0", "f0, f2, b*0"),
-        "gamma[1,0]+1": [
-            ("gamma-star-module-law", "gamma*(f1 pi*(x*0)) != gamma*(f1) x*0"),
-            CONV_UNIT,
-            BAR_MIDDLE,
-        ]
-        + _fusion("f1, b*0", "b*0", "f1, b*1", "f0, b*0", "f0, f1, b*1"),
+        "gamma[1,0]+1": _fusion("f1, b*0", "b*0", "f1, b*1", "f0, b*0", "f0, f1, b*1"),
         "gamma_bar[1,0]+1": [
-            BAR_LEFT,
-            BAR_RIGHT,
-            BAR_ANTIPODE,
             ("gammabar-star-mult-law", "at x*0, f1"),
             ("gammabar-star-shift", "at x*0, f1"),
         ],
@@ -444,6 +429,19 @@ def _bumped(m, i, j):
     rows = [list(r) for r in m.matrix.rows]
     rows[i][j] = rows[i][j] + m.field.one
     return LinMap(Matrix(m.field, rows, ncols=m.source))
+
+
+def _perturbed(p):
+    """(the certified maps, label -> the maps that replace them)."""
+    clean = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
+    return clean, {
+        "zeta_bar=zeta": {"zeta_bar": p.zeta},
+        "gamma[0,0]+1": {"gamma": _bumped(p.gamma, 0, 0)},
+        "zeta[0,1]+1": {"zeta": _bumped(p.zeta, 0, 1)},
+        "zeta[1,0]+1": {"zeta": _bumped(p.zeta, 1, 0)},
+        "gamma[1,0]+1": {"gamma": _bumped(p.gamma, 1, 0)},
+        "gamma_bar[1,0]+1": {"gamma_bar": _bumped(p.gamma_bar, 1, 0)},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -461,15 +459,7 @@ def test_dual_side_pins_names_failures_and_witnesses(system, taft_pams, c4_f7_pa
     and each perturbation fails exactly the recorded checks at the
     recorded first coordinate."""
     _, q, p = taft_pams if system == "taft" else c4_f7_pams
-    clean = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
-    perturbed = {
-        "zeta_bar=zeta": {"zeta_bar": p.zeta},
-        "gamma[0,0]+1": {"gamma": _bumped(p.gamma, 0, 0)},
-        "zeta[0,1]+1": {"zeta": _bumped(p.zeta, 0, 1)},
-        "zeta[1,0]+1": {"zeta": _bumped(p.zeta, 1, 0)},
-        "gamma[1,0]+1": {"gamma": _bumped(p.gamma, 1, 0)},
-        "gamma_bar[1,0]+1": {"gamma_bar": _bumped(p.gamma_bar, 1, 0)},
-    }
+    clean, perturbed = _perturbed(p)
     report = Report("dual side")
     _check_dual_side(q, report=report, **clean)
     assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS
@@ -481,40 +471,125 @@ def test_dual_side_pins_names_failures_and_witnesses(system, taft_pams, c4_f7_pa
         assert report.failures() == DUAL_SIDE_FAILURES[system][label], label
 
 
-# dual-side checks deleted as exact transposes of primal identities: each
-# with its primal counterpart and witness, and the perturbations of
-# DUAL_SIDE_FAILURES that failed it
-TRANSPOSED_CHECKS = {
-    "gamma-star-zeta-star": ("zeta-gamma-triviality", "zeta gamma != eps_C(-) 1_B"),
-    "zeta-star-splits": ("zeta-splits-iota", "zeta iota != id_B"),
-    "gamma-star-splits": ("gamma-splits-pi", "pi gamma != id_C"),
-}
+def test_convolution_transposes_into_the_dual():
+    """dual(H) multiplies by Delta^T and comultiplies by m^T, so
+    (f * g)^T = f^T * g^T in End(H*), and its antipode is S^T: the
+    convention the deleted dual-side checks are proved under."""
+    rng = random.Random(0)
+    for h in (taft4(QQ, 1)[0], group_algebra(symmetric(3), QQ), group_algebra(cyclic(4), F7)):
+        hs, n = dual(h), h.dim
+        maps = [LinMap.identity(h.field, n), LinMap(h.antipode)] + [
+            LinMap(Matrix(h.field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))
+            for _ in range(3)
+        ]
+        assert hs.antipode == h.antipode.transpose()
+        for f in maps:
+            for g in maps:
+                fg = convolution_product(f, g, h.coalgebra, h.algebra)
+                ft, gt = LinMap(f.matrix.transpose()), LinMap(g.matrix.transpose())
+                assert fg.matrix.transpose() == convolution_product(ft, gt, hs.coalgebra, hs.algebra).matrix
+
+
+# dual-side checks deleted as transposes or corollaries of primal
+# identities (the proofs are in the docstring of _check_dual_side), and
+# for each perturbation of DUAL_SIDE_FAILURES that failed one of them,
+# the primal check it rests on with that check's witness
+TRIVIALITY = ("zeta-gamma-triviality", "zeta gamma != eps_C(-) 1_B")
+ZETA_SPLITS = ("zeta-splits-iota", "zeta iota != id_B")
+GAMMA_SPLITS = ("gamma-splits-pi", "pi gamma != id_C")
+CONV_UNIT = ("conv-unit", "(iota zeta) * (gamma pi) != id")
+GAMMA_PI = ("gamma-pi-convolution", "gamma pi != (iota zeta_bar) * id")
+GAMMABAR = ("gammabar-formula", "gamma_bar pi != S * (iota zeta)")
+GAMMA_COMODULE = (
+    "gamma-comodule-map", "(id (x) pi) Delta(gamma(x0)) != (gamma (x) id) Delta_C(x0)"
+)
 FAILED_TRANSPOSES = {
     "taft": {
-        ("gamma", 0, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
-        ("zeta", 0, 1): ["gamma-star-zeta-star"],
-        ("zeta", 1, 0): ["gamma-star-zeta-star", "zeta-star-splits"],
-        ("gamma", 1, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+        "zeta_bar=zeta": {"bar-identity-middle": GAMMA_PI, "bar-identity-antipode": GAMMA_PI},
+        "gamma[0,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "gamma-star-splits": GAMMA_SPLITS,
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-middle": GAMMA_PI,
+        },
+        "zeta[0,1]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "zeta-star-comodule-law": ("zeta-module-map", "zeta(iota(b1) e1) != b1 zeta(e1)"),
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+        },
+        "zeta[1,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "zeta-star-splits": ZETA_SPLITS,
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+        },
+        "gamma[1,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "gamma-star-splits": GAMMA_SPLITS,
+            "gamma-star-module-law": GAMMA_COMODULE,
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-middle": GAMMA_PI,
+        },
+        "gamma_bar[1,0]+1": {
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+            "bar-identity-antipode": GAMMABAR,
+        },
     },
     "c4": {
-        ("gamma", 0, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
-        ("zeta", 1, 0): ["gamma-star-zeta-star", "zeta-star-splits"],
-        ("gamma", 1, 0): ["gamma-star-zeta-star", "gamma-star-splits"],
+        "gamma[0,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "gamma-star-splits": GAMMA_SPLITS,
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-middle": GAMMA_PI,
+        },
+        "zeta[0,1]+1": {
+            "zeta-star-comodule-law": ("zeta-module-map", "zeta(iota(b1) e1) != b1 zeta(e1)"),
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+        },
+        "zeta[1,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "zeta-star-splits": ZETA_SPLITS,
+            "zeta-star-comodule-law": ("zeta-module-map", "zeta(iota(b1) e0) != b1 zeta(e0)"),
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+        },
+        "gamma[1,0]+1": {
+            "gamma-star-zeta-star": TRIVIALITY,
+            "gamma-star-splits": GAMMA_SPLITS,
+            "gamma-star-module-law": GAMMA_COMODULE,
+            "conv-unit-dual": CONV_UNIT,
+            "bar-identity-middle": GAMMA_PI,
+        },
+        "gamma_bar[1,0]+1": {
+            "bar-identity-left": GAMMABAR,
+            "bar-identity-right": GAMMABAR,
+            "bar-identity-antipode": GAMMABAR,
+        },
     },
 }
 
 
 @pytest.mark.parametrize("system", ["taft", "c4"])
 def test_deleted_transposes_fail_their_primal_counterparts(system, taft_pams, c4_f7_pams):
-    """certify_pams raises after the primal checks, before the dual side:
-    every perturbation that failed a deleted transpose fails its primal
-    counterpart there, with the primal witness."""
+    """certify_pams raises after zeta-module-map and the primal checks,
+    before the dual side: every perturbation that failed a deleted
+    dual-side check fails the primal check it rests on, with the primal
+    witness."""
     _, q, p = taft_pams if system == "taft" else c4_f7_pams
-    clean = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
-    for (name, i, j), deleted in FAILED_TRANSPOSES[system].items():
+    clean, perturbed = _perturbed(p)
+    for label, deleted in FAILED_TRANSPOSES[system].items():
+        maps = dict(clean, **perturbed[label])
         report = Report("primal")
-        _check_primal(q, report=report, **dict(clean, **{name: _bumped(clean[name], i, j)}))
+        w = _module_map_witness(q, maps["zeta"])
+        report.add("zeta-module-map", not w, w)
+        _check_primal(q, report=report, **maps)
         failures = dict(report.failures())
-        for check in deleted:
-            counterpart, witness = TRANSPOSED_CHECKS[check]
-            assert failures.get(counterpart) == witness, (name, i, j, check)
+        for check, (counterpart, witness) in deleted.items():
+            assert failures.get(counterpart) == witness, (label, check)
