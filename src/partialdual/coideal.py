@@ -59,11 +59,6 @@ __all__ = [
 _CERTIFIED = object()
 
 
-def _require_certifier(token: object, cls: type, certifier: str) -> None:
-    if token is not _CERTIFIED:
-        raise TypeError(f"{cls.__name__} is built only by {certifier}")
-
-
 class CoidealSubalgebra:
     """A certified left coideal subalgebra B of a Hopf algebra.
 
@@ -83,7 +78,8 @@ class CoidealSubalgebra:
         coaction: Tensor3,
         report: Report,
     ):
-        _require_certifier(token, CoidealSubalgebra, "certify_coideal")
+        if token is not _CERTIFIED:
+            raise TypeError("CoidealSubalgebra is built only by certify_coideal")
         self.parent = parent
         self.iota = iota
         self.dim = iota.source
@@ -199,7 +195,8 @@ class CoidealQuotient:
         canonical: bool,
         report: Report,
     ):
-        _require_certifier(token, CoidealQuotient, "build_quotient")
+        if token is not _CERTIFIED:
+            raise TypeError("CoidealQuotient is built only by build_quotient")
         self.coideal = b
         self.parent = b.parent
         self.pi = pi

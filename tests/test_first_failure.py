@@ -16,7 +16,6 @@ from partialdual.examples import cyclic, group_algebra, taft4
 from partialdual.hopf import (
     Algebra,
     CertificationError,
-    Coalgebra,
     HopfAlgebra,
     LinMap,
     Report,
