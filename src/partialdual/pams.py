@@ -11,7 +11,7 @@ partial dualization), and builds the six induced systems living on the
 opposite, co-opposite and dual Hopf algebras.
 
 Certification takes H, iota and pi as certified by certify_coideal and
-build_quotient, the only builders of its input; see certify_pams and
+build_quotient, which alone construct its input; see certify_pams and
 _check_dual_side for what this spares.
 """
 
