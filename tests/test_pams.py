@@ -503,14 +503,21 @@ GAMMABAR = ("gammabar-formula", "gamma_bar pi != S * (iota zeta)")
 GAMMA_COMODULE = (
     "gamma-comodule-map", "(id (x) pi) Delta(gamma(x0)) != (gamma (x) id) Delta_C(x0)"
 )
+FUSION = {f"fusion-{x}": CONV_UNIT for x in "abcde"}
 FAILED_TRANSPOSES = {
     "taft": {
-        "zeta_bar=zeta": {"bar-identity-middle": GAMMA_PI, "bar-identity-antipode": GAMMA_PI},
+        "zeta_bar=zeta": {
+            "bar-identity-middle": GAMMA_PI,
+            "bar-identity-antipode": GAMMA_PI,
+            "zetabar-star-coaction-law": GAMMA_PI,
+            "zetabar-star-antipode-law": GAMMA_PI,
+        },
         "gamma[0,0]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
             "gamma-star-splits": GAMMA_SPLITS,
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-middle": GAMMA_PI,
+            **FUSION,
         },
         "zeta[0,1]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
@@ -518,6 +525,7 @@ FAILED_TRANSPOSES = {
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
+            **FUSION,
         },
         "zeta[1,0]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
@@ -525,6 +533,8 @@ FAILED_TRANSPOSES = {
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
+            "btr-zeta-star-form": ZETA_SPLITS,
+            **FUSION,
         },
         "gamma[1,0]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
@@ -532,11 +542,14 @@ FAILED_TRANSPOSES = {
             "gamma-star-module-law": GAMMA_COMODULE,
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-middle": GAMMA_PI,
+            **FUSION,
         },
         "gamma_bar[1,0]+1": {
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
             "bar-identity-antipode": GAMMABAR,
+            "gammabar-star-mult-law": GAMMABAR,
+            "gammabar-star-shift": GAMMABAR,
         },
     },
     "c4": {
@@ -545,12 +558,16 @@ FAILED_TRANSPOSES = {
             "gamma-star-splits": GAMMA_SPLITS,
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-middle": GAMMA_PI,
+            **FUSION,
         },
         "zeta[0,1]+1": {
             "zeta-star-comodule-law": ("zeta-module-map", "zeta(iota(b1) e1) != b1 zeta(e1)"),
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
+            "fusion-a": CONV_UNIT,
+            "fusion-b": CONV_UNIT,
+            "fusion-c": CONV_UNIT,
         },
         "zeta[1,0]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
@@ -559,6 +576,8 @@ FAILED_TRANSPOSES = {
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
+            "btr-zeta-star-form": ZETA_SPLITS,
+            **FUSION,
         },
         "gamma[1,0]+1": {
             "gamma-star-zeta-star": TRIVIALITY,
@@ -566,11 +585,14 @@ FAILED_TRANSPOSES = {
             "gamma-star-module-law": GAMMA_COMODULE,
             "conv-unit-dual": CONV_UNIT,
             "bar-identity-middle": GAMMA_PI,
+            **FUSION,
         },
         "gamma_bar[1,0]+1": {
             "bar-identity-left": GAMMABAR,
             "bar-identity-right": GAMMABAR,
             "bar-identity-antipode": GAMMABAR,
+            "gammabar-star-mult-law": GAMMABAR,
+            "gammabar-star-shift": GAMMABAR,
         },
     },
 }
