@@ -5,19 +5,18 @@ B-module map zeta : H -> B with a biunitary comodule splitting
 gamma : C -> H of the quotient C = H / B+ H, tied together by the
 convolution identity (iota zeta) * (gamma pi) = id_H.  This module
 finds zeta by exact linear algebra, normalizes it, derives gamma and
-both convolution inverses, certifies the identity suite on the primal
-and dual sides (including the fusion identities used downstream by the
-partial dualization), and builds the six induced systems living on the
-opposite, co-opposite and dual Hopf algebras.
+both convolution inverses, certifies the identity suite on H, B and
+C, and builds the six induced systems living on the opposite,
+co-opposite and dual Hopf algebras.
 
 Certification takes H, iota and pi as certified by certify_coideal and
-build_quotient, which alone construct its input; see certify_pams and
-_check_dual_side for what this spares.
+build_quotient, which alone construct its input.  The identities on
+H*, B* and C* that the partial dualization uses as lemmas follow from
+the certified data; certify_pams proves them rather than checking them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
@@ -33,8 +32,6 @@ from .hopf import (
     LinMap,
     Report,
     _first_mismatch,
-    _grouped,
-    _terms_product,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -369,21 +366,6 @@ def find_cointegral(q: CoidealQuotient, strategy: dict | None = None) -> LinMap:
 # --- certification ----------------------------------------------------------------
 
 
-def _matrix_pairs(rows):
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                yield i, j, x
-
-
-def _nonzeros(entries) -> tuple:
-    return tuple((k, x) for k, x in enumerate(entries) if x)
-
-
-def _sparse_rows(rows) -> list[tuple]:
-    return [_nonzeros(row) for row in rows]
-
-
 def _check_primal(
     q: CoidealQuotient,
     zeta: LinMap,
@@ -478,292 +460,110 @@ def _check_primal(
     )
 
 
-def _check_dual_side(
-    q: CoidealQuotient,
-    zeta: LinMap,
-    gamma: LinMap,
-    zeta_bar: LinMap,
-    gamma_bar: LinMap,
-    report: Report,
-) -> None:
-    """The transposed identity family on H*, B* and C*.
-
-    Only identities that say more than a transpose or a corollary of a
-    primal one are checked here.  dual(H) multiplies by Delta^T and
-    comultiplies by m^T, so for f, g in End(H) the transposes convolve
-    in End(H*) in the same order: (f * g)^T = f^T * g^T, since
-    <phi, f(h_1) g(h_2)> = <f^T(phi_1) g^T(phi_2), h>; and S* = S^T.
-    Given that, these identities cannot fail once _check_primal and
-    certify_pams pass on a Hopf parent (id * S = eps 1 is its axiom
-    antipode-right, and zeta_bar is computed as the inverse of zeta):
-
-    - zeta* iota* = id, gamma* pi* = id and gamma* zeta* =
-      <-, 1_B> eps_C are the transposes of zeta-splits-iota,
-      gamma-splits-pi and zeta-gamma-triviality;
-    - (zeta* iota*) * (pi* gamma*) = id is the transpose of conv-unit;
-    - S* * (zeta* iota*) = pi* gammabar* is the transpose of
-      gammabar-formula, gamma_bar pi = S * (iota zeta);
-    - id * (pi* gammabar*) = zeta* iota*: by gammabar-formula it is the
-      transpose of id * S * (iota zeta) = eps 1 * (iota zeta);
-    - (pi* gamma*) * S* = zetabar* iota*: by gamma-pi-convolution,
-      gamma pi = (iota zeta_bar) * id, it is the transpose of
-      (iota zeta_bar) * id * S = (iota zeta_bar) * eps 1;
-    - (pi* gammabar*) * (zetabar* iota*) = S*: by gammabar-formula it is
-      the transpose of S * (iota zeta) * (iota zeta_bar), and since iota
-      is an algebra map, (iota zeta) * (iota zeta_bar) = iota (zeta *
-      zeta_bar) = eps 1;
-    - the left B*-colinearity of zeta*, (iota* (x) id) Delta zeta* =
-      (id (x) zeta*) Delta_B*, is the transpose of zeta-module-map;
-    - Delta pi*(x*) = sum pi*(x* <- e_i) (x) f_i is the transpose of
-      pi(h h') = pi(h) <| h', which build_quotient proves from its checks;
-    - gamma*(f pi*(x*)) = gamma*(f) x* is the transpose of
-      gamma-comodule-map, (id (x) pi) Delta gamma = (gamma (x) id) Delta_C.
-
-    Every identity over the basis is one _first_mismatch walk, so a
-    witness names the first failing coordinate.  Elements are lists of
-    coordinates and elements of X* (x) Y* nested lists with the first leg
-    outside; dense matrices appear only where whole maps are compared.
-    A transposed map applies as a combination of the sparse rows of the
-    map, products go through the Algebra.terms tables of H* and C*
-    (q.cstar), every table that does not depend on the indices is built
-    once, and the products inside the fusion sums are memoized.
-    """
-    h = q.parent
-    bsub = q.coideal
-    field = q.field
-    zero = field.zero
-    n, bdim, cdim = h.dim, bsub.dim, q.dim
-    hs = q.hstar
-    hterms, cterms = hs.algebra.terms, q.cstar.terms
-
-    def vsum(width, terms):  # sum c e_k over (k, c)
-        out = [zero] * width
-        for k, c in terms:
-            out[k] = out[k] + c
-        return out
-
-    def msum(nrows, ncols, terms):  # sum c e_r (x) e_k over (r, k, c)
-        out = [[zero] * ncols for _ in range(nrows)]
-        for r, k, c in terms:
-            out[r][k] = out[r][k] + c
-        return out
-
-    def combine(rows, width):  # y -> sum y_k rows[k]: a transposed map, or f_a (-)
-        return lambda y: vsum(width, ((t, c * x) for k, c in enumerate(y) if c for t, x in rows[k]))
-
-    def hmul(u, v):
-        return _terms_product(hterms, zero, u, v)
-
-    def cmul(u, v):
-        return _terms_product(cterms, zero, u, v)
-
-    def coproduct(w):
-        return msum(n, n, ((i, j, c * x) for k, c in enumerate(w) if c for (i, j), x in dh[k]))
-
-    iota_rows, zeta_rows, pi_rows, zbar_rows = (
-        _sparse_rows(m.matrix.rows) for m in (bsub.iota, zeta, q.pi, zeta_bar)
-    )
-    iota_s, zeta_s, pi_s = combine(iota_rows, bdim), combine(zeta_rows, n), combine(pi_rows, n)
-    gamma_s = combine(_sparse_rows(gamma.matrix.rows), cdim)
-    gbar_s = combine(_sparse_rows(gamma_bar.matrix.rows), cdim)
-    left = [combine(plane, n) for plane in hterms]
-    btr = _btr_tensor(q).data
-    btr_rows = [_sparse_rows(plane) for plane in btr]
-    btr_s = [combine(rows, bdim) for rows in btr_rows]  # f_a |> (-)
-    # Delta(f_k) = sum m[i,j,k] f_i (x) f_j of the dual coalgebras, as ((i, j), m[i,j,k]) at [k]
-    dh, db = _grouped(h.mult, 2), _grouped(bsub.mult, 2)
-    act = _grouped(q.action, 2)  # the ((s, i), <x*_t, x_s <| e_i>) with a nonzero pairing, at [t]
-    cbasis = Matrix.identity(field, cdim).rows
-    zs, gs, gbs = (m.matrix.rows for m in (zeta, gamma, gamma_bar))
-    fprod = [[vsum(n, pair) for pair in plane] for plane in hterms]
-    fz = [[left[a](z) for z in zs] for a in range(n)]
-    dzs = [coproduct(z) for z in zs]
-    dzs_nz = [list(_matrix_pairs(d)) for d in dzs]
-
-    report.add("iota-star-module-law", *_first_mismatch(
-        "iota*(f{0} f{1}) != f{0} |> iota*(f{1})".format,
-        lambda a, b: (iota_s(fprod[a][b]), btr_s[a](bsub.iota.matrix.rows[b])),
-        n, n,
-    ))
-    report.add("btr-zeta-star-form", *_first_mismatch(
-        "f{0} |> b*{1} != iota*(f{0} zeta*(b*{1}))".format,
-        lambda a, u: (list(btr[a][u]), iota_s(fz[a][u])),
-        n, bdim,
-    ))
-
-    # the fusion family: products of zeta*, pi* gamma* and the |> action
-    # recombine into plain multiplication by H* on the image of zeta*
-    zsb = [[zeta_s(row) for row in plane] for plane in btr]  # zeta*(f_i |> b*_u)
-    pgf = [[pi_s(gamma_s(w)) for w in row] for row in fprod]  # pi* gamma*(f_j f_p)
-    gz = [[gamma_s(w) for w in row] for row in fz]  # gamma*(f_a zeta*(b*_u))
-    gff_dense = [[gamma_s(w) for w in row] for row in fprod]  # gamma*(f_a f_p)
-    gff = [[_nonzeros(w) for w in row] for row in gff_dense]
-
-    @functools.cache
-    def zsb_pgf(i, u, j):  # p -> zsb[i][u] pgf[j][p]
-        return [_nonzeros(hmul(zsb[i][u], w)) for w in pgf[j]]
-
-    def fusion_a(alpha, beta):
-        acc = [[zero] * n for _ in range(n)]
-        for (i, j), xa in dh[alpha]:
-            for (u, v), xb in db[beta]:
-                prods, xab = zsb_pgf(i, u, j), xa * xb
-                for p, qq, xz in dzs_nz[v]:
-                    x = xab * xz
-                    for m, y in prods[p]:
-                        acc[m][qq] = acc[m][qq] + x * y
-        return acc, msum(
-            n, n, ((m, qq, x * y) for p, qq, x in dzs_nz[beta] for m, y in hterms[alpha][p])
-        )
-
-    report.add("fusion-a", *_first_mismatch("at f{0}, b*{1}".format, fusion_a, n, bdim))
-
-    @functools.cache
-    def zs_pgf(u, p):
-        return _nonzeros(hmul(zs[u], pi_s(gs[p])))
-
-    report.add("fusion-b", *_first_mismatch(
-        "at b*{0}".format,
-        lambda beta: (
-            msum(n, n, (
-                (m, qq, xb * xz * y)
-                for (u, v), xb in db[beta]
-                for p, qq, xz in dzs_nz[v]
-                for m, y in zs_pgf(u, p)
-            )),
-            dzs[beta],
-        ),
-        bdim,
-    ))
-
-    @functools.cache
-    def zsb_pgz(i, u, j):  # v -> zsb[i][u] pi* gamma*(f_j zeta*(b*_v))
-        return [_nonzeros(hmul(zsb[i][u], pi_s(w))) for w in gz[j]]
-
-    report.add("fusion-c", *_first_mismatch(
-        "at f{0}, b*{1}".format,
-        lambda alpha, beta: (
-            vsum(n, (
-                (m, xa * xb * y)
-                for (i, j), xa in dh[alpha]
-                for (u, v), xb in db[beta]
-                for m, y in zsb_pgz(i, u, j)[v]
-            )),
-            fz[alpha][beta],
-        ),
-        n, bdim,
-    ))
-
-    @functools.cache
-    def gz_gf(a, u):  # p -> gz[a][u] gamma*(f_p)
-        return [_nonzeros(cmul(gz[a][u], g)) for g in gs]
-
-    report.add("fusion-d", *_first_mismatch(
-        "at f{0}, b*{1}".format,
-        lambda alpha, beta: (
-            msum(cdim, n, (
-                (m, qq, xb * xz * y)
-                for (u, v), xb in db[beta]
-                for p, qq, xz in dzs_nz[v]
-                for m, y in gz_gf(alpha, u)[p]
-            )),
-            msum(cdim, n, (
-                (m, qq, xz * y) for p, qq, xz in dzs_nz[beta] for m, y in gff[alpha][p]
-            )),
-        ),
-        n, bdim,
-    ))
-
-    # fusion-e is bilinear in zsb[i][u] (x) gz[j][v], a sum that does not depend on k2
-    zsb_nz = [[_nonzeros(w) for w in row] for row in zsb]
-    gz_nz = [[_nonzeros(w) for w in row] for row in gz]
-    fcc = [[[_nonzeros(cmul(g, x)) for x in cbasis] for g in row] for row in gff_dense]
-
-    @functools.cache
-    def zsb_gz(alpha, beta):
-        return list(_matrix_pairs(msum(n, cdim, (
-            (r, c, xa * xb * z * g)
-            for (i, j), xa in dh[alpha]
-            for (u, v), xb in db[beta]
-            for r, z in zsb_nz[i][u]
-            for c, g in gz_nz[j][v]
-        ))))
-
-    report.add("fusion-e", *_first_mismatch(
-        "at f{0}, f{1}, b*{2}".format,
-        lambda k2, alpha, beta: (
-            vsum(cdim, (
-                (m, x * y) for r, c, x in zsb_gz(alpha, beta) for m, y in fcc[k2][r][c]
-            )),
-            gamma_s(left[k2](fz[alpha][beta])),
-        ),
-        n, n, bdim,
-    ))
-
-    # convolution-inverse side laws
-    one_c = q.pi(h.unit)
-    gbf = [[_nonzeros(gbar_s(w)) for w in row] for row in fprod]  # gammabar*(f_a f_i)
-    report.add("gammabar-star-mult-law", *_first_mismatch(
-        "at x*{0}, f{1}".format,
-        lambda t, alpha: (
-            vsum(cdim, (
-                (k, x * y * w)
-                for (s, i), x in act[t]
-                for j, y in gbf[alpha][i]
-                for k, w in cterms[s][j]
-            )),
-            [one_c[t] * y for y in gbs[alpha]],
-        ),
-        cdim, n,
-    ))
-    dzb_nz = [list(_matrix_pairs(coproduct(row))) for row in zeta_bar.matrix.rows]
-    report.add("zetabar-star-coaction-law", *_first_mismatch(
-        "at b*{0}".format,
-        lambda beta: (
-            msum(bdim, n, (
-                (m, qq, xb * xz * y)
-                for (u, v), xb in db[beta]
-                for p, qq, xz in dzb_nz[u]
-                for m, y in btr_rows[p][v]
-            )),
-            [[e * z for z in zeta_bar.matrix.rows[beta]] for e in bsub.counit.entries],
-        ),
-        bdim,
-    ))
-    sstar_inv = hs.antipode_inverse()
-    spi = (q.pi.matrix @ sstar_inv.transpose()).rows  # S*^-1 pi*(x*_t)
-    report.add("gammabar-star-shift", *_first_mismatch(
-        "at x*{0}, f{1}".format,
-        lambda t, alpha: (cmul(cbasis[t], gbs[alpha]), gbar_s(left[alpha](spi[t]))),
-        cdim, n,
-    ))
-    isv = _sparse_rows((sstar_inv.transpose() @ bsub.iota.matrix).rows)  # iota* S*^-1 (f_p)
-    report.add("zetabar-star-antipode-law", *_first_mismatch(
-        "at b*{0}".format,
-        lambda beta: (
-            msum(n, bdim, ((m, v, x * y) for (u, v), x in db[beta] for m, y in zbar_rows[u])),
-            msum(n, bdim, ((qq, v2, x * y) for p, qq, x in dzb_nz[beta] for v2, y in isv[p])),
-        ),
-        bdim,
-    ))
-
-
 def certify_pams(
     q: CoidealQuotient, zeta: LinMap, gamma: LinMap | None = None
 ) -> Pams:
     """Certify (zeta, gamma) as a PAMS on the quotient.
 
-    Every defining axiom and derived identity is verified on the full
-    basis (pairs of basis elements for two-argument identities); the
-    first failure is raised as a CertificationError carrying the whole
-    report.  With gamma omitted it is derived from zeta.  zeta_bar and
-    gamma_bar are computed once here, by one convolution inverse each.
+    The report has 15 checks in a fixed order: zeta-module-map,
+    zeta-biunitary, zeta-invertible and gamma-invertible, then the 11
+    identities of _check_primal.  Each is verified on the full basis
+    (pairs of basis elements for two-argument identities); the first
+    failure is raised as a CertificationError carrying the whole report.
+    With gamma omitted it is derived from zeta.  zeta_bar and gamma_bar
+    are computed once here, by one convolution inverse each.
 
     q comes from build_quotient, whose input came from certify_coideal:
     the Hopf axioms of H, iota as an injective algebra and comodule map
     (its structure constants are solved through iota), pi as a
     surjective coalgebra and module map and B as the coinvariants of
     (id (x) pi) Delta are certified there and not re-derived here.
+
+    No identity on H*, B* or C* is checked.  Those the construction of
+    C* # B uses as lemmas follow from the checks made, as proved below,
+    and the final object is verified anyway: verify_quasi_hopf checks the
+    left partial dual, the duality checks the right one.  Notation: a is
+    in H*, u in B*, x* in C*; H* and B* multiply by Delta^T and
+    comultiply by m^T, so <a_1 (x) a_2, h (x) h'> = <a, h h'>, and C*
+    multiplies by Delta_C^T; delta(b) = b_-1 (x) b_0 is the certified
+    coaction, so Delta iota = (id (x) iota) delta; a |> u is the action of
+    _btr_tensor.  The transposes of f, g in End(H) convolve in End(H*) in
+    the same order, (f * g)^T = f^T * g^T, since <phi, f(h_1) g(h_2)> =
+    <f^T(phi_1) g^T(phi_2), h>, and S* = S^T.  H is a Hopf algebra, so
+    id * S = eps 1 = S * id, S is a coalgebra anti-map and x_2 S^-1(x_1)
+    = eps(x) 1; zeta_bar is the two-sided convolution inverse of zeta.
+
+    - zeta-star-splits, gamma-star-splits, gamma-star-zeta-star (zeta*
+      iota* = id, gamma* pi* = id, gamma* zeta* = <-, 1_B> eps_C): the
+      transposes of zeta-splits-iota, gamma-splits-pi and
+      zeta-gamma-triviality.
+    - conv-unit-dual, (zeta* iota*) * (pi* gamma*) = id: the transpose
+      of conv-unit.
+    - bar-identity-right, S* * (zeta* iota*) = pi* gammabar*: the
+      transpose of gammabar-formula, gamma_bar pi = S * (iota zeta).
+    - bar-identity-left, id * (pi* gammabar*) = zeta* iota*: by
+      gammabar-formula, the transpose of id * S * (iota zeta) = eps 1 *
+      (iota zeta).
+    - bar-identity-middle, (pi* gamma*) * S* = zetabar* iota*: by
+      gamma-pi-convolution, gamma pi = (iota zeta_bar) * id, the
+      transpose of (iota zeta_bar) * id * S = (iota zeta_bar) * eps 1.
+    - bar-identity-antipode, (pi* gammabar*) * (zetabar* iota*) = S*: by
+      gammabar-formula, the transpose of S * (iota zeta) * (iota
+      zeta_bar), and as iota is an algebra map, (iota zeta) * (iota
+      zeta_bar) = iota (zeta * zeta_bar) = eps 1.
+    - zeta-star-comodule-law, (iota* (x) id) Delta zeta* = (id (x)
+      zeta*) Delta_B*: the transpose of zeta-module-map.
+    - pi-star-comodule-law, Delta pi*(x*) = sum pi*(x* <- e_i) (x) f_i:
+      the transpose of pi(h h') = pi(h) <| h', which build_quotient
+      proves from its checks.
+    - gamma-star-module-law, gamma*(a pi*(x*)) = gamma*(a) x*: the
+      transpose of gamma-comodule-map, (id (x) pi) Delta gamma = (gamma
+      (x) id) Delta_C.
+    - iota-star-module-law, iota*(a a') = a |> iota*(a'): <a a', iota(b)>
+      = <a (x) a', (id (x) iota) delta(b)> is how _btr_tensor defines |>.
+    - btr-zeta-star-form, a |> u = iota*(a zeta*(u)): by
+      iota-star-module-law the right side is a |> (zeta iota)*(u), and
+      zeta iota = id by zeta-splits-iota.
+    - fusion-a, sum zeta*(a_1 |> u_1) pi* gamma*(a_2 zeta*(u_2)_1) (x)
+      zeta*(u_2)_2 = (a (x) 1) Delta zeta*(u): at h (x) h' each side is
+      <a, X_1> <u, zeta(X_2 h')>.  On the right X = h; on the left X =
+      sum iota zeta(h_1) gamma pi(h_2), by b zeta(y) = zeta(iota(b) y)
+      (zeta-module-map), Delta being an algebra map and Delta iota =
+      (id (x) iota) delta.  Then X = h by conv-unit.
+    - fusion-b, sum zeta*(u_1) pi* gamma*(zeta*(u_2)_1) (x) zeta*(u_2)_2
+      = Delta zeta*(u): fusion-a at a = eps.
+    - fusion-c, sum zeta*(a_1 |> u_1) pi* gamma*(a_2 zeta*(u_2)) =
+      a zeta*(u): fusion-a at h' = 1.
+    - fusion-d, sum gamma*(a zeta*(u_1)) gamma*(zeta*(u_2)_1) (x)
+      zeta*(u_2)_2 = sum gamma*(a zeta*(u)_1) (x) zeta*(u)_2: at c (x) h'
+      the right side is <a, gamma(c)_1> <u, zeta(gamma(c)_2 h')>.
+      gamma-comodule-map turns gamma(c_1) (x) c_2 into gamma(c)_1 (x)
+      pi(gamma(c)_2); then zeta-module-map and conv-unit, applied to
+      gamma(c)_2, collapse the left side to the right one.
+    - fusion-e, sum gamma*(a' zeta*(a_1 |> u_1)) gamma*(a_2 zeta*(u_2))
+      = gamma*(a' a zeta*(u)): at c the same two steps, with X = sum
+      iota zeta(gamma(c)_2) gamma pi(gamma(c)_3), which is gamma(c)_2.
+    - gammabar-star-mult-law, sum (x* <- e_i) gammabar*(a f_i) =
+      <x*, pi(1)> gammabar*(a), that is sum gamma_bar(c_2)_1 (x) c_1 <|
+      gamma_bar(c_2)_2 = gamma_bar(c) (x) pi(1): take c = pi(h), so
+      gamma_bar(c) = S(h_1) iota zeta(h_2) by gammabar-formula; then
+      pi(iota(b) y) = eps(b) pi(y), as ker pi = B+ H, and h_1 S(h_2) =
+      eps(h) 1.
+    - zetabar-star-coaction-law, sum (zetabar*(u_1)_1 |> u_2) (x)
+      zetabar*(u_1)_2 = eps_B (x) zetabar*(u), that is zeta_bar(b_-1 h)
+      b_0 = eps(b) zeta_bar(h): convolved with zeta, the left side gives
+      (zeta_bar * zeta)(iota(b) h) = eps(b) eps(h) 1 by zeta-module-map
+      and Delta(iota(b) h) = b_-1 h_1 (x) iota(b_0) h_2, and so does the
+      right side; zeta is convolution-invertible.
+    - zetabar-star-antipode-law, zetabar*(u_1) (x) u_2 = sum
+      zetabar*(u)_2 (x) iota* S*^-1(zetabar*(u)_1), that is
+      zeta_bar(h) b = zeta_bar(S^-1(b) h): apply the coaction law to b_0
+      and S^-1(b_-1) h, then x_2 S^-1(x_1) = eps(x) 1.
+    - gammabar-star-shift, x* gammabar*(a) = gammabar*(a S*^-1 pi*(x*)),
+      that is c_1 (x) gamma_bar(c_2) = pi S^-1(gamma_bar(c)_2) (x)
+      gamma_bar(c)_1: take c = pi(h) and use gammabar-formula, then
+      pi(S^-1(iota(b)) y) = eps(b) pi(y) by pi-s-inv-iota-trivial and
+      the right H-action on C.
     """
     _shape_guard(q, zeta)
     h = q.parent
@@ -800,8 +600,6 @@ def certify_pams(
     report.add("gamma-invertible", True)
 
     _check_primal(q, zeta, gamma, zeta_bar, gamma_bar, report)
-    report.raise_if_failed()
-    _check_dual_side(q, zeta, gamma, zeta_bar, gamma_bar, report)
     report.raise_if_failed()
     return Pams(q, zeta, gamma, zeta_bar, gamma_bar, report)
 

@@ -7,7 +7,7 @@ assembled from structure constants and certified identity by identity.
 The right partial dual lives on C (x) B* and is produced together with
 the bit-exact duality pairing against the left side.
 
-The left constructor makes six cross-checks of its own, each comparing
+The left constructor makes five cross-checks of its own, each comparing
 a structural map with a second closed form that is assembled from
 different data or a linear system, then certifies the assembled object
 with verify_quasi_hopf, the one statement of the quasi-Hopf axiom suite;
@@ -312,11 +312,12 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     """Construct and certify the left partial dual of H along (zeta, gamma).
 
     The carrier is C* # B with basis f_t # b_j at flat index t*dim(B)+j.
-    First come the six cross-checks that only the construction can make:
-    the carrier dimension against dim H; the comultiplication against the
-    product of its two restricted forms and against its parent-basis
-    expansion; the inverse associator and upsilon against their second
-    forms; and uniqueness of the preantipode as a linear system.  The
+    First come the five cross-checks that only the construction can make:
+    the comultiplication against the product of its two restricted forms
+    and against its parent-basis expansion; the inverse associator and
+    upsilon against their second forms; and uniqueness of the preantipode
+    as a linear system.  The carrier dimension needs no check: dim C* # B
+    = dim C dim B = dim H is build_quotient's dim-product-law.  The
     assembled object is then certified by verify_quasi_hopf, whose checks
     are appended to the report.  Raises CertificationError with kind
     "axiom-failure" on the first failed check.
@@ -341,7 +342,6 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     cdim = q.dim
     nd = cdim * bdim
     report = Report(f"left partial dual (dim {nd} over {field.descriptor})")
-    report.add("dimension-matches-parent", nd == n, f"dim C* # B = {nd}, dim H = {n}")
 
     hs = q.hstar
     hsalg = hs.algebra

@@ -229,10 +229,6 @@ PAMS_CHECKS = [
     "gamma-comodule-map", "gamma-biunitary", "zetabar-biunitary", "gammabar-biunitary",
     "conv-unit", "zeta-splits-iota", "gamma-splits-pi", "gamma-pi-convolution",
     "gammabar-formula", "zeta-gamma-triviality", "pi-s-inv-iota-trivial",
-    # the dual side
-    "iota-star-module-law", "btr-zeta-star-form", "fusion-a", "fusion-b", "fusion-c",
-    "fusion-d", "fusion-e", "gammabar-star-mult-law", "zetabar-star-coaction-law",
-    "gammabar-star-shift", "zetabar-star-antipode-law",
 ]
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from partialdual.coideal import build_quotient, certify_coideal
+from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
 from partialdual.hopf import (
     CertificationError,
@@ -22,7 +22,6 @@ from partialdual.hopf import (
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
 from partialdual.pams import (
     INDUCED_KINDS,
-    _check_dual_side,
     _check_primal,
     _module_map_witness,
     biunitarize,
@@ -342,6 +341,21 @@ def test_pipeline_verifies_the_parent_once(monkeypatch):
     assert calls == [(h,)]
 
 
+def test_certify_pams_builds_no_dual(monkeypatch):
+    """Certification reads H, B and C only: no identity on H* or C* is checked."""
+    _, q, zeta = taft_quotient(QQ, 1)
+    calls = _count_calls(monkeypatch, dual)
+    touched = []
+    for name in ("hstar", "cstar"):
+        read = getattr(CoidealQuotient, name).fget
+        monkeypatch.setattr(
+            CoidealQuotient, name, property(lambda q, name=name, read=read: touched.append(name) or read(q))
+        )
+    certify_pams(q, zeta)
+    assert calls == []
+    assert touched == []
+
+
 def test_certify_pams_derives_each_inverse_once(monkeypatch):
     _, q, zeta = taft_quotient(QQ, 1)
     inverses = _count_calls(monkeypatch, convolution_inverse)
@@ -360,69 +374,6 @@ def test_induced_pams_reuses_the_certified_zeta_bar(monkeypatch, taft_pams):
     # one module-map witness per certify_pams, none for re-deriving gamma
     assert len(witnesses) == len(INDUCED_KINDS)
     assert derived == []
-
-
-DUAL_SIDE_CHECKS = [
-    "iota-star-module-law",
-    "btr-zeta-star-form",
-    "fusion-a",
-    "fusion-b",
-    "fusion-c",
-    "fusion-d",
-    "fusion-e",
-    "gammabar-star-mult-law",
-    "zetabar-star-coaction-law",
-    "gammabar-star-shift",
-    "zetabar-star-antipode-law",
-]
-
-
-def _fusion(a, b, c, d, e):
-    """The five fusion failures with their first failing coordinates."""
-    return [
-        ("fusion-a", f"at {a}"),
-        ("fusion-b", f"at {b}"),
-        ("fusion-c", f"at {c}"),
-        ("fusion-d", f"at {d}"),
-        ("fusion-e", f"at {e}"),
-    ]
-
-
-# failures of the dual-side family under one-entry perturbations of a
-# certified system, each with the first failing coordinate of its witness
-DUAL_SIDE_FAILURES = {
-    "taft": {
-        "zeta_bar=zeta": [
-            ("zetabar-star-coaction-law", "at b*1"),
-            ("zetabar-star-antipode-law", "at b*1"),
-        ],
-        "gamma[0,0]+1": _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
-        "zeta[0,1]+1": _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*1", "f0, f0, b*1"),
-        "zeta[1,0]+1": [("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))")]
-        + _fusion("f1, b*1", "b*1", "f1, b*1", "f0, b*1", "f0, f1, b*1"),
-        "gamma[1,0]+1": _fusion("f0, b*1", "b*0", "f0, b*1", "f0, b*0", "f0, f1, b*0"),
-        "gamma_bar[1,0]+1": [
-            ("gammabar-star-mult-law", "at x*0, f1"),
-            ("gammabar-star-shift", "at x*0, f1"),
-        ],
-    },
-    "c4": {
-        "zeta_bar=zeta": [],
-        "gamma[0,0]+1": _fusion("f0, b*0", "b*0", "f0, b*0", "f0, b*0", "f0, f0, b*0"),
-        "zeta[0,1]+1": [
-            ("fusion-a", "at f1, b*0"),
-            ("fusion-b", "at b*0"),
-            ("fusion-c", "at f1, b*0"),
-        ],
-        "zeta[1,0]+1": [("btr-zeta-star-form", "f0 |> b*1 != iota*(f0 zeta*(b*1))")]
-        + _fusion("f1, b*0", "b*0", "f2, b*0", "f0, b*0", "f0, f2, b*0"),
-        "gamma[1,0]+1": _fusion("f1, b*0", "b*0", "f1, b*1", "f0, b*0", "f0, f1, b*1"),
-        "gamma_bar[1,0]+1": [
-            ("gammabar-star-mult-law", "at x*0, f1"),
-            ("gammabar-star-shift", "at x*0, f1"),
-        ],
-    },
-}
 
 
 def _bumped(m, i, j):
@@ -452,25 +403,6 @@ def c4_f7_pams():
     return h, q, certify_pams(q, find_cointegral(q))
 
 
-@pytest.mark.parametrize("system", ["taft", "c4"])
-def test_dual_side_pins_names_failures_and_witnesses(system, taft_pams, c4_f7_pams):
-    """The transposed family, driven to FAIL directly (certify_pams would
-    stop at the primal side first): every check runs, in a fixed order,
-    and each perturbation fails exactly the recorded checks at the
-    recorded first coordinate."""
-    _, q, p = taft_pams if system == "taft" else c4_f7_pams
-    clean, perturbed = _perturbed(p)
-    report = Report("dual side")
-    _check_dual_side(q, report=report, **clean)
-    assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS
-    assert report.ok
-    for label, change in perturbed.items():
-        report = Report("dual side")
-        _check_dual_side(q, report=report, **dict(clean, **change))
-        assert [name for name, _, _ in report.checks] == DUAL_SIDE_CHECKS, label
-        assert report.failures() == DUAL_SIDE_FAILURES[system][label], label
-
-
 def test_convolution_transposes_into_the_dual():
     """dual(H) multiplies by Delta^T and comultiplies by m^T, so
     (f * g)^T = f^T * g^T in End(H*), and its antipode is S^T: the
@@ -491,9 +423,9 @@ def test_convolution_transposes_into_the_dual():
 
 
 # dual-side checks deleted as transposes or corollaries of primal
-# identities (the proofs are in the docstring of _check_dual_side), and
-# for each perturbation of DUAL_SIDE_FAILURES that failed one of them,
-# the primal check it rests on with that check's witness
+# identities (the proofs are in the docstring of certify_pams), and for
+# each perturbation of _perturbed that failed one of them when they were
+# checked, the primal check it rests on with that check's witness
 TRIVIALITY = ("zeta-gamma-triviality", "zeta gamma != eps_C(-) 1_B")
 ZETA_SPLITS = ("zeta-splits-iota", "zeta iota != id_B")
 GAMMA_SPLITS = ("gamma-splits-pi", "pi gamma != id_C")

@@ -273,7 +273,6 @@ def test_left_report_is_construction_checks_then_verifier(taft1, c4_strict):
     """The construction states only the cross-checks it alone can make;
     every quasi-Hopf axiom comes from the intrinsic verifier, in order."""
     construction = [
-        "dimension-matches-parent",
         "comult-product-form",
         "comult-parent-basis-form",
         "associator-inverse-forms-agree",
