@@ -11,7 +11,10 @@ Conventions, fixed once for the whole package:
 Products read the nonzero structure constants: Algebra.terms lists, for
 each pair of basis indices, the nonzero (k, m[i,j,k]), and Algebra.multiply
 and power_multiply walk only the nonzero coordinates of their operands
-against it; no n x n matrix is built for a product.  Flat sums of pure
+against it; no n x n matrix is built for a product.  power_multiply and
+the leg maps compute on ints: Algebra.int_terms, Coalgebra.int_comult
+and the operands are ints over one denominator (Field.to_ints), and only
+the result becomes field scalars (Field.from_ints).  Flat sums of pure
 tensors are built by linalg._kron_acc, which adds c (v_1 (x) ... (x) v_k)
 into a flat coordinate list, and _leg_map rewrites one leg of a flat
 tensor.  Flat tensors and structure tensors are read through three
@@ -147,15 +150,11 @@ def _first_mismatch(witness: Callable[..., str], sides: Callable, *dims: int) ->
     return True, ""
 
 
-def _fmt(field: Field, x: Scalar) -> str:
-    return field.to_str(x)
-
-
 def vector_witness(field: Field, lhs: Vector, rhs: Vector) -> str:
     """Locate the first differing coordinate of two vectors."""
     for i, (a, b) in enumerate(zip(lhs.entries, rhs.entries)):
         if a != b:
-            return f"coordinate {i}: {_fmt(field, a)} != {_fmt(field, b)}"
+            return f"coordinate {i}: {field.to_str(a)} != {field.to_str(b)}"
     if len(lhs) != len(rhs):
         return f"lengths differ: {len(lhs)} vs {len(rhs)}"
     return "equal"
@@ -210,10 +209,11 @@ class Algebra:
 
     `terms[i][j]` lists the nonzero (k, m[i,j,k]) of e_i e_j.  It is
     built once here, and every product (multiply, power_multiply) reads
-    it instead of the dense tensor.
+    it instead of the dense tensor; `int_terms` is (table, den) with
+    table[i][j] listing the same (k, m[i,j,k] den) as ints.
     """
 
-    __slots__ = ("field", "dim", "mult", "unit", "terms")
+    __slots__ = ("field", "dim", "mult", "unit", "terms", "int_terms")
 
     def __init__(self, field: Field, mult: Tensor3, unit: Vector):
         n = mult.dims[0]
@@ -232,6 +232,8 @@ class Algebra:
             for plane in mult.data
         )
         object.__setattr__(self, "terms", terms)
+        pairs, den = _int_pairs(field, [pair for row in terms for pair in row])
+        object.__setattr__(self, "int_terms", (tuple(pairs[i * n : (i + 1) * n] for i in range(n)), den))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Algebra is immutable")
@@ -303,10 +305,19 @@ def _terms_product(
     return out
 
 
-class Coalgebra:
-    """Coassociative counital coalgebra given by structure constants."""
+def _int_pairs(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) -> tuple[tuple, int]:
+    """(groups with each (index, x) as (index, x den), den): ints over one denominator."""
+    ints, den = field.to_ints([x for group in groups for _, x in group])
+    it = iter(ints)
+    return tuple(tuple((i, next(it)) for i, _ in group) for group in groups), den
 
-    __slots__ = ("field", "dim", "comult", "counit")
+
+class Coalgebra:
+    """Coassociative counital coalgebra given by structure constants;
+    `int_comult` is (images, den), images[i] listing the nonzero
+    (j n + k, d[i,j,k] den) of Delta(e_i) as ints, for tensor_comult_leg."""
+
+    __slots__ = ("field", "dim", "comult", "counit", "int_comult")
 
     def __init__(self, field: Field, comult: Tensor3, counit: Vector):
         n = comult.dims[0]
@@ -320,6 +331,8 @@ class Coalgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "comult", comult)
         object.__setattr__(self, "counit", counit)
+        images = [[(j * n + k, x) for (j, k), x in group] for group in _grouped(comult, 0)]
+        object.__setattr__(self, "int_comult", _int_pairs(field, images))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Coalgebra is immutable")
@@ -329,8 +342,7 @@ class Coalgebra:
         return contract(self.comult, 0, v)
 
     def comultiply_flat(self, v: Vector) -> Vector:
-        m = self.comultiply(v)
-        return Vector._of(self.field, [x for row in m.rows for x in row])
+        return Vector._of(self.field, [x for row in self.comultiply(v).rows for x in row])
 
     def counit_of(self, v: Vector) -> Scalar:
         return self.counit.dot(v)
@@ -424,7 +436,8 @@ class HopfAlgebra:
 # dims tuple (n_1, ..., n_k), flattened row-major.  The leg functions below
 # and the construction of the partial duals index them only through
 # linalg._kron_acc (add a scaled pure tensor), _leg_map (rewrite a leg) and
-# _support (list the nonzeros with their leg indices).
+# _support (list the nonzeros with their leg indices).  _leg_map and
+# power_multiply read a flat tensor as ints over one denominator.
 
 
 def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
@@ -463,36 +476,39 @@ def _grouped(t: Tensor3, axis: int) -> list[list[tuple[tuple[int, int], Scalar]]
 
 
 def _leg_map(
-    u: Vector, dims: Sequence[int], leg: int, width: int, images: Sequence[Sequence[tuple[int, Scalar]]]
+    u: Vector, dims: Sequence[int], leg: int, width: int, images: Sequence[Sequence[tuple[int, int]]], den: int
 ) -> Vector:
     """Replace one leg of a flat tensor by a leg of length `width`: e_d on
-    that leg becomes sum c e_r over the (r, c) in images[d]."""
+    that leg becomes sum (c / den) e_r over the (r, c) in images[d], c an int."""
     if len(u) != prod(dims):
         raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
     n, inner = dims[leg], prod(dims[leg + 1 :])
-    out = [u.field.zero] * (len(u) // n * width)
-    for idx, c in flat_nonzeros(u):
+    ints, du = u.field.to_ints(u.entries)
+    out = [0] * (len(u) // n * width)
+    for idx in itertools.compress(range(len(ints)), ints):
+        c = ints[idx]
         outer, rest = divmod(idx, n * inner)
         d, low = divmod(rest, inner)
         for r, w in images[d]:
-            j = (outer * width + r) * inner + low
-            out[j] = out[j] + c * w
-    return Vector._of(u.field, out)
+            out[(outer * width + r) * inner + low] += c * w
+    return Vector._of(u.field, u.field.from_ints(out, du * den))
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
     """Apply a matrix to one leg of a flat tensor."""
     if m.ncols != dims[leg]:
         raise ValueError(f"matrix acts on dimension {m.ncols}, leg has {dims[leg]}")
+    _same_field(u.field, m.field, "tensor and matrix")
     images = [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)]
-    return _leg_map(u, dims, leg, m.nrows, images)
+    return _leg_map(u, dims, leg, m.nrows, *_int_pairs(m.field, images))
 
 
 def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> Vector:
     """Pair one leg against a functional, removing that leg."""
     if len(phi) != dims[leg]:
         raise ValueError(f"functional has length {len(phi)}, leg has {dims[leg]}")
-    return _leg_map(u, dims, leg, 1, [[(0, w)] if w else [] for w in phi.entries])
+    _same_field(u.field, phi.field, "tensor and functional")
+    return _leg_map(u, dims, leg, 1, *_int_pairs(phi.field, [[(0, w)] if w else [] for w in phi.entries]))
 
 
 def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
@@ -517,31 +533,31 @@ def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vecto
     return Vector._of(u.field, out)
 
 
-def _prefix_tree(v: Vector, n: int, k: int) -> dict:
-    """Nonzeros of a flat k-leg tensor as nested dicts, one level per leg:
-    tree[d_0][d_1]...[d_{k-1}] is the coefficient of e_{d_0} (x) ... (x) e_{d_{k-1}}."""
-    tree: dict = {}
-    for digits, c in _support(v, n, k):
-        node = tree
-        for d in digits[:-1]:
-            node = node.setdefault(d, {})
-        node[digits[-1]] = c
-    return tree
-
-
 def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
     """Product in the k-fold tensor power algebra, elements flat of length dim**k."""
     field = algebra.field
+    _same_field(field, u.field, "algebra and vector")
+    _same_field(field, v.field, "algebra and vector")
     if k == 0:
         return Vector._of(field, [u[0] * v[0]])
     n = algebra.dim
-    terms = algebra.terms
-    out = [field.zero] * (n**k)
+    terms, den = algebra.int_terms
+    strides = [n ** (k - 1 - leg) for leg in range(k - 1)]
+    out = [0] * (n**k)
+
+    def tree(ints: list[int]) -> dict:  # tree[d_0]...[d_{k-1}]: the int at e_{d_0} (x) ... (x) e_{d_{k-1}}
+        root: dict = {}
+        for idx in itertools.compress(range(len(ints)), ints):
+            node = root
+            for s in strides:
+                node = node.setdefault(idx // s % n, {})
+            node[idx % n] = ints[idx]
+        return root
 
     # both operands are walked as prefix trees in step, one leg per level;
     # no pair is expanded past a leg whose product is zero, and the
     # operand coefficients are multiplied only at the leaves
-    def descend(tu: dict, tv: dict, level: int, partial: list[tuple[int, Scalar]]) -> None:
+    def descend(tu: dict, tv: dict, level: int, partial: list[tuple[int, int]]) -> None:
         for a, su in tu.items():
             row = terms[a]
             for b, sv in tv.items():
@@ -554,10 +570,11 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
                     continue
                 cuv = su * sv
                 for idx, c in grown:
-                    out[idx] = out[idx] + cuv * c
+                    out[idx] += cuv * c
 
-    descend(_prefix_tree(u, n, k), _prefix_tree(v, n, k), 0, [(0, field.one)])
-    return Vector._of(field, out)
+    (ui, du), (vi, dv) = field.to_ints(u.entries), field.to_ints(v.entries)
+    descend(tree(ui), tree(vi), 0, [(0, 1)])
+    return Vector._of(field, field.from_ints(out, du * dv * den**k))
 
 
 def power_unit(algebra: Algebra, k: int) -> Vector:
@@ -569,24 +586,29 @@ def tensor_comult_leg(coalgebra: Coalgebra, u: Vector, dims: Sequence[int], leg:
     n = coalgebra.dim
     if dims[leg] != n:
         raise ValueError(f"leg {leg} has dimension {dims[leg]}, coalgebra has {n}")
-    images = [
-        [(j * n + k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x]
-        for plane in coalgebra.comult.data
-    ]
-    return _leg_map(u, dims, leg, n * n, images)
+    _same_field(coalgebra.field, u.field, "coalgebra and tensor")
+    return _leg_map(u, dims, leg, n * n, *coalgebra.int_comult)
 
 
 # --- Hopf verification ---------------------------------------------------------
 
 
 def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
-    f = a.field
-    n = a.dim
+    f, n = a.field, a.dim
     es = [a.basis(i) for i in range(n)]
-    prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
+    terms, den = a.int_terms
+    cols = [[row[k] for row in terms] for k in range(n)]  # cols[k][p]: e_p e_k
+
+    def combination(pairs, table):  # sum x table[p] over the (p, x) of pairs, as in sum_p m[i,j,p] e_p e_k
+        out = [0] * n
+        for p, x in pairs:
+            for t, y in table[p]:
+                out[t] += x * y
+        return Vector._of(f, f.from_ints(out, den * den))
+
     report.add(prefix + "associativity", *_first_mismatch(
         lambda i, j, k, lhs, rhs: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); " + vector_witness(f, lhs, rhs),
-        lambda i, j, k: (a.multiply(prods[i][j], es[k]), a.multiply(es[i], prods[j][k])),
+        lambda i, j, k: (combination(terms[i][j], cols[k]), combination(terms[j][k], terms[i])),
         n, n, n,
     ))
     report.add(prefix + "unit-law", *_first_mismatch(
@@ -639,7 +661,7 @@ def verify_compatibility(
     )
 
     report.add(prefix + "counit-algebra-map", *_first_mismatch(
-        lambda i, j, lhs, rhs: f"eps(e{i} e{j}) = {_fmt(f, lhs)} != {_fmt(f, rhs)}",
+        lambda i, j, lhs, rhs: f"eps(e{i} e{j}) = {f.to_str(lhs)} != {f.to_str(rhs)}",
         lambda i, j: (c.counit_of(prods[i][j]), c.counit[i] * c.counit[j]),
         n, n,
     ))

@@ -17,7 +17,11 @@ built by the private trusted constructors `Vector._of`, `Matrix._of` and
 therefore starts every accumulator from `field.zero`, never from a bare
 int, so that no `int` reaches a trusted constructor, and a copy of
 another container's entries is built over that container's field, so
-that data over a different field still meets a field check.
+that data over a different field still meets a field check.  The
+tensor-power kernels of `hopf` compute on ints instead: a field's
+`to_ints` gives ints over one denominator (residues over F_p, numerators
+over the lcm of the denominators over Q), and `from_ints` builds a scalar
+per nonzero result.  Only this module reads what a scalar is made of.
 
 Every linear system is solved by one sparse elimination, `Elimination`:
 rows are {column: scalar} mappings, right-hand sides ride along beside
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -203,6 +207,20 @@ class RationalField:
     def to_str(self, x: Fraction) -> str:
         return str(self.coerce(x))
 
+    def to_ints(self, xs: Sequence[Fraction]) -> tuple[list[int], int]:
+        """(ints, den) with xs[i] = ints[i] / den, den the lcm of the
+        denominators; the shared zero is skipped by identity, a shortcut."""
+        zero = self.zero
+        den = lcm(*{x.denominator for x in xs if x is not zero})
+        return [0 if x is zero else x.numerator * (den // x.denominator) for x in xs], den
+
+    def from_ints(self, ints: Sequence[int], den: int) -> list[Fraction]:
+        """The scalars ints[i] / den, the shared zero for every 0."""
+        zero = self.zero
+        if den == 1:
+            return [Fraction(x) if x else zero for x in ints]
+        return [Fraction(x, den) if x else zero for x in ints]
+
     def __repr__(self) -> str:
         return "QQ"
 
@@ -227,27 +245,17 @@ class PrimeField:
         inst = cls._cache.get(p)
         if inst is None:
             inst = super().__new__(cls)
-            inst.p = p
+            inst.p, inst.characteristic, inst.descriptor = p, p, f"Fp:{p}"
+            # residues are never changed in place, so one of each serves every caller
+            inst.zero, inst.one = ModInt(0, p), ModInt(1, p)
             cls._cache[p] = inst
         return inst
 
     p: int
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def descriptor(self) -> str:
-        return f"Fp:{self.p}"
-
-    @property
-    def zero(self) -> ModInt:
-        return ModInt(0, self.p)
-
-    @property
-    def one(self) -> ModInt:
-        return ModInt(1, self.p)
+    characteristic: int
+    descriptor: str
+    zero: ModInt
+    one: ModInt
 
     def coerce(self, x: object) -> ModInt:
         if isinstance(x, ModInt):
@@ -270,6 +278,16 @@ class PrimeField:
 
     def to_str(self, x: ModInt) -> str:
         return str(self.coerce(x).v)
+
+    def to_ints(self, xs: Sequence[ModInt]) -> tuple[list[int], int]:
+        """(ints, 1): the residues themselves."""
+        return [x.v for x in xs], 1
+
+    def from_ints(self, ints: Sequence[int], den: int) -> list[ModInt]:
+        """The scalars ints[i] / den mod p, the shared zero for every 0."""
+        p, zero = self.p, self.zero
+        inv = pow(den, -1, p)
+        return [ModInt(x * inv, p) if x % p else zero for x in ints]
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

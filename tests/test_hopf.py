@@ -34,7 +34,10 @@ from partialdual.hopf import (
     verify_hopf,
 )
 from partialdual.examples import group_algebra, symmetric, taft4
-from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector, _kron_acc, contract
+from partialdual.linalg import QQ, FieldMismatchError, Matrix, ModInt, PrimeField, Tensor3, Vector, _kron_acc, contract
+
+# the largest prime below 2**31: residues and their products outgrow a machine word
+BIG_PRIME = PrimeField(2147483647)
 
 
 def cyclic_group_hopf(n, field=QQ):
@@ -50,6 +53,22 @@ def cyclic_group_hopf(n, field=QQ):
         [[1 if i == (-j) % n else 0 for j in range(n)] for i in range(n)],
     )
     return HopfAlgebra(field, mult, unit, comult, counit, antipode, name=f"kC{n}")
+
+
+def kc2_on_basis(c):
+    """kC2 on the basis (1, c g): (c g)^2 = c^2 1, Delta(c g) = (1/c) (c g) (x) (c g)
+    and eps(c g) = c, so a non-integral c puts denominators into the structure constants."""
+    c = Fraction(c)
+    mult = Tensor3.from_entries(QQ, (2, 2, 2), [((0, 0, 0), 1), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), c * c)])
+    comult = Tensor3.from_entries(QQ, (2, 2, 2), [((0, 0, 0), 1), ((1, 1, 1), 1 / c)])
+    unit, counit = Vector.basis(QQ, 2, 0), Vector(QQ, [1, c])
+    return HopfAlgebra(QQ, mult, unit, comult, counit, Matrix.identity(QQ, 2), name=f"kC2 on (1, {c} g)")
+
+
+def test_scaled_bases_of_kc2_are_hopf():
+    for c in (Fraction(1, 2), 2):
+        report = verify_hopf(kc2_on_basis(c))
+        assert report.ok, report.render()
 
 
 def test_cyclic_group_algebras_are_hopf():
@@ -279,16 +298,33 @@ def test_leg_functions_match_digit_walkers(field):
                 assert tensor_permute(u, dims, perm) == _ref_permute(u, dims, perm), (dims, perm)
 
 
+def _check_comult_leg(coalgebra, rng):
+    field, n = coalgebra.field, coalgebra.dim
+    for dims in [(n,), (n, 3), (2, n), (n, 2, 3), (2, n, 3), (2, 3, n), (2, n, 1, 3)]:
+        for u in _flat_operands(field, prod(dims), rng):
+            for leg in [l for l, d in enumerate(dims) if d == n]:
+                got = tensor_comult_leg(coalgebra, u, dims, leg)
+                assert got == _ref_comult_leg(coalgebra, u, dims, leg), (dims, leg, u)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_comult_leg_matches_digit_walker_on_taft(field):
     # Taft-4 is not cocommutative, so a swapped pair of new legs shows
-    coalgebra = taft4(field, 1)[0].coalgebra
-    rng = random.Random(12)
-    for dims in [(4,), (4, 3), (2, 4), (4, 2, 3), (2, 4, 3), (2, 3, 4), (2, 4, 1, 3)]:
-        for u in _flat_operands(field, prod(dims), rng):
-            for leg in [l for l, n in enumerate(dims) if n == 4]:
-                got = tensor_comult_leg(coalgebra, u, dims, leg)
-                assert got == _ref_comult_leg(coalgebra, u, dims, leg), (dims, leg, u)
+    _check_comult_leg(taft4(field, 1)[0].coalgebra, random.Random(12))
+
+
+# Delta(g/2) = 2 (g/2) (x) (g/2) and Delta(2g) = 1/2 (2g) (x) (2g); over
+# F_2147483647 the residues of -1 and of the operands are near 2**31
+SCALED_COALGEBRAS = {
+    "kC2-half": lambda: kc2_on_basis(Fraction(1, 2)).coalgebra,
+    "kC2-double": lambda: kc2_on_basis(2).coalgebra,
+    "taft4-F2147483647": lambda: taft4(BIG_PRIME, 1)[0].coalgebra,
+}
+
+
+@pytest.mark.parametrize("name", list(SCALED_COALGEBRAS))
+def test_comult_leg_matches_digit_walker_with_denominators_and_large_residues(name):
+    _check_comult_leg(SCALED_COALGEBRAS[name](), random.Random(13))
 
 
 def test_leg_functions_reject_malformed_input():
@@ -514,6 +550,11 @@ POWER_ALGEBRAS = {
     # basis (1, 2 + g): (2 + g)^2 = 4 (2 + g) - 3, so a product of basis
     # elements can have more than one term
     "kC2-tilted": lambda: _in_basis(cyclic_group_hopf(2).algebra, [[1, 2], [0, 1]]),
+    # (g/2)^2 = 1/4: a denominator in the structure constants
+    "kC2-half": lambda: kc2_on_basis(Fraction(1, 2)).algebra,
+    # the basis whose comultiplication has the constant 1/2 (its products are integral)
+    "kC2-double": lambda: kc2_on_basis(2).algebra,
+    "taft4-F2147483647": lambda: taft4(BIG_PRIME, 1)[0].algebra,
 }
 
 
@@ -539,6 +580,27 @@ def test_power_multiply_dense_four_legs_of_function_algebra():
     us, vs = ops["dense"], ops["dense"][::-1]
     u, v = _flat(QQ, 6, 4, us), _flat(QQ, 6, 4, vs)
     assert power_multiply(algebra, 4, u, v) == _reference_product(algebra, 4, us, vs)
+
+
+def test_power_multiply_allocates_one_residue_per_nonzero_of_the_result(monkeypatch):
+    """The kernel computes on int residues: the only ModInt it constructs
+    are the nonzero entries of its result."""
+    field = PrimeField(5)
+    algebra = taft4(field, 1)[0].algebra
+    rng = random.Random(3)
+    u, v = (Vector(field, [_scalar(field, rng) for _ in range(4**3)]) for _ in range(2))
+    built = []
+    init = ModInt.__init__
+
+    def counting_init(self, value, p):
+        built.append(value)
+        init(self, value, p)
+
+    monkeypatch.setattr(ModInt, "__init__", counting_init)
+    result = power_multiply(algebra, 3, u, v)
+    monkeypatch.undo()
+    nonzeros = sum(1 for x in result if x)
+    assert 0 < len(built) <= nonzeros
 
 
 def _vectors(field, n, rng):

@@ -25,7 +25,10 @@ loop regroups the `.nonzero()` entries of a tensor into per-index lists
 by hand: that is `hopf._grouped`.  `verify_hopf` is called only where a
 Hopf algebra enters without certification: `certify_coideal`, the entry
 of the pipeline, and the commands and constructors that build or
-reassemble a Hopf algebra of their own.
+reassemble a Hopf algebra of their own.  What a scalar is made of (the
+`numerator` and `denominator` of a `Fraction`, the residue `v` of a
+`ModInt`) is read only in `linalg`, whose fields convert scalars to and
+from ints for the integer kernels.
 """
 
 import ast
@@ -531,3 +534,34 @@ def test_checker_names_the_callers_of_verify_hopf():
 def test_verify_hopf_runs_only_at_the_entry_and_where_a_hopf_algebra_is_built():
     callers = {c for path in MODULES for c in verify_hopf_callers(path.read_text(), path.stem)}
     assert callers <= VERIFY_HOPF_CALLERS
+
+
+# the parts of a scalar: Fraction.numerator/denominator (and the private
+# fields behind them) and the residue ModInt.v
+SCALAR_PARTS = {"numerator", "denominator", "_numerator", "_denominator", "v"}
+
+
+def scalar_part_reads(source: str) -> list[str]:
+    """Reads of a part of a scalar (`x.numerator`, `x.v`, ...), as "attr (line)"."""
+    reads = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SCALAR_PARTS
+    ]
+    return [f"{attr} (line {line})" for line, _, attr in sorted(reads)]
+
+
+def test_checker_flags_reads_of_scalar_parts():
+    source = (
+        "from fractions import Fraction\n"
+        "def f(x, r, limit):\n"
+        "    den = x.denominator\n"
+        "    y = Fraction(1, 3).limit_denominator(limit)\n"
+        "    return x.numerator * den, r.v, r.value, y\n"
+    )
+    assert scalar_part_reads(source) == ["denominator (line 3)", "numerator (line 5)", "v (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_scalar_parts_are_read_only_in_linalg(path):
+    assert scalar_part_reads(path.read_text()) == []
