@@ -342,7 +342,8 @@ class Coalgebra:
         return contract(self.comult, 0, v)
 
     def comultiply_flat(self, v: Vector) -> Vector:
-        return Vector._of(self.field, [x for row in self.comultiply(v).rows for x in row])
+        m = self.comultiply(v)
+        return Vector._of(self.field, [x for row in m.rows for x in row])
 
     def counit_of(self, v: Vector) -> Scalar:
         return self.counit.dot(v)
