@@ -71,6 +71,24 @@ def test_scaled_bases_of_kc2_are_hopf():
         assert report.ok, report.render()
 
 
+# (c, entry of Delta raised by one) -> the coassociativity and comult-algebra-map witnesses
+FRACTIONAL_WITNESSES = {
+    (Fraction(2, 3), (1, 0, 0)): ("at e1: coordinate 1: 3/2 != 0", "Delta(e1 e1): coordinate 0: 4/9 != 13/9"),
+    (Fraction(1, 2), (1, 0, 1)): ("at e1: coordinate 5: 0 != 2", "Delta(e1 e1): coordinate 0: 1/4 != 1/2"),
+}
+
+
+@pytest.mark.parametrize("c, entry", list(FRACTIONAL_WITNESSES), ids=["c=2/3", "c=1/2"])
+def test_comultiplication_witnesses_over_fractional_coordinates(c, entry):
+    h = kc2_on_basis(c)
+    data = [[list(row) for row in plane] for plane in h.comult.data]
+    i, j, k = entry
+    data[i][j][k] += 1
+    broken = HopfAlgebra(QQ, h.mult, h.unit, Tensor3(QQ, data), h.counit, h.antipode)
+    failed = dict(verify_hopf(broken).failures())
+    assert (failed["coassociativity"], failed["comult-algebra-map"]) == FRACTIONAL_WITNESSES[c, entry]
+
+
 def test_cyclic_group_algebras_are_hopf():
     for n in (2, 3, 4):
         report = verify_hopf(cyclic_group_hopf(n))
