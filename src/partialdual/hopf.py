@@ -9,19 +9,16 @@ Conventions, fixed once for the whole package:
   flatten row-major: index of e_i (x) e_j in H (x) H is i*dim + j
 
 Products read the nonzero structure constants: Algebra.terms lists, for
-each pair of basis indices, the nonzero (k, m[i,j,k]), and Algebra.multiply
-and power_multiply walk only the nonzero coordinates of their operands
-against it; no n x n matrix is built for a product.  power_multiply and
-the leg maps compute on ints: Algebra.int_terms, Coalgebra.int_comult
-and the operands are ints over one denominator (Field.to_ints), and only
-the result becomes field scalars (Field.from_ints).  Flat sums of pure
-tensors are built by linalg._kron_acc, which adds c (v_1 (x) ... (x) v_k)
-into a flat coordinate list, and _leg_map rewrites one leg of a flat
-tensor.  Flat tensors and structure tensors are read through three
-decoders: _support lists the nonzeros of a flat k-leg tensor with their
-leg indices, _weighted_sum adds up c term(indices) over such a list, and
-_grouped lists the nonzeros of a Tensor3 grouped by one leg.  No other
-module decodes a flat index by hand.
+each pair of basis indices, the nonzero (k, m[i,j,k]), and
+Algebra.multiply walks only the nonzero coordinates of its operands
+against it; no n x n matrix is built for a product.  The tensor-power
+kernels, and the verifiers that chain them, compute on the sparse integer
+form of a flat tensor.  Flat sums of pure tensors are built by
+linalg._kron_acc.  Flat tensors and structure tensors are read through
+three decoders: _support lists the nonzeros of a flat k-leg tensor with
+their leg indices, _weighted_sum adds up c term(indices) over such a
+list, and _grouped lists the nonzeros of a Tensor3 grouped by one leg.
+No other module decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -32,6 +29,7 @@ walk, whose witness names the first failing index.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from math import prod
 from typing import Callable, Iterator, Sequence
 
@@ -210,7 +208,8 @@ class Algebra:
     `terms[i][j]` lists the nonzero (k, m[i,j,k]) of e_i e_j.  It is
     built once here, and every product (multiply, power_multiply) reads
     it instead of the dense tensor; `int_terms` is (table, den) with
-    table[i][j] listing the same (k, m[i,j,k] den) as ints.
+    table[i][j] = {k: m[i,j,k] den}, so (table[i][j], den) is e_i e_j in
+    the (support, den) form of a flat tensor.
     """
 
     __slots__ = ("field", "dim", "mult", "unit", "terms", "int_terms")
@@ -232,8 +231,8 @@ class Algebra:
             for plane in mult.data
         )
         object.__setattr__(self, "terms", terms)
-        pairs, den = _int_pairs(field, [pair for row in terms for pair in row])
-        object.__setattr__(self, "int_terms", (tuple(pairs[i * n : (i + 1) * n] for i in range(n)), den))
+        table, den = _int_supports(field, [pair for row in terms for pair in row])
+        object.__setattr__(self, "int_terms", (tuple(table[i * n : (i + 1) * n] for i in range(n)), den))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Algebra is immutable")
@@ -305,17 +304,17 @@ def _terms_product(
     return out
 
 
-def _int_pairs(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) -> tuple[tuple, int]:
-    """(groups with each (index, x) as (index, x den), den): ints over one denominator."""
+def _int_supports(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) -> tuple[tuple, int]:
+    """(supports, den): each group of (index, x) becomes {index: x den}, ints over one denominator."""
     ints, den = field.to_ints([x for group in groups for _, x in group])
     it = iter(ints)
-    return tuple(tuple((i, next(it)) for i, _ in group) for group in groups), den
+    return tuple({i: next(it) for i, _ in group} for group in groups), den
 
 
 class Coalgebra:
     """Coassociative counital coalgebra given by structure constants;
-    `int_comult` is (images, den), images[i] listing the nonzero
-    (j n + k, d[i,j,k] den) of Delta(e_i) as ints, for tensor_comult_leg."""
+    `int_comult` is (images, den) with images[i] = {j n + k: d[i,j,k] den},
+    so (images[i], den) is Delta(e_i) in (support, den) form."""
 
     __slots__ = ("field", "dim", "comult", "counit", "int_comult")
 
@@ -332,7 +331,7 @@ class Coalgebra:
         object.__setattr__(self, "comult", comult)
         object.__setattr__(self, "counit", counit)
         images = [[(j * n + k, x) for (j, k), x in group] for group in _grouped(comult, 0)]
-        object.__setattr__(self, "int_comult", _int_pairs(field, images))
+        object.__setattr__(self, "int_comult", _int_supports(field, images))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Coalgebra is immutable")
@@ -434,17 +433,46 @@ class HopfAlgebra:
 # --- flat tensor utilities ----------------------------------------------------
 #
 # Elements of mixed tensor products V_1 (x) ... (x) V_k are flat Vectors with a
-# dims tuple (n_1, ..., n_k), flattened row-major.  The leg functions below
-# and the construction of the partial duals index them only through
-# linalg._kron_acc (add a scaled pure tensor), _leg_map (rewrite a leg) and
-# _support (list the nonzeros with their leg indices).  _leg_map and
-# power_multiply read a flat tensor as ints over one denominator.
+# dims tuple (n_1, ..., n_k), flattened row-major.  The tensor-power kernels
+# _power_product, _leg_map (rewrite a leg) and _kron take and return one sparse
+# form, (support, den): `support` maps the flat index of each nonzero coordinate
+# to an int, and the coordinate is that int over `den`.  _sparse and _dense
+# convert a Vector to and from it; _comparable makes two sides compare equal
+# exactly when their values agree.
+
+Sparse = tuple[dict[int, int], int]
 
 
 def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
     for i, x in enumerate(v.entries):
         if x:
             yield i, x
+
+
+def _sparse(v: Vector) -> Sparse:
+    """The (support, den) form of a flat tensor, converting only its nonzeros."""
+    nonzeros = [i for i, x in enumerate(v.entries) if x]
+    ints, den = v.field.to_ints([v.entries[i] for i in nonzeros])
+    return dict(zip(nonzeros, ints)), den
+
+
+def _dense(field: Field, size: int, s: Sparse) -> Vector:
+    """The flat tensor of length `size` whose (support, den) form is s."""
+    ints = [0] * size
+    for i, x in s[0].items():
+        ints[i] = x
+    return Vector._of(field, field.from_ints(ints, s[1]))
+
+
+def _comparable(field: Field, lhs: Sparse, rhs: Sparse) -> tuple[Sparse, Sparse]:
+    """lhs and rhs over one denominator and reduced by the field: equal exactly when their values are."""
+    (sl, dl), (sr, dr) = lhs, rhs
+    return tuple((field.reduce({i: x * d for i, x in s.items()}), dl * dr) for s, d in ((sl, dr), (sr, dl)))
+
+
+def _kron(u: Sparse, v: Sparse, width: int) -> Sparse:
+    """u (x) v for v of length `width`: the support of v shifted to each index of u."""
+    return {i * width + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1]
 
 
 def _support(v: Vector, n: int, k: int) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -476,23 +504,24 @@ def _grouped(t: Tensor3, axis: int) -> list[list[tuple[tuple[int, int], Scalar]]
     return out
 
 
-def _leg_map(
-    u: Vector, dims: Sequence[int], leg: int, width: int, images: Sequence[Sequence[tuple[int, int]]], den: int
-) -> Vector:
-    """Replace one leg of a flat tensor by a leg of length `width`: e_d on
-    that leg becomes sum (c / den) e_r over the (r, c) in images[d], c an int."""
-    if len(u) != prod(dims):
-        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
+def _leg_map(u: Sparse, dims: Sequence[int], leg: int, width: int, images: tuple[Sequence, int]) -> Sparse:
+    """Replace one leg of a flat tensor by a leg of length `width`: for
+    images = (table, den), e_d on that leg becomes (table[d], den)."""
+    (support, du), (table, den) = u, images
     n, inner = dims[leg], prod(dims[leg + 1 :])
-    ints, du = u.field.to_ints(u.entries)
-    out = [0] * (len(u) // n * width)
-    for idx in itertools.compress(range(len(ints)), ints):
-        c = ints[idx]
+    out: dict[int, int] = defaultdict(int)
+    for idx, c in support.items():
         outer, rest = divmod(idx, n * inner)
         d, low = divmod(rest, inner)
-        for r, w in images[d]:
+        for r, w in table[d].items():
             out[(outer * width + r) * inner + low] += c * w
-    return Vector._of(u.field, u.field.from_ints(out, du * den))
+    return out, du * den
+
+
+def _apply_leg(u: Vector, dims: Sequence[int], leg: int, width: int, images: tuple[Sequence, int]) -> Vector:
+    if len(u) != prod(dims):
+        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
+    return _dense(u.field, len(u) // dims[leg] * width, _leg_map(_sparse(u), dims, leg, width, images))
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
@@ -501,7 +530,7 @@ def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
         raise ValueError(f"matrix acts on dimension {m.ncols}, leg has {dims[leg]}")
     _same_field(u.field, m.field, "tensor and matrix")
     images = [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)]
-    return _leg_map(u, dims, leg, m.nrows, *_int_pairs(m.field, images))
+    return _apply_leg(u, dims, leg, m.nrows, _int_supports(m.field, images))
 
 
 def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> Vector:
@@ -509,7 +538,7 @@ def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> 
     if len(phi) != dims[leg]:
         raise ValueError(f"functional has length {len(phi)}, leg has {dims[leg]}")
     _same_field(u.field, phi.field, "tensor and functional")
-    return _leg_map(u, dims, leg, 1, *_int_pairs(phi.field, [[(0, w)] if w else [] for w in phi.entries]))
+    return _apply_leg(u, dims, leg, 1, _int_supports(phi.field, [[(0, w)] if w else [] for w in phi.entries]))
 
 
 def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
@@ -534,25 +563,20 @@ def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vecto
     return Vector._of(u.field, out)
 
 
-def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
-    """Product in the k-fold tensor power algebra, elements flat of length dim**k."""
-    field = algebra.field
-    _same_field(field, u.field, "algebra and vector")
-    _same_field(field, v.field, "algebra and vector")
-    if k == 0:
-        return Vector._of(field, [u[0] * v[0]])
+def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
+    """u v in the k-fold tensor power, k >= 1, the result reduced by the field."""
     n = algebra.dim
     terms, den = algebra.int_terms
     strides = [n ** (k - 1 - leg) for leg in range(k - 1)]
-    out = [0] * (n**k)
+    out: dict[int, int] = defaultdict(int)
 
-    def tree(ints: list[int]) -> dict:  # tree[d_0]...[d_{k-1}]: the int at e_{d_0} (x) ... (x) e_{d_{k-1}}
+    def tree(support: dict[int, int]) -> dict:  # tree[d_0]...[d_{k-1}]: the int at e_{d_0} (x) ... (x) e_{d_{k-1}}
         root: dict = {}
-        for idx in itertools.compress(range(len(ints)), ints):
+        for idx, c in support.items():
             node = root
             for s in strides:
                 node = node.setdefault(idx // s % n, {})
-            node[idx % n] = ints[idx]
+            node[idx % n] = c
         return root
 
     # both operands are walked as prefix trees in step, one leg per level;
@@ -565,7 +589,7 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
                 pair = row[b]
                 if not pair:
                     continue
-                grown = [(base * n + t, c * w) for base, c in partial for t, w in pair]
+                grown = [(base * n + t, c * w) for base, c in partial for t, w in pair.items()]
                 if level < k - 1:
                     descend(su, sv, level + 1, grown)
                     continue
@@ -573,9 +597,18 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
                 for idx, c in grown:
                     out[idx] += cuv * c
 
-    (ui, du), (vi, dv) = field.to_ints(u.entries), field.to_ints(v.entries)
-    descend(tree(ui), tree(vi), 0, [(0, 1)])
-    return Vector._of(field, field.from_ints(out, du * dv * den**k))
+    descend(tree(u[0]), tree(v[0]), 0, [(0, 1)])
+    return algebra.field.reduce(out), u[1] * v[1] * den**k
+
+
+def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
+    """Product in the k-fold tensor power, elements flat of length dim**k: _power_product on (support, den) forms."""
+    field = algebra.field
+    _same_field(field, u.field, "algebra and vector")
+    _same_field(field, v.field, "algebra and vector")
+    if k == 0:
+        return Vector._of(field, [u[0] * v[0]])
+    return _dense(field, algebra.dim**k, _power_product(algebra, k, _sparse(u), _sparse(v)))
 
 
 def power_unit(algebra: Algebra, k: int) -> Vector:
@@ -588,7 +621,7 @@ def tensor_comult_leg(coalgebra: Coalgebra, u: Vector, dims: Sequence[int], leg:
     if dims[leg] != n:
         raise ValueError(f"leg {leg} has dimension {dims[leg]}, coalgebra has {n}")
     _same_field(coalgebra.field, u.field, "coalgebra and tensor")
-    return _leg_map(u, dims, leg, n * n, *coalgebra.int_comult)
+    return _apply_leg(u, dims, leg, n * n, coalgebra.int_comult)
 
 
 # --- Hopf verification ---------------------------------------------------------
@@ -600,16 +633,13 @@ def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
     terms, den = a.int_terms
     cols = [[row[k] for row in terms] for k in range(n)]  # cols[k][p]: e_p e_k
 
-    def combination(pairs, table):  # sum x table[p] over the (p, x) of pairs, as in sum_p m[i,j,p] e_p e_k
-        out = [0] * n
-        for p, x in pairs:
-            for t, y in table[p]:
-                out[t] += x * y
-        return Vector._of(f, f.from_ints(out, den * den))
+    def combination(support, table):  # sum x table[p] over the (p, x) of support, as in sum_p m[i,j,p] e_p e_k
+        return _leg_map((support, den), (n,), 0, n, (table, den))
 
     report.add(prefix + "associativity", *_first_mismatch(
-        lambda i, j, k, lhs, rhs: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); " + vector_witness(f, lhs, rhs),
-        lambda i, j, k: (combination(terms[i][j], cols[k]), combination(terms[j][k], terms[i])),
+        lambda i, j, k, lhs, rhs: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); "
+        + vector_witness(f, _dense(f, n, lhs), _dense(f, n, rhs)),
+        lambda i, j, k: _comparable(f, combination(terms[i][j], cols[k]), combination(terms[j][k], terms[i])),
         n, n, n,
     ))
     report.add(prefix + "unit-law", *_first_mismatch(
@@ -620,12 +650,11 @@ def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
 
 
 def verify_coalgebra(c: Coalgebra, report: Report, prefix: str = "") -> None:
-    f = c.field
-    n = c.dim
-    deltas = [c.comultiply_flat(c.basis(i)) for i in range(n)]
+    f, n = c.field, c.dim
+    images, den = c.int_comult
     report.add(prefix + "coassociativity", *_first_mismatch(
-        lambda i, lhs, rhs: f"at e{i}: " + vector_witness(f, lhs, rhs),
-        lambda i: (tensor_comult_leg(c, deltas[i], (n, n), 0), tensor_comult_leg(c, deltas[i], (n, n), 1)),
+        lambda i, lhs, rhs: f"at e{i}: " + vector_witness(f, _dense(f, n**3, lhs), _dense(f, n**3, rhs)),
+        lambda i: _comparable(f, *(_leg_map((images[i], den), (n, n), leg, n * n, c.int_comult) for leg in (0, 1))),
         n,
     ))
 
@@ -644,14 +673,17 @@ def verify_compatibility(
 ) -> None:
     """Delta and eps are unital algebra maps: the four compatibility
     checks shared by Hopf and quasi-Hopf verification."""
-    f = a.field
-    n = a.dim
+    f, n = a.field, a.dim
     es = [a.basis(i) for i in range(n)]
-    deltas = [c.comultiply_flat(e) for e in es]
-    prods = [[a.multiply(es[i], es[j]) for j in range(n)] for i in range(n)]
+    (terms, mden), (images, cden) = a.int_terms, c.int_comult
+    # Delta(e_i e_j) is Delta applied to the one leg of e_i e_j, = sum_t m[i,j,t] Delta(e_t)
     report.add(prefix + "comult-algebra-map", *_first_mismatch(
-        lambda i, j, lhs, rhs: f"Delta(e{i} e{j}): " + vector_witness(f, lhs, rhs),
-        lambda i, j: (c.comultiply_flat(prods[i][j]), power_multiply(a, 2, deltas[i], deltas[j])),
+        lambda i, j, lhs, rhs: f"Delta(e{i} e{j}): " + vector_witness(f, _dense(f, n * n, lhs), _dense(f, n * n, rhs)),
+        lambda i, j: _comparable(
+            f,
+            _leg_map((terms[i][j], mden), (n,), 0, n * n, c.int_comult),
+            _power_product(a, 2, (images[i], cden), (images[j], cden)),
+        ),
         n, n,
     ))
 
@@ -663,7 +695,7 @@ def verify_compatibility(
 
     report.add(prefix + "counit-algebra-map", *_first_mismatch(
         lambda i, j, lhs, rhs: f"eps(e{i} e{j}) = {f.to_str(lhs)} != {f.to_str(rhs)}",
-        lambda i, j: (c.counit_of(prods[i][j]), c.counit[i] * c.counit[j]),
+        lambda i, j: (c.counit_of(a.multiply(es[i], es[j])), c.counit[i] * c.counit[j]),
         n, n,
     ))
 
@@ -672,6 +704,43 @@ def verify_compatibility(
         c.counit_of(a.unit) == f.one,
         "eps(1) != 1",
     )
+
+
+def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi: Vector, phi_inv: Vector, report: Report) -> None:
+    """The counit laws of a Delta that need not be coassociative, then the
+    axioms of its associator phi: phi phi_inv = 1, normalization,
+    quasi-coassociativity and the pentagon, all in (support, den) form."""
+    f, n = a.field, a.dim
+    for v in (phi, phi_inv):
+        _same_field(f, v.field, "multiplication and associator")
+    (images, den), dims2, dims3 = c.int_comult, (n, n), (n, n, n)
+    deltas = [(image, den) for image in images]
+    eps_images = _int_supports(f, [[(0, w)] if w else [] for w in c.counit.entries])
+    phi_s, bar_s, one = _sparse(phi), _sparse(phi_inv), _sparse(a.unit)
+    one2 = _kron(one, one, n)
+
+    def split(u, dims, leg):  # Delta applied to one leg
+        return _leg_map(u, dims, leg, n * n, c.int_comult)
+
+    basis = "basis {0}".format
+    for leg, side in ((0, "left"), (1, "right")):
+        report.add(f"counit-law-{side}", *_first_mismatch(
+            basis, lambda i: _comparable(f, _leg_map(deltas[i], dims2, leg, 1, eps_images), ({i: 1}, 1)), n
+        ))
+    orders = ((phi_s, bar_s), (bar_s, phi_s))
+    report.add("associator-invertible", *_first_mismatch(
+        "phi phi_inv != 1".format, lambda s: _comparable(f, _power_product(a, 3, *orders[s]), _kron(one2, one, n)), 2
+    ))
+    report.add("associator-normalized", *_first_mismatch(
+        "eps on a leg of phi".format, lambda leg: _comparable(f, _leg_map(phi_s, dims3, leg, 1, eps_images), one2), 3
+    ))
+    report.add("quasi-coassociativity", *_first_mismatch(basis, lambda i: _comparable(
+        f, _power_product(a, 3, phi_s, split(deltas[i], dims2, 0)), _power_product(a, 3, split(deltas[i], dims2, 1), phi_s)
+    ), n))
+    # (1 (x) phi)(id (x) Delta (x) id)(phi)(phi (x) 1) = (id (x) id (x) Delta)(phi)(Delta (x) id (x) id)(phi)
+    lhs = _power_product(a, 4, _kron(one, phi_s, n**3), _power_product(a, 4, split(phi_s, dims3, 1), _kron(phi_s, one, n)))
+    rhs = _power_product(a, 4, split(phi_s, dims3, 2), split(phi_s, dims3, 0))
+    report.add("pentagon", *_first_mismatch("pentagon identity".format, lambda: _comparable(f, lhs, rhs)))
 
 
 def verify_bialgebra(

@@ -18,10 +18,12 @@ therefore starts every accumulator from `field.zero`, never from a bare
 int, so that no `int` reaches a trusted constructor, and a copy of
 another container's entries is built over that container's field, so
 that data over a different field still meets a field check.  The
-tensor-power kernels of `hopf` compute on ints instead: a field's
-`to_ints` gives ints over one denominator (residues over F_p, numerators
-over the lcm of the denominators over Q), and `from_ints` builds a scalar
-per nonzero result.  Only this module reads what a scalar is made of.
+tensor-power kernels of `hopf` compute on the sparse form (support, den)
+of a flat tensor instead, a coordinate being support[index] / den: a
+field's `to_ints` gives ints over one denominator (residues over F_p,
+numerators over the lcm of the denominators over Q), `reduce` reduces a
+support (mod p) and drops its zeros, and `from_ints` builds a scalar per
+nonzero result.  Only this module reads what a scalar is made of.
 
 Every linear system is solved by one sparse elimination, `Elimination`:
 rows are {column: scalar} mappings, right-hand sides ride along beside
@@ -208,11 +210,9 @@ class RationalField:
         return str(self.coerce(x))
 
     def to_ints(self, xs: Sequence[Fraction]) -> tuple[list[int], int]:
-        """(ints, den) with xs[i] = ints[i] / den, den the lcm of the
-        denominators; the shared zero is skipped by identity, a shortcut."""
-        zero = self.zero
-        den = lcm(*{x.denominator for x in xs if x is not zero})
-        return [0 if x is zero else x.numerator * (den // x.denominator) for x in xs], den
+        """(ints, den) with xs[i] = ints[i] / den, den the lcm of the denominators."""
+        den = lcm(*{x.denominator for x in xs})
+        return [x.numerator * (den // x.denominator) for x in xs], den
 
     def from_ints(self, ints: Sequence[int], den: int) -> list[Fraction]:
         """The scalars ints[i] / den, the shared zero for every 0."""
@@ -220,6 +220,10 @@ class RationalField:
         if den == 1:
             return [Fraction(x) if x else zero for x in ints]
         return [Fraction(x, den) if x else zero for x in ints]
+
+    def reduce(self, support: dict[int, int]) -> dict[int, int]:
+        """The support without its zero ints."""
+        return {i: x for i, x in support.items() if x}
 
     def __repr__(self) -> str:
         return "QQ"
@@ -288,6 +292,10 @@ class PrimeField:
         p, zero = self.p, self.zero
         inv = pow(den, -1, p)
         return [ModInt(x * inv, p) if x % p else zero for x in ints]
+
+    def reduce(self, support: dict[int, int]) -> dict[int, int]:
+        """The support with its ints reduced mod p and the zeros dropped."""
+        return {i: r for i, x in support.items() if (r := x % self.p)}
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

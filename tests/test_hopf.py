@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+from partialdual import hopf
 from partialdual.hopf import (
     Algebra,
     CertificationError,
@@ -619,6 +620,81 @@ def test_power_multiply_allocates_one_residue_per_nonzero_of_the_result(monkeypa
     monkeypatch.undo()
     nonzeros = sum(1 for x in result if x)
     assert 0 < len(built) <= nonzeros
+
+
+# --- the sparse (support, den) kernels against the dense references --------------
+#
+# The kernels are reached through the module, so that a test can swap one
+# of them for a mutant; each mutant must make _check_sparse_kernels fail.
+
+F5 = PrimeField(5)
+SPARSE_ALGEBRAS = ["kC2-half", "kC2-double", "kC2-tilted", "taft4-F5", "taft4-F2147483647"]
+# (field, lhs, rhs, whether their values agree) for hopf._comparable
+COMPARISONS = [
+    (QQ, ({0: 1, 2: 3}, 2), ({0: 2, 2: 6}, 4), True),  # 1/2 e_0 + 3/2 e_2 over two denominators
+    (QQ, ({0: 1}, 2), ({0: 1}, 3), False),
+    (QQ, ({0: 0, 1: 3}, 3), ({1: 1}, 1), True),  # a zero left in a support
+    (F5, ({0: 7, 1: 5}, 1), ({0: 2}, 1), True),  # raw ints differ, residues agree
+    (F5, ({0: 7}, 1), ({0: 3}, 1), False),
+    (F5, ({0: 1}, 2), ({0: 3}, 1), True),  # 1/2 = 3 in F_5
+    (BIG_PRIME, ({0: -1, 1: 2**31}, 1), ({0: 2147483646, 1: 1}, 1), True),
+]
+
+
+def _check_sparse_kernels():
+    """Raise AssertionError unless _power_product, _leg_map, _kron and
+    _comparable agree with the dense references."""
+    for field, lhs, rhs, equal in COMPARISONS:
+        sides = hopf._comparable(field, lhs, rhs)
+        assert (sides[0] == sides[1]) == equal, (field, lhs, rhs)
+    for name in SPARSE_ALGEBRAS:
+        algebra = POWER_ALGEBRAS[name]()
+        field, n = algebra.field, algebra.dim
+        for k in range(1, 5):
+            ops = _operands(field, n, k, random.Random(10 * k + n))
+            flat = {a: _flat(field, n, k, terms) for a, terms in ops.items()}
+            for a, b in [("zero", "dense"), ("sparse", "zero"), ("sparse", "dense"), ("dense", "sparse"), ("dense", "dense")]:
+                got = hopf._power_product(algebra, k, hopf._sparse(flat[a]), hopf._sparse(flat[b]))
+                ref = _reference_product(algebra, k, ops[a], ops[b])
+                assert hopf._dense(field, n**k, got) == ref, (name, k, a, b)
+                lhs, rhs = hopf._comparable(field, got, hopf._sparse(ref))
+                assert lhs == rhs, (name, k, a, b)
+        # one to four legs, one of them split by a coalgebra with denominators (Q) or large residues
+        coalgebra = (kc2_on_basis(Fraction(1, 2)) if field is QQ else taft4(field, 1)[0]).coalgebra
+        c, rng = coalgebra.dim, random.Random(n)
+        for dims in [(c,), (2, c), (c, 3, 1), (2, 1, c, 2)]:
+            for u, v in zip(_flat_operands(field, prod(dims), rng), _flat_operands(field, 3, rng)):
+                kron = hopf._kron(hopf._sparse(u), hopf._sparse(v), 3)
+                assert hopf._dense(field, len(u) * 3, kron) == u.tensor(v), (name, dims)
+                for leg, d in enumerate(dims):
+                    m = Matrix(field, [[_scalar(field, rng) for _ in range(d)] for _ in range(2)])
+                    images = hopf._int_supports(field, [[(r, m.rows[r][col]) for r in range(2)] for col in range(d)])
+                    got = hopf._leg_map(hopf._sparse(u), dims, leg, 2, images)
+                    assert hopf._dense(field, len(u) // d * 2, got) == _ref_apply(u, dims, leg, m), (name, dims, leg)
+                leg = dims.index(c)
+                got = hopf._leg_map(hopf._sparse(u), dims, leg, c * c, coalgebra.int_comult)
+                assert hopf._dense(field, len(u) * c, got) == _ref_comult_leg(coalgebra, u, dims, leg), (name, dims)
+
+
+def test_sparse_kernels_match_dense_references():
+    _check_sparse_kernels()
+
+
+MUTANTS = {
+    "no-mod-p-reduction": (PrimeField, "reduce", lambda self, support: {i: x for i, x in support.items() if x}),
+    "dropped-denominator": (hopf, "_comparable", lambda field, lhs, rhs: ((field.reduce(lhs[0]), 1), (field.reduce(rhs[0]), 1))),
+    "wrong-kronecker-shift": (
+        hopf, "_kron", lambda u, v, width: ({i * (width - 1) + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1])
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_sparse_kernel_checks_catch_mutants(mutant, monkeypatch):
+    owner, name, fake = MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, fake)
+    with pytest.raises(AssertionError):
+        _check_sparse_kernels()
 
 
 def _vectors(field, n, rng):

@@ -27,8 +27,9 @@ Hopf algebra enters without certification: `certify_coideal`, the entry
 of the pipeline, and the commands and constructors that build or
 reassemble a Hopf algebra of their own.  What a scalar is made of (the
 `numerator` and `denominator` of a `Fraction`, the residue `v` of a
-`ModInt`) is read only in `linalg`, whose fields convert scalars to and
-from ints for the integer kernels.
+`ModInt`) and the modulus `p` of a prime field are read only in `linalg`,
+whose fields convert scalars to and from ints and reduce the supports of
+the integer kernels.
 """
 
 import ast
@@ -537,12 +538,13 @@ def test_verify_hopf_runs_only_at_the_entry_and_where_a_hopf_algebra_is_built():
 
 
 # the parts of a scalar: Fraction.numerator/denominator (and the private
-# fields behind them) and the residue ModInt.v
-SCALAR_PARTS = {"numerator", "denominator", "_numerator", "_denominator", "v"}
+# fields behind them) and the residue ModInt.v; and the modulus p of a
+# PrimeField (or ModInt), by which only linalg reduces
+SCALAR_PARTS = {"numerator", "denominator", "_numerator", "_denominator", "v", "p"}
 
 
 def scalar_part_reads(source: str) -> list[str]:
-    """Reads of a part of a scalar (`x.numerator`, `x.v`, ...), as "attr (line)"."""
+    """Reads of a part of a scalar or of a modulus (`x.numerator`, `x.v`, `field.p`, ...), as "attr (line)"."""
     reads = [
         (node.lineno, node.col_offset, node.attr)
         for node in ast.walk(ast.parse(source))
@@ -554,12 +556,12 @@ def scalar_part_reads(source: str) -> list[str]:
 def test_checker_flags_reads_of_scalar_parts():
     source = (
         "from fractions import Fraction\n"
-        "def f(x, r, limit):\n"
+        "def f(x, r, limit, p, field):\n"
         "    den = x.denominator\n"
         "    y = Fraction(1, 3).limit_denominator(limit)\n"
-        "    return x.numerator * den, r.v, r.value, y\n"
+        "    return x.numerator * den, r.v, r.value, y, p.zeta, p % field.p\n"
     )
-    assert scalar_part_reads(source) == ["denominator (line 3)", "numerator (line 5)", "v (line 5)"]
+    assert scalar_part_reads(source) == ["denominator (line 3)", "numerator (line 5)", "v (line 5)", "p (line 5)"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)

@@ -250,6 +250,34 @@ def test_verify_quasi_hopf_rejects_a_comultiplication_over_another_field(taft1):
         verify_quasi_hopf(mixed)
 
 
+def _trivial_coideal_lpd(h):
+    """The left partial dual of h over k1 with zeta = eps: its associator is dense."""
+    q = build_quotient(certify_coideal(h, LinMap(Matrix.from_columns(h.field, [h.unit], nrows=h.dim))))
+    return left_partial_dual(certify_pams(q, LinMap(Matrix(h.field, [list(h.counit.entries)]))))
+
+
+@pytest.mark.parametrize("system", ["taft", "kc4-over-k1"])
+def test_verify_quasi_hopf_builds_no_vector_of_four_legs(system, monkeypatch):
+    """The pentagon and its operands 1 (x) phi and phi (x) 1 stay in sparse
+    form: no Vector of length nd**4 is built."""
+    qh = taft_lpd(QQ, 1)[2] if system == "taft" else _trivial_coideal_lpd(group_algebra(cyclic(4), QQ))
+    nd = qh.dim
+    assert system == "taft" or all(qh.phi), "phi is dense"
+    lengths = []
+    build = Vector.__dict__["_of"].__func__
+
+    def counting(cls, field, entries):
+        v = build(cls, field, entries)
+        lengths.append(len(v))
+        return v
+
+    monkeypatch.setattr(Vector, "_of", classmethod(counting))
+    report = verify_quasi_hopf(qh)
+    monkeypatch.undo()
+    assert report.ok and lengths
+    assert nd**4 not in lengths
+
+
 def test_strictly_quasi_detection(c4_strict):
     _, p, qh = c4_strict
     assert qh.report.ok
