@@ -653,7 +653,8 @@ def _check_sparse_kernels():
         for k in range(1, 5):
             ops = _operands(field, n, k, random.Random(10 * k + n))
             flat = {a: _flat(field, n, k, terms) for a, terms in ops.items()}
-            for a, b in [("zero", "dense"), ("sparse", "zero"), ("sparse", "dense"), ("dense", "sparse"), ("dense", "dense")]:
+            pairs = [("zero", "dense"), ("sparse", "zero"), ("sparse", "dense"), ("dense", "sparse"), ("dense", "dense")]
+            for a, b in pairs:
                 got = hopf._power_product(algebra, k, hopf._sparse(flat[a]), hopf._sparse(flat[b]))
                 ref = _reference_product(algebra, k, ops[a], ops[b])
                 assert hopf._dense(field, n**k, got) == ref, (name, k, a, b)
@@ -680,12 +681,22 @@ def test_sparse_kernels_match_dense_references():
     _check_sparse_kernels()
 
 
+def _unreduced(self, support):  # drops the zeros, keeps the ints as they are
+    return {i: x for i, x in support.items() if x}
+
+
+def _denominator_dropped(field, lhs, rhs):
+    return (field.reduce(lhs[0]), 1), (field.reduce(rhs[0]), 1)
+
+
+def _shifted_kron(u, v, width):  # the support of v shifted by width - 1 per index of u
+    return {i * (width - 1) + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1]
+
+
 MUTANTS = {
-    "no-mod-p-reduction": (PrimeField, "reduce", lambda self, support: {i: x for i, x in support.items() if x}),
-    "dropped-denominator": (hopf, "_comparable", lambda field, lhs, rhs: ((field.reduce(lhs[0]), 1), (field.reduce(rhs[0]), 1))),
-    "wrong-kronecker-shift": (
-        hopf, "_kron", lambda u, v, width: ({i * (width - 1) + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1])
-    ),
+    "no-mod-p-reduction": (PrimeField, "reduce", _unreduced),
+    "dropped-denominator": (hopf, "_comparable", _denominator_dropped),
+    "wrong-kronecker-shift": (hopf, "_kron", _shifted_kron),
 }
 
 
