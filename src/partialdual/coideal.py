@@ -100,9 +100,6 @@ class CoidealSubalgebra:
             self._algebra = Algebra(self.field, self.mult, self.unit)
         return self._algebra
 
-    def include(self, v: Vector) -> Vector:
-        return self.iota(v)
-
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
 

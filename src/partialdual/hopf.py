@@ -11,9 +11,11 @@ Conventions, fixed once for the whole package:
 Products read the nonzero structure constants: Algebra.terms lists, for
 each pair of basis indices, the nonzero (k, m[i,j,k]), and
 Algebra.multiply walks only the nonzero coordinates of its operands
-against it; no n x n matrix is built for a product.  The tensor-power
-kernels, and the verifiers that chain them, compute on the sparse integer
-form of a flat tensor.  Flat sums of pure tensors are built by
+against it; no n x n matrix is built for a product.  Its twin,
+Coalgebra.terms, lists the nonzero ((j, k), d[i,j,k]) of each Delta(e_i)
+for every reader of a comultiplication.  The tensor-power kernels, and
+the verifiers that chain them, compute on the sparse integer form of a
+flat tensor.  Flat sums of pure tensors are built by
 linalg._kron_acc.  Flat tensors and structure tensors are read through
 three decoders: _support lists the nonzeros of a flat k-leg tensor with
 their leg indices, _weighted_sum adds up c term(indices) over such a
@@ -182,10 +184,6 @@ class LinMap:
     def __call__(self, v: Vector) -> Vector:
         return self.matrix @ v
 
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other."""
-        return LinMap(self.matrix @ other.matrix)
-
     def transpose(self) -> "LinMap":
         return LinMap(self.matrix.transpose())
 
@@ -209,7 +207,8 @@ class Algebra:
     built once here, and every product (multiply, power_multiply) reads
     it instead of the dense tensor; `int_terms` is (table, den) with
     table[i][j] = {k: m[i,j,k] den}, so (table[i][j], den) is e_i e_j in
-    the (support, den) form of a flat tensor.
+    the (support, den) form of a flat tensor.  multiply stays on field
+    scalars: a one-leg integer product through int_terms measured slower.
     """
 
     __slots__ = ("field", "dim", "mult", "unit", "terms", "int_terms")
@@ -312,11 +311,14 @@ def _int_supports(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) 
 
 
 class Coalgebra:
-    """Coassociative counital coalgebra given by structure constants;
+    """Comultiplication and counit by structure constants; Delta need not be
+    coassociative (a quasi-Hopf algebra keeps its Delta here too), and
+    verify_coalgebra checks that it is.  `terms[i]` lists the nonzero
+    ((j, k), d[i,j,k]) of Delta(e_i), the twin of Algebra.terms;
     `int_comult` is (images, den) with images[i] = {j n + k: d[i,j,k] den},
     so (images[i], den) is Delta(e_i) in (support, den) form."""
 
-    __slots__ = ("field", "dim", "comult", "counit", "int_comult")
+    __slots__ = ("field", "dim", "comult", "counit", "terms", "int_comult")
 
     def __init__(self, field: Field, comult: Tensor3, counit: Vector):
         n = comult.dims[0]
@@ -330,7 +332,8 @@ class Coalgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "comult", comult)
         object.__setattr__(self, "counit", counit)
-        images = [[(j * n + k, x) for (j, k), x in group] for group in _grouped(comult, 0)]
+        object.__setattr__(self, "terms", tuple(map(tuple, _grouped(comult, 0))))
+        images = [[(j * n + k, x) for (j, k), x in group] for group in self.terms]
         object.__setattr__(self, "int_comult", _int_supports(field, images))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -627,7 +630,7 @@ def tensor_comult_leg(coalgebra: Coalgebra, u: Vector, dims: Sequence[int], leg:
 # --- Hopf verification ---------------------------------------------------------
 
 
-def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
+def verify_algebra(a: Algebra, report: Report) -> None:
     f, n = a.field, a.dim
     es = [a.basis(i) for i in range(n)]
     terms, den = a.int_terms
@@ -636,23 +639,23 @@ def verify_algebra(a: Algebra, report: Report, prefix: str = "") -> None:
     def combination(support, table):  # sum x table[p] over the (p, x) of support, as in sum_p m[i,j,p] e_p e_k
         return _leg_map((support, den), (n,), 0, n, (table, den))
 
-    report.add(prefix + "associativity", *_first_mismatch(
+    report.add("associativity", *_first_mismatch(
         lambda i, j, k, lhs, rhs: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}); "
         + vector_witness(f, _dense(f, n, lhs), _dense(f, n, rhs)),
         lambda i, j, k: _comparable(f, combination(terms[i][j], cols[k]), combination(terms[j][k], terms[i])),
         n, n, n,
     ))
-    report.add(prefix + "unit-law", *_first_mismatch(
+    report.add("unit-law", *_first_mismatch(
         "unit fails at e{0}".format,
         lambda i: ((a.multiply(a.unit, es[i]), a.multiply(es[i], a.unit)), (es[i], es[i])),
         n,
     ))
 
 
-def verify_coalgebra(c: Coalgebra, report: Report, prefix: str = "") -> None:
+def verify_coalgebra(c: Coalgebra, report: Report) -> None:
     f, n = c.field, c.dim
     images, den = c.int_comult
-    report.add(prefix + "coassociativity", *_first_mismatch(
+    report.add("coassociativity", *_first_mismatch(
         lambda i, lhs, rhs: f"at e{i}: " + vector_witness(f, _dense(f, n**3, lhs), _dense(f, n**3, rhs)),
         lambda i: _comparable(f, *(_leg_map((images[i], den), (n, n), leg, n * n, c.int_comult) for leg in (0, 1))),
         n,
@@ -662,22 +665,20 @@ def verify_coalgebra(c: Coalgebra, report: Report, prefix: str = "") -> None:
     right = contract(c.comult, 2, c.counit)
     eye = Matrix.identity(f, n)
     report.add(
-        prefix + "counit-law",
+        "counit-law",
         left == eye and right == eye,
         "(eps (x) id)Delta or (id (x) eps)Delta is not the identity",
     )
 
 
-def verify_compatibility(
-    a: Algebra, c: Coalgebra, report: Report, prefix: str = ""
-) -> None:
+def verify_compatibility(a: Algebra, c: Coalgebra, report: Report) -> None:
     """Delta and eps are unital algebra maps: the four compatibility
     checks shared by Hopf and quasi-Hopf verification."""
     f, n = a.field, a.dim
     es = [a.basis(i) for i in range(n)]
     (terms, mden), (images, cden) = a.int_terms, c.int_comult
     # Delta(e_i e_j) is Delta applied to the one leg of e_i e_j, = sum_t m[i,j,t] Delta(e_t)
-    report.add(prefix + "comult-algebra-map", *_first_mismatch(
+    report.add("comult-algebra-map", *_first_mismatch(
         lambda i, j, lhs, rhs: f"Delta(e{i} e{j}): " + vector_witness(f, _dense(f, n * n, lhs), _dense(f, n * n, rhs)),
         lambda i, j: _comparable(
             f,
@@ -688,19 +689,19 @@ def verify_compatibility(
     ))
 
     report.add(
-        prefix + "comult-unital",
+        "comult-unital",
         c.comultiply_flat(a.unit) == a.unit.tensor(a.unit),
         "Delta(1) != 1 (x) 1",
     )
 
-    report.add(prefix + "counit-algebra-map", *_first_mismatch(
+    report.add("counit-algebra-map", *_first_mismatch(
         lambda i, j, lhs, rhs: f"eps(e{i} e{j}) = {f.to_str(lhs)} != {f.to_str(rhs)}",
         lambda i, j: (c.counit_of(a.multiply(es[i], es[j])), c.counit[i] * c.counit[j]),
         n, n,
     ))
 
     report.add(
-        prefix + "counit-unital",
+        "counit-unital",
         c.counit_of(a.unit) == f.one,
         "eps(1) != 1",
     )
@@ -743,14 +744,6 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi: Vector, phi_inv: Vecto
     report.add("pentagon", *_first_mismatch("pentagon identity".format, lambda: _comparable(f, lhs, rhs)))
 
 
-def verify_bialgebra(
-    a: Algebra, c: Coalgebra, report: Report, prefix: str = ""
-) -> None:
-    verify_algebra(a, report, prefix)
-    verify_coalgebra(c, report, prefix)
-    verify_compatibility(a, c, report, prefix)
-
-
 def verify_hopf(h: HopfAlgebra) -> Report:
     """Check the Hopf axioms: the bialgebra checks, then S * id = eps 1 =
     id * S (antipode-left, antipode-right); returns the full report.
@@ -767,13 +760,14 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     n = h.dim
     a, c, s = h.algebra, h.coalgebra, h.antipode
     report = Report(h.name or f"hopf algebra of dimension {n}")
-    verify_bialgebra(a, c, report)
+    verify_algebra(a, report)
+    verify_coalgebra(c, report)
+    verify_compatibility(a, c, report)
     es = [h.basis(i) for i in range(n)]
     scols = [s.column(i) for i in range(n)]
-    supports = _grouped(c.comult, 0)
 
     def convolved(i, u, v):  # (sum x u_j v_k over Delta(e_i), eps(e_i) 1)
-        return _weighted_sum(f, n, supports[i], lambda j, k: a.multiply(u[j], v[k])), a.unit.scale(c.counit[i])
+        return _weighted_sum(f, n, c.terms[i], lambda j, k: a.multiply(u[j], v[k])), a.unit.scale(c.counit[i])
 
     def at_e(i, lhs, rhs):
         return f"at e{i}: " + vector_witness(f, lhs, rhs)
@@ -883,7 +877,7 @@ def convolution_product(f: LinMap, g: LinMap, c: Coalgebra, a: Algebra) -> LinMa
     f_cols, g_cols = f.matrix.columns(), g.matrix.columns()
     cols = [
         _weighted_sum(a.field, a.dim, support, lambda j, k: a.multiply(f_cols[j], g_cols[k])).entries
-        for support in _grouped(c.comult, 0)
+        for support in c.terms
     ]
     return LinMap(Matrix._of(a.field, zip(*cols), c.dim))
 
@@ -906,7 +900,7 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
     f_rows = f.matrix.rows
     rows: list[dict] = []
     rhs = []
-    for i, support in enumerate(_grouped(c.comult, 0)):
+    for i, support in enumerate(c.terms):
         block: list[dict] = [{} for _ in range(na)]
         for (j, k), x in support:
             for s in range(na):

@@ -5,7 +5,10 @@ mapping system (zeta, gamma): a quasi-Hopf algebra whose multiplication,
 comultiplication, associator, preantipode, and antipodes are all
 assembled from structure constants and certified identity by identity.
 The right partial dual lives on C (x) B* and is produced together with
-the bit-exact duality pairing against the left side.
+the bit-exact duality pairing against the left side.  Both sides keep
+their comultiplication and counit as a hopf.Coalgebra, as a Hopf algebra
+does, so every reader takes the nonzeros of Delta from Coalgebra.terms
+and none reshapes a Delta matrix or regroups its tensor.
 
 The left constructor makes five cross-checks of its own, each comparing
 a structural map with a second closed form that is assembled from
@@ -62,20 +65,20 @@ __all__ = [
 class QuasiHopfAlgebra:
     """A quasi-Hopf algebra on the carrier C* # B.
 
-    `algebra` holds the smash multiplication, `delta` is the n -> n (x) n
-    comultiplication matrix (column a is the flattened image of the a-th
-    basis vector), `phi` and `phi_inv` are the associator and its inverse
-    flattened in the triple tensor power, `t_map` is the preantipode, and
-    `antipodes`, when present, is the pair of certified triples
-    (S, alpha, beta).  When upsilon is not invertible `antipodes` is None,
-    repr calls out the defect, and the report's antipode-availability
-    check confirms that upsilon is indeed not invertible.
+    `algebra` holds the smash multiplication and `coalgebra` the
+    comultiplication and counit, as a Hopf algebra holds them (a Coalgebra
+    whose Delta is only quasi-coassociative).  `phi` and `phi_inv` are the
+    associator and its inverse flattened in the triple tensor power,
+    `t_map` is the preantipode, and `antipodes`, when present, is the pair
+    of certified triples (S, alpha, beta).  When upsilon is not invertible
+    `antipodes` is None, repr calls out the defect, and the report's
+    antipode-availability check confirms that upsilon is indeed not
+    invertible.
     """
 
     __slots__ = (
         "algebra",
-        "delta",
-        "eps",
+        "coalgebra",
         "phi",
         "phi_inv",
         "t_map",
@@ -88,8 +91,7 @@ class QuasiHopfAlgebra:
     def __init__(
         self,
         algebra: Algebra,
-        delta: Matrix,
-        eps: Vector,
+        coalgebra: Coalgebra,
         phi: Vector,
         phi_inv: Vector,
         t_map: Matrix,
@@ -99,8 +101,7 @@ class QuasiHopfAlgebra:
         report: Report,
     ):
         self.algebra = algebra
-        self.delta = delta
-        self.eps = eps
+        self.coalgebra = coalgebra
         self.phi = phi
         self.phi_inv = phi_inv
         self.t_map = t_map
@@ -128,19 +129,14 @@ class QuasiHopfAlgebra:
         return self.algebra.multiply(u, v)
 
     def comultiply(self, v: Vector) -> Vector:
-        return self.delta @ v
-
-    def comult_tensor(self) -> Tensor3:
-        return _delta_tensor(self.delta, self.dim)
+        return self.coalgebra.comultiply_flat(v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiHopfAlgebra):
             return NotImplemented
         return (
-            self.algebra.mult == other.algebra.mult
-            and self.algebra.unit == other.algebra.unit
-            and self.delta == other.delta
-            and self.eps == other.eps
+            self.algebra == other.algebra
+            and self.coalgebra == other.coalgebra
             and self.phi == other.phi
             and self.phi_inv == other.phi_inv
             and self.t_map == other.t_map
@@ -238,15 +234,6 @@ class HopfDetection:
         return f"HopfDetection(kind={self.kind!r}, diagnostics={self.diagnostics!r})"
 
 
-def _delta_tensor(delta: Matrix, n: int) -> Tensor3:
-    """Comultiplication matrix reshaped to structure-constant form."""
-    return Tensor3._of(
-        delta.field,
-        [[[delta.rows[j * n + k][i] for k in range(n)] for j in range(n)] for i in range(n)],
-        (n, n, n),
-    )
-
-
 def _pair_acc(out: dict, c, left, right, width: int) -> None:
     """Add c x y at index m * width + k of the sparse row `out` for every
     (m, x) in `left` and (k, y) in `right`."""
@@ -268,19 +255,9 @@ def _associator_sum(alg: Algebra, phi: Vector, left, right) -> Vector:
     return _weighted_sum(field, n, [((k,), field.one) for k in range(n)], lambda k: alg.multiply(sums[k], right[k]))
 
 
-def _antipode_axioms(
-    alg: Algebra,
-    delta: Matrix,
-    eps: Vector,
-    phi: Vector,
-    phi_inv: Vector,
-    s: Matrix,
-    alpha: Vector,
-    beta: Vector,
-    report: Report,
-    prefix: str,
-) -> None:
-    """The four antipode identities for one (S, alpha, beta) triple."""
+def _antipode_axioms(qh: QuasiHopfAlgebra, s: Matrix, alpha: Vector, beta: Vector, report: Report, prefix: str) -> None:
+    """The four antipode identities of qh for one (S, alpha, beta) triple."""
+    alg, delta_terms, eps = qh.algebra, qh.coalgebra.terms, qh.coalgebra.counit
     field = alg.field
     nn = alg.dim
     es = [alg.basis(i) for i in range(nn)]
@@ -292,14 +269,14 @@ def _antipode_axioms(
     beta_s = [alg.multiply(beta, x) for x in scols]  # beta S(e_k)
     e_beta_s = [[alg.multiply(x, y) for y in scols] for x in e_beta]  # (e_i beta) S(e_j)
     s_alpha_e = [[alg.multiply(x, e) for e in es] for x in s_alpha]  # (S(e_i) alpha) e_j
-    supports = [_support(delta.column(a), nn, 2) for a in range(nn)]
 
     def summed(table, target):  # a -> (sum c table[i][j] over Delta(e_a), eps(e_a) target)
-        return lambda a: (_weighted_sum(field, nn, supports[a], lambda i, j: table[i][j]), target.scale(eps[a]))
+        return lambda a: (_weighted_sum(field, nn, delta_terms[a], lambda i, j: table[i][j]), target.scale(eps[a]))
 
     report.add(prefix + "antipode-left", *_first_mismatch("basis {0}".format, summed(s_alpha_e, alpha), nn))
     report.add(prefix + "antipode-right", *_first_mismatch("basis {0}".format, summed(e_beta_s, beta), nn))
-    phi_sum, bar_sum = _associator_sum(alg, phi, e_beta_s, alpha_e), _associator_sum(alg, phi_inv, s_alpha_e, beta_s)
+    phi_sum = _associator_sum(alg, qh.phi, e_beta_s, alpha_e)
+    bar_sum = _associator_sum(alg, qh.phi_inv, s_alpha_e, beta_s)
     report.add(prefix + "associator-antipode", phi_sum == alg.unit, "sum phi1 beta S(phi2) alpha phi3")
     report.add(prefix + "associator-inverse-antipode", bar_sum == alg.unit, "sum S(phibar1) alpha phibar2 beta S(phibar3)")
 
@@ -435,7 +412,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
                 for (m, k), xc in coact[b]:
                     _kron_acc(out, xa * xc, ec[s], w_inner[i][m], eb[k])
             delta_cols.append(Vector._of(field, out))
-    delta = Matrix.from_columns(field, delta_cols, nrows=nd * nd)
+    planes = [[col.entries[j * nd : (j + 1) * nd] for j in range(nd)] for col in delta_cols]
+    coalg = Coalgebra(field, Tensor3._of(field, planes, (nd, nd, nd)), eps_vec)
 
     # the full form must be the product of the two restricted forms
     report.add("comult-product-form", *_first_mismatch(
@@ -535,13 +513,12 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     rows: list[dict] = []
     rhs_entries: list = []
     for a in range(nd):
-        dsupp = _support(delta_cols[a], nd, 2)
         ea = eps_vec[a]
         for b2 in range(nd):
             for o in range(nd):
                 row_a: dict = {}
                 row_b: dict = {}
-                for (i, j), c in dsupp:
+                for (i, j), c in coalg.terms[a]:
                     _pair_acc(row_a, c, right_of[j][o], terms[i][b2], nd)
                     _pair_acc(row_b, c, left_of[i][o], terms[b2][j], nd)
                 if ea:
@@ -569,7 +546,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     )
 
     antipodes = _derive_antipodes(alg, t_map, ups)
-    qh = QuasiHopfAlgebra(alg, delta, eps_vec, phi, phi_inv, t_map, ups, antipodes, p, report)
+    qh = QuasiHopfAlgebra(alg, coalg, phi, phi_inv, t_map, ups, antipodes, p, report)
     report.checks.extend(verify_quasi_hopf(qh).checks)
     bad = report.failures()
     if bad:
@@ -586,19 +563,16 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     triples when present.  Returns the report; inspect `.ok` or call
     `.raise_if_failed()`.
     """
-    alg = qh.algebra
+    alg, coalg = qh.algebra, qh.coalgebra
     field = alg.field
     nd = alg.dim
-    delta = qh.delta
-    eps_vec = qh.eps
     phi, phi_inv = qh.phi, qh.phi_inv
     t_map = qh.t_map
     unit_vec = alg.unit
     es = [Vector.basis(field, nd, i) for i in range(nd)]
     t_cols = [t_map.column(i) for i in range(nd)]
 
-    _same_field(field, delta.field, "multiplication and comultiplication")
-    coalg = Coalgebra(field, _delta_tensor(delta, nd), eps_vec)
+    _same_field(field, coalg.field, "multiplication and comultiplication")
     report = Report("quasi-Hopf axioms")
     verify_algebra(alg, report)
     verify_compatibility(alg, coalg, report)
@@ -614,11 +588,11 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     t_pair = [[t_map @ Vector._of(field, mult.data[i][j]) for j in range(nd)] for i in range(nd)]
     e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
     t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
-    dsupps = _grouped(coalg.comult, 0)
 
     def preantipode(product):  # (a, b2) -> (sum c product(i, j, b2) over Delta(e_a), eps(e_a) T(e_b2))
         return lambda a, b2: (
-            _weighted_sum(field, nd, dsupps[a], lambda i, j: product(i, j, b2)), t_cols[b2].scale(eps_vec[a])
+            _weighted_sum(field, nd, coalg.terms[a], lambda i, j: product(i, j, b2)),
+            t_cols[b2].scale(coalg.counit[a]),
         )
 
     pair = "pair ({0},{1})".format
@@ -640,7 +614,7 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     )
     if qh.antipodes is not None:
         for label, (sm, alpha, beta) in zip(("s1", "s2"), qh.antipodes):
-            _antipode_axioms(alg, delta, eps_vec, phi, phi_inv, sm, alpha, beta, report, label + "-")
+            _antipode_axioms(qh, sm, alpha, beta, report, label + "-")
             report.add(label + "-upsilon-factorization", alg.multiply(beta, alpha) == ups, "beta alpha != upsilon")
             report.add(label + "-preantipode-factorization", *_first_mismatch(
                 basis, lambda a: (alg.multiply(alg.multiply(beta, sm.column(a)), alpha), t_cols[a]), nd
@@ -671,7 +645,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     zs = [p.zeta.matrix.row(u) for u in range(bdim)]
 
     dbs = _grouped(bsub.mult, 2)  # ((a2, c2), c) of b_a2 b_c2 = sum c b_u at [u]
-    ccs = _grouped(q.coalgebra.comult, 0)  # ((s, t), c) of Delta(x_p) at [p]
+    ccs = q.coalgebra.terms  # ((s, t), c) of Delta(x_p) at [p]
 
     ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
     eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
@@ -720,12 +694,12 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     report.add("multiplication-comultiplication-duality", *_first_mismatch(
         entry, lambda i, j, k: (lual.mult[i, j, k], comult_r[k, i, j]), nd, nd, nd
     ))
-    dcols = left.delta.columns()
+    lcoalg = left.coalgebra
     report.add("comultiplication-multiplication-duality", *_first_mismatch(
-        entry, lambda i, j, k: (dcols[i][j * nd + k], mult_r[j, k, i]), nd, nd, nd
+        entry, lambda i, j, k: (lcoalg.comult[i, j, k], mult_r[j, k, i]), nd, nd, nd
     ))
     report.add("unit-counit-duality", lual.unit == counit_r, "unit vs counit")
-    report.add("counit-unit-duality", left.eps == unit_r, "counit vs unit")
+    report.add("counit-unit-duality", lcoalg.counit == unit_r, "counit vs unit")
 
     bad = report.failures()
     if bad:
@@ -765,14 +739,14 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     report.add("unit-transport", theta @ q1.algebra.unit == q2.algebra.unit, "unit")
 
     def pushed_flip(a):  # (theta (x) theta) of the flipped Delta(e_a)
-        flipped = tensor_permute(q1.delta.column(a), (nd, nd), (1, 0))
+        flipped = tensor_permute(q1.comultiply(es[a]), (nd, nd), (1, 0))
         return tensor_apply(tensor_apply(flipped, (nd, nd), 0, theta), (nd, nd), 1, theta)
 
     report.add("comultiplication-transport", *_first_mismatch(
-        "basis {0}".format, lambda a: (pushed_flip(a), q2.delta @ theta_cols[a]), nd
+        "basis {0}".format, lambda a: (pushed_flip(a), q2.comultiply(theta_cols[a])), nd
     ))
-    pulled = Vector._of(field, [q2.eps.dot(theta.column(a)) for a in range(nd)])
-    report.add("counit-transport", pulled == q1.eps, "counit")
+    pulled = Vector._of(field, [q2.coalgebra.counit.dot(theta.column(a)) for a in range(nd)])
+    report.add("counit-transport", pulled == q1.coalgebra.counit, "counit")
 
     dims3 = (nd, nd, nd)
 
@@ -793,18 +767,7 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     )
     if q1.antipodes is not None:
         for label, (sm, alpha, beta) in zip(("s1", "s2"), q1.antipodes):
-            _antipode_axioms(
-                q2.algebra,
-                q2.delta,
-                q2.eps,
-                q2.phi,
-                q2.phi_inv,
-                theta @ sm @ theta_inv,
-                theta @ beta,
-                theta @ alpha,
-                report,
-                f"transported-{label}-",
-            )
+            _antipode_axioms(q2, theta @ sm @ theta_inv, theta @ beta, theta @ alpha, report, f"transported-{label}-")
     bad = report.failures()
     if bad:
         raise CertificationError("mismatch", f"{bad[0][0]}: {bad[0][1]}", report=report)
@@ -874,13 +837,13 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     report.add("comultiplication-transport", *_first_mismatch(
         "basis {0}".format,
         lambda a: (
-            tensor_apply(tensor_apply(q1.delta.column(a), (nd, nd), 0, phim), (nd, nd), 1, phim),
-            q_op.delta @ cols[a],
+            tensor_apply(tensor_apply(q1.comultiply(es[a]), (nd, nd), 0, phim), (nd, nd), 1, phim),
+            q_op.comultiply(cols[a]),
         ),
         nd,
     ))
-    pulled = Vector._of(field, [q_op.eps.dot(phim.column(a)) for a in range(nd)])
-    report.add("counit-transport", pulled == q1.eps, "counit")
+    pulled = Vector._of(field, [q_op.coalgebra.counit.dot(phim.column(a)) for a in range(nd)])
+    report.add("counit-transport", pulled == q1.coalgebra.counit, "counit")
 
     dims3 = (nd, nd, nd)
 
@@ -988,8 +951,8 @@ def detect_hopf(qh: QuasiHopfAlgebra) -> HopfDetection:
             qh.field,
             qh.algebra.mult,
             qh.algebra.unit,
-            qh.comult_tensor(),
-            qh.eps,
+            qh.coalgebra.comult,
+            qh.coalgebra.counit,
             qh.t_map,
             name="left partial dual",
         )

@@ -104,8 +104,8 @@ def serialize(obj) -> str:
         tensors = {
             "mult": _tensor_entries(obj.algebra.mult),
             "unit": _vector_entries(obj.algebra.unit),
-            "delta": _tensor_entries(obj.comult_tensor()),
-            "eps": _vector_entries(obj.eps),
+            "delta": _tensor_entries(obj.coalgebra.comult),
+            "eps": _vector_entries(obj.coalgebra.counit),
             "phi": _flat_cube_entries(obj.phi, n),
             "phi_inv": _flat_cube_entries(obj.phi_inv, n),
             "t": _matrix_entries(obj.t_map),
@@ -319,24 +319,14 @@ def parse(text: str):
             _read_tensor(tensors, "mult", (n, n, n), field),
             _read_vector(tensors, "unit", n, field),
         )
-        dtens = _read_tensor(tensors, "delta", (n, n, n), field)
-        delta = Matrix.from_columns(
-            field,
-            [
-                Vector(
-                    field,
-                    [dtens[i, j, k] for j in range(n) for k in range(n)],
-                )
-                for i in range(n)
-            ],
-            nrows=n * n,
+        coalg = Coalgebra(
+            field, _read_tensor(tensors, "delta", (n, n, n), field), _read_vector(tensors, "eps", n, field)
         )
         t_map = _read_matrix(tensors, "t", n, n, field)
         ups = _read_vector(tensors, "upsilon", n, field)
         return QuasiHopfAlgebra(
             alg,
-            delta,
-            _read_vector(tensors, "eps", n, field),
+            coalg,
             _read_cube_vector(tensors, "phi", n, field),
             _read_cube_vector(tensors, "phi_inv", n, field),
             t_map,

@@ -148,16 +148,16 @@ def test_criterion_3_trivial_coideals(four_hopf):
         back = left_partial_dual(whole_algebra_pams(h))
         assert back.algebra.mult == h.mult
         assert back.algebra.unit == h.unit
-        assert back.comult_tensor() == h.comult
-        assert back.eps == h.counit
+        assert back.coalgebra.comult == h.comult
+        assert back.coalgebra.counit == h.counit
         assert back.t_map == h.antipode
 
         hs = dual(h)
         flip = left_partial_dual(trivial_coideal_pams(h))
         assert flip.algebra.mult == hs.mult
         assert flip.algebra.unit == hs.unit
-        assert flip.comult_tensor() == hs.comult
-        assert flip.eps == hs.counit
+        assert flip.coalgebra.comult == hs.comult
+        assert flip.coalgebra.counit == hs.counit
         assert flip.t_map == hs.antipode
 
 
@@ -184,8 +184,8 @@ def test_criterion_6_left_right_duality():
         paired = dual(right_partial_dual(p, qh).hopf_view())
         assert paired.mult == qh.algebra.mult
         assert paired.unit == qh.algebra.unit
-        assert paired.comult == qh.comult_tensor()
-        assert paired.counit == qh.eps
+        assert paired.comult == qh.coalgebra.comult
+        assert paired.counit == qh.coalgebra.counit
         assert paired.antipode == qh.t_map
 
 
@@ -203,7 +203,7 @@ def test_criterion_7_transport_isomorphisms():
     bent = list(target.phi.entries)
     bent[0] = bent[0] + QQ.one
     broken = QuasiHopfAlgebra(
-        target.algebra, target.delta, target.eps, Vector(QQ, bent), target.phi_inv,
+        target.algebra, target.coalgebra, Vector(QQ, bent), target.phi_inv,
         target.t_map, target.upsilon, target.antipodes, target.pams, target.report,
     )
     with pytest.raises(CertificationError) as err:
@@ -214,7 +214,7 @@ def test_criterion_7_transport_isomorphisms():
     tilted = list(q_op.phi.entries)
     tilted[0] = tilted[0] + QQ.one
     broken_op = QuasiHopfAlgebra(
-        q_op.algebra, q_op.delta, q_op.eps, Vector(QQ, tilted), q_op.phi_inv,
+        q_op.algebra, q_op.coalgebra, Vector(QQ, tilted), q_op.phi_inv,
         q_op.t_map, q_op.upsilon, q_op.antipodes, q_op.pams, q_op.report,
     )
     with pytest.raises(CertificationError) as err:

@@ -11,6 +11,7 @@ from partialdual import hopf
 from partialdual.hopf import (
     Algebra,
     CertificationError,
+    Coalgebra,
     HopfAlgebra,
     LinMap,
     _grouped,
@@ -464,6 +465,9 @@ def test_grouped_matches_nonzero_and_digit_walker(field):
             assert sorted(
                 (rest[:axis] + (d,) + rest[axis:], c) for d, group in enumerate(groups) for rest, c in group
             ) == nonzero, (t, axis)
+        if len(set(t.dims)) == 1:  # a cubic tensor can be a comultiplication
+            terms = Coalgebra(field, t, Vector.zero(field, t.dims[0])).terms
+            assert [list(group) for group in terms] == _ref_grouped(t, 0), t
 
 
 def test_power_multiply_in_tensor_square():

@@ -22,10 +22,12 @@ a coercing constructor.  Outside `hopf`, which owns the flat layout, no
 loop over the coordinates of a flat tensor decodes an index with
 `divmod`: `hopf._support` lists the nonzeros with their leg indices.  No
 loop regroups the `.nonzero()` entries of a tensor into per-index lists
-by hand: that is `hopf._grouped`.  `verify_hopf` is called only where a
-Hopf algebra enters without certification: `certify_coideal`, the entry
-of the pipeline, and the commands and constructors that build or
-reassemble a Hopf algebra of their own.  What a scalar is made of (the
+by hand: that is `hopf._grouped`.  No code groups a comultiplication
+with `_grouped(<...>.comult, 0)`: its nonzeros are `Coalgebra.terms`,
+grouped once by the `Coalgebra` constructor.  `verify_hopf` is called
+only where a Hopf algebra enters without certification:
+`certify_coideal`, the entry of the pipeline, and the commands and
+constructors that build or reassemble a Hopf algebra of their own.  What a scalar is made of (the
 `numerator` and `denominator` of a `Fraction`, the residue `v` of a
 `ModInt`) and the modulus `p` of a prime field are read only in `linalg`,
 whose fields convert scalars to and from ints and reduce the supports of
@@ -482,6 +484,37 @@ def test_checker_flags_a_hand_regrouped_nonzero_walk():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_nonzero_regrouped_by_hand(path):
     assert hand_regrouped_nonzeros(path.read_text()) == []
+
+
+def comultiplications_grouped_by_hand(source: str) -> list[str]:
+    """Calls `_grouped(<expr>.comult, 0)`, as "expr (line)"."""
+    return [
+        f"{ast.unparse(node.args[0])} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "_grouped" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and len(node.args) == 2
+        and getattr(node.args[0], "attr", None) == "comult"
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == 0
+    ]
+
+
+def test_checker_flags_a_comultiplication_grouped_by_hand():
+    source = (
+        "def f(c, q, b):\n"
+        "    a = _grouped(c.comult, 0)\n"
+        "    d = hopf._grouped(q.coalgebra.comult, 0)\n"
+        "    return a, d, _grouped(b.mult, 2), _grouped(c.comult, 1), c.terms\n"
+        "def __init__(self, field, comult, counit):\n"
+        "    self.terms = _grouped(comult, 0)\n"
+    )
+    assert comultiplications_grouped_by_hand(source) == ["c.comult (line 2)", "q.coalgebra.comult (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_comultiplication_grouped_outside_the_coalgebra(path):
+    assert comultiplications_grouped_by_hand(path.read_text()) == []
 
 
 # the only functions of the package that may run verify_hopf: the entry

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from partialdual import pams
 from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
 from partialdual.hopf import (
@@ -256,6 +257,20 @@ def test_induced_rows_all_certify(taft_pams):
         induced = induced_pams(p, kind)
         assert induced.report.ok, kind
         assert induced.parent == expected_parent[kind], kind
+
+
+def test_induced_pams_derives_no_gamma(taft_pams, monkeypatch):
+    """certify_pams, given the induced gamma, already checks what
+    _gamma_pair would derive from zeta (see induced_pams), so no induced
+    row runs it."""
+    _, _, p = taft_pams
+
+    def refuse(*args):
+        raise AssertionError("induced_pams derived gamma again")
+
+    monkeypatch.setattr(pams, "_gamma_pair", refuse)
+    for kind in INDUCED_KINDS:
+        assert induced_pams(p, kind).report.ok, kind
 
 
 def test_induced_identity_row_preserves_maps(taft_pams):

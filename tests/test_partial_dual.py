@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from partialdual import hopf, partial_dual
 from partialdual.coideal import build_quotient, certify_coideal
 from partialdual.examples import (
     bismash_product,
@@ -15,7 +16,7 @@ from partialdual.examples import (
     symmetric,
     taft4,
 )
-from partialdual.hopf import CertificationError, LinMap, dual, power_unit
+from partialdual.hopf import CertificationError, Coalgebra, LinMap, convolution_inverse, dual, power_unit, verify_hopf
 from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Vector
 from partialdual.pams import certify_pams, find_cointegral, induced_pams
 from partialdual.partial_dual import (
@@ -30,6 +31,7 @@ from partialdual.partial_dual import (
 from partialdual.serialize import serialize
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def taft_lpd(field, lam):
@@ -87,9 +89,9 @@ def test_taft_dual_golden_structure(lam):
     assert qh.comultiply(f) == f.tensor(f) + fx.tensor(e + f.scale(QQ.coerce(-1))).scale(-lam)
     assert qh.comultiply(x) == x.tensor(f) + e.tensor(x) + x.tensor(fx).scale(lam)
 
-    assert qh.eps.dot(e) == QQ.one
-    assert qh.eps.dot(f) == QQ.one
-    assert qh.eps.dot(x) == QQ.zero
+    assert qh.coalgebra.counit.dot(e) == QQ.one
+    assert qh.coalgebra.counit.dot(f) == QQ.one
+    assert qh.coalgebra.counit.dot(x) == QQ.zero
 
     assert qh.phi == power_unit(qh.algebra, 3)
     assert qh.upsilon == e
@@ -131,8 +133,8 @@ def test_whole_algebra_coideal_recovers_parent(h):
     qh = left_partial_dual(p)
     assert qh.algebra.mult == h.mult
     assert qh.algebra.unit == h.unit
-    assert qh.comult_tensor() == h.comult
-    assert qh.eps == h.counit
+    assert qh.coalgebra.comult == h.comult
+    assert qh.coalgebra.counit == h.counit
     assert qh.t_map == h.antipode
     det = detect_hopf(qh)
     assert det.kind == "hopf" and det.hopf == h
@@ -149,8 +151,8 @@ def test_trivial_coideal_recovers_dual(h):
     hs = dual(h)
     assert qh.algebra.mult == hs.mult
     assert qh.algebra.unit == hs.unit
-    assert qh.comult_tensor() == hs.comult
-    assert qh.eps == hs.counit
+    assert qh.coalgebra.comult == hs.comult
+    assert qh.coalgebra.counit == hs.counit
     assert qh.t_map == hs.antipode
     assert detect_hopf(qh).hopf == hs
 
@@ -163,8 +165,8 @@ def test_right_dual_pairs_with_left(taft1):
     rh = dual(r.hopf_view())
     assert rh.mult == qh.algebra.mult
     assert rh.unit == qh.algebra.unit
-    assert rh.comult == qh.comult_tensor()
-    assert rh.counit == qh.eps
+    assert rh.comult == qh.coalgebra.comult
+    assert rh.counit == qh.coalgebra.counit
     assert rh.antipode == qh.t_map
 
 
@@ -194,8 +196,7 @@ def test_corrupted_biop_target_is_rejected(taft1):
     bad_phi[0] = bad_phi[0] + QQ.one
     corrupt = QuasiHopfAlgebra(
         qb.algebra,
-        qb.delta,
-        qb.eps,
+        qb.coalgebra,
         Vector(QQ, bad_phi),
         qb.phi_inv,
         qb.t_map,
@@ -214,8 +215,7 @@ def test_iso_checks_require_mapping_data(taft1):
     _, _, qh = taft1
     bare = QuasiHopfAlgebra(
         qh.algebra,
-        qh.delta,
-        qh.eps,
+        qh.coalgebra,
         qh.phi,
         qh.phi_inv,
         qh.t_map,
@@ -236,8 +236,7 @@ def test_verify_quasi_hopf_rejects_a_comultiplication_over_another_field(taft1):
     _, _, qh = taft1
     mixed = QuasiHopfAlgebra(
         qh.algebra,
-        taft_lpd(F5, 1)[2].delta,
-        qh.eps,
+        taft_lpd(F5, 1)[2].coalgebra,
         qh.phi,
         qh.phi_inv,
         qh.t_map,
@@ -310,6 +309,35 @@ def test_left_report_is_construction_checks_then_verifier(taft1, c4_strict):
     for _, _, qh in (taft1, c4_strict):
         verifier = [name for name, _, _ in verify_quasi_hopf(qh).checks]
         assert [name for name, _, _ in qh.report.checks] == construction + verifier
+
+
+def test_every_reader_takes_delta_from_the_stored_coalgebra(taft1, monkeypatch):
+    """A quasi-Hopf algebra holds its Delta as one Coalgebra: verifying it
+    builds no second Coalgebra and regroups no comultiplication tensor,
+    and neither do verify_hopf and convolution_inverse on a built one."""
+    h = group_algebra(cyclic(4), F7)
+    q = build_quotient(certify_coideal(h, LinMap(Matrix(F7, [[1, 0], [0, 0], [0, 1], [0, 0]]))))
+    built = [taft1[2], left_partial_dual(certify_pams(q, find_cointegral(q)))]
+    counts = {"Coalgebra": 0, "_grouped": 0}
+    init, grouped = Coalgebra.__init__, hopf._grouped
+
+    def counting_init(self, *args):
+        counts["Coalgebra"] += 1
+        init(self, *args)
+
+    def counting_grouped(*args):
+        counts["_grouped"] += 1
+        return grouped(*args)
+
+    monkeypatch.setattr(Coalgebra, "__init__", counting_init)
+    monkeypatch.setattr(hopf, "_grouped", counting_grouped)
+    monkeypatch.setattr(partial_dual, "_grouped", counting_grouped)
+    for qh in built:
+        assert verify_quasi_hopf(qh).ok
+    assert counts == {"Coalgebra": 0, "_grouped": 0}
+    assert verify_hopf(h).ok
+    convolution_inverse(LinMap.identity(F7, 4), h.coalgebra, h.algebra)
+    assert counts == {"Coalgebra": 0, "_grouped": 0}
 
 
 def test_strictly_quasi_transports(c4_strict):

@@ -76,8 +76,8 @@ def test_quasi_hopf_round_trip(taft_pams):
     assert isinstance(q2, QuasiHopfAlgebra)
     assert q2.algebra.mult == qh.algebra.mult
     assert q2.algebra.unit == qh.algebra.unit
-    assert q2.delta == qh.delta
-    assert q2.eps == qh.eps
+    assert q2.coalgebra.comult == qh.coalgebra.comult
+    assert q2.coalgebra.counit == qh.coalgebra.counit
     assert q2.phi == qh.phi
     assert q2.phi_inv == qh.phi_inv
     assert q2.t_map == qh.t_map
