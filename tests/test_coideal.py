@@ -17,7 +17,7 @@ from partialdual.coideal import (
     dual_coideal,
 )
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
-from partialdual.hopf import CertificationError, HopfAlgebra, LinMap, coopposite, dual
+from partialdual.hopf import Algebra, CertificationError, Coalgebra, HopfAlgebra, LinMap, coopposite, dual
 from partialdual.linalg import QQ, Matrix, Tensor3, Vector
 
 
@@ -197,21 +197,22 @@ def _taft_parent_perturbations():
     """Every one-entry +1 perturbation of Taft-4's (lambda = 1) mult,
     comult and antipode, as (label, perturbed parent)."""
     h, _, _ = taft4(QQ, 1)
-    tensors = {"mult": h.mult, "comult": h.comult}
-    for name, t in tensors.items():
-        for i, j, k in itertools.product(range(4), repeat=3):
-            data = [[list(row) for row in plane] for plane in t.data]
-            data[i][j][k] = data[i][j][k] + QQ.one
-            changed = dict(tensors, **{name: Tensor3(QQ, data, dims=t.dims)})
-            yield f"{name}[{i},{j},{k}]+1", HopfAlgebra(
-                QQ, changed["mult"], h.unit, changed["comult"], h.counit, h.antipode
-            )
+
+    def bumped(t, i, j, k):
+        data = [[list(row) for row in plane] for plane in t.data]
+        data[i][j][k] = data[i][j][k] + QQ.one
+        return Tensor3(QQ, data, dims=t.dims)
+
+    for i, j, k in itertools.product(range(4), repeat=3):
+        algebra = Algebra(QQ, bumped(h.mult, i, j, k), h.unit)
+        yield f"mult[{i},{j},{k}]+1", HopfAlgebra(algebra, h.coalgebra, h.antipode)
+    for i, j, k in itertools.product(range(4), repeat=3):
+        coalgebra = Coalgebra(QQ, bumped(h.comult, i, j, k), h.counit)
+        yield f"comult[{i},{j},{k}]+1", HopfAlgebra(h.algebra, coalgebra, h.antipode)
     for i, j in itertools.product(range(4), repeat=2):
         rows = [list(row) for row in h.antipode.rows]
         rows[i][j] = rows[i][j] + QQ.one
-        yield f"S[{i},{j}]+1", HopfAlgebra(
-            QQ, h.mult, h.unit, h.comult, h.counit, Matrix(QQ, rows, ncols=4)
-        )
+        yield f"S[{i},{j}]+1", HopfAlgebra(h.algebra, h.coalgebra, Matrix(QQ, rows, ncols=4))
 
 
 def _parent_failure(label):

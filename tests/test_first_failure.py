@@ -136,10 +136,12 @@ def _with_pams(name, **changes):
     return _replace(p, Pams, fields, **changes)
 
 
-def _taft_hopf(**changes):
+def _taft_hopf(mult=None, comult=None, antipode=None):
+    """Taft-4's parent with bumped tensors, rebuilding only the parts they change."""
     h = _system("taft")[0].parent
-    fields = ("field", "mult", "unit", "comult", "counit", "antipode", "name")
-    return _replace(h, HopfAlgebra, fields, **changes)
+    algebra = h.algebra if mult is None else Algebra(QQ, mult, h.unit)
+    coalgebra = h.coalgebra if comult is None else Coalgebra(QQ, comult, h.counit)
+    return HopfAlgebra(algebra, coalgebra, h.antipode if antipode is None else antipode, name=h.name)
 
 
 def _kc4_coideal(*columns):

@@ -54,7 +54,7 @@ def cyclic_group_hopf(n, field=QQ):
         field,
         [[1 if i == (-j) % n else 0 for j in range(n)] for i in range(n)],
     )
-    return HopfAlgebra(field, mult, unit, comult, counit, antipode, name=f"kC{n}")
+    return HopfAlgebra(Algebra(field, mult, unit), Coalgebra(field, comult, counit), antipode, name=f"kC{n}")
 
 
 def kc2_on_basis(c):
@@ -64,7 +64,9 @@ def kc2_on_basis(c):
     mult = Tensor3.from_entries(QQ, (2, 2, 2), [((0, 0, 0), 1), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), c * c)])
     comult = Tensor3.from_entries(QQ, (2, 2, 2), [((0, 0, 0), 1), ((1, 1, 1), 1 / c)])
     unit, counit = Vector.basis(QQ, 2, 0), Vector(QQ, [1, c])
-    return HopfAlgebra(QQ, mult, unit, comult, counit, Matrix.identity(QQ, 2), name=f"kC2 on (1, {c} g)")
+    return HopfAlgebra(
+        Algebra(QQ, mult, unit), Coalgebra(QQ, comult, counit), Matrix.identity(QQ, 2), name=f"kC2 on (1, {c} g)"
+    )
 
 
 def test_scaled_bases_of_kc2_are_hopf():
@@ -86,9 +88,22 @@ def test_comultiplication_witnesses_over_fractional_coordinates(c, entry):
     data = [[list(row) for row in plane] for plane in h.comult.data]
     i, j, k = entry
     data[i][j][k] += 1
-    broken = HopfAlgebra(QQ, h.mult, h.unit, Tensor3(QQ, data), h.counit, h.antipode)
+    broken = HopfAlgebra(h.algebra, Coalgebra(QQ, Tensor3(QQ, data), h.counit), h.antipode)
     failed = dict(verify_hopf(broken).failures())
     assert (failed["coassociativity"], failed["comult-algebra-map"]) == FRACTIONAL_WITNESSES[c, entry]
+
+
+def test_hopf_algebra_rejects_parts_that_do_not_fit():
+    h, f5 = cyclic_group_hopf(3), cyclic_group_hopf(3, PrimeField(5))
+    k2 = cyclic_group_hopf(2)
+    for algebra, coalgebra, antipode in (
+        (h.algebra, f5.coalgebra, h.antipode),
+        (h.algebra, k2.coalgebra, h.antipode),
+        (h.algebra, h.coalgebra, k2.antipode),
+        (h.algebra, h.coalgebra, f5.antipode),
+    ):
+        with pytest.raises(ValueError):
+            HopfAlgebra(algebra, coalgebra, antipode)
 
 
 def test_cyclic_group_algebras_are_hopf():
@@ -110,15 +125,7 @@ def test_report_lines_have_pass_prefix():
 
 def test_broken_antipode_is_caught_with_witness():
     h = cyclic_group_hopf(3)
-    broken = HopfAlgebra(
-        h.field,
-        h.mult,
-        h.unit,
-        h.comult,
-        h.counit,
-        Matrix.identity(QQ, 3),
-        name="broken",
-    )
+    broken = HopfAlgebra(h.algebra, h.coalgebra, Matrix.identity(QQ, 3), name="broken")
     report = verify_hopf(broken)
     assert not report.ok
     failed = dict(report.failures())
@@ -129,11 +136,23 @@ def test_broken_antipode_is_caught_with_witness():
     assert err.value.report is report
 
 
+# kC4 is commutative and cocommutative, so the flips fix it and S^{-1} = S;
+# the other inputs are neither commutative nor cocommutative, or have S^2 != id
+TRANSPORT_INPUTS = {
+    "kC4": lambda: cyclic_group_hopf(4),
+    "taft4-Q": lambda: taft4(QQ, 1)[0],
+    "taft4-F5": lambda: taft4(PrimeField(5), 1)[0],
+    "kS3": lambda: _s3(),
+    "kS3-dual": lambda: dual(_s3()),
+}
+
+
 def test_dual_is_hopf_and_involutive():
-    h = cyclic_group_hopf(3)
-    hd = dual(h)
-    assert verify_hopf(hd).ok
-    assert dual(hd) == h
+    for name, build in TRANSPORT_INPUTS.items():
+        h = build()
+        hd = dual(h)
+        assert verify_hopf(hd).ok, name
+        assert dual(hd) == h, name
 
 
 def test_dual_of_group_algebra_is_function_algebra():
@@ -148,16 +167,17 @@ def test_dual_of_group_algebra_is_function_algebra():
 
 
 def test_opposites_are_hopf_and_involutive():
-    h = cyclic_group_hopf(4)
-    for variant in (opposite, coopposite, biopposite):
-        k = variant(h)
-        assert verify_hopf(k).ok, variant.__name__
-        assert variant(variant(h)) == h
+    for name, build in TRANSPORT_INPUTS.items():
+        h = build()
+        for variant in (opposite, coopposite, biopposite):
+            assert verify_hopf(variant(h)).ok, (name, variant.__name__)
+            assert variant(variant(h)) == h, (name, variant.__name__)
 
 
 def test_biopposite_composes_op_and_cop():
-    h = cyclic_group_hopf(4)
-    assert biopposite(h) == opposite(coopposite(h))
+    for name, build in TRANSPORT_INPUTS.items():
+        h = build()
+        assert biopposite(h) == opposite(coopposite(h)) == coopposite(opposite(h)), name
 
 
 def test_antipode_is_convolution_inverse_of_identity():

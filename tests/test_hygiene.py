@@ -27,7 +27,12 @@ with `_grouped(<...>.comult, 0)`: its nonzeros are `Coalgebra.terms`,
 grouped once by the `Coalgebra` constructor.  `verify_hopf` is called
 only where a Hopf algebra enters without certification:
 `certify_coideal`, the entry of the pipeline, and the commands and
-constructors that build or reassemble a Hopf algebra of their own.  What a scalar is made of (the
+constructors that build or reassemble a Hopf algebra of their own.  The
+same checker pins the callers of `coideal._certify_inclusion`, which
+certifies a coideal without `verify_hopf`: `certify_coideal` after its
+own verification, and the three places whose parent is a transport of a
+certified parent (`dual_coideal`, `induced_pams`,
+`pams_from_split_projection`).  What a scalar is made of (the
 `numerator` and `denominator` of a `Fraction`, the residue `v` of a
 `ModInt`) and the modulus `p` of a prime field are read only in `linalg`,
 whose fields convert scalars to and from ints and reduce the supports of
@@ -528,26 +533,34 @@ VERIFY_HOPF_CALLERS = {
     "partial_dual.CoquasiHopfAlgebra.hopf_view",
     "partial_dual.detect_hopf",
 }
+# the only functions that certify a coideal without verify_hopf: the entry
+# itself, and code whose parent is a transport of a certified parent
+CERTIFY_INCLUSION_CALLERS = {
+    "coideal.certify_coideal",
+    "coideal.dual_coideal",
+    "pams.induced_pams",
+    "examples.pams_from_split_projection",
+}
 
 
-def verify_hopf_callers(source: str, module: str) -> list[str]:
-    """The function around each `verify_hopf(...)` call, as
-    "module.function" or "module.Class.method"."""
-    callers = []
+def callers(source: str, module: str, callee: str) -> list[str]:
+    """The function around each `callee(...)` call, as "module.function"
+    or "module.Class.method"."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            elif isinstance(child, ast.Call) and "verify_hopf" in (
+            elif isinstance(child, ast.Call) and callee in (
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
-                callers.append(".".join([module] + scope))
+                found.append(".".join([module] + scope))
             visit(child, inner)
 
     visit(ast.parse(source), [])
-    return callers
+    return found
 
 
 def test_checker_names_the_callers_of_verify_hopf():
@@ -562,12 +575,29 @@ def test_checker_names_the_callers_of_verify_hopf():
         "def verify_hopf_cmd(f):\n"
         "    return f\n"
     )
-    assert verify_hopf_callers(source, "m") == ["m.certify", "m.View.check", "m"]
+    assert callers(source, "m", "verify_hopf") == ["m.certify", "m.View.check", "m"]
+
+
+def test_checker_names_the_callers_of_any_callee():
+    source = (
+        "def certify(h, iota):\n"
+        "    verify_hopf(h)\n"
+        "    return _certify_inclusion(h, iota)\n"
+        "def induced(p):\n"
+        "    return coideal._certify_inclusion(p.h2, p.iota2)\n"
+    )
+    assert callers(source, "m", "_certify_inclusion") == ["m.certify", "m.induced"]
+    assert callers(source, "m", "verify_hopf") == ["m.certify"]
 
 
 def test_verify_hopf_runs_only_at_the_entry_and_where_a_hopf_algebra_is_built():
-    callers = {c for path in MODULES for c in verify_hopf_callers(path.read_text(), path.stem)}
-    assert callers <= VERIFY_HOPF_CALLERS
+    found = {c for path in MODULES for c in callers(path.read_text(), path.stem, "verify_hopf")}
+    assert found <= VERIFY_HOPF_CALLERS
+
+
+def test_inclusions_skip_verify_hopf_only_on_transports_of_a_certified_parent():
+    found = {c for path in MODULES for c in callers(path.read_text(), path.stem, "_certify_inclusion")}
+    assert found == CERTIFY_INCLUSION_CALLERS
 
 
 # the parts of a scalar: Fraction.numerator/denominator (and the private

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from partialdual import pams
-from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal
-from partialdual.examples import cyclic, group_algebra, symmetric, taft4
+from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal, dual_coideal
+from partialdual.examples import cyclic, group_algebra, pams_from_split_projection, symmetric, taft4
 from partialdual.hopf import (
     CertificationError,
     LinMap,
@@ -353,6 +353,27 @@ def test_pipeline_verifies_the_parent_once(monkeypatch):
     calls = _count_calls(monkeypatch, verify_hopf)
     p = certify_pams(build_quotient(certify_coideal(h, b.iota)), zeta)
     right_partial_dual(p, left_partial_dual(p))
+    assert calls == [(h,)]
+
+
+def test_transports_of_the_certified_parent_are_not_verified_again(monkeypatch, taft_pams):
+    """The six induced systems and the dual coideal live on the certified
+    parent or on its transports, which are Hopf by construction."""
+    _, _, p = taft_pams
+    calls = _count_calls(monkeypatch, verify_hopf)
+    for kind in INDUCED_KINDS:
+        induced_pams(p, kind)
+    dual_coideal(build_quotient(p.quotient.coideal))
+    assert calls == []
+
+
+def test_split_projection_verifies_its_parent_once(monkeypatch):
+    h = taft4(QQ, 1)[0]
+    a = group_algebra(cyclic(2), QQ)
+    pi = LinMap(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    gamma = LinMap(Matrix.from_columns(QQ, [h.basis(0), h.basis(1)], nrows=4))
+    calls = _count_calls(monkeypatch, verify_hopf)
+    pams_from_split_projection(h, a, pi, gamma)
     assert calls == [(h,)]
 
 

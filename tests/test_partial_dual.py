@@ -340,6 +340,36 @@ def test_every_reader_takes_delta_from_the_stored_coalgebra(taft1, monkeypatch):
     assert counts == {"Coalgebra": 0, "_grouped": 0}
 
 
+def test_readers_and_transports_reuse_the_parts_they_hold(taft1, monkeypatch):
+    """detect_hopf and hopf_view assemble their Hopf algebra from the
+    Algebra and Coalgebra they hold; opposite keeps the parent's Coalgebra
+    and coopposite its Algebra."""
+    h, p, qh = taft1
+    right = right_partial_dual(p, qh)
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counting(hopf.Algebra)
+    counting(Coalgebra)
+    detected = detect_hopf(qh).hopf
+    assert detected.algebra is qh.algebra and detected.coalgebra is qh.coalgebra
+    view = right.hopf_view()
+    assert view.algebra is right.algebra and view.coalgebra is right.coalgebra
+    assert built == []
+    assert hopf.opposite(h).coalgebra is h.coalgebra
+    assert built == ["Algebra"]
+    assert hopf.coopposite(h).algebra is h.algebra
+    assert built == ["Algebra", "Coalgebra"]
+
+
 def test_strictly_quasi_transports(c4_strict):
     """The biop and op mappings hold with a nontrivial associator too."""
     _, p, qh = c4_strict
