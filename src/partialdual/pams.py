@@ -62,15 +62,22 @@ __all__ = [
 INDUCED_KINDS = ("identity", "op", "cop", "biop-dual", "cop-dual", "op-dual")
 
 
+# held only by certify_pams, the certifier
+_CERTIFIED = object()
+
+
 class Pams:
     """A certified partially admissible mapping system.
 
     Bundles the quotient data with zeta, gamma and their convolution
-    inverses; `report` records every identity that was verified.
+    inverses; `report` records every identity that was verified.  Only
+    certify_pams holds the token the constructor asks for, so every Pams
+    in hand passed its checks.
     """
 
     def __init__(
         self,
+        token: object,
         quotient: CoidealQuotient,
         zeta: LinMap,
         gamma: LinMap,
@@ -78,6 +85,8 @@ class Pams:
         gamma_bar: LinMap,
         report: Report,
     ):
+        if token is not _CERTIFIED:
+            raise TypeError("Pams is built only by certify_pams")
         self.quotient = quotient
         self.coideal = quotient.coideal
         self.parent = quotient.parent
@@ -602,7 +611,7 @@ def certify_pams(
 
     _check_primal(q, zeta, gamma, zeta_bar, gamma_bar, report)
     report.raise_if_failed()
-    return Pams(q, zeta, gamma, zeta_bar, gamma_bar, report)
+    return Pams(_CERTIFIED, q, zeta, gamma, zeta_bar, gamma_bar, report)
 
 
 # --- induced systems ----------------------------------------------------------------

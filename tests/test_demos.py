@@ -11,8 +11,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 @pytest.mark.parametrize(
     "script, expected",
     [
-        ("01_taft_partial_dual.py", "checks run: 35"),
-        ("02_strictly_quasi_associator.py", "- 35 checks"),
+        ("01_taft_partial_dual.py", "checks run: 30"),
+        ("02_strictly_quasi_associator.py", "- 30 checks"),
     ],
 )
 def test_demo_runs(script, expected, capsys):

@@ -32,11 +32,13 @@ same checker pins the callers of `coideal._certify_inclusion`, which
 certifies a coideal without `verify_hopf`: `certify_coideal` after its
 own verification, and the three places whose parent is a transport of a
 certified parent (`dual_coideal`, `induced_pams`,
-`pams_from_split_projection`).  What a scalar is made of (the
-`numerator` and `denominator` of a `Fraction`, the residue `v` of a
-`ModInt`) and the modulus `p` of a prime field are read only in `linalg`,
-whose fields convert scalars to and from ints and reduce the supports of
-the integer kernels.
+`pams_from_split_projection`).  `partial_dual.left_partial_dual` states
+no check of its own, neither a `report.add` nor a linear system to
+reduce: every check of its report comes from `verify_quasi_hopf`.  What
+a scalar is made of (the `numerator` and `denominator` of a `Fraction`,
+the residue `v` of a `ModInt`) and the modulus `p` of a prime field are
+read only in `linalg`, whose fields convert scalars to and from ints and
+reduce the supports of the integer kernels.
 """
 
 import ast
@@ -598,6 +600,49 @@ def test_verify_hopf_runs_only_at_the_entry_and_where_a_hopf_algebra_is_built():
 def test_inclusions_skip_verify_hopf_only_on_transports_of_a_certified_parent():
     found = {c for path in MODULES for c in callers(path.read_text(), path.stem, "_certify_inclusion")}
     assert found == CERTIFY_INCLUSION_CALLERS
+
+
+def own_checks(source: str, function: str) -> list[str]:
+    """The checks a module-level function states itself, nested helpers
+    included: its `report.add(...)` calls and the linear systems it hands
+    to an elimination entry point, as "callee (line)"."""
+    found = []
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef) or func.name != function:
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            receiver = getattr(callee, "value", None)
+            reports = getattr(receiver, "id", getattr(receiver, "attr", None)) == "report"
+            if name in ELIMINATING_CALLS or (name == "add" and reports):
+                found.append((node.lineno, f"{ast.unparse(callee)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_checker_flags_checks_a_function_states_itself():
+    source = (
+        "def build(p, report):\n"
+        "    seen = set()\n"
+        "    seen.add(p)\n"
+        "    report.add('form', p == p)\n"
+        "    def unique():\n"
+        "        return Elimination(p.field, 2, rows).rank\n"
+        "    p.report.add('again', True)\n"
+        "    return solve(p.matrix, p.rhs), unique()\n"
+        "def verify(p, report):\n"
+        "    report.add('axiom', True)\n"
+    )
+    assert own_checks(source, "build") == [
+        "report.add (line 4)", "Elimination (line 6)", "p.report.add (line 7)", "solve (line 8)"
+    ]
+    assert own_checks(source, "verify") == ["report.add (line 10)"]
+
+
+def test_left_partial_dual_states_no_check_of_its_own():
+    assert own_checks((PACKAGE / "partial_dual.py").read_text(), "left_partial_dual") == []
 
 
 # the parts of a scalar: Fraction.numerator/denominator (and the private

@@ -227,6 +227,17 @@ def test_certify_rejects_perturbed_gamma(taft_pams):
     assert err.value.kind == "gamma-shape"
 
 
+def test_pams_is_built_only_by_certify_pams(taft_pams):
+    """Every Pams in hand passed certify_pams: the constructor asks for a
+    token that only the certifier holds."""
+    _, q, p = taft_pams
+    maps = (p.zeta, p.gamma, p.zeta_bar, p.gamma_bar)
+    with pytest.raises(TypeError):
+        pams.Pams(q, *maps, p.report)
+    with pytest.raises(TypeError, match="built only by certify_pams"):
+        pams.Pams(object(), q, *maps, p.report)
+
+
 def test_certify_accepts_explicit_gamma(taft_pams):
     _, q, p = taft_pams
     again = certify_pams(q, p.zeta, p.gamma)
