@@ -15,12 +15,12 @@ against it; no n x n matrix is built for a product.  Its twin,
 Coalgebra.terms, lists the nonzero ((j, k), d[i,j,k]) of each Delta(e_i)
 for every reader of a comultiplication.  The tensor-power kernels, and
 the verifiers that chain them, compute on the sparse integer form of a
-flat tensor.  Flat sums of pure tensors are built by
-linalg._kron_acc.  Flat tensors and structure tensors are read through
-three decoders: _support lists the nonzeros of a flat k-leg tensor with
+flat tensor.  Flat tensors and structure tensors are read through
+four decoders: _support lists the nonzeros of a flat k-leg tensor with
 their leg indices, _weighted_sum adds up c term(indices) over such a
-list, and _grouped lists the nonzeros of a Tensor3 grouped by one leg.
-No other module decodes a flat index by hand.
+list, _grouped lists the nonzeros of a Tensor3 grouped by one leg, and
+_rows lists them row by row, as Algebra.terms does.  No other module
+decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from partialdual.linalg import (
     Elimination,
@@ -225,10 +225,7 @@ class Algebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "unit", unit)
-        terms = tuple(
-            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
-            for plane in mult.data
-        )
+        terms = _rows(mult)
         object.__setattr__(self, "terms", terms)
         table, den = _int_supports(field, [pair for row in terms for pair in row])
         object.__setattr__(self, "int_terms", (tuple(table[i * n : (i + 1) * n] for i in range(n)), den))
@@ -438,10 +435,8 @@ class HopfAlgebra:
 Sparse = tuple[dict[int, int], int]
 
 
-def flat_nonzeros(v: Vector) -> Iterator[tuple[int, Scalar]]:
-    for i, x in enumerate(v.entries):
-        if x:
-            yield i, x
+def flat_nonzeros(v: Vector) -> list[tuple[int, Scalar]]:
+    return [(i, x) for i, x in enumerate(v.entries) if x]
 
 
 def _sparse(v: Vector) -> Sparse:
@@ -487,6 +482,11 @@ def _weighted_sum(field: Field, n: int, support: Sequence, term: Callable[..., V
             if x:
                 out[t] = out[t] + c * x
     return Vector._of(field, out)
+
+
+def _rows(t: Tensor3) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
+    """The nonzeros of t row by row: entry [i][j] lists the (k, t[i,j,k]) with t[i,j,k] != 0."""
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane) for plane in t.data)
 
 
 def _grouped(t: Tensor3, axis: int) -> list[list[tuple[tuple[int, int], Scalar]]]:

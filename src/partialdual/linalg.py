@@ -2,9 +2,7 @@
 
 Scalars are `fractions.Fraction` over Q and `ModInt` residues over F_p;
 floating point is rejected outright.  Vectors, matrices and rank-3
-tensors are stored dense.  `_kron_acc` adds a scaled Kronecker product
-into a flat list over the nonzeros of each factor; `tensor_of` and
-`Vector.tensor` are built on it.
+tensors are stored dense.
 
 Scalars are coerced once, at the boundary.  The public constructors
 `Vector(...)`, `Matrix(...)` and `Tensor3(...)` coerce and validate
@@ -41,7 +39,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from functools import reduce
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -409,15 +408,11 @@ class Vector:
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product; index (i, j) maps to i*len(other) + j."""
         _same_field(self.field, other.field, "vectors")
-        out = [self.field.zero] * (len(self) * len(other))
-        _kron_acc(out, self.field.one, self.entries, other.entries)
-        return Vector._of(self.field, out)
+        zero = self.field.zero
+        return Vector._of(self.field, [a * b if a and b else zero for a in self.entries for b in other.entries])
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.entries) if a)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
@@ -963,25 +958,6 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
     return Matrix._of(t.field, out, d1)
 
 
-def _kron_acc(out: list, c: Scalar, *legs: Sequence[Scalar]) -> None:
-    """Add c (legs[0] (x) legs[1] (x) ...) into the flat list `out`, row-major
-    over the leg lengths, visiting only the nonzero coordinates of each leg."""
-    if not c:
-        return
-    partial = [(0, c)]
-    for leg in legs:
-        n = len(leg)
-        nonzeros = [(i, x) for i, x in enumerate(leg) if x]
-        partial = [(base * n + i, w * x) for base, w in partial for i, x in nonzeros]
-    for idx, w in partial:
-        out[idx] = out[idx] + w
-
-
 def tensor_of(vectors: Sequence[Vector]) -> Vector:
     """The Kronecker product of the vectors, in order."""
-    field = vectors[0].field
-    for v in vectors[1:]:
-        _same_field(field, v.field, "vectors")
-    out = [field.zero] * prod(len(v) for v in vectors)
-    _kron_acc(out, field.one, *(v.entries for v in vectors))
-    return Vector._of(field, out)
+    return reduce(Vector.tensor, vectors)

@@ -254,7 +254,7 @@ def cointegral_space(q: CoidealQuotient) -> tuple[Vector | None, Matrix]:
     zero = field.zero
     # <e*_m, iota(b_beta) e_j> at [beta][j] and <b*_t, b_beta b_s> at [beta][t]
     left_h = [
-        [list(flat_nonzeros(h.algebra.multiply(bsub.iota.column(beta), h.basis(j)))) for j in range(n)]
+        [flat_nonzeros(h.algebra.multiply(bsub.iota.column(beta), h.basis(j))) for j in range(n)]
         for beta in range(bdim)
     ]
     left_b: list[list[list]] = [[[] for _ in range(bdim)] for _ in range(bdim)]

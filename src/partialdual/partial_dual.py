@@ -31,9 +31,11 @@ from .hopf import (
     Report,
     _first_mismatch,
     _grouped,
+    _rows,
     _support,
     _weighted_sum,
     convolution_inverse,
+    flat_nonzeros,
     hit_left,
     power_multiply,
     power_unit,
@@ -45,7 +47,7 @@ from .hopf import (
     verify_hopf,
     verify_quasi_bialgebra,
 )
-from .linalg import Elimination, Matrix, Tensor3, Vector, _kron_acc, _same_field
+from .linalg import Elimination, Matrix, Tensor3, Vector, _same_field
 from .pams import Pams
 
 __all__ = [
@@ -266,8 +268,9 @@ def _derive_antipodes(alg: Algebra, t_map: Matrix, ups: Vector):
         upsinv = alg.element_inverse(ups)
     except ValueError:
         return None
-    s1 = alg.right_mult_matrix(upsinv) @ t_map
-    s2 = alg.left_mult_matrix(upsinv) @ t_map
+    cols = t_map.columns()
+    s1 = Matrix.from_columns(alg.field, [alg.multiply(x, upsinv) for x in cols], nrows=alg.dim)  # T(e_i) upsilon^-1
+    s2 = Matrix.from_columns(alg.field, [alg.multiply(upsinv, x) for x in cols], nrows=alg.dim)  # upsilon^-1 T(e_i)
     return ((s1, ups, alg.unit), (s2, alg.unit, ups))
 
 
@@ -326,13 +329,12 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
 
     hs = q.hstar
     hsalg = hs.algebra
-    action = q.action
-    rho = _grouped(action, 2)  # rho(f_t) = sum f_s (x) h*_i as ((s, i), c) at [t]
+    rho = _grouped(q.action, 2)  # rho(f_t) = sum f_s (x) h*_i as ((s, i), c) at [t]
+    hit = _grouped(q.action, 1)  # ((s, g), c) of h_m harpoon f_g = sum c f_s at [m]
     coact = _grouped(bsub.coaction, 0)  # ((m, k), c) of the coaction of b_j at [j]
 
     cstar = q.cstar
     bunit = bsub.unit
-    ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
     eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
     ebs = [cstar.unit.tensor(eb[u]) for u in range(bdim)]
     unit_vec = cstar.unit.tensor(bunit)
@@ -344,44 +346,44 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
     hsb = [Vector.basis(field, n, i) for i in range(n)]
 
-    # multiplication: (f#b)(g#c) = sum f (b1 harpoon g) # b2 c
-    hitc = [
-        [Vector._of(action.field, [action.data[s][m][g] for s in range(cdim)]) for g in range(cdim)]
-        for m in range(n)
-    ]
-    lcs = [cstar.left_mult_matrix(ec[a]) for a in range(cdim)]
+    # multiplication: (f_a # b)(f_g # d) = sum f_a (b_(-1) harpoon f_g) # b_(0) d; at ((a,b), (g,d), (t,e)) the sum of
+    # x y w z over the coaction terms x of b, terms y of h_m harpoon f_g, products w of f_a f_s and z of b_k b_d
+    cterms, bterms = cstar.terms, bsub.algebra.terms
     mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
     for a in range(cdim):
         for b in range(bdim):
             plane = mdata[a * bdim + b]
             for (m, k), x in coact[b]:
-                for g in range(cdim):
-                    w = lcs[a] @ hitc[m][g]
-                    for d in range(bdim):
-                        _kron_acc(plane[g * bdim + d], x, w, bsub.mult.data[k][d])
+                for (s, g), y in hit[m]:
+                    for t, w in cterms[a][s]:
+                        xyw = x * y * w
+                        for d in range(bdim):
+                            row = plane[g * bdim + d]
+                            for e, z in bterms[k][d]:
+                                row[t * bdim + e] += xyw * z
     mult = Tensor3._of(field, mdata, (nd, nd, nd))
     alg = Algebra(field, mult, unit_vec)
 
-    eps_vec = q.pi(h.unit).tensor(bsub.counit)
-
-    # comultiplication on f_a # 1
-    zgm = [[p.zeta(h.algebra.multiply(gcol[t], h.basis(m))) for m in range(n)] for t in range(cdim)]
-    g2 = [[gammastar @ hsalg.multiply(hsb[i], zs[u]) for u in range(bdim)] for i in range(n)]
+    # comultiplication on f_a # 1 and on eps # b, summed over the nonzeros of
+    # the carrier vectors g2[u][i] = gamma*(h*_i zeta_u) # 1 and zgm[t][m] = eps # zeta(gamma_t h_m)
+    g2 = [[flat_nonzeros((gammastar @ hsalg.multiply(hsb[i], z)).tensor(bunit)) for i in range(n)] for z in zs]
+    zgm = [[flat_nonzeros(cstar.unit.tensor(p.zeta(h.algebra.multiply(g, h.basis(m))))) for m in range(n)] for g in gcol]
     d32 = []
     for a in range(cdim):
         out = [field.zero] * (nd * nd)
         for (s, i), x in rho[a]:
             for u in range(bdim):
-                _kron_acc(out, x, ec[s], eb[u], g2[i][u], bunit)
+                base = (s * bdim + u) * nd
+                for j, y in g2[u][i]:
+                    out[base + j] += x * y
         d32.append(Vector._of(field, out))
-
-    # comultiplication on eps # b
     d33 = []
     for b in range(bdim):
         out = [field.zero] * (nd * nd)
         for (m, k), x in coact[b]:
             for t in range(cdim):
-                _kron_acc(out, x, cstar.unit, zgm[t][m], ec[t], eb[k])
+                for j, y in zgm[t][m]:
+                    out[j * nd + t * bdim + k] += x * y
         d33.append(Vector._of(field, out))
 
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
@@ -390,47 +392,43 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for b in range(bdim):
             col = power_multiply(alg, 2, d32[a], d33[b]).entries
             planes.append([col[j * nd : (j + 1) * nd] for j in range(nd)])
-    coalg = Coalgebra(field, Tensor3._of(field, planes, (nd, nd, nd)), eps_vec)
+    coalg = Coalgebra(field, Tensor3._of(field, planes, (nd, nd, nd)), q.pi(h.unit).tensor(bsub.counit))
 
-    # associator
-    sinv_hs = hs.antipode_inverse()
-    garg1 = [(gbarstar @ sinv_hs.column(p2)).tensor(bunit) for p2 in range(n)]
-    mid = [[alg.multiply(ebs[v], garg1[p2]) for p2 in range(n)] for v in range(bdim)]
-    leg3 = [
-        [(gbarstar @ (sinv_hs @ hsalg.multiply(zbs[v], hsb[r]))).tensor(bunit) for r in range(n)]
-        for v in range(bdim)
-    ]
-    phi_list = [field.zero] * (nd ** 3)
-    for u in range(bdim):
-        dzu = hs.coalgebra.comultiply(zbs[u])
-        for p2 in range(n):
-            row = dzu.rows[p2]
-            for r in range(n):
-                for v in range(bdim):
-                    _kron_acc(phi_list, row[r], ebs[u], mid[v][p2], leg3[v][r])
-    phi = Vector._of(field, phi_list)
+    # associator and its inverse: sum c ebs[u] (x) leg2[v][j] (x) leg3[v][k] over u, v and
+    # the nonzeros ((j, k), c) of Delta(zetas[u]) in H*, each leg a list of carrier nonzeros
+    leg1 = [flat_nonzeros(x) for x in ebs]
 
-    leg2i = [[gammastar.column(p2).tensor(eb[v]) for v in range(bdim)] for p2 in range(n)]
-    leg3i = [[(gammastar @ hsalg.multiply(hsb[r], zs[v])).tensor(bunit) for v in range(bdim)] for r in range(n)]
-    phi_inv_list = [field.zero] * (nd ** 3)
-    for u in range(bdim):
-        dzu = hs.coalgebra.comultiply(zs[u])
-        for p2 in range(n):
-            row = dzu.rows[p2]
-            for r in range(n):
-                for v in range(bdim):
-                    _kron_acc(phi_inv_list, row[r], ebs[u], leg2i[p2][v], leg3i[r][v])
-    phi_inv = Vector._of(field, phi_inv_list)
+    def associator(zetas, leg2, leg3):
+        out = [field.zero] * (nd ** 3)
+        for u, z in enumerate(zetas):
+            for (j, k), c in _support(hs.coalgebra.comultiply_flat(z), n, 2):
+                for i1, x1 in leg1[u]:
+                    for v in range(bdim):
+                        for i2, x2 in leg2[v][j]:
+                            base, cx = (i1 * nd + i2) * nd, c * x1 * x2
+                            for i3, x3 in leg3[v][k]:
+                                out[base + i3] += cx * x3
+        return Vector._of(field, out)
 
-    # preantipode
+    gs = gbarstar @ hs.antipode_inverse()  # gammabar* S^-1
+    phi = associator(
+        zbs,
+        [[flat_nonzeros(alg.multiply(e, gs.column(j).tensor(bunit))) for j in range(n)] for e in ebs],
+        [[flat_nonzeros((gs @ hsalg.multiply(z, hsb[k])).tensor(bunit)) for k in range(n)] for z in zbs],
+    )
+    phi_inv = associator(zs, [[flat_nonzeros(gammastar.column(j).tensor(e)) for j in range(n)] for e in eb], g2)
+
+    # preantipode: T(f_a # b) = sum_u (eps # b_u)(gammabar*(pi*(f_a) (iota(b) harpoon zetabar_u)) # 1), where
+    # iota(b) harpoon zetabar_u = (y -> zetabar_u(y iota(b))) sums the columns of Delta(zetabar_u) against iota(b)
     pistar_rows = [q.pi.matrix.row(t) for t in range(cdim)]
-    rbt = [h.algebra.right_mult_matrix(bsub.iota.column(bb)).transpose() for bb in range(bdim)]
+    iota_terms = [_support(bsub.iota.column(bb), n, 1) for bb in range(bdim)]
+    dzbar = [hs.coalgebra.comultiply(z) for z in zbs]  # zetabar_u(e_j e_k) at [u] (j, k)
     t_cols = []
     for a in range(cdim):
         for bb in range(bdim):
             acc = Vector.zero(field, nd)
             for u in range(bdim):
-                w = hsalg.multiply(pistar_rows[a], rbt[bb] @ zbs[u])
+                w = hsalg.multiply(pistar_rows[a], _weighted_sum(field, n, iota_terms[bb], dzbar[u].column))
                 acc = acc + alg.multiply(ebs[u], (gbarstar @ w).tensor(bunit))
             t_cols.append(acc)
     t_map = Matrix.from_columns(field, t_cols, nrows=nd)
@@ -475,9 +473,11 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     report.add("upsilon-is-t-of-unit", ups == t_map @ unit_vec, "upsilon != T(1)")
 
     # the products the preantipode identities are assembled from:
-    # T(e_i e_j), e_i T(e_j) and T(e_i) e_j
-    mult = alg.mult
-    t_pair = [[t_map @ Vector._of(field, mult.data[i][j]) for j in range(nd)] for i in range(nd)]
+    # T(e_i e_j) = sum m[i,j,p] T(e_p), e_i T(e_j) and T(e_i) e_j
+    t_pair = [
+        [_weighted_sum(field, nd, [((p,), x) for p, x in pair], lambda p: t_cols[p]) for pair in row]
+        for row in alg.terms
+    ]
     e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
     t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
 
@@ -531,43 +531,52 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     nd = cdim * bdim
     report = Report(f"right partial dual (dim {nd} over {field.descriptor})")
 
-    action = q.action
-    btr = _btr_tensor(q)
     gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
     zs = [p.zeta.matrix.row(u) for u in range(bdim)]
 
     dbs = _grouped(bsub.mult, 2)  # ((a2, c2), c) of b_a2 b_c2 = sum c b_u at [u]
     ccs = q.coalgebra.terms  # ((s, t), c) of Delta(x_p) at [p]
 
-    ec = [Vector.basis(field, cdim, t) for t in range(cdim)]
-    eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
+    brows = _rows(_btr_tensor(q))  # at [i][a2]: the (v, c) of f_i |> b*_a2 = sum c b*_v
+    arows = _rows(q.action)  # at [t][i]: the (g, c) of c_t <| h_i = sum c c_g
     cdata = []
     for p2 in range(cdim):
         for u in range(bdim):
-            plane = [field.zero] * (nd * nd)
+            plane = [[field.zero] * nd for _ in range(nd)]
             for (s, t), x1 in ccs[p2]:
-                for i in range(n):
-                    for (a2, c2), x2 in dbs[u]:
-                        _kron_acc(plane, x1 * x2, ec[s], btr.data[i][a2], action.data[t][i], eb[c2])
-            cdata.append([plane[j * nd : (j + 1) * nd] for j in range(nd)])
+                for (a2, c2), x2 in dbs[u]:
+                    x = x1 * x2
+                    for i in range(n):
+                        for v, y in brows[i][a2]:
+                            row, xy = plane[s * bdim + v], x * y
+                            for g, w in arows[t][i]:
+                                row[g * bdim + c2] += xy * w
+            cdata.append(plane)
     comult_r = Tensor3._of(field, cdata, (nd, nd, nd))
     counit_r = q.coalgebra.counit.tensor(bsub.unit)
     unit_r = q.pi(h.unit).tensor(bsub.counit)
 
-    lt = [h.algebra.left_mult_matrix(gcol[t]).transpose() for t in range(cdim)]
-    # the action matrices depend only on (a2, s) and (t, c2): build each once
-    mbtl = [[btl_matrix(q, hit_left(h, zs[a2], gcol[s])).transpose() for s in range(cdim)] for a2 in range(bdim)]
-    mbtr = [[btr_matrix(q, lt[t] @ zs[c2]).transpose() for c2 in range(bdim)] for t in range(cdim)]
+    # the nonzero columns of c_pp -> c_pp <| (zeta_a2 harpoon gamma_s) at [a2][s] and of
+    # b* -> (y -> zeta_c2(gamma_t y)) |> b* at [c2][t], from the rows of Delta(zeta_c2) in H*
+    lcols = [[[flat_nonzeros(c) for c in btl_matrix(q, hit_left(h, z, g)).columns()] for g in gcol] for z in zs]
+    gamma_terms = [_support(g, n, 1) for g in gcol]
+    rcols = [
+        [[flat_nonzeros(c) for c in btr_matrix(q, _weighted_sum(field, n, ts, dz.row)).columns()] for ts in gamma_terms]
+        for dz in map(q.hstar.coalgebra.comultiply, zs)
+    ]
     mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
     for u in range(bdim):
         for q2 in range(cdim):
             for (a2, c2), x2 in dbs[u]:
                 for (s, t), x1 in ccs[q2]:
-                    left_rows, right_rows = mbtl[a2][s].rows, mbtr[t][c2].rows
+                    x, left_cols, right_cols = x1 * x2, lcols[a2][s], rcols[c2][t]
                     for pp in range(cdim):
                         for v in range(bdim):
                             row_out = mdata[pp * bdim + u][q2 * bdim + v]
-                            _kron_acc(row_out, x1 * x2, left_rows[pp], right_rows[v])
+                            for i, y in left_cols[pp]:
+                                xy = x * y
+                                for j, w in right_cols[v]:
+                                    row_out[i * bdim + j] += xy * w
     mult_r = Tensor3._of(field, mdata, (nd, nd, nd))
 
     coalg = Coalgebra(field, comult_r, counit_r)
@@ -695,15 +704,14 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
 
     sinv = q.hstar.antipode_inverse()
     rho = _grouped(q.action, 2)
-    coaction = bsub.coaction
-    n = q.parent.dim
-    bca = [[Vector._of(coaction.field, coaction.data[b][i]) for i in range(n)] for b in range(bdim)]
+    bca = _rows(bsub.coaction)  # at [b][m]: the (k, c) of the coaction of b_b on the leg h_m (x) b_k
 
     def second_form(a, b):
         acc = [field.zero] * nd
         for (s, i), x in rho[a]:
-            for m in range(n):
-                _kron_acc(acc, x * sinv[m, i], ec[s], bca[b][m])
+            for m, y in flat_nonzeros(sinv.column(i)):
+                for k, c in bca[b][m]:
+                    acc[s * bdim + k] += x * y * c
         return Vector._of(field, acc), cols[a * bdim + b]
 
     report.add("map-forms-agree", *_first_mismatch("basis ({0},{1})".format, second_form, cdim, bdim))
@@ -713,7 +721,8 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
         for b in range(bdim):
             acc = [field.zero] * nd
             for (s, i), x in rho[a]:
-                _kron_acc(acc, x, ec[s], bca[b][i])
+                for k, c in bca[b][i]:
+                    acc[s * bdim + k] += x * c
             inv_cols.append(Vector._of(field, acc))
     phim_inv = Matrix.from_columns(field, inv_cols, nrows=nd)
     ident = Matrix.identity(field, nd)

@@ -9,7 +9,6 @@ after reduction, entry by entry.
 
 import json
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -27,23 +26,31 @@ GROUPS = {
     "C2xC2": cyclic(2).direct_product(cyclic(2)),
     "S3": symmetric(3),
     "C6": cyclic(6),
+    "C8": cyclic(8),
+    "C2xC2xC2": cyclic(2).direct_product(cyclic(2)).direct_product(cyclic(2)),
+    "S3xC2": symmetric(3).direct_product(cyclic(2)),
 }
+
+
+def _closure(g, members):
+    """The subgroup generated by a set of elements."""
+    while True:
+        grown = members | {g.mul(x, y) for x in members for y in members}
+        if grown == members:
+            return members
+        members = grown
 
 
 def _subgroups(g):
     """Every subgroup, the trivial and the whole group included, as sorted
-    element tuples: each group here is generated by two elements, so the
-    closures of all pairs reach them all."""
-    found = set()
-    for a, b in combinations_with_replacement(range(g.order), 2):
-        members = {g.identity, a, b}
-        while True:
-            grown = members | {g.mul(x, y) for x in members for y in members}
-            if grown == members:
-                break
-            members = grown
-        found.add(tuple(sorted(members)))
-    return sorted(found, key=lambda k: (len(k), k))
+    element tuples: every subgroup is reached from the trivial one by
+    joining one element at a time, so the search joins one more element
+    to each subgroup found until nothing new appears."""
+    found = frontier = {frozenset([g.identity])}
+    while frontier:
+        frontier = {_closure(g, k | {x}) for k in frontier for x in range(g.order) if x not in k} - found
+        found = found | frontier
+    return sorted((tuple(sorted(k)) for k in found), key=lambda k: (len(k), k))
 
 
 SYSTEMS = [(name, k) for name, g in GROUPS.items() for k in _subgroups(g)]
@@ -74,7 +81,8 @@ def _partial_duals(group, k, field, zeta=None):
 
 
 def test_the_sweep_covers_every_subgroup():
-    assert len(SYSTEMS) == 18
+    assert len(SYSTEMS) == 54
+    assert len(_subgroups(GROUPS["C2xC2xC2"])) == 16  # C2^3 itself needs three generators
     assert [k for name, k in SYSTEMS if name == "S3"] == [(0,), (0, 1), (0, 2), (0, 5), (0, 3, 4), tuple(range(6))]
 
 

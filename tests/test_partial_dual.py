@@ -277,6 +277,29 @@ def test_verify_quasi_hopf_builds_no_vector_of_four_legs(system, monkeypatch):
     assert nd**4 not in lengths
 
 
+def test_verify_quasi_hopf_applies_the_preantipode_once(monkeypatch):
+    """T(e_i e_j) is summed from the stored columns T(e_p) over the nonzero
+    products: on kS3 over kC2 the one Matrix @ Vector product left is
+    upsilon-is-t-of-unit's T(1)."""
+    h = group_algebra(symmetric(3), QQ)
+    iota = LinMap(Matrix.from_columns(QQ, [h.basis(0), h.basis(1)], nrows=6))
+    q = build_quotient(certify_coideal(h, iota))
+    qh = left_partial_dual(certify_pams(q, find_cointegral(q)))
+    applied = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        if isinstance(other, Vector):
+            applied.append(len(other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    report = verify_quasi_hopf(qh)
+    monkeypatch.undo()
+    assert report.ok
+    assert applied == [qh.dim]
+
+
 def test_strictly_quasi_detection(c4_strict):
     _, p, qh = c4_strict
     assert qh.report.ok
