@@ -29,10 +29,21 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _columns,
     _first_mismatch,
+    _flat_rows,
     _grouped,
+    _int_supports,
+    _leg_map,
+    _legs_product,
+    _pairs,
+    _power_product,
     _rows,
+    _scale,
+    _slice_mismatch,
+    _sparse,
     _support,
+    _unit_sides,
     _weighted_sum,
     convolution_inverse,
     flat_nonzeros,
@@ -183,9 +194,6 @@ class CoquasiHopfAlgebra:
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
 
-    def multiply(self, u: Vector, v: Vector) -> Vector:
-        return self.algebra.multiply(u, v)
-
     def hopf_view(self) -> HopfAlgebra:
         """Reassemble as an ordinary Hopf algebra.
 
@@ -226,40 +234,49 @@ class HopfDetection:
         return f"HopfDetection(kind={self.kind!r}, diagnostics={self.diagnostics!r})"
 
 
-def _associator_sum(alg: Algebra, phi: Vector, left, right) -> Vector:
-    """sum phi_ijk left[i][j] right[k], as sum_k (sum_ij phi_ijk left[i][j]) right[k]: n products."""
-    field, n = alg.field, alg.dim
-    by_k: list[list] = [[] for _ in range(n)]
-    for (i, j, k), c in _support(phi, n, 3):
-        by_k[k].append(((i, j), c))
-    sums = [_weighted_sum(field, n, terms, lambda i, j: left[i][j]) for terms in by_k]  # at [k]: sum_ij phi_ijk left[i][j]
-    return _weighted_sum(field, n, [((k,), field.one) for k in range(n)], lambda k: alg.multiply(sums[k], right[k]))
+def _antipode_axioms(
+    qh: QuasiHopfAlgebra, s: Matrix, alpha: Vector, beta: Vector, associators, report: Report, prefix: str,
+    preantipode=None,
+) -> None:
+    """The four antipode identities of qh for one (S, alpha, beta) triple,
+    given qh's (phi, phi^-1) in (support, den) form; given preantipode =
+    (the columns of T, upsilon) as integer forms, also beta alpha =
+    upsilon and beta S(e_a) alpha = T(e_a)."""
+    alg, field, nd = qh.algebra, qh.field, qh.dim
+    (images, cden), pairs, one = qh.coalgebra.int_comult, _pairs(alg), _sparse(alg.unit)
+    eps, eden = field.to_ints(qh.coalgebra.counit.entries)
+    s, alpha, beta = _columns(s), _sparse(alpha), _sparse(beta)
+    es, ss = [({i: 1}, 1) for i in range(nd)], [(col, s[1]) for col in s[0]]
 
+    def table(factors):  # the products x y over their one den, as leg images
+        out = [_power_product(alg, 1, x, y) for x, y in factors]
+        return [p for p, _ in out], out[0][1]
 
-def _antipode_axioms(qh: QuasiHopfAlgebra, s: Matrix, alpha: Vector, beta: Vector, report: Report, prefix: str) -> None:
-    """The four antipode identities of qh for one (S, alpha, beta) triple."""
-    alg, delta_terms, eps = qh.algebra, qh.coalgebra.terms, qh.coalgebra.counit
-    field = alg.field
-    nn = alg.dim
-    es = [alg.basis(i) for i in range(nn)]
-    scols = [s.column(i) for i in range(nn)]
     # the products every identity below is assembled from, once per triple
-    e_beta = [alg.multiply(e, beta) for e in es]  # e_i beta
-    alpha_e = [alg.multiply(alpha, e) for e in es]  # alpha e_k
-    s_alpha = [alg.multiply(x, alpha) for x in scols]  # S(e_i) alpha
-    beta_s = [alg.multiply(beta, x) for x in scols]  # beta S(e_k)
-    e_beta_s = [[alg.multiply(x, y) for y in scols] for x in e_beta]  # (e_i beta) S(e_j)
-    s_alpha_e = [[alg.multiply(x, e) for e in es] for x in s_alpha]  # (S(e_i) alpha) e_j
+    e_beta, alpha_e = table((e, beta) for e in es), table((alpha, e) for e in es)  # e_i beta, alpha e_k
+    s_alpha, beta_s = table((x, alpha) for x in ss), table((beta, x) for x in ss)  # S(e_i) alpha, beta S(e_k)
 
-    def summed(table, target):  # a -> (sum c table[i][j] over Delta(e_a), eps(e_a) target)
-        return lambda a: (_weighted_sum(field, nn, delta_terms[a], lambda i, j: table[i][j]), target.scale(eps[a]))
+    def check(name, text, sides, size=1):
+        report.add(prefix + name, *_slice_mismatch(field, text.format, sides, size))
 
-    report.add(prefix + "antipode-left", *_first_mismatch("basis {0}".format, summed(s_alpha_e, alpha), nn))
-    report.add(prefix + "antipode-right", *_first_mismatch("basis {0}".format, summed(e_beta_s, beta), nn))
-    phi_sum = _associator_sum(alg, qh.phi, e_beta_s, alpha_e)
-    bar_sum = _associator_sum(alg, qh.phi_inv, s_alpha_e, beta_s)
-    report.add(prefix + "associator-antipode", phi_sum == alg.unit, "sum phi1 beta S(phi2) alpha phi3")
-    report.add(prefix + "associator-inverse-antipode", bar_sum == alg.unit, "sum S(phibar1) alpha phibar2 beta S(phibar3)")
+    def summed(maps, target):  # a -> (the product over Delta(e_a) through maps, eps(e_a) target)
+        return lambda a: (_legs_product((images[a], cden), nd, maps, pairs), _scale(target, eps[a], eden))
+
+    check("antipode-left", "basis {0}", summed((s_alpha, None), alpha), nd)
+    check("antipode-right", "basis {0}", summed((e_beta, s), beta), nd)
+    phi, bar = associators
+    check("associator-antipode", "sum phi1 beta S(phi2) alpha phi3", lambda _: (
+        _legs_product(phi, nd, (e_beta, s, alpha_e), pairs), one
+    ))
+    check("associator-inverse-antipode", "sum S(phibar1) alpha phibar2 beta S(phibar3)", lambda _: (
+        _legs_product(bar, nd, (s_alpha, None, beta_s), pairs), one
+    ))
+    if preantipode is not None:
+        (t_cols, tden), ups = preantipode
+        check("upsilon-factorization", "beta alpha != upsilon", lambda _: (_power_product(alg, 1, beta, alpha), ups))
+        check("preantipode-factorization", "basis {0}", lambda a: (
+            _power_product(alg, 1, (beta_s[0][a], beta_s[1]), alpha), (t_cols[a], tden)
+        ), nd)
 
 
 def _derive_antipodes(alg: Algebra, t_map: Matrix, ups: Vector):
@@ -454,63 +471,55 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     `.raise_if_failed()`.
     """
     alg, coalg = qh.algebra, qh.coalgebra
-    field = alg.field
-    nd = alg.dim
-    phi, phi_inv = qh.phi, qh.phi_inv
-    t_map = qh.t_map
-    unit_vec = alg.unit
-    es = [Vector.basis(field, nd, i) for i in range(nd)]
-    t_cols = [t_map.column(i) for i in range(nd)]
-
-    _same_field(field, coalg.field, "multiplication and comultiplication")
+    field, nd = alg.field, alg.dim
+    for v, what in ((coalg, "comultiplication"), (qh.phi, "associator"), (qh.phi_inv, "associator")):
+        _same_field(field, v.field, "multiplication and " + what)
     report = Report("quasi-Hopf axioms")
     verify_algebra(alg, report)
     verify_compatibility(alg, coalg, report)
-    verify_quasi_bialgebra(alg, coalg, phi, phi_inv, report)
-    basis = "basis {0}".format
+    associators = _sparse(qh.phi), _sparse(qh.phi_inv)
+    verify_quasi_bialgebra(alg, coalg, *associators, report)
 
-    ups = qh.upsilon
-    report.add("upsilon-is-t-of-unit", ups == t_map @ unit_vec, "upsilon != T(1)")
+    # integer forms, once: T's columns, upsilon, 1, eps and Delta, and the tables
+    # T(e_x e_y) = sum m[x,y,p] T(e_p) at x nd + y, and T as the two-leg tensor (b, t)
+    t_map, ups, one, pairs = _columns(qh.t_map), _sparse(qh.upsilon), _sparse(alg.unit), _pairs(alg)
+    (t_cols, tden), (images, cden) = t_map, coalg.int_comult
+    eps, eden = field.to_ints(coalg.counit.entries)
+    t_pair = [_leg_map((pair, 1), (nd,), 0, nd, t_map)[0] for pair in pairs[0]], pairs[1] * tden
+    t_flat = {b * nd + t: x for b, col in enumerate(t_cols) for t, x in col.items()}
+    spread = [{(b * nd + i) * nd + b: 1 for b in range(nd)} for i in range(nd)], 1  # e_i -> sum_b e_b (x) e_i (x) e_b
 
-    # the products the preantipode identities are assembled from:
-    # T(e_i e_j) = sum m[i,j,p] T(e_p), e_i T(e_j) and T(e_i) e_j
-    t_pair = [
-        [_weighted_sum(field, nd, [((p,), x) for p, x in pair], lambda p: t_cols[p]) for pair in row]
-        for row in alg.terms
-    ]
-    e_t = [[alg.multiply(e, x) for x in t_cols] for e in es]
-    t_e = [[alg.multiply(x, e) for e in es] for x in t_cols]
+    report.add("upsilon-is-t-of-unit", *_slice_mismatch(field, "upsilon != T(1)".format, lambda _: (
+        ups, _leg_map(one, (nd,), 0, nd, t_map)
+    )))
 
-    def preantipode(product):  # (a, b2) -> (sum c product(i, j, b2) over Delta(e_a), eps(e_a) T(e_b2))
-        return lambda a, b2: (
-            _weighted_sum(field, nd, coalg.terms[a], lambda i, j: product(i, j, b2)),
-            t_cols[b2].scale(coalg.counit[a]),
-        )
+    # slice a at (b, t): T(a_1 b) a_2 (left) or a_1 T(b a_2) (right) against eps(a) T(b), from
+    # sum c e_b (x) e_i (x) e_b (x) e_j over Delta(e_a), with T(e_i e_b) or T(e_b e_j) on two legs
+    def preantipode(dims, leg):
+        def sides(a):
+            spread_delta = _leg_map((images[a], cden), (nd, nd), 0, nd**3, spread)
+            lhs = _leg_map(_leg_map(spread_delta, dims, leg, nd, t_pair), (nd, nd * nd), 1, nd, pairs)
+            return lhs, _scale((t_flat, tden), eps[a], eden)
+        return sides
 
-    pair = "pair ({0},{1})".format
-    report.add("preantipode-left", *_first_mismatch(
-        pair, preantipode(lambda i, j, b2: alg.multiply(t_pair[i][b2], es[j])), nd, nd
+    for side, dims, leg in (("left", (nd, nd * nd, nd), 1), ("right", (nd, nd, nd * nd), 2)):
+        report.add(f"preantipode-{side}", *_slice_mismatch(
+            field, "pair ({0},{1})".format, preantipode(dims, leg), nd, (nd, nd)
+        ))
+
+    report.add("preantipode-associator", *_slice_mismatch(field, "sum phi1 T(phi2) phi3".format, lambda _: (
+        _legs_product(associators[0], nd, (None, t_map, None), pairs), one
+    )))
+    report.add("preantipode-associator-inverse", *_slice_mismatch(
+        field, "sum T(phibar1) phibar2 T(phibar3) != T(eps#1)".format,
+        lambda _: (_legs_product(associators[1], nd, (t_map, None, t_map), pairs), ups),
     ))
-    report.add("preantipode-right", *_first_mismatch(
-        pair, preantipode(lambda i, j, b2: alg.multiply(es[i], t_pair[b2][j])), nd, nd
-    ))
 
-    phi_sum, bar_sum = _associator_sum(alg, phi, e_t, es), _associator_sum(alg, phi_inv, t_e, t_cols)
-    report.add("preantipode-associator", phi_sum == unit_vec, "sum phi1 T(phi2) phi3")
-    report.add("preantipode-associator-inverse", bar_sum == ups, "sum T(phibar1) phibar2 T(phibar3) != T(eps#1)")
-
-    report.add(
-        "antipode-availability",
-        (qh.antipodes is not None) == alg.is_invertible(ups),
-        "antipodes vs upsilon invertibility",
-    )
+    available = (qh.antipodes is not None) == alg.is_invertible(qh.upsilon)
+    report.add("antipode-availability", available, "antipodes vs upsilon invertibility")
     if qh.antipodes is not None:
         for label, (sm, alpha, beta) in zip(("s1", "s2"), qh.antipodes):
-            _antipode_axioms(qh, sm, alpha, beta, report, label + "-")
-            report.add(label + "-upsilon-factorization", alg.multiply(beta, alpha) == ups, "beta alpha != upsilon")
-            report.add(label + "-preantipode-factorization", *_first_mismatch(
-                basis, lambda a: (alg.multiply(alg.multiply(beta, sm.column(a)), alpha), t_cols[a]), nd
-            ))
+            _antipode_axioms(qh, sm, alpha, beta, associators, report, label + "-", (t_map, ups))
     return report
 
 
@@ -582,22 +591,22 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)
     right = CoquasiHopfAlgebra(coalg, Algebra(field, mult_r, unit_r), p, report)
-    ers = [Vector.basis(field, nd, i) for i in range(nd)]
-    report.add("unit-law", *_first_mismatch(
-        "basis {0}".format,
-        lambda i: ((right.multiply(unit_r, ers[i]), right.multiply(ers[i], unit_r)), (ers[i], ers[i])),
-        nd,
-    ))
+    report.add("unit-law", *_slice_mismatch(field, "basis {0}".format, _unit_sides(right.algebra), nd))
 
-    # exact duality with the left side under the flat pairing
-    lual = left.algebra
-    entry = "entry ({0},{1},{2})".format
-    report.add("multiplication-comultiplication-duality", *_first_mismatch(
-        entry, lambda i, j, k: (lual.mult[i, j, k], comult_r[k, i, j]), nd, nd, nd
+    # exact duality with the left side under the flat pairing: the stored nonzeros
+    # of both sides as integer tables, slice i at (j, k)
+    def sliced(groups, flip=False):
+        return _int_supports(field, [[(k * nd + j if flip else j * nd + k, x) for (j, k), x in g] for g in groups])
+
+    def paired(lhs, rhs):
+        return lambda i: ((lhs[0][i], lhs[1]), (rhs[0][i], rhs[1]))
+
+    lual, lcoalg, entry = left.algebra, left.coalgebra, "entry ({0},{1},{2})".format
+    report.add("multiplication-comultiplication-duality", *_slice_mismatch(
+        field, entry, paired(_flat_rows(lual), sliced(_grouped(comult_r, 1), flip=True)), nd, (nd, nd)
     ))
-    lcoalg = left.coalgebra
-    report.add("comultiplication-multiplication-duality", *_first_mismatch(
-        entry, lambda i, j, k: (lcoalg.comult[i, j, k], mult_r[j, k, i]), nd, nd, nd
+    report.add("comultiplication-multiplication-duality", *_slice_mismatch(
+        field, entry, paired(lcoalg.int_comult, sliced(_grouped(mult_r, 2))), nd, (nd, nd)
     ))
     report.add("unit-counit-duality", lual.unit == counit_r, "unit vs counit")
     report.add("counit-unit-duality", lcoalg.counit == unit_r, "counit vs unit")
@@ -667,8 +676,10 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
         "one side lacks antipodes",
     )
     if q1.antipodes is not None:
+        associators = _sparse(q2.phi), _sparse(q2.phi_inv)
         for label, (sm, alpha, beta) in zip(("s1", "s2"), q1.antipodes):
-            _antipode_axioms(q2, theta @ sm @ theta_inv, theta @ beta, theta @ alpha, report, f"transported-{label}-")
+            transported = theta @ sm @ theta_inv, theta @ beta, theta @ alpha
+            _antipode_axioms(q2, *transported, associators, report, f"transported-{label}-")
     bad = report.failures()
     if bad:
         raise CertificationError("mismatch", f"{bad[0][0]}: {bad[0][1]}", report=report)

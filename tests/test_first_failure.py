@@ -12,6 +12,7 @@ document byte for byte.
 """
 
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -623,3 +624,51 @@ def test_every_one_entry_perturbation_is_caught_or_changes_nothing(name):
         except CertificationError:
             continue
         assert doc == reference
+
+
+def _left_checks(p):
+    """The report.checks of left_partial_dual(p), raised or returned."""
+    try:
+        return left_partial_dual(p).report.checks
+    except CertificationError as err:
+        return err.report.checks
+
+
+def _taft_hopf_bumps():
+    """verify_hopf's report.checks under every one-entry bump of Taft-4's
+    multiplication, comultiplication and antipode."""
+    h = _taft_hopf()
+    for part in ("mult", "comult"):
+        t = getattr(h, part)
+        for at in itertools.product(*map(range, t.dims)):
+            yield verify_hopf(_taft_hopf(**{part: _bump_tensor(t, *at)})).checks
+    for at in itertools.product(range(h.dim), repeat=2):
+        yield verify_hopf(_taft_hopf(antipode=_bump_matrix(h.antipode, *at))).checks
+
+
+def _digest(reports):
+    digest = hashlib.sha256()
+    for checks in reports:
+        digest.update(repr(checks).encode())
+    return digest.hexdigest()
+
+
+# one SHA-256 over the report.checks of every one-entry perturbation
+DIGESTS = {
+    "taft left_partial_dual": "834b43ed9d346476a87e3ef9a215eb31932894b8e0b2cc46837455f9fe7e5f1b",
+    "c4 left_partial_dual": "960794eb77375b9274b85a8394795bbd75b99de1ba62418f419bb40fd2c9959c",
+    "taft4 verify_hopf": "db8bf08edf29291ff2c71a78e25680e2afdf4e89e1b14f9d03587dc69f8d6f78",
+}
+PERTURBED_REPORTS = {
+    "taft left_partial_dual": lambda: map(_left_checks, _perturbations("taft")),
+    "c4 left_partial_dual": lambda: map(_left_checks, _perturbations("c4")),
+    "taft4 verify_hopf": _taft_hopf_bumps,
+}
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_every_first_failure_witness_is_pinned(name):
+    """The whole report (names, pass/fail, witnesses) of every one-entry
+    perturbation is pinned: a check that compares its sides another way
+    must name the same first failing index with the same text."""
+    assert _digest(PERTURBED_REPORTS[name]()) == DIGESTS[name]

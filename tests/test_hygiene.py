@@ -14,8 +14,13 @@ leaves defined but no longer called.  Within one function, no system may
 reach the elimination entry points twice (say `solve(a, b)` and then
 `nullspace(a)`): one `Elimination` answers the solution, the rank and the
 kernel together.  No check walks its index grid by hand (a loop setting
-`ok = False` that a later `report.add(..., ok, ...)` reads): the walk and
-its first-failure witness are `hopf._first_mismatch`.  Outside the
+`ok = False` that a later `report.add(..., ok, ...)` reads): a grid is
+walked cell by cell by `hopf._first_mismatch`, or, as a table identity,
+compared a slice at a time by `hopf._slice_mismatch`, and either names
+the first failure in lexicographic order.  The axiom verifiers
+(`verify_algebra` to `verify_quasi_hopf`) and every package function they
+reach call neither `.multiply(` nor `_weighted_sum`: they compare integer
+tables, not products of field scalars.  Outside the
 package (tests, demos, the benchmark) nothing calls a private trusted
 constructor such as `Vector._of`: external input always enters through
 a coercing constructor.  Outside `hopf`, which owns the flat layout, no
@@ -675,3 +680,62 @@ def test_checker_flags_reads_of_scalar_parts():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
 def test_scalar_parts_are_read_only_in_linalg(path):
     assert scalar_part_reads(path.read_text()) == []
+
+
+# the axiom verifiers: everything they reach compares integer tables
+AXIOM_VERIFIERS = {
+    "verify_algebra", "verify_coalgebra", "verify_compatibility", "verify_quasi_bialgebra", "verify_hopf",
+    "verify_quasi_hopf",
+}
+FIELD_SCALAR_PRODUCTS = {"multiply", "_weighted_sum"}
+
+
+def field_scalar_products_in_verifiers(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """Calls `<...>.multiply(...)` or `_weighted_sum(...)` in the roots and in
+    every module-level function of the package they reach by name, as
+    "module.function: callee (line)"."""
+    functions = {
+        node.name: (module, node)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, stack, found = set(), sorted(roots & set(functions)), []
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        module, func = functions[name]
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in FIELD_SCALAR_PRODUCTS and (callee == "_weighted_sum" or isinstance(node.func, ast.Attribute)):
+                found.append((module, name, node.lineno, callee))
+            if isinstance(node.func, ast.Name) and callee in functions:
+                stack.append(callee)
+    return [f"{module}.{name}: {callee} (line {line})" for module, name, line, callee in sorted(found)]
+
+
+def test_checker_flags_field_scalar_products_reached_from_a_verifier():
+    sources = {
+        "a": (
+            "def verify(alg, u):\n"
+            "    return helper(alg, u), alg.is_invertible(u)\n"
+            "def helper(alg, u):\n"
+            "    return alg.multiply(u, u) + _weighted_sum(u)\n"
+            "def build(alg, u):\n"
+            "    return alg.multiply(u, u)\n"
+        ),
+        "b": "def _weighted_sum(u):\n    return multiply(u)\ndef unused():\n    return verify\n",
+    }
+    assert field_scalar_products_in_verifiers(sources, {"verify"}) == [
+        "a.helper: _weighted_sum (line 4)", "a.helper: multiply (line 4)"
+    ]
+
+
+def test_axiom_verifiers_compute_no_field_scalar_product():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert field_scalar_products_in_verifiers(sources, AXIOM_VERIFIERS) == []
+
