@@ -440,12 +440,13 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     pistar_rows = [q.pi.matrix.row(t) for t in range(cdim)]
     iota_terms = [_support(bsub.iota.column(bb), n, 1) for bb in range(bdim)]
     dzbar = [hs.coalgebra.comultiply(z) for z in zbs]  # zetabar_u(e_j e_k) at [u] (j, k)
+    harpoon = [[_weighted_sum(field, n, iota_terms[bb], d.column) for d in dzbar] for bb in range(bdim)]
     t_cols = []
     for a in range(cdim):
         for bb in range(bdim):
             acc = Vector.zero(field, nd)
             for u in range(bdim):
-                w = hsalg.multiply(pistar_rows[a], _weighted_sum(field, n, iota_terms[bb], dzbar[u].column))
+                w = hsalg.multiply(pistar_rows[a], harpoon[bb][u])
                 acc = acc + alg.multiply(ebs[u], (gbarstar @ w).tensor(bunit))
             t_cols.append(acc)
     t_map = Matrix.from_columns(field, t_cols, nrows=nd)

@@ -168,7 +168,7 @@ def _read_entries(raw, shape: tuple, field: Field, name: str) -> dict:
                 f"tensor {name!r} entry {pos}: expected [index-list, scalar-string]"
             )
         idx, scalar = item
-        if len(idx) != rank or not all(isinstance(i, int) for i in idx):
+        if len(idx) != rank or not all(isinstance(i, int) and not isinstance(i, bool) for i in idx):
             raise DocumentError(
                 f"tensor {name!r} entry {pos}: index must be {rank} integers"
             )

@@ -245,7 +245,7 @@ CASES = {
         "comult[2,0,0]+1": lambda: _raised_report(
             _quotient_under(comult=_bump_tensor(_taft_hopf().comult, 2, 0, 0))
         ),
-        "mult[3,2,1]+1": lambda: _raised_report(_quotient_under(mult=_bump_tensor(_taft_hopf().mult, 3, 2, 1))),
+        "mult[3,2,1]+1": lambda: _quotient_under(mult=_bump_tensor(_taft_hopf().mult, 3, 2, 1))().report,
     }),
     "_check_primal": (PRIMAL_CHECKS, {
         "zeta[0,2]+1": lambda: _primal_report(zeta=(0, 2)),
@@ -378,17 +378,15 @@ FAILURES = {
             ("pi-splits-lift", True, ""),
             ("pi-kills-ideal", True, ""),
             ("pi-surjective", True, ""),
-            ("pi-coalgebra-map", False, "Delta_C(pi(e2)) disagrees with (pi (x) pi)Delta(e2)"),
-            ("action-well-defined", True, ""),
             ("coinvariants-equal-image", False, "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)"),
         ],
+        # a non-associative parent, which certify_coideal rejects: build_quotient
+        # proves pi a module map from associativity and checks nothing of it
         "mult[3,2,1]+1": [
             ("dim-product-law", True, ""),
             ("pi-splits-lift", True, ""),
             ("pi-kills-ideal", True, ""),
             ("pi-surjective", True, ""),
-            ("pi-coalgebra-map", True, ""),
-            ("action-well-defined", False, "pi((B+ H) e2) != 0 at ideal basis row 1"),
             ("coinvariants-equal-image", True, ""),
         ],
     },

@@ -205,6 +205,20 @@ def test_convolution_inverse_rejects_non_invertible():
     assert err.value.kind == "not-convolution-invertible"
 
 
+def test_convolution_inverse_names_a_one_sided_inverse():
+    """In a non-associative unital algebra a right inverse need not be a
+    left one: with e1 e2 = e0 (the unit) and e2 e1 = e1, f(c) = e1 on the
+    group-like c has f * X = unit at X(c) = e2, but X * f = e1."""
+    unit_law = [((0, i, i), 1) for i in range(3)] + [((i, 0, i), 1) for i in (1, 2)]
+    mult = Tensor3.from_entries(QQ, (3, 3, 3), unit_law + [((1, 2, 0), 1), ((2, 1, 1), 1)])
+    algebra = Algebra(QQ, mult, Vector.basis(QQ, 3, 0))
+    coalgebra = Coalgebra(QQ, Tensor3.from_entries(QQ, (1, 1, 1), [((0, 0, 0), 1)]), Vector(QQ, [1]))
+    f = LinMap(Matrix.from_columns(QQ, [Vector.basis(QQ, 3, 1)], nrows=3))
+    with pytest.raises(CertificationError) as err:
+        convolution_inverse(f, coalgebra, algebra)
+    assert err.value.kind == "convolution-inverse-one-sided"
+
+
 def test_hit_actions_on_group_likes():
     h = cyclic_group_hopf(3)
     hstar = Vector(QQ, [2, 5, 7])

@@ -650,6 +650,60 @@ def test_left_partial_dual_states_no_check_of_its_own():
     assert own_checks((PACKAGE / "partial_dual.py").read_text(), "left_partial_dual") == []
 
 
+# Tensor3 methods that return a new tensor built from the receiver
+TENSOR_BUILDING_METHODS = {"flip01", "flip12"}
+
+
+def own_predictions(source: str, function: str) -> list[str]:
+    """What a module-level function builds or refuses itself, nested
+    helpers included: its `Tensor3(...)`, `Tensor3.<constructor>(...)`
+    and `.flip01()`/`.flip12()` calls and its `raise
+    CertificationError(...)`, as "what (line)"."""
+    found = []
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef) or func.name != function:
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                if (
+                    getattr(callee, "id", None) == "Tensor3"
+                    or getattr(getattr(callee, "value", None), "id", None) == "Tensor3"
+                    or getattr(callee, "attr", None) in TENSOR_BUILDING_METHODS
+                ):
+                    found.append((node.lineno, f"{ast.unparse(callee)} (line {node.lineno})"))
+            elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if getattr(node.exc.func, "id", None) == "CertificationError":
+                    found.append((node.lineno, f"raise CertificationError (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_checker_flags_structure_a_function_predicts_itself():
+    source = (
+        "def induce(p, kind):\n"
+        "    mult = p.mult.flip01()\n"
+        "    def tensor(fn):\n"
+        "        return Tensor3._of(p.field, fn(), p.dims)\n"
+        "    if tensor(p.fn) != Tensor3(p.field, p.data):\n"
+        "        raise CertificationError('mismatch', kind)\n"
+        "    if kind not in KINDS:\n"
+        "        raise ValueError(kind)\n"
+        "    return certify(p.h2, mult, p.entries.flip)\n"
+        "def certify(h, mult, flip):\n"
+        "    raise CertificationError('axiom', 'fails')\n"
+    )
+    assert own_predictions(source, "induce") == [
+        "p.mult.flip01 (line 2)", "Tensor3._of (line 4)", "Tensor3 (line 5)", "raise CertificationError (line 6)"
+    ]
+    assert own_predictions(source, "certify") == ["raise CertificationError (line 11)"]
+
+
+def test_induced_pams_predicts_no_structure_of_its_own():
+    """induced_pams hands each row's maps to the certifiers: whatever it
+    predicted of the induced structure, they certify already."""
+    assert own_predictions((PACKAGE / "pams.py").read_text(), "induced_pams") == []
+
+
 # the parts of a scalar: Fraction.numerator/denominator (and the private
 # fields behind them) and the residue ModInt.v; and the modulus p of a
 # PrimeField (or ModInt), by which only linalg reduces

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from partialdual import pams
-from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal, dual_coideal
+from partialdual.coideal import CoidealQuotient, _btr_tensor, build_quotient, certify_coideal, dual_coideal
 from partialdual.examples import cyclic, group_algebra, pams_from_split_projection, symmetric, taft4
 from partialdual.hopf import (
     CertificationError,
@@ -20,7 +20,7 @@ from partialdual.hopf import (
     opposite,
     verify_hopf,
 )
-from partialdual.linalg import QQ, Matrix, PrimeField, Vector
+from partialdual.linalg import QQ, Matrix, PrimeField, Tensor3, Vector
 from partialdual.pams import (
     INDUCED_KINDS,
     _check_primal,
@@ -270,16 +270,67 @@ def test_induced_rows_all_certify(taft_pams):
         assert induced.parent == expected_parent[kind], kind
 
 
+def _closed_forms(p):
+    """Each induced row's structure in closed form, read off p: kind ->
+    (B2's multiplication, B2's coaction, C2's comultiplication, C2's
+    counit, the action of H2 on C2)."""
+    q, bsub = p.quotient, p.coideal
+    n, bdim, cdim = q.parent.dim, bsub.dim, q.dim
+    sinv, btr, zero = q.parent.antipode_inverse(), _btr_tensor(q), q.field.zero
+    mult_b, coaction, comult_c, counit_c, action = bsub.mult, bsub.coaction, q.coalgebra.comult, q.coalgebra.counit, q.action
+
+    def tensor(dims, fn):
+        return Tensor3(q.field, [[[fn(i, j, k) for k in range(dims[2])] for j in range(dims[1])] for i in range(dims[0])])
+
+    def sinv_after(t):  # [a, j, c] = sum_m t[a, m, c] S^-1[m, j]
+        return tensor(t.dims, lambda a, j, c: sum((t[a, m, c] * sinv[m, j] for m in range(n)), zero))
+
+    def sinv_before(t):  # [a, j, c] = sum_m S^-1[j, m] t[a, m, c]
+        return tensor(t.dims, lambda a, j, c: sum((sinv[j, m] * t[a, m, c] for m in range(n)), zero))
+
+    dual_action = tensor((cdim, n, cdim), lambda t, i, s: action[s, i, t])
+    btr_action = tensor((bdim, n, bdim), lambda r, i, t: btr[i, r, t])
+    mult_c = tensor((cdim,) * 3, lambda i, j, k: comult_c[k, i, j])
+    comult_b = tensor((bdim,) * 3, lambda i, j, k: mult_b[j, k, i])
+    return {
+        "identity": (mult_b, coaction, comult_c, counit_c, action),
+        "op": (mult_b.flip01(), coaction, comult_c.flip12(), counit_c, sinv_after(action)),
+        "cop": (mult_b.flip01(), sinv_before(coaction), comult_c.flip12(), counit_c, action),
+        "biop-dual": (
+            tensor((cdim,) * 3, lambda i, j, k: comult_c[k, j, i]),
+            dual_action,
+            tensor((bdim,) * 3, lambda i, j, k: mult_b[k, j, i]),
+            bsub.unit,
+            btr_action,
+        ),
+        "cop-dual": (mult_c, dual_action, comult_b, bsub.unit, sinv_before(btr_action)),
+        "op-dual": (mult_c, sinv_after(dual_action), comult_b, bsub.unit, btr_action),
+    }
+
+
+@pytest.mark.parametrize("system", ["taft_pams", "s3_pams"])
+def test_induced_rows_carry_the_closed_form_structures(system, request):
+    """Each of the six rows induces on B2 and C2 the structure its closed
+    form predicts from p, read off what the certifiers solved for."""
+    _, _, p = request.getfixturevalue(system)
+    forms = _closed_forms(p)
+    for kind in INDUCED_KINDS:
+        induced = induced_pams(p, kind)
+        b2, q2 = induced.coideal, induced.quotient
+        found = (b2.mult, b2.coaction, q2.coalgebra.comult, q2.coalgebra.counit, q2.action)
+        assert found == forms[kind], kind
+
+
 def test_induced_pams_derives_no_gamma(taft_pams, monkeypatch):
     """certify_pams, given the induced gamma, already checks what
-    _gamma_pair would derive from zeta (see induced_pams), so no induced
+    _gamma would derive from zeta (see induced_pams), so no induced
     row runs it."""
     _, _, p = taft_pams
 
     def refuse(*args):
         raise AssertionError("induced_pams derived gamma again")
 
-    monkeypatch.setattr(pams, "_gamma_pair", refuse)
+    monkeypatch.setattr(pams, "_gamma", refuse)
     for kind in INDUCED_KINDS:
         assert induced_pams(p, kind).report.ok, kind
 

@@ -177,6 +177,9 @@ def test_rejects_bad_entries(c2):
         parse(corrupt(c2, lambda d: d["tensors"]["unit"].append([[0], "2"])))
     with pytest.raises(DocumentError, match="must be 3 integers"):
         parse(corrupt(c2, lambda d: d["tensors"]["mult"].append([[0, 1], "1"])))
+    # a JSON boolean is no index, though Python counts it an int
+    with pytest.raises(DocumentError, match=r"'unit' entry 0: index must be 1 integers"):
+        parse(corrupt(c2, lambda d: d["tensors"]["unit"][0].__setitem__(0, [False])))
     with pytest.raises(DocumentError, match="malformed rational"):
         parse(corrupt(c2, lambda d: d["tensors"]["counit"][0].__setitem__(1, "1/0")))
     with pytest.raises(DocumentError, match="index-list, scalar-string"):
