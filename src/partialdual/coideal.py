@@ -29,11 +29,15 @@ from partialdual.hopf import (
     HopfAlgebra,
     LinMap,
     Report,
-    _first_mismatch,
+    _columns,
+    _comparable,
+    _kron,
+    _leg_map,
+    _slice_mismatch,
+    _sparse,
     coopposite,
     dual,
     flat_nonzeros,
-    tensor_apply,
     verify_hopf,
 )
 from partialdual.linalg import (
@@ -43,7 +47,6 @@ from partialdual.linalg import (
     Vector,
     contract,
     nullspace,
-    subspace_basis,
 )
 
 __all__ = [
@@ -51,9 +54,7 @@ __all__ = [
     "CoidealQuotient",
     "certify_coideal",
     "build_quotient",
-    "action_btl",
     "btl_matrix",
-    "action_btr",
     "btr_matrix",
     "dual_coideal",
 ]
@@ -169,20 +170,19 @@ def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     report.raise_if_failed()
     assert unit_b is not None
 
+    def unsolved(solutions):  # slice i: the j whose right-hand side has no solution, against none
+        return lambda i: (({j: 1 for j, x in enumerate(solutions[i]) if x is None}, 1), ({}, 1))
+
     mult_rows = [[inclusion.solution(1 + i * b + j) for j in range(b)] for i in range(b)]
-    report.add("closed-under-multiplication", *_first_mismatch(
-        "iota(e{0}) iota(e{1}) is not in the image of iota".format,
-        lambda i, j: (mult_rows[i][j] is not None, True),
-        b, b,
+    report.add("closed-under-multiplication", *_slice_mismatch(
+        field, "iota(e{0}) iota(e{1}) is not in the image of iota".format, unsolved(mult_rows), b, (b,)
     ))
     report.raise_if_failed()
     mult_b = Tensor3._of(field, [[x.entries for x in plane] for plane in mult_rows], (b, b, b))
 
     coaction_rows = [[inclusion.solution(1 + b * b + i * n + j) for j in range(n)] for i in range(b)]
-    report.add("left-coideal", *_first_mismatch(
-        "Delta(iota(e{0})) has second leg outside iota(B) at e{1} (x) -".format,
-        lambda i, j: (coaction_rows[i][j] is not None, True),
-        b, n,
+    report.add("left-coideal", *_slice_mismatch(
+        field, "Delta(iota(e{0})) has second leg outside iota(B) at e{1} (x) -".format, unsolved(coaction_rows), b, (n,)
     ))
     report.raise_if_failed()
     coaction = Tensor3._of(field, [[x.entries for x in plane] for plane in coaction_rows], (b, n, b))
@@ -304,9 +304,14 @@ def build_quotient(
     eps_B(-) pi(1): iota(b) - eps_B(b) 1 = iota(b - eps_B(b) 1_B) lies in
     iota(B+), inside B+ H, as iota(1_B) = 1 (contains-unit).
 
-    The last check, coinvariants-equal-image, solves for the
-    coinvariants {h : sum h_1 (x) pi(h_2) = h (x) pi(1)} and compares
-    their span with iota(B): B is recovered from the quotient map.
+    The last check, coinvariants-equal-image, recovers B from the
+    quotient map: iota(B) is the space of coinvariants
+    {h : sum h_1 (x) pi(h_2) = h (x) pi(1)}.  It checks two things:
+    every iota(b_i) is a coinvariant, and the rank of the n rows
+    sum (e_j)_1 (x) pi((e_j)_2) - e_j (x) pi(1) is n - dim B, so the
+    coinvariants have dimension dim B.  A subspace that contains another
+    of the same dimension equals it, and iota is injective
+    (iota-injective), so iota(B) equals the coinvariants.
     """
     h = b.parent
     field = h.field
@@ -380,13 +385,20 @@ def build_quotient(
     counit_c = Vector._of(field, [h.counit.dot(lift.column(r)) for r in range(c)])
     coalg = Coalgebra(field, comult_c, counit_c)
 
-    coinvariants = _coinvariants(h, pi)
-    report.add(
-        "coinvariants-equal-image",
-        subspace_basis([coinvariants.row(r) for r in range(coinvariants.nrows)], field=field, length=n)
-        == subspace_basis([b.iota.column(j) for j in range(b.dim)], field=field, length=n),
-        "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)",
-    )
+    one_c, pis = _sparse(pi(h.unit)), _columns(pi.matrix)
+
+    def coinvariance(u):  # sum u_1 (x) pi(u_2) and u (x) pi(1)
+        return _leg_map(_leg_map(u, (n,), 0, n * n, h.coalgebra.int_comult), (n, n), 1, c, pis), _kron(u, one_c, c)
+
+    text = "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)"
+    included, den = _columns(b.iota.matrix)
+    contained, _ = _slice_mismatch(field, text.format, lambda i: coinvariance((included[i], den)), b.dim)
+    differences = []
+    for j in range(n):  # both sides over one denominator: the row is scaled by it, which keeps the rank
+        (lhs, _), (rhs, _) = _comparable(field, *coinvariance(({j: 1}, 1)))
+        differences.append({k: lhs.get(k, 0) - rhs.get(k, 0) for k in lhs.keys() | rhs.keys()})
+    rank = Elimination(field, n * c, differences).rank
+    report.add("coinvariants-equal-image", contained and rank == n - b.dim, text)
     report.raise_if_failed()
 
     hb = [h.basis(i) for i in range(n)]
@@ -400,21 +412,6 @@ def build_quotient(
     action = Tensor3._of(field, action_rows, (c, n, c))
 
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
-
-
-def _coinvariants(h: HopfAlgebra, pi: LinMap) -> Matrix:
-    """A basis, one vector per row, of {x in H : sum x_1 (x) pi(x_2) = x (x) pi(1)}."""
-    n = h.dim
-    one = pi(h.unit)
-    return nullspace(Matrix.from_columns(h.field, [
-        tensor_apply(h.coalgebra.comultiply_flat(e), (n, n), 1, pi.matrix) - e.tensor(one)
-        for e in map(h.basis, range(n))
-    ], nrows=n * pi.target))
-
-
-def action_btl(q: CoidealQuotient, x: Vector, h: Vector) -> Vector:
-    """The right action x <| h = pi(lift(x) h) on the quotient."""
-    return contract(q.action, 0, x).transpose() @ h
 
 
 def btl_matrix(q: CoidealQuotient, h: Vector) -> Matrix:
@@ -456,11 +453,6 @@ def _btr_tensor(q: CoidealQuotient) -> Tensor3:
             (n, bdim, bdim),
         )
     return q._btr
-
-
-def action_btr(q: CoidealQuotient, hstar: Vector, bstar: Vector) -> Vector:
-    """The left action h* |> b* of the dual Hopf algebra on B*."""
-    return contract(_btr_tensor(q), 0, hstar).transpose() @ bstar
 
 
 def btr_matrix(q: CoidealQuotient, hstar: Vector) -> Matrix:

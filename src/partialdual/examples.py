@@ -11,7 +11,7 @@ from itertools import permutations
 from typing import Sequence
 
 from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
-from partialdual.coideal import _certify_inclusion, _coinvariants, _dual_section
+from partialdual.coideal import _certify_inclusion, _dual_section
 from partialdual.hopf import (
     Algebra,
     CertificationError,
@@ -21,9 +21,10 @@ from partialdual.hopf import (
     biopposite,
     convolution_inverse,
     dual,
+    tensor_apply,
     verify_hopf,
 )
-from partialdual.linalg import QQ, Field, Matrix, Tensor3, Vector
+from partialdual.linalg import QQ, Field, Matrix, Tensor3, Vector, nullspace
 from partialdual.pams import Pams, certify_pams, gamma_from_zeta
 
 __all__ = [
@@ -310,8 +311,7 @@ def matched_pair_hopf(m: MatchedPair, field: Field) -> tuple[HopfAlgebra, Coidea
     """The group algebra of the double cross product with its canonical
     certified system: B = kF along b -> (b, 1), the quotient is kG with
     projection (b, y) -> y and section y -> (1, y), and the retraction
-    is the F-component of the reverse factorization, the unique choice
-    that is a right B-module map."""
+    is zeta(b, y) = b, a left B-module map since (b, y) = (b, 1)(1, y)."""
     bow = m.group
     h = group_algebra(bow, field)
     nf, ng = m.f.order, m.g.order
@@ -335,19 +335,7 @@ def matched_pair_hopf(m: MatchedPair, field: Field) -> tuple[HopfAlgebra, Coidea
         )
     )
     q = build_quotient(bsub, pi=pi, lift=lift)
-    # every (b, y) factors uniquely as (1, y')(c, 1); zeta picks out c
-    reverse = {}
-    for c in range(nf):
-        for y2 in range(ng):
-            key = (m.act_on_f[y2][c], m.act_on_g[y2][c])
-            if key in reverse:
-                raise ValueError("reverse factorization is not unique")
-            reverse[key] = c
-    zcols = []
-    for b in range(nf):
-        for y in range(ng):
-            zcols.append(Vector.basis(field, nf, reverse[(b, y)]))
-    zeta = LinMap(Matrix.from_columns(field, zcols, nrows=nf))
+    zeta = LinMap(Matrix.from_columns(field, [Vector.basis(field, nf, i // ng) for i in range(n)], nrows=nf))
     p = certify_pams(q, zeta)
     return h, bsub, p
 
@@ -437,10 +425,12 @@ def pams_from_split_projection(
     if pi.matrix @ gamma.matrix != Matrix.identity(field, na):
         raise CertificationError("not-hopf-maps", "pi gamma is not the identity")
 
-    basis = _coinvariants(h, pi)
-    iota = LinMap(
-        Matrix.from_columns(field, [basis.row(r) for r in range(basis.nrows)], nrows=n)
-    )
+    # B is the space of coinvariants {x : sum x_1 (x) pi(x_2) = x (x) pi(1)}
+    one = pi(h.unit)
+    iota = LinMap(nullspace(Matrix.from_columns(field, [
+        tensor_apply(h.coalgebra.comultiply_flat(e), (n, n), 1, pi.matrix) - e.tensor(one)
+        for e in map(h.basis, range(n))
+    ], nrows=n * na)).transpose())
     bsub = certify_coideal(h, iota)
     try:
         q = build_quotient(bsub, pi=pi, lift=gamma)

@@ -24,14 +24,14 @@ decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
-check and a witness.  A check over an index grid is one _first_mismatch
-walk, or, for an identity of integer tables, one _slice_mismatch
-comparison per slice; either witness names the first failing index.
+check and a witness.  Every check over an index grid, here and in the
+certifiers of coideal, pams and partial_dual, is one _slice_mismatch: the
+identity read as integer tables, one dict comparison per slice, and the
+witness names the first failing index.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from math import prod
 from typing import Callable, Sequence
@@ -66,9 +66,7 @@ __all__ = [
     "convolution_inverse",
     "hit_left",
     "hit_right",
-    "hit_actions",
     "tensor_apply",
-    "tensor_functional",
     "tensor_permute",
     "power_multiply",
     "power_unit",
@@ -134,23 +132,6 @@ class Report:
         return f"Report({self.title!r}: {len(self.checks)} checks, {state})"
 
 
-def _first_mismatch(witness: Callable[..., str], sides: Callable, *dims: int) -> tuple[bool, str]:
-    """(ok, witness) of lhs == rhs for (lhs, rhs) = sides(*index) over the
-    index grid range(dims[0]) x range(dims[1]) x ...
-
-    The policy of every grid check: the first failure in lexicographic
-    order wins.  Here the grid is walked cell by cell and the witness is
-    witness(*index, lhs, rhs); a bound "... {0} ...".format serves a text
-    that names only the index.  With no dims, sides() is compared once.
-    _slice_mismatch compares tables under the same policy.
-    """
-    for index in itertools.product(*map(range, dims)):
-        lhs, rhs = sides(*index)
-        if lhs != rhs:
-            return False, witness(*index, lhs, rhs)
-    return True, ""
-
-
 def _slice_mismatch(
     field: Field, witness: Callable[..., str], slices: Callable, size: int = 1, shape: Sequence[int] = ()
 ) -> tuple[bool, str]:
@@ -163,7 +144,9 @@ def _slice_mismatch(
     agree.  In a slice that differs, the least differing key is the first
     failing cell in lexicographic order and its first differing
     coordinate; the witness is witness(i, *digits of that key, lhs, rhs)
-    with the two values as field text.
+    with the two values as field text.  That is the policy of every grid
+    check: the first failure in lexicographic order wins, and a bound
+    "... {0} ...".format serves a text that names only the index.
     """
     for i in range(size):
         (lhs, den), (rhs, _) = _comparable(field, *slices(i))
@@ -546,6 +529,18 @@ def _columns(m: Matrix) -> tuple[tuple, int]:
     return _int_supports(m.field, [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)])
 
 
+def _stacked(images: tuple[Sequence, int], width: int) -> Sparse:
+    """Leg images (table, den) as one two-leg tensor: table[d][r] at d width + r."""
+    table, den = images
+    return {d * width + r: x for d, image in enumerate(table) for r, x in image.items()}, den
+
+
+def _then(f: tuple[Sequence, int], g: tuple[Sequence, int]) -> tuple[list, int]:
+    """The leg images of g f from those of f and of g."""
+    table, den = f
+    return [_leg_map((image, 1), (len(g[0]),), 0, 1, g)[0] for image in table], den * g[1]
+
+
 def _functional(phi: Vector) -> tuple[tuple, int]:
     """A functional as leg images of width 1: table[d] = {0: phi_d den}."""
     return _int_supports(phi.field, [[(0, w)] if w else [] for w in phi.entries])
@@ -557,14 +552,6 @@ def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
         raise ValueError(f"matrix acts on dimension {m.ncols}, leg has {dims[leg]}")
     _same_field(u.field, m.field, "tensor and matrix")
     return _apply_leg(u, dims, leg, m.nrows, _columns(m))
-
-
-def tensor_functional(u: Vector, dims: Sequence[int], leg: int, phi: Vector) -> Vector:
-    """Pair one leg against a functional, removing that leg."""
-    if len(phi) != dims[leg]:
-        raise ValueError(f"functional has length {len(phi)}, leg has {dims[leg]}")
-    _same_field(u.field, phi.field, "tensor and functional")
-    return _apply_leg(u, dims, leg, 1, _functional(phi))
 
 
 def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
@@ -694,7 +681,7 @@ def _flat_rows(a: Algebra) -> tuple[list[dict[int, int]], int]:
 def verify_algebra(a: Algebra, report: Report) -> None:
     f, n = a.field, a.dim
     (terms, den), (rows, _) = a.int_terms, _flat_rows(a)
-    whole = {i * n * n + key: x for i, row in enumerate(rows) for key, x in row.items()}, den  # m[i,j,k] at (i, j, k)
+    whole = _stacked((rows, den), n * n)  # m[i,j,k] at (i, j, k)
 
     def sides(i):  # at (j, k, t): sum_p m[i,j,p] e_p e_k against sum_p m[j,k,p] e_i e_p
         lhs = _leg_map((rows[i], den), (n, n), 1, n * n, (rows, den))
@@ -715,7 +702,7 @@ def verify_coalgebra(c: Coalgebra, report: Report) -> None:
         n, (n**3,),
     ))
     # slice l: eps applied to leg l of every Delta(e_i), at (i, t), against the identity
-    whole = {i * n * n + jk: x for i, image in enumerate(images) for jk, x in image.items()}, den
+    whole = _stacked(c.int_comult, n * n)
     eye, eps = ({i * n + i: 1 for i in range(n)}, 1), _functional(c.counit)
     report.add("counit-law", *_slice_mismatch(
         f, "(eps (x) id)Delta or (id (x) eps)Delta is not the identity".format,
@@ -965,8 +952,3 @@ def hit_left(h: HopfAlgebra, hstar: Vector, v: Vector) -> Vector:
 def hit_right(h: HopfAlgebra, v: Vector, hstar: Vector) -> Vector:
     """The right hit: sum <hstar, v_1> v_2."""
     return h.coalgebra.comultiply(v).transpose() @ hstar
-
-
-def hit_actions(h: HopfAlgebra, hstar: Vector, v: Vector) -> tuple[Vector, Vector]:
-    """Both hit actions of hstar on v, as (left hit, right hit)."""
-    return hit_left(h, hstar, v), hit_right(h, v, hstar)

@@ -30,7 +30,16 @@ from .hopf import (
     CertificationError,
     LinMap,
     Report,
-    _first_mismatch,
+    _columns,
+    _flat_rows,
+    _functional,
+    _leg_map,
+    _legs_product,
+    _pairs,
+    _slice_mismatch,
+    _sparse,
+    _stacked,
+    _then,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -114,30 +123,38 @@ def _shape_guard(q: CoidealQuotient, zeta: LinMap) -> None:
         )
 
 
-def _module_map_witness(q: CoidealQuotient, zeta: LinMap) -> str:
-    """Empty string iff zeta(iota(b) h) = b zeta(h) on all basis pairs."""
-    h = q.parent
-    bsub = q.coideal
-    for i in range(bsub.dim):
-        included = bsub.iota.column(i)
-        for j in range(h.dim):
-            lhs = zeta(h.algebra.multiply(included, h.basis(j)))
-            rhs = bsub.algebra.multiply(bsub.basis(i), zeta(h.basis(j)))
-            if lhs != rhs:
-                return f"zeta(iota(b{i}) e{j}) != b{i} zeta(e{j})"
-    return ""
+def _module_map(q: CoidealQuotient, zeta: LinMap) -> tuple[bool, str]:
+    """(ok, witness) of zeta(iota(b_i) e_j) = b_i zeta(e_j): slice i at
+    (j, t), the b_t coordinate of both sides for every e_j."""
+    h, bsub = q.parent, q.coideal
+    n, bdim = h.dim, bsub.dim
+    (included, den), rows, z = _columns(bsub.iota.matrix), _flat_rows(h.algebra), _columns(zeta.matrix)
+    zeta_t, (terms, tden) = _stacked(z, bdim), bsub.algebra.int_terms  # zeta[s, j] at (j, s)
+
+    def sides(i):  # zeta applied to iota(b_i) e_j, against b_i b_s put on the leg s of zeta^T
+        products = _leg_map((included[i], den), (n,), 0, n * n, rows)
+        return _leg_map(products, (n, n), 1, bdim, z), _leg_map(zeta_t, (n, bdim), 1, bdim, (terms[i], tden))
+
+    return _slice_mismatch(q.field, "zeta(iota(b{0}) e{1}) != b{0} zeta(e{1})".format, sides, bdim, (n, bdim))
 
 
-def _biunitary_witness(q: CoidealQuotient, zeta: LinMap, name: str = "zeta") -> str:
-    """Empty string iff the map H -> B called `name` is biunitary."""
-    h = q.parent
-    bsub = q.coideal
-    if zeta(h.unit) != bsub.unit:
-        return f"{name}(1) != 1_B"
-    for j in range(h.dim):
-        if bsub.counit.dot(zeta.column(j)) != h.counit[j]:
-            return f"eps_B({name}(e{j})) != eps(e{j})"
-    return ""
+def _biunitary(q: CoidealQuotient, m: LinMap, name: str = "zeta", from_c: bool = False) -> tuple[bool, str]:
+    """(ok, witness) of m(1) = 1, slice 0, and eps m = eps, slice 1, at
+    the first failing basis index, for the map m : H -> B called `name`,
+    or with from_c for m : C -> H, whose source has the unit pi(1)."""
+    h, bsub = q.parent, q.coideal
+    if from_c:
+        source, target = (q.pi(h.unit), q.coalgebra.counit), (h.unit, h.counit)
+        texts = f"{name}(pi(1)) != 1", f"eps({name}(x{{0}})) != eps_C(x{{0}})"
+    else:
+        source, target = (h.unit, h.counit), (bsub.unit, bsub.counit)
+        texts = f"{name}(1) != 1_B", f"eps_B({name}(e{{0}})) != eps(e{{0}})"
+    cols = _columns(m.matrix)
+    sides = (
+        (_leg_map(_sparse(source[0]), (m.source,), 0, m.target, cols), _sparse(target[0])),
+        (_leg_map(_stacked(cols, m.target), (m.source, m.target), 1, 1, _functional(target[1])), _sparse(source[1])),
+    )
+    return _slice_mismatch(q.field, lambda s, *at: texts[s].format(*at), sides.__getitem__, 2, (m.source,))
 
 
 def gamma_from_zeta(q: CoidealQuotient, zeta: LinMap) -> LinMap:
@@ -148,11 +165,11 @@ def gamma_from_zeta(q: CoidealQuotient, zeta: LinMap) -> LinMap:
     """
     _shape_guard(q, zeta)
     h = q.parent
-    w = _module_map_witness(q, zeta)
-    if w:
+    ok, w = _module_map(q, zeta)
+    if not ok:
         raise CertificationError("zeta-not-module-map", w)
-    w = _biunitary_witness(q, zeta)
-    if w:
+    ok, w = _biunitary(q, zeta)
+    if not ok:
         raise CertificationError("zeta-not-biunitary", w)
     try:
         zeta_bar = convolution_inverse(zeta, h.coalgebra, q.coideal.algebra)
@@ -202,8 +219,8 @@ def biunitarize(q: CoidealQuotient, zeta0: LinMap) -> LinMap:
     h = q.parent
     bsub = q.coideal
     field = q.field
-    w = _module_map_witness(q, zeta0)
-    if w:
+    ok, w = _module_map(q, zeta0)
+    if not ok:
         raise CertificationError("zeta-not-module-map", w)
     try:
         zbar0 = convolution_inverse(zeta0, h.coalgebra, bsub.algebra)
@@ -214,9 +231,9 @@ def biunitarize(q: CoidealQuotient, zeta0: LinMap) -> LinMap:
     zb1 = LinMap(bsub.algebra.left_mult_matrix(zeta0(h.unit)) @ zbar0.matrix)
     phi = Vector._of(field, [bsub.counit.dot(zb1.column(j)) for j in range(h.dim)])
     zeta2 = LinMap(z1.matrix @ contract(h.comult, 2, phi).transpose())
-    w = _module_map_witness(q, zeta2) or _biunitary_witness(q, zeta2)
-    if w:
-        raise CertificationError("biunitarize-failed", w)
+    for ok, w in (_module_map(q, zeta2), _biunitary(q, zeta2)):
+        if not ok:
+            raise CertificationError("biunitarize-failed", w)
     convolution_inverse(zeta2, h.coalgebra, bsub.algebra)
     return zeta2
 
@@ -307,14 +324,14 @@ def find_cointegral(q: CoidealQuotient, strategy: dict | None = None) -> LinMap:
         if options:
             raise ValueError(f"unknown strategy keys {sorted(options)}")
         _shape_guard(q, zeta)
-        w = _module_map_witness(q, zeta)
-        if w:
+        ok, w = _module_map(q, zeta)
+        if not ok:
             raise CertificationError("zeta-not-module-map", w)
         try:
             convolution_inverse(zeta, h.coalgebra, bsub.algebra)
         except CertificationError as e:
             raise CertificationError("zeta-not-invertible", e.kind) from e
-        if _biunitary_witness(q, zeta):
+        if not _biunitary(q, zeta)[0]:
             zeta = biunitarize(q, zeta)
         return zeta
     if kind != "deterministic-search":
@@ -347,7 +364,7 @@ def find_cointegral(q: CoidealQuotient, strategy: dict | None = None) -> LinMap:
         except CertificationError:
             continue
         # affine solutions are biunitary by construction
-        if _biunitary_witness(q, zeta):
+        if not _biunitary(q, zeta)[0]:
             zeta = biunitarize(q, zeta)
         return zeta
     raise CertificationError(
@@ -373,40 +390,28 @@ def _check_primal(
     n, bdim, cdim = h.dim, bsub.dim, q.dim
     iota, pi = bsub.iota, q.pi
     one_c = pi(h.unit)
-    pi_t = pi.matrix.transpose()
+    (images, den), pairs = h.coalgebra.int_comult, _pairs(h.algebra)
+    iotas, pis, gammas = _columns(iota.matrix), _columns(pi.matrix), _columns(gamma.matrix)
+    c_images, c_den = q.coalgebra.int_comult
 
-    report.add("gamma-comodule-map", *_first_mismatch(
-        "(id (x) pi) Delta(gamma(x{0})) != (gamma (x) id) Delta_C(x{0})".format,
-        lambda t: (
-            h.coalgebra.comultiply(gamma.column(t)) @ pi_t,
-            gamma.matrix @ q.coalgebra.comultiply(q.basis(t)),
-        ),
-        cdim,
+    def comodule(t):  # both sides at (e_j, x_c)
+        pushed = _leg_map((gammas[0][t], gammas[1]), (n,), 0, n * n, h.coalgebra.int_comult)
+        return _leg_map(pushed, (n, n), 1, cdim, pis), _leg_map((c_images[t], c_den), (cdim, cdim), 0, n, gammas)
+
+    report.add("gamma-comodule-map", *_slice_mismatch(
+        field, "(id (x) pi) Delta(gamma(x{0})) != (gamma (x) id) Delta_C(x{0})".format, comodule, cdim, (n, cdim)
     ))
+    report.add("gamma-biunitary", *_biunitary(q, gamma, "gamma", from_c=True))
+    report.add("zetabar-biunitary", *_biunitary(q, zeta_bar, "zeta_bar"))
+    report.add("gammabar-biunitary", *_biunitary(q, gamma_bar, "gamma_bar", from_c=True))
 
-    def biunitary(m: LinMap, name: str) -> tuple[bool, str]:  # m(pi(1)) = 1, then eps m = eps_C
-        ok, witness = _first_mismatch(f"{name}(pi(1)) != 1".format, lambda: (m(one_c), h.unit))
-        if ok:
-            ok, witness = _first_mismatch(
-                f"eps({name}(x{{0}})) != eps_C(x{{0}})".format,
-                lambda t: (h.counit.dot(m.column(t)), q.coalgebra.counit[t]),
-                cdim,
-            )
-        return ok, witness
+    def convolution(text, maps, against):  # slice i: e_i under `against`, and sum f(e_j) g(e_k) over Delta(e_i)
+        slices = lambda i: ((against[0][i], against[1]), _legs_product((images[i], den), n, maps, pairs))
+        return _slice_mismatch(field, text.format, slices, n)
 
-    report.add("gamma-biunitary", *biunitary(gamma, "gamma"))
-    w = _biunitary_witness(q, zeta_bar, "zeta_bar")
-    report.add("zetabar-biunitary", not w, w)
-    report.add("gammabar-biunitary", *biunitary(gamma_bar, "gamma_bar"))
-
-    ident = LinMap.identity(field, n)
-    iz = LinMap(iota.matrix @ zeta.matrix)
-    gp = LinMap(gamma.matrix @ pi.matrix)
-    report.add(
-        "conv-unit",
-        convolution_product(iz, gp, h.coalgebra, h.algebra) == ident,
-        "(iota zeta) * (gamma pi) != id",
-    )
+    iz, gp = _then(_columns(zeta.matrix), iotas), _then(pis, gammas)
+    identity = [{i: 1} for i in range(n)], 1
+    report.add("conv-unit", *convolution("(iota zeta) * (gamma pi) != id", (iz, gp), identity))
     report.add(
         "zeta-splits-iota",
         zeta.matrix @ iota.matrix == Matrix.identity(field, bdim),
@@ -417,20 +422,10 @@ def _check_primal(
         pi.matrix @ gamma.matrix == Matrix.identity(field, cdim),
         "pi gamma != id_C",
     )
-    report.add(
-        "gamma-pi-convolution",
-        gp
-        == convolution_product(
-            LinMap(iota.matrix @ zeta_bar.matrix), ident, h.coalgebra, h.algebra
-        ),
-        "gamma pi != (iota zeta_bar) * id",
-    )
-    report.add(
-        "gammabar-formula",
-        LinMap(gamma_bar.matrix @ pi.matrix)
-        == convolution_product(LinMap(h.antipode), iz, h.coalgebra, h.algebra),
-        "gamma_bar pi != S * (iota zeta)",
-    )
+    izb = _then(_columns(zeta_bar.matrix), iotas)
+    report.add("gamma-pi-convolution", *convolution("gamma pi != (iota zeta_bar) * id", (izb, None), gp))
+    gbp = _then(pis, _columns(gamma_bar.matrix))
+    report.add("gammabar-formula", *convolution("gamma_bar pi != S * (iota zeta)", (_columns(h.antipode), iz), gbp))
     trivial_bc = Matrix._of(
         field,
         [[x * e for e in q.coalgebra.counit.entries] for x in bsub.unit.entries],
@@ -566,10 +561,8 @@ def certify_pams(
     bsub = q.coideal
     report = Report(f"pams on {h.name or 'H'}")
 
-    w = _module_map_witness(q, zeta)
-    report.add("zeta-module-map", not w, w)
-    w = _biunitary_witness(q, zeta)
-    report.add("zeta-biunitary", not w, w)
+    report.add("zeta-module-map", *_module_map(q, zeta))
+    report.add("zeta-biunitary", *_biunitary(q, zeta))
     report.raise_if_failed()
     try:
         zeta_bar = convolution_inverse(zeta, h.coalgebra, bsub.algebra)

@@ -30,10 +30,11 @@ from .hopf import (
     LinMap,
     Report,
     _columns,
-    _first_mismatch,
+    _dense,
     _flat_rows,
     _grouped,
     _int_supports,
+    _kron,
     _leg_map,
     _legs_product,
     _pairs,
@@ -42,7 +43,9 @@ from .hopf import (
     _scale,
     _slice_mismatch,
     _sparse,
+    _stacked,
     _support,
+    _then,
     _unit_sides,
     _weighted_sum,
     convolution_inverse,
@@ -618,6 +621,32 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     return right
 
 
+def _transport_checks(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra, m: Matrix, flip: bool, report: Report) -> None:
+    """algebra-anti-map, unit-transport, comultiplication-transport and
+    counit-transport of m from q1 to q2: m reverses products, keeps the
+    unit and the counit, and carries Delta to Delta, to Delta^op with flip."""
+    field, nd = q1.field, q1.dim
+    cols, (rows, den), pairs = _columns(m), _flat_rows(q1.algebra), _pairs(q2.algebra)
+    pushed = _stacked(cols, nd)  # m[r, j] at (j, r)
+
+    def products(i):  # at (j, t): m(e_i e_j) against m(e_j) m(e_i)
+        lhs = _leg_map((rows[i], den), (nd, nd), 1, nd, cols)
+        return lhs, _leg_map(_kron(pushed, (cols[0][i], cols[1]), nd), (nd, nd * nd), 1, nd, pairs)
+
+    report.add("algebra-anti-map", *_slice_mismatch(field, "pair ({0},{1})".format, products, nd, (nd, nd)))
+    report.add("unit-transport", m @ q1.algebra.unit == q2.algebra.unit, "unit")
+    deltas, dden = _int_supports(field, [
+        [(k * nd + j if flip else j * nd + k, x) for (j, k), x in group] for group in q1.coalgebra.terms
+    ])
+
+    def coproducts(a):  # (m (x) m) Delta(e_a), flipped or not, against Delta(m(e_a))
+        lhs = _leg_map(_leg_map((deltas[a], dden), (nd, nd), 0, nd, cols), (nd, nd), 1, nd, cols)
+        return lhs, _leg_map((cols[0][a], cols[1]), (nd,), 0, nd * nd, q2.coalgebra.int_comult)
+
+    report.add("comultiplication-transport", *_slice_mismatch(field, "basis {0}".format, coproducts, nd))
+    report.add("counit-transport", m.transpose() @ q2.coalgebra.counit == q1.coalgebra.counit, "counit")
+
+
 def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     """Certify f # b -> b # f as an isomorphism from the biopposite of
     q1 onto q2, including transport of the associator, upsilon, the
@@ -641,23 +670,7 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     theta = Matrix.from_columns(field, theta_cols, nrows=nd)
     theta_inv = theta.transpose()
 
-    es = [q1.basis(i) for i in range(nd)]
-    report.add("algebra-anti-map", *_first_mismatch(
-        "pair ({0},{1})".format,
-        lambda i, j: (theta @ q1.multiply(es[i], es[j]), q2.multiply(theta_cols[j], theta_cols[i])),
-        nd, nd,
-    ))
-    report.add("unit-transport", theta @ q1.algebra.unit == q2.algebra.unit, "unit")
-
-    def pushed_flip(a):  # (theta (x) theta) of the flipped Delta(e_a)
-        flipped = tensor_permute(q1.comultiply(es[a]), (nd, nd), (1, 0))
-        return tensor_apply(tensor_apply(flipped, (nd, nd), 0, theta), (nd, nd), 1, theta)
-
-    report.add("comultiplication-transport", *_first_mismatch(
-        "basis {0}".format, lambda a: (pushed_flip(a), q2.comultiply(theta_cols[a])), nd
-    ))
-    pulled = Vector._of(field, [q2.coalgebra.counit.dot(theta.column(a)) for a in range(nd)])
-    report.add("counit-transport", pulled == q1.coalgebra.counit, "counit")
+    _transport_checks(q1, q2, theta, True, report)
 
     dims3 = (nd, nd, nd)
 
@@ -714,49 +727,28 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     cols = [q1.multiply(ebs[b], fbs[a]) for a in range(cdim) for b in range(bdim)]
     phim = Matrix.from_columns(field, cols, nrows=nd)
 
-    sinv = q.hstar.antipode_inverse()
-    rho = _grouped(q.action, 2)
-    bca = _rows(bsub.coaction)  # at [b][m]: the (k, c) of the coaction of b_b on the leg h_m (x) b_k
+    # rho[a]: action[s, i, a] at (s, i); legs[b]: h*_m -> sum coaction[b, m, k] b*_k
+    rho, rden = _int_supports(field, [[(s * nd + i, x) for (s, i), x in group] for group in _grouped(q.action, 2)])
+    table, den = _int_supports(field, [pair for plane in _rows(bsub.coaction) for pair in plane])
+    legs = [(table[b * nd : (b + 1) * nd], den) for b in range(bdim)]
+    twisted = [_then(_columns(q.hstar.antipode_inverse()), leg) for leg in legs]
 
-    def second_form(a, b):
-        acc = [field.zero] * nd
-        for (s, i), x in rho[a]:
-            for m, y in flat_nonzeros(sinv.column(i)):
-                for k, c in bca[b][m]:
-                    acc[s * bdim + k] += x * y * c
-        return Vector._of(field, acc), cols[a * bdim + b]
+    def forms(i):  # column a bdim + b: rho[a] with twisted[b] on its leg i, at s bdim + k
+        a, b = divmod(i, bdim)
+        return _leg_map((rho[a], rden), (cdim, nd), 1, bdim, twisted[b]), (phims[0][i], phims[1])
 
-    report.add("map-forms-agree", *_first_mismatch("basis ({0},{1})".format, second_form, cdim, bdim))
+    phims = _columns(phim)
 
-    inv_cols = []
-    for a in range(cdim):
-        for b in range(bdim):
-            acc = [field.zero] * nd
-            for (s, i), x in rho[a]:
-                for k, c in bca[b][i]:
-                    acc[s * bdim + k] += x * c
-            inv_cols.append(Vector._of(field, acc))
-    phim_inv = Matrix.from_columns(field, inv_cols, nrows=nd)
+    report.add("map-forms-agree", *_slice_mismatch(
+        field, lambda i, *_: "basis ({0},{1})".format(*divmod(i, bdim)), forms, nd
+    ))
+    phim_inv = Matrix.from_columns(field, [
+        _dense(field, nd, _leg_map((rho[a], rden), (cdim, nd), 1, bdim, leg)) for a in range(cdim) for leg in legs
+    ], nrows=nd)
     ident = Matrix.identity(field, nd)
     report.add("mutually-inverse", phim @ phim_inv == ident and phim_inv @ phim == ident, "composite")
 
-    es = [q1.basis(i) for i in range(nd)]
-    report.add("algebra-anti-map", *_first_mismatch(
-        "pair ({0},{1})".format,
-        lambda i, j: (phim @ q1.multiply(es[i], es[j]), q_op.multiply(cols[j], cols[i])),
-        nd, nd,
-    ))
-    report.add("unit-transport", phim @ q1.algebra.unit == q_op.algebra.unit, "unit")
-    report.add("comultiplication-transport", *_first_mismatch(
-        "basis {0}".format,
-        lambda a: (
-            tensor_apply(tensor_apply(q1.comultiply(es[a]), (nd, nd), 0, phim), (nd, nd), 1, phim),
-            q_op.comultiply(cols[a]),
-        ),
-        nd,
-    ))
-    pulled = Vector._of(field, [q_op.coalgebra.counit.dot(phim.column(a)) for a in range(nd)])
-    report.add("counit-transport", pulled == q1.coalgebra.counit, "counit")
+    _transport_checks(q1, q_op, phim, False, report)
 
     dims3 = (nd, nd, nd)
 

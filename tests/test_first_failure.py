@@ -17,8 +17,15 @@ import itertools
 
 import pytest
 
-from partialdual.coideal import _CERTIFIED, CoidealQuotient, CoidealSubalgebra, build_quotient, certify_coideal
-from partialdual.examples import cyclic, group_algebra, taft4
+from partialdual.coideal import (
+    _CERTIFIED,
+    CoidealQuotient,
+    CoidealSubalgebra,
+    _certify_inclusion,
+    build_quotient,
+    certify_coideal,
+)
+from partialdual.examples import cyclic, group_algebra, symmetric, taft4
 from partialdual.hopf import (
     Algebra,
     CertificationError,
@@ -35,6 +42,7 @@ from partialdual.pams import (
     _check_primal,
     certify_pams,
     find_cointegral,
+    gamma_from_zeta,
     induced_pams,
 )
 from partialdual.partial_dual import (
@@ -120,14 +128,16 @@ def _with_algebra_mult(qh, i, j, k):
 
 @functools.cache
 def _system(name):
-    """(pams, left partial dual) of Taft-4 at lambda = 1, or of kC4 over
-    its order-two subgroup (strictly quasi), both over Q."""
+    """(pams, left partial dual) of Taft-4 at lambda = 1, of kC4 over its
+    order-two subgroup (strictly quasi) or of kS3 over kA3, all over Q."""
     if name == "taft":
         _, b, zeta = taft4(QQ, 1)
         p = certify_pams(build_quotient(b), zeta)
     else:
-        h = group_algebra(cyclic(4), QQ)
-        q = build_quotient(certify_coideal(h, LinMap(Matrix(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))))
+        # kA3 is spanned by the identity and the two 3-cycles, indices 3 and 4 of S3
+        group, k = (cyclic(4), (0, 2)) if name == "c4" else (symmetric(3), (0, 3, 4))
+        h = group_algebra(group, QQ)
+        q = build_quotient(certify_coideal(h, LinMap(Matrix.from_columns(QQ, [h.basis(i) for i in k], nrows=h.dim))))
         p = certify_pams(q, find_cointegral(q))
     return p, left_partial_dual(p)
 
@@ -624,12 +634,17 @@ def test_every_one_entry_perturbation_is_caught_or_changes_nothing(name):
         assert doc == reference
 
 
-def _left_checks(p):
-    """The report.checks of left_partial_dual(p), raised or returned."""
+def _checks(report):
+    """The checks of report(), a Report returned or carried by the CertificationError raised."""
     try:
-        return left_partial_dual(p).report.checks
+        return report().checks
     except CertificationError as err:
         return err.report.checks
+
+
+def _left_checks(p):
+    """The report.checks of left_partial_dual(p), raised or returned."""
+    return _checks(lambda: left_partial_dual(p).report)
 
 
 def _taft_hopf_bumps():
@@ -644,6 +659,100 @@ def _taft_hopf_bumps():
         yield verify_hopf(_taft_hopf(antipode=_bump_matrix(h.antipode, *at))).checks
 
 
+def _cells(*dims):
+    return itertools.product(*map(range, dims))
+
+
+def _pams_bumps(name):
+    """certify_pams's report.checks under every one-entry bump of zeta and
+    of gamma, the other map unchanged."""
+    p, _ = _system(name)
+    for map_name in ("zeta", "gamma"):
+        m = getattr(p, map_name).matrix
+        for at in _cells(m.nrows, m.ncols):
+            maps = {"zeta": p.zeta, "gamma": p.gamma, map_name: LinMap(_bump_matrix(m, *at))}
+            yield _checks(lambda: certify_pams(p.quotient, **maps).report)
+
+
+def _parent_bumps(h):
+    """h with one entry of its multiplication or comultiplication bumped, every way."""
+    for at in _cells(*h.mult.dims):
+        yield HopfAlgebra(Algebra(QQ, _bump_tensor(h.mult, *at), h.unit), h.coalgebra, h.antipode)
+    for at in _cells(*h.comult.dims):
+        yield HopfAlgebra(h.algebra, Coalgebra(QQ, _bump_tensor(h.comult, *at), h.counit), h.antipode)
+
+
+def _supplied_zeta_bumps(name):
+    """The (kind, witness) raised by find_cointegral on a supplied zeta,
+    then by gamma_from_zeta, under every one-entry bump of zeta; None
+    where the call passes."""
+    p, _ = _system(name)
+    m = p.zeta.matrix
+    for at in _cells(m.nrows, m.ncols):
+        zeta = LinMap(_bump_matrix(m, *at))
+        for build in (
+            lambda: find_cointegral(p.quotient, {"kind": "user-supplied", "zeta": zeta}),
+            lambda: gamma_from_zeta(p.quotient, zeta),
+        ):
+            try:
+                build()
+                yield None
+            except CertificationError as err:
+                yield err.kind, err.witness
+
+
+def _primal_bumps(name):
+    """_check_primal's report.checks under every one-entry bump of zeta,
+    gamma, zeta_bar and gamma_bar, the other three unchanged."""
+    p, _ = _system(name)
+    maps = {"zeta": p.zeta, "gamma": p.gamma, "zeta_bar": p.zeta_bar, "gamma_bar": p.gamma_bar}
+    for map_name, f in maps.items():
+        for at in _cells(f.matrix.nrows, f.matrix.ncols):
+            report = Report("primal")
+            _check_primal(p.quotient, report=report, **dict(maps, **{map_name: LinMap(_bump_matrix(f.matrix, *at))}))
+            yield report.checks
+
+
+def _inclusion_bumps(name):
+    """_certify_inclusion's report.checks under every one-entry bump of
+    iota, then of the parent's multiplication and comultiplication."""
+    b = _system(name)[0].coideal
+    m = b.iota.matrix
+    for at in _cells(m.nrows, m.ncols):
+        yield _checks(lambda: _certify_inclusion(b.parent, LinMap(_bump_matrix(m, *at))).report)
+    for h in _parent_bumps(b.parent):
+        yield _checks(lambda: _certify_inclusion(h, b.iota).report)
+
+
+def _quotient_bumps(name):
+    """build_quotient's report.checks with B read inside a parent whose
+    multiplication or comultiplication has one entry bumped."""
+    b = _system(name)[0].coideal
+    for h in _parent_bumps(b.parent):
+        yield _checks(lambda: build_quotient(_with_coideal(b, parent=h)).report)
+
+
+def _structure_bumps(qh):
+    """qh with one entry of its multiplication or comultiplication bumped, every way."""
+    for at in _cells(*qh.algebra.mult.dims):
+        yield _with_algebra_mult(qh, *at)
+    c = qh.coalgebra
+    for at in _cells(*c.comult.dims):
+        yield _with_quasi_hopf(qh, coalgebra=Coalgebra(c.field, _bump_tensor(c.comult, *at), c.counit))
+
+
+def _iso_bumps(name, check):
+    """The iso check's report.checks under every bump of the second
+    side's structure and, for op_iso_check, which reads the first side's
+    products for its map, every bump of the first side's multiplication."""
+    left, kind = _left(name), {biop_iso_check: "biop-dual", op_iso_check: "op"}[check]
+    for other in _structure_bumps(_induced(name, kind)):
+        yield _checks(lambda: check(left, other))
+    if check is op_iso_check:
+        for at in _cells(*left.algebra.mult.dims):
+            yield _checks(lambda: check(_with_algebra_mult(left, *at), _induced(name, kind)))
+
+
 def _digest(reports):
     digest = hashlib.sha256()
     for checks in reports:
@@ -651,16 +760,44 @@ def _digest(reports):
     return digest.hexdigest()
 
 
-# one SHA-256 over the report.checks of every one-entry perturbation
+# one SHA-256 over the report.checks, or the raised (kind, witness), of every
+# one-entry perturbation
 DIGESTS = {
     "taft left_partial_dual": "834b43ed9d346476a87e3ef9a215eb31932894b8e0b2cc46837455f9fe7e5f1b",
     "c4 left_partial_dual": "960794eb77375b9274b85a8394795bbd75b99de1ba62418f419bb40fd2c9959c",
     "taft4 verify_hopf": "db8bf08edf29291ff2c71a78e25680e2afdf4e89e1b14f9d03587dc69f8d6f78",
+    "taft certify_pams": "d2c25778fd33c0ea1fff19d3873b9ada6892285d6907d4da39eec89c4fa3b32b",
+    "c4 certify_pams": "7665b53fc358c2e573b3a7e3d591af315a755642cb38cd7763644fcd21c0d4a9",
+    "s3 certify_pams": "94ff95756d82f0cd4fcd1f3d6158a7127283b814a71761c0e2ea80f9b14666b8",
+    "taft supplied zeta": "3b7d2cbff5cfe6269ea48cae6096d8411414e9bbea7e8569929f37b00fcc9e42",
+    "c4 supplied zeta": "085cb12618c073c90d34e913e65b105349b564031f9c366aa952f5f7cead0d7b",
+    "s3 supplied zeta": "df352b5860b22212d1a64e4af00a1968a086c1a8cbed09cc14c836076bd32620",
+    "taft _check_primal": "2f0ec5985fa7cb6cac4dd87bd136a9386c06b45b77e990646bc2bdb33f05e7f3",
+    "c4 _check_primal": "6c838dae13162d3269a14b0cfdf821e476aba2cbe2c4e2736b7af8356a3b651a",
+    "s3 _check_primal": "df672df5f3d20316bd8c680af1ae11bb7e37fb428892cd567825a620a2cc70a6",
+    "taft _certify_inclusion": "0702838987d732b6cd0b698bbafd19d9aaa917e006069f0925a5fada024ff314",
+    "c4 _certify_inclusion": "a67bf441667a5d1879b2b2efd521aece4bcc29654691dd18554a01f857455043",
+    "taft build_quotient": "f7bfdc3f22e3a2eb53a945da224fdabca786c649f6b432b4e937c2f39f08e590",
+    "c4 build_quotient": "847da4ee3be0d5c659a486e830b2bf51df4df171816613500ba9ecb5d5bf178f",
+    "taft biop_iso_check": "08bda3c05a7f37f9f14b1f5aad243a0c6e4fd680a6eabaa245eaacfeb6dda4bd",
+    "taft op_iso_check": "ac2eabf5843f1636e5a57dfdd053c3105990742aa6089df5c1bdf33579e25d1b",
+    "c4 biop_iso_check": "0939cc6046d6ac90946e20ccc960d3bebbf7a103faeb49d3a604de08565c1fff",
+    "c4 op_iso_check": "0ab9f78b1256e0f2b2540baacf4e114613a309686200141f323a345e0dff9d1c",
 }
 PERTURBED_REPORTS = {
     "taft left_partial_dual": lambda: map(_left_checks, _perturbations("taft")),
     "c4 left_partial_dual": lambda: map(_left_checks, _perturbations("c4")),
     "taft4 verify_hopf": _taft_hopf_bumps,
+    **{f"{name} certify_pams": functools.partial(_pams_bumps, name) for name in ("taft", "c4", "s3")},
+    **{f"{name} supplied zeta": functools.partial(_supplied_zeta_bumps, name) for name in ("taft", "c4", "s3")},
+    **{f"{name} _check_primal": functools.partial(_primal_bumps, name) for name in ("taft", "c4", "s3")},
+    **{f"{name} _certify_inclusion": functools.partial(_inclusion_bumps, name) for name in ("taft", "c4")},
+    **{f"{name} build_quotient": functools.partial(_quotient_bumps, name) for name in ("taft", "c4")},
+    **{
+        f"{name} {check.__name__}": functools.partial(_iso_bumps, name, check)
+        for name in ("taft", "c4")
+        for check in (biop_iso_check, op_iso_check)
+    },
 }
 
 

@@ -23,14 +23,12 @@ from partialdual.hopf import (
     convolution_unit,
     coopposite,
     dual,
-    hit_actions,
     hit_left,
     hit_right,
     opposite,
     power_multiply,
     tensor_apply,
     tensor_comult_leg,
-    tensor_functional,
     tensor_of,
     tensor_permute,
     verify_hopf,
@@ -224,12 +222,9 @@ def test_hit_actions_on_group_likes():
     hstar = Vector(QQ, [2, 5, 7])
     for i in range(3):
         g = h.basis(i)
-        left, right = hit_actions(h, hstar, g)
         # group-likes rescale by the functional value on both sides
-        assert left == g.scale(hstar[i])
-        assert right == g.scale(hstar[i])
-        assert left == hit_left(h, hstar, g)
-        assert right == hit_right(h, g, hstar)
+        assert hit_left(h, hstar, g) == g.scale(hstar[i])
+        assert hit_right(h, g, hstar) == g.scale(hstar[i])
 
 
 def test_element_inverse_in_group_algebra():
@@ -249,12 +244,6 @@ def test_tensor_permute_and_apply():
     assert swapped == Vector(QQ, [1, 4, 2, 5, 3, 6])
     doubled = tensor_apply(u, (2, 3), 0, Matrix(QQ, [[2, 0], [0, 2]]))
     assert doubled == u.scale(2)
-
-
-def test_tensor_functional_removes_leg():
-    u = Vector(QQ, [1, 2, 3, 4, 5, 6])  # dims (2, 3)
-    phi = Vector(QQ, [1, 1, 1])
-    assert tensor_functional(u, (2, 3), 1, phi) == Vector(QQ, [6, 15])
 
 
 # --- leg functions against digit walkers ---------------------------------------
@@ -347,7 +336,8 @@ def test_leg_functions_match_digit_walkers(field):
                     for m in (Matrix(field, sparse, ncols=n), Matrix(field, dense, ncols=n)):
                         assert tensor_apply(u, dims, leg, m) == _ref_apply(u, dims, leg, m), (dims, leg, m)
                 for phi in _flat_operands(field, n, rng):
-                    assert tensor_functional(u, dims, leg, phi) == _ref_functional(u, dims, leg, phi), (dims, leg)
+                    paired = hopf._apply_leg(u, dims, leg, 1, hopf._functional(phi))
+                    assert paired == _ref_functional(u, dims, leg, phi), (dims, leg)
             for perm in permutations(range(len(dims))):
                 assert tensor_permute(u, dims, perm) == _ref_permute(u, dims, perm), (dims, perm)
 
@@ -386,8 +376,6 @@ def test_leg_functions_reject_malformed_input():
     u = Vector(QQ, [1, 2, 3, 4, 5, 6])  # dims (2, 3)
     with pytest.raises(ValueError):  # five entries for dims (2, 3)
         tensor_apply(Vector(QQ, [1, 2, 3, 4, 5]), (2, 3), 0, Matrix.identity(QQ, 2))
-    with pytest.raises(ValueError):  # seven entries for dims (2, 3)
-        tensor_functional(Vector(QQ, [1] * 7), (2, 3), 1, Vector(QQ, [1, 1, 1]))
     with pytest.raises(ValueError):  # three entries for dims (2,)
         tensor_comult_leg(kc2.coalgebra, Vector(QQ, [1, 2, 3]), (2,), 0)
     with pytest.raises(ValueError):

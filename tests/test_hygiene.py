@@ -15,12 +15,14 @@ reach the elimination entry points twice (say `solve(a, b)` and then
 `nullspace(a)`): one `Elimination` answers the solution, the rank and the
 kernel together.  No check walks its index grid by hand (a loop setting
 `ok = False` that a later `report.add(..., ok, ...)` reads): a grid is
-walked cell by cell by `hopf._first_mismatch`, or, as a table identity,
-compared a slice at a time by `hopf._slice_mismatch`, and either names
-the first failure in lexicographic order.  The axiom verifiers
-(`verify_algebra` to `verify_quasi_hopf`) and every package function they
-reach call neither `.multiply(` nor `_weighted_sum`: they compare integer
-tables, not products of field scalars.  Outside the
+compared as a table identity, a slice at a time, by
+`hopf._slice_mismatch`, which names the first failure in lexicographic
+order.  The axiom verifiers (`verify_algebra` to `verify_quasi_hopf`),
+the certifiers' checks of a mapping system (`pams._check_primal`,
+`pams._module_map`, `pams._biunitary`), the transport checks of the two
+isomorphism checks, and every package function they reach call neither
+`.multiply(` nor `_weighted_sum`: they compare integer tables, not
+products of field scalars.  Outside the
 package (tests, demos, the benchmark) nothing calls a private trusted
 constructor such as `Vector._of`: external input always enters through
 a coercing constructor.  Outside `hopf`, which owns the flat layout, no
@@ -361,7 +363,7 @@ def test_checker_flags_hand_written_first_failure_loops():
         "    seen = True\n"
         "    for x in xs:\n"
         "        seen = False\n"
-        "    report.add('walked', *_first_mismatch('{0}'.format, lambda i: (xs[i], 0), len(xs)))\n"
+        "    report.add('walked', *_slice_mismatch(f, '{0}'.format, lambda i: (({xs[i]: 1}, 1), ({}, 1)), len(xs)))\n"
         "    return seen\n"
     )
     assert hand_written_first_failure_loops(source) == ["f (line 3)", "f (line 11)", "f (line 19)"]
@@ -736,10 +738,11 @@ def test_scalar_parts_are_read_only_in_linalg(path):
     assert scalar_part_reads(path.read_text()) == []
 
 
-# the axiom verifiers: everything they reach compares integer tables
+# the axiom verifiers and the checks of a mapping system and of a
+# transport: everything they reach compares integer tables
 AXIOM_VERIFIERS = {
     "verify_algebra", "verify_coalgebra", "verify_compatibility", "verify_quasi_bialgebra", "verify_hopf",
-    "verify_quasi_hopf",
+    "verify_quasi_hopf", "_check_primal", "_module_map", "_biunitary", "_transport_checks",
 }
 FIELD_SCALAR_PRODUCTS = {"multiply", "_weighted_sum"}
 

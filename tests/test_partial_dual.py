@@ -1,12 +1,14 @@
 """Left and right partial duals: golden values, isomorphisms, detection."""
 
 import hashlib
+from itertools import permutations
 
 import pytest
 
 from partialdual import hopf, partial_dual
 from partialdual.coideal import build_quotient, certify_coideal
 from partialdual.examples import (
+    MatchedPair,
     bismash_product,
     cyclic,
     direct_product_pair,
@@ -489,6 +491,33 @@ def test_bismash_matches_left_dual(pair):
     assert det.hopf == bismash_product(pair, QQ)
     r = right_partial_dual(p, qh)
     assert dual(bismash_product(pair, QQ)) == r.hopf_view()
+
+
+def s4_pair() -> MatchedPair:
+    """The exact factorization S4 = S3 C4, S3 fixing the letter 3 and C4
+    generated by the 4-cycle 0 -> 1 -> 2 -> 3 -> 0: both actions come from
+    factoring x c = (x |> c)(x <| c) in S4, and x |> c is not always c."""
+    s4, f, g = symmetric(4), symmetric(3), cyclic(4)
+    perms = sorted(permutations(range(4)))
+    f_in = [perms.index(s + (3,)) for s in sorted(permutations(range(3)))]
+    cycle = [perms.index(tuple((k + r) % 4 for k in range(4))) for r in range(4)]
+    factor = {s4.mul(f_in[b], cycle[x]): (b, x) for b in range(f.order) for x in range(g.order)}
+    pairs = [[factor[s4.mul(cycle[x], f_in[c])] for c in range(f.order)] for x in range(g.order)]
+    return MatchedPair(f, g, [[b for b, _ in row] for row in pairs], [[y for _, y in row] for row in pairs])
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_matched_pair_with_nontrivial_action_on_f_certifies(field):
+    """Regression: matched_pair_hopf's zeta must be a left kF-module map,
+    so (b, y) = (b, 1)(1, y) goes to b.  Its F-component of the reverse
+    factorization (b, y) = (1, y')(c, 1) is a right module map, which
+    failed zeta-module-map on this pair."""
+    m = s4_pair()
+    assert any(m.act_on_f[x][c] != c for x in range(m.g.order) for c in range(m.f.order))
+    _, _, p = matched_pair_hopf(m, field)
+    det = detect_hopf(left_partial_dual(p))
+    assert det.kind == "hopf"
+    assert det.hopf == bismash_product(m, field)
 
 
 def test_dim12_pipeline_documents_are_pinned():
