@@ -33,8 +33,10 @@ from partialdual.hopf import (
     _comparable,
     _kron,
     _leg_map,
+    _flat_rows,
     _slice_mismatch,
     _sparse,
+    _tensor3,
     coopposite,
     dual,
     flat_nonzeros,
@@ -375,20 +377,21 @@ def build_quotient(
     report.add("pi-surjective", rank == c, f"projection has rank {rank} < {c}")
     report.raise_if_failed()
 
-    pi_t = pi.matrix.transpose()
-    comult_rows = []
-    for r in range(c):
-        d = h.coalgebra.comultiply(lift.column(r))
-        projected = pi.matrix @ d @ pi_t
-        comult_rows.append(projected.rows)
-    comult_c = Tensor3._of(field, comult_rows, (c, c, c))
+    lifts, one_c, pis = _columns(lift.matrix), _sparse(pi(h.unit)), _columns(pi.matrix)
+
+    def projected(u, table, legs):  # u through a two-leg table of H, then pi on each of the legs
+        u = _leg_map(u, (n,), 0, n * n, table)
+        for leg in legs:
+            u = _leg_map(u, (n, n), leg, c, pis)
+        return u
+
+    # Delta_C(x_r) = (pi (x) pi) Delta(lift(x_r))
+    comult_c = _tensor3(field, (c, c, c), [projected((x, lifts[1]), h.coalgebra.int_comult, (0, 1)) for x in lifts[0]])
     counit_c = Vector._of(field, [h.counit.dot(lift.column(r)) for r in range(c)])
     coalg = Coalgebra(field, comult_c, counit_c)
 
-    one_c, pis = _sparse(pi(h.unit)), _columns(pi.matrix)
-
     def coinvariance(u):  # sum u_1 (x) pi(u_2) and u (x) pi(1)
-        return _leg_map(_leg_map(u, (n,), 0, n * n, h.coalgebra.int_comult), (n, n), 1, c, pis), _kron(u, one_c, c)
+        return projected(u, h.coalgebra.int_comult, (1,)), _kron(u, one_c, c)
 
     text = "coinvariants of h -> sum h_1 (x) pi(h_2) differ from iota(B)"
     included, den = _columns(b.iota.matrix)
@@ -401,15 +404,9 @@ def build_quotient(
     report.add("coinvariants-equal-image", contained and rank == n - b.dim, text)
     report.raise_if_failed()
 
-    hb = [h.basis(i) for i in range(n)]
-    action_rows = []
-    for r in range(c):
-        v = lift.column(r)
-        plane = []
-        for e in hb:
-            plane.append(pi(h.algebra.multiply(v, e)).entries)
-        action_rows.append(plane)
-    action = Tensor3._of(field, action_rows, (c, n, c))
+    # x_r <| e_i = pi(lift(x_r) e_i)
+    rows = _flat_rows(h.algebra)
+    action = _tensor3(field, (c, n, c), [projected((x, lifts[1]), rows, (1,)) for x in lifts[0]])
 
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
 

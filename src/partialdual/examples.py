@@ -18,6 +18,10 @@ from partialdual.hopf import (
     Coalgebra,
     HopfAlgebra,
     LinMap,
+    _comultiplicative,
+    _flat_rows,
+    _multiplicative,
+    _pairs,
     biopposite,
     convolution_inverse,
     dual,
@@ -400,17 +404,14 @@ def pams_from_split_projection(
         raise CertificationError("not-hopf-maps", "gamma has the wrong shape")
 
     def is_bialgebra_map(src: HopfAlgebra, dst: HopfAlgebra, f: LinMap) -> str:
-        if f(src.unit) != dst.unit:
-            return "unit"
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = f(src.algebra.multiply(src.basis(i), src.basis(j)))
-                if lhs != dst.algebra.multiply(f.column(i), f.column(j)):
-                    return f"multiplicativity at ({i}, {j})"
-        ft = f.matrix.transpose()
-        for i in range(src.dim):
-            if dst.coalgebra.comultiply(f.column(i)) != f.matrix @ src.coalgebra.comultiply(src.basis(i)) @ ft:
-                return f"comultiplicativity at {i}"
+        m, rows, deltas = f.matrix, _flat_rows(src.algebra), src.coalgebra.int_comult
+        for ok, witness in (
+            (f(src.unit) == dst.unit, "unit"),
+            _multiplicative(rows, m, _pairs(dst.algebra), witness="multiplicativity at ({0}, {1})".format),
+            _comultiplicative(deltas, m, dst.coalgebra.int_comult, witness="comultiplicativity at {0}".format),
+        ):
+            if not ok:
+                return witness
         for i in range(src.dim):
             if dst.counit.dot(f.column(i)) != src.counit[i]:
                 return f"counit at {i}"

@@ -6,6 +6,7 @@ points rather than test-local shortcuts, so a regression anywhere in
 the pipeline surfaces as a failed criterion.
 """
 
+import hashlib
 import time
 from itertools import permutations
 from pathlib import Path
@@ -133,7 +134,12 @@ def test_criterion_1_taft_golden_family():
             assert elapsed < 1.0, f"Taft item over {field.descriptor}, lambda={lam_raw}: {elapsed:.2f} s"
 
 
+# SHA-256 of the list of detect_hopf diagnostics over the corpus, in order
+CORPUS_DIAGNOSTICS = "71c2c102ffcbaf8afe2c4c580af7815c48692744fb89df6c7ac65dc0df4d5678"
+
+
 def test_criterion_2_quasi_hopf_axiom_suite(corpus_pams):
+    diagnostics = []
     for i, p in enumerate(corpus_pams):
         start = time.perf_counter()
         qh = left_partial_dual(p)
@@ -141,6 +147,8 @@ def test_criterion_2_quasi_hopf_axiom_suite(corpus_pams):
         assert report.ok, report.render()
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"corpus item {i} {p!r}: {elapsed:.2f} s"
+        diagnostics.append(detect_hopf(qh).diagnostics)
+    assert hashlib.sha256(repr(diagnostics).encode()).hexdigest() == CORPUS_DIAGNOSTICS
 
 
 def test_criterion_3_trivial_coideals(four_hopf):

@@ -7,6 +7,7 @@ Q, reduced mod 7.  Each tensor of both partial duals must then agree
 after reduction, entry by entry.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ import pytest
 
 from partialdual.coideal import build_quotient, certify_coideal
 from partialdual.examples import cyclic, group_algebra, symmetric
-from partialdual.hopf import LinMap
+from partialdual.hopf import LinMap, convolution_inverse
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
-from partialdual.pams import certify_pams, find_cointegral
-from partialdual.partial_dual import left_partial_dual, right_partial_dual
+from partialdual.pams import certify_pams, find_cointegral, gamma_from_zeta
+from partialdual.partial_dual import detect_hopf, left_partial_dual, right_partial_dual
 from partialdual.serialize import serialize
 
 F7 = PrimeField(7)
@@ -71,10 +72,14 @@ def _reduced(doc: str):
     return obj["kind"], obj["dims"], tensors
 
 
-def _partial_duals(group, k, field, zeta=None):
+def _quotient(group, k, field):
     h = group_algebra(group, field)
     iota = Matrix.from_columns(field, [Vector.basis(field, group.order, e) for e in k], nrows=group.order)
-    q = build_quotient(certify_coideal(h, LinMap(iota)))
+    return build_quotient(certify_coideal(h, LinMap(iota)))
+
+
+def _partial_duals(group, k, field, zeta=None):
+    q = _quotient(group, k, field)
     p = certify_pams(q, find_cointegral(q) if zeta is None else zeta)
     left = left_partial_dual(p)
     return p, left, right_partial_dual(p, left)
@@ -94,3 +99,33 @@ def test_rational_partial_duals_reduce_to_the_f7_ones(name, k):
     _, *modular = _partial_duals(group, k, F7, zeta)
     for over_q, over_f7 in zip(rational, modular):
         assert _reduced(serialize(over_q)) == _reduced(serialize(over_f7))
+
+
+def _text(m):
+    return [[m.field.to_str(x) for x in row] for row in m.rows]
+
+
+# one SHA-256 over the outcomes of every system of order <= 8, the same over
+# Q and F_7: each matrix entry here has the same text in both fields
+MAP_LAW_DIGEST = "e0e07f5dee73c7d187085bf5b29fa5640c60853766fd5f7c7ced2c8754148f55"
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_map_law_diagnostics_and_convolution_inverses_are_pinned(field):
+    """detect_hopf's bialgebra-map diagnostics, gamma_from_zeta(q, zeta)
+    and convolution_inverse(zeta) on every system of order <= 8, from the
+    cointegral found over the field itself: a rewrite of the map-law
+    checks or of the convolution kernel must give the same outcomes."""
+    digest = hashlib.sha256()
+    for name, k in SYSTEMS:
+        if GROUPS[name].order > 8:
+            continue
+        q = _quotient(GROUPS[name], k, field)
+        zeta = find_cointegral(q)
+        outcome = (
+            detect_hopf(left_partial_dual(certify_pams(q, zeta))).diagnostics,
+            _text(gamma_from_zeta(q, zeta).matrix),
+            _text(convolution_inverse(zeta, q.parent.coalgebra, q.coideal.algebra).matrix),
+        )
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == MAP_LAW_DIGEST

@@ -17,6 +17,7 @@ import itertools
 
 import pytest
 
+from partialdual.cli import _split_fixture
 from partialdual.coideal import (
     _CERTIFIED,
     CoidealQuotient,
@@ -25,7 +26,7 @@ from partialdual.coideal import (
     build_quotient,
     certify_coideal,
 )
-from partialdual.examples import cyclic, group_algebra, symmetric, taft4
+from partialdual.examples import cyclic, group_algebra, pams_from_split_projection, symmetric, taft4
 from partialdual.hopf import (
     Algebra,
     CertificationError,
@@ -35,7 +36,7 @@ from partialdual.hopf import (
     Report,
     verify_hopf,
 )
-from partialdual.linalg import QQ, Matrix, Tensor3, Vector
+from partialdual.linalg import QQ, Matrix, PrimeField, Tensor3, Vector
 from partialdual.pams import (
     _CERTIFIED as _PAMS_CERTIFIED,
     Pams,
@@ -753,6 +754,22 @@ def _iso_bumps(name, check):
             yield _checks(lambda: check(_with_algebra_mult(left, *at), _induced(name, kind)))
 
 
+def _split_bumps(fixture):
+    """The (kind, witness) raised by pams_from_split_projection, over Q
+    and F_7, under every one-entry bump of pi and of gamma of a split
+    fixture of the CLI, the other map unchanged; None where it passes."""
+    for field in (QQ, PrimeField(7)):
+        h, a, pi, gamma = _split_fixture(fixture, field)
+        for map_name, m in (("pi", pi.matrix), ("gamma", gamma.matrix)):
+            for at in _cells(m.nrows, m.ncols):
+                maps = {"pi": pi, "gamma": gamma, map_name: LinMap(_bump_matrix(m, *at))}
+                try:
+                    pams_from_split_projection(h, a, **maps)
+                    yield None
+                except CertificationError as err:
+                    yield err.kind, err.witness
+
+
 def _digest(reports):
     digest = hashlib.sha256()
     for checks in reports:
@@ -783,6 +800,9 @@ DIGESTS = {
     "taft op_iso_check": "ac2eabf5843f1636e5a57dfdd053c3105990742aa6089df5c1bdf33579e25d1b",
     "c4 biop_iso_check": "0939cc6046d6ac90946e20ccc960d3bebbf7a103faeb49d3a604de08565c1fff",
     "c4 op_iso_check": "0ab9f78b1256e0f2b2540baacf4e114613a309686200141f323a345e0dff9d1c",
+    "s3-sign split projection": "002788df371b4469a445df13b5a2851fe49f679aa5259e6bafe684e0ec9adc3c",
+    "c2xc3-to-c3 split projection": "144ce0277921cefffe902e13fced528fd0830a842f3f62e9e55d8eee0b32ff6a",
+    "taft split projection": "986272e9f23470132b6321c47f19630ff9bf221f5d3589dddd6f34793e9f32c7",
 }
 PERTURBED_REPORTS = {
     "taft left_partial_dual": lambda: map(_left_checks, _perturbations("taft")),
@@ -797,6 +817,10 @@ PERTURBED_REPORTS = {
         f"{name} {check.__name__}": functools.partial(_iso_bumps, name, check)
         for name in ("taft", "c4")
         for check in (biop_iso_check, op_iso_check)
+    },
+    **{
+        f"{fixture} split projection": functools.partial(_split_bumps, fixture)
+        for fixture in ("s3-sign", "c2xc3-to-c3", "taft")
     },
 }
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -16,7 +16,6 @@ from partialdual.hopf import (
     LinMap,
     _grouped,
     _support,
-    _weighted_sum,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -193,6 +192,27 @@ def test_convolution_unit_is_neutral():
     s = LinMap(h.antipode)
     assert convolution_product(u, s, h.coalgebra, h.algebra) == s
     assert convolution_product(s, u, h.coalgebra, h.algebra) == s
+
+
+def test_convolution_product_between_spaces_of_different_dimensions():
+    """Hom(C, A) with dim C != dim A, both ways round: (f * g)(x) =
+    sum f(x_1) g(x_2), summed here over the entries of Delta_C; factors
+    over another field than A are refused."""
+    rng = random.Random(23)
+    s3, taft = group_algebra(symmetric(3), QQ), taft4(QQ, 1)[0]
+    for c, a in ((taft.coalgebra, s3.algebra), (s3.coalgebra, taft.algebra)):
+        f, g = (LinMap(Matrix(QQ, [[rng.randint(-2, 2) for _ in range(c.dim)] for _ in range(a.dim)])) for _ in "fg")
+        expected = []
+        for i in range(c.dim):
+            col = Vector.zero(QQ, a.dim)
+            for j, k in product(range(c.dim), repeat=2):
+                col = col + a.multiply(f.column(j), g.column(k)).scale(c.comult[i, j, k])
+            expected.append(col)
+        assert convolution_product(f, g, c, a).matrix == Matrix.from_columns(QQ, expected, nrows=a.dim)
+    zeros = [LinMap(Matrix.zeros(field, s3.dim, taft.dim)) for field in (QQ, PrimeField(7))]
+    for factors in (zeros, zeros[::-1]):
+        with pytest.raises(FieldMismatchError):
+            convolution_product(*factors, taft.coalgebra, s3.algebra)
 
 
 def test_convolution_inverse_rejects_non_invertible():
@@ -426,25 +446,6 @@ def test_support_matches_digit_walker(field):
         for u in operands:
             expected = [(_ref_decode(idx, dims), c) for idx, c in enumerate(u.entries) if c]
             assert _support(u, n, k) == expected, (n, k, u)
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
-def test_weighted_sum_matches_dense_sum(field):
-    rng = random.Random(15)
-    width = 4
-    for n, k in SUPPORT_SHAPES:
-        dims = (n,) * k
-        # term(*digits) is a fixed vector per flat index, zero for some of them
-        table = [rng.choice(_flat_operands(field, width, rng)) for _ in range(n**k)]
-
-        def term(*digits):
-            return table[_ref_encode(digits, dims)]
-
-        for u in _flat_operands(field, n**k, rng):
-            expected = Vector.zero(field, width)
-            for idx in range(n**k):
-                expected = expected + table[idx].scale(u[idx])
-            assert _weighted_sum(field, width, _support(u, n, k), term) == expected, (n, k, u)
 
 
 def _ref_grouped(t, axis):

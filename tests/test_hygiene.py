@@ -20,9 +20,11 @@ compared as a table identity, a slice at a time, by
 order.  The axiom verifiers (`verify_algebra` to `verify_quasi_hopf`),
 the certifiers' checks of a mapping system (`pams._check_primal`,
 `pams._module_map`, `pams._biunitary`), the transport checks of the two
-isomorphism checks, and every package function they reach call neither
-`.multiply(` nor `_weighted_sum`: they compare integer tables, not
-products of field scalars.  Outside the
+isomorphism checks, the convolution kernels (`convolution_product`,
+`convolution_inverse`), the derivation of gamma (`pams._gamma`) and
+`certify_pams` itself, and every package function they reach call
+neither `.multiply(` nor `_weighted_sum`: they compare integer tables,
+not products of field scalars.  Outside the
 package (tests, demos, the benchmark) nothing calls a private trusted
 constructor such as `Vector._of`: external input always enters through
 a coercing constructor.  Outside `hopf`, which owns the flat layout, no
@@ -738,11 +740,13 @@ def test_scalar_parts_are_read_only_in_linalg(path):
     assert scalar_part_reads(path.read_text()) == []
 
 
-# the axiom verifiers and the checks of a mapping system and of a
-# transport: everything they reach compares integer tables
+# the axiom verifiers, the checks of a mapping system and of a transport, the
+# convolution kernels and the certifier of a mapping system: everything they
+# reach compares integer tables
 AXIOM_VERIFIERS = {
     "verify_algebra", "verify_coalgebra", "verify_compatibility", "verify_quasi_bialgebra", "verify_hopf",
     "verify_quasi_hopf", "_check_primal", "_module_map", "_biunitary", "_transport_checks",
+    "convolution_product", "convolution_inverse", "_gamma", "certify_pams",
 }
 FIELD_SCALAR_PRODUCTS = {"multiply", "_weighted_sum"}
 
