@@ -136,10 +136,12 @@ def test_criterion_1_taft_golden_family():
 
 # SHA-256 of the list of detect_hopf diagnostics over the corpus, in order
 CORPUS_DIAGNOSTICS = "71c2c102ffcbaf8afe2c4c580af7815c48692744fb89df6c7ac65dc0df4d5678"
+# SHA-256 of the PAMS, left and right documents of every corpus item, concatenated in order
+CORPUS_DOCUMENTS = "4ce9393a2a82873a2ec90272640e85e2ca329ddd1f31375cce0e3361f9673f61"
 
 
 def test_criterion_2_quasi_hopf_axiom_suite(corpus_pams):
-    diagnostics = []
+    diagnostics, documents = [], hashlib.sha256()
     for i, p in enumerate(corpus_pams):
         start = time.perf_counter()
         qh = left_partial_dual(p)
@@ -148,7 +150,10 @@ def test_criterion_2_quasi_hopf_axiom_suite(corpus_pams):
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"corpus item {i} {p!r}: {elapsed:.2f} s"
         diagnostics.append(detect_hopf(qh).diagnostics)
+        for doc in (serialize(p), serialize(qh), serialize(right_partial_dual(p, qh))):
+            documents.update(doc.encode())
     assert hashlib.sha256(repr(diagnostics).encode()).hexdigest() == CORPUS_DIAGNOSTICS
+    assert documents.hexdigest() == CORPUS_DOCUMENTS
 
 
 def test_criterion_3_trivial_coideals(four_hopf):
