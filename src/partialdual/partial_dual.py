@@ -479,7 +479,10 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     """
     alg, coalg = qh.algebra, qh.coalgebra
     field, nd = alg.field, alg.dim
-    for v, what in ((coalg, "comultiplication"), (qh.phi, "associator"), (qh.phi_inv, "associator")):
+    parts = [(coalg, "comultiplication"), (qh.phi, "associator"), (qh.phi_inv, "associator"),
+             (qh.t_map, "preantipode"), (qh.upsilon, "upsilon")]
+    parts += [(x, "antipode") for triple in qh.antipodes or () for x in triple]
+    for v, what in parts:
         _same_field(field, v.field, "multiplication and " + what)
     report = Report("quasi-Hopf axioms")
     verify_algebra(alg, report)

@@ -251,6 +251,34 @@ def test_verify_quasi_hopf_rejects_a_comultiplication_over_another_field(taft1):
         verify_quasi_hopf(mixed)
 
 
+def _over(field, x):
+    """A Vector or Matrix with the same integer entries over another field."""
+    if isinstance(x, Vector):
+        return Vector(field, [int(c) for c in x.entries])
+    return Matrix(field, [[int(c) for c in row] for row in x.rows])
+
+
+@pytest.mark.parametrize("part", ["t_map", "upsilon", "antipodes"])
+def test_verify_quasi_hopf_rejects_a_preantipode_over_another_field(part):
+    """The preantipode, upsilon and both antipode triples meet the same
+    field check as Delta and phi: kC2 over Q with the integer entries of
+    one of them over F_7 raises instead of passing."""
+    h = group_algebra(cyclic(2), QQ)
+    ident = LinMap.identity(QQ, 2)
+    qh = left_partial_dual(certify_pams(build_quotient(certify_coideal(h, ident)), ident))
+    parts = {"t_map": qh.t_map, "upsilon": qh.upsilon, "antipodes": qh.antipodes}
+    if part == "antipodes":
+        parts[part] = tuple(tuple(_over(F7, x) for x in triple) for triple in qh.antipodes)
+    else:
+        parts[part] = _over(F7, parts[part])
+    mixed = QuasiHopfAlgebra(
+        qh.algebra, qh.coalgebra, qh.phi, qh.phi_inv, parts["t_map"], parts["upsilon"], parts["antipodes"],
+        qh.pams, qh.report,
+    )
+    with pytest.raises(FieldMismatchError):
+        verify_quasi_hopf(mixed)
+
+
 def _trivial_coideal_lpd(h):
     """The left partial dual of h over k1 with zeta = eps: its associator is dense."""
     q = build_quotient(certify_coideal(h, LinMap(Matrix.from_columns(h.field, [h.unit], nrows=h.dim))))
