@@ -47,7 +47,6 @@ from partialdual.linalg import (
     Matrix,
     Tensor3,
     Vector,
-    contract,
     nullspace,
 )
 
@@ -56,8 +55,6 @@ __all__ = [
     "CoidealQuotient",
     "certify_coideal",
     "build_quotient",
-    "btl_matrix",
-    "btr_matrix",
     "dual_coideal",
 ]
 
@@ -411,11 +408,6 @@ def build_quotient(
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
 
 
-def btl_matrix(q: CoidealQuotient, h: Vector) -> Matrix:
-    """Matrix of x -> x <| h."""
-    return contract(q.action, 1, h).transpose()
-
-
 def _dual_section(q: CoidealQuotient) -> Matrix:
     """A fixed linear section of iota* : H* -> B* (columns solve iota^T s = e_j).
 
@@ -450,11 +442,6 @@ def _btr_tensor(q: CoidealQuotient) -> Tensor3:
             (n, bdim, bdim),
         )
     return q._btr
-
-
-def btr_matrix(q: CoidealQuotient, hstar: Vector) -> Matrix:
-    """Matrix of b* -> h* |> b*."""
-    return contract(_btr_tensor(q), 0, hstar).transpose()
 
 
 def dual_coideal(q: CoidealQuotient) -> CoidealSubalgebra:

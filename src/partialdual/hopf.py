@@ -65,8 +65,6 @@ __all__ = [
     "convolution_unit",
     "convolution_product",
     "convolution_inverse",
-    "hit_left",
-    "hit_right",
     "tensor_apply",
     "tensor_permute",
     "power_multiply",
@@ -520,10 +518,13 @@ def _columns(m: Matrix) -> tuple[tuple, int]:
 
 
 def _tensor3(field: Field, dims: tuple[int, int, int], slices: Sequence[Sparse]) -> Tensor3:
-    """The Tensor3 of shape dims whose slice i, flat over its last two legs, has (support, den) form slices[i]."""
-    _, rows, width = dims
-    flats = [_dense(field, rows * width, s).entries for s in slices]
-    return Tensor3._of(field, ([flat[j * width : (j + 1) * width] for j in range(rows)] for flat in flats), dims)
+    """The Tensor3 of shape dims whose flat entries, cut into len(slices)
+    equal consecutive parts, have the (support, den) forms slices: one
+    part per slice i, or the whole tensor as one."""
+    planes, rows, width = dims
+    flat = [x for s in slices for x in _dense(field, planes * rows * width // len(slices), s).entries]
+    cut = range(0, len(flat), width)
+    return Tensor3._of(field, ([flat[k : k + width] for k in cut[i * rows : (i + 1) * rows]] for i in range(planes)), dims)
 
 
 def _stacked(images: tuple[Sequence, int], width: int) -> Sparse:
@@ -551,26 +552,31 @@ def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
     return _apply_leg(u, dims, leg, m.nrows, _columns(m))
 
 
-def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
-    """Reorder legs: new leg l carries what old leg perm[l] carried."""
-    if len(u) != prod(dims):
-        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{tuple(perm)} is not a permutation of the {len(dims)} legs")
+def _permuted(u: Sparse, dims: Sequence[int], perm: Sequence[int]) -> Sparse:
+    """Reorder the legs of a flat tensor: new leg l carries what old leg perm[l] carried."""
     # stride[p]: the step of the new flat index per unit of old leg p
     stride = [0] * len(dims)
     step = 1
     for new_leg in reversed(range(len(perm))):
         stride[perm[new_leg]] = step
         step *= dims[perm[new_leg]]
-    out = [u.field.zero] * len(u)
-    for idx, c in flat_nonzeros(u):
+    out = {}
+    for idx, c in u[0].items():
         j = 0
         for p in reversed(range(len(dims))):
             idx, d = divmod(idx, dims[p])
             j += d * stride[p]
         out[j] = c
-    return Vector._of(u.field, out)
+    return out, u[1]
+
+
+def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
+    """Reorder legs: new leg l carries what old leg perm[l] carried."""
+    if len(u) != prod(dims):
+        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the {len(dims)} legs")
+    return _dense(u.field, len(u), _permuted(_sparse(u), dims, perm))
 
 
 def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
@@ -975,16 +981,3 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
             "the supplied (co)algebra data is inconsistent",
         )
     return inv
-
-
-# --- hit actions ------------------------------------------------------------------
-
-
-def hit_left(h: HopfAlgebra, hstar: Vector, v: Vector) -> Vector:
-    """The left hit of a functional on an element: sum v_1 <hstar, v_2>."""
-    return h.coalgebra.comultiply(v) @ hstar
-
-
-def hit_right(h: HopfAlgebra, v: Vector, hstar: Vector) -> Vector:
-    """The right hit: sum <hstar, v_1> v_2."""
-    return h.coalgebra.comultiply(v).transpose() @ hstar

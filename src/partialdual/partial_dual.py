@@ -21,7 +21,7 @@ nothing is ever repaired silently.
 
 from __future__ import annotations
 
-from .coideal import _btr_tensor, btl_matrix, btr_matrix
+from .coideal import _btr_tensor
 from .hopf import (
     Algebra,
     CertificationError,
@@ -29,28 +29,30 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    Sparse,
     _columns,
     _comultiplicative,
     _dense,
     _flat_rows,
+    _functional,
     _grouped,
     _int_supports,
+    _kron,
     _leg_map,
     _legs_product,
     _multiplicative,
     _pairs,
+    _permuted,
     _power_product,
     _rows,
     _scale,
     _slice_mismatch,
     _sparse,
-    _support,
+    _stacked,
+    _tensor3,
     _then,
     _unit_sides,
     convolution_inverse,
-    flat_nonzeros,
-    hit_left,
-    power_multiply,
     power_unit,
     tensor_apply,
     tensor_permute,
@@ -60,7 +62,7 @@ from .hopf import (
     verify_hopf,
     verify_quasi_bialgebra,
 )
-from .linalg import Matrix, Tensor3, Vector, _same_field
+from .linalg import Field, Matrix, Tensor3, Vector, _same_field
 from .pams import Pams
 
 __all__ = [
@@ -236,6 +238,30 @@ class HopfDetection:
         return f"HopfDetection(kind={self.kind!r}, diagnostics={self.diagnostics!r})"
 
 
+def _table(images) -> tuple[list, int]:
+    """(support, den) forms over one den as the leg images (table, den)."""
+    images = list(images)
+    return [s for s, _ in images], images[0][1]
+
+
+def _products(alg: Algebra, factors) -> tuple[list, int]:
+    """The products x y of the (support, den) pairs `factors`, as leg images."""
+    return _table(_power_product(alg, 1, x, y) for x, y in factors)
+
+
+def _by(t: Tensor3, axis: int) -> tuple[tuple, int]:
+    """The nonzeros of t grouped by leg `axis` as leg images: table[d] = {x w + y: c den}
+    for each nonzero c at d whose other two indices are (x, y), w the length of y's leg."""
+    width = t.dims[1 if axis == 2 else 2]
+    return _int_supports(t.field, [[(x * width + y, c) for (x, y), c in group] for group in _grouped(t, axis)])
+
+
+def _matrix(field: Field, nrows: int, ncols: int, cols: Sparse) -> Matrix:
+    """The matrix whose entry (r, c) is at c nrows + r of the (support, den) form cols."""
+    flat = _dense(field, nrows * ncols, cols).entries
+    return Matrix._of(field, zip(*(flat[c * nrows : (c + 1) * nrows] for c in range(ncols))), ncols)
+
+
 def _antipode_axioms(
     qh: QuasiHopfAlgebra, s: Matrix, alpha: Vector, beta: Vector, associators, report: Report, prefix: str,
     preantipode=None,
@@ -250,13 +276,9 @@ def _antipode_axioms(
     s, alpha, beta = _columns(s), _sparse(alpha), _sparse(beta)
     es, ss = [({i: 1}, 1) for i in range(nd)], [(col, s[1]) for col in s[0]]
 
-    def table(factors):  # the products x y over their one den, as leg images
-        out = [_power_product(alg, 1, x, y) for x, y in factors]
-        return [p for p, _ in out], out[0][1]
-
     # the products every identity below is assembled from, once per triple
-    e_beta, alpha_e = table((e, beta) for e in es), table((alpha, e) for e in es)  # e_i beta, alpha e_k
-    s_alpha, beta_s = table((x, alpha) for x in ss), table((beta, x) for x in ss)  # S(e_i) alpha, beta S(e_k)
+    e_beta, alpha_e = _products(alg, ((e, beta) for e in es)), _products(alg, ((alpha, e) for e in es))
+    s_alpha, beta_s = _products(alg, ((x, alpha) for x in ss)), _products(alg, ((beta, x) for x in ss))
 
     def check(name, text, sides, size=1):
         report.add(prefix + name, *_slice_mismatch(field, text.format, sides, size))
@@ -282,14 +304,20 @@ def _antipode_axioms(
 
 
 def _derive_antipodes(alg: Algebra, t_map: Matrix, ups: Vector):
-    """Both antipode triples carried by an invertible upsilon, or None."""
+    """Both antipode triples carried by an invertible upsilon, or None:
+    S1 = T(-) upsilon^-1 with (alpha, beta) = (upsilon, 1), and
+    S2 = upsilon^-1 T(-) with (1, upsilon), products of T's columns."""
     try:
-        upsinv = alg.element_inverse(ups)
+        upsinv = _sparse(alg.element_inverse(ups))
     except ValueError:
         return None
-    cols = t_map.columns()
-    s1 = Matrix.from_columns(alg.field, [alg.multiply(x, upsinv) for x in cols], nrows=alg.dim)  # T(e_i) upsilon^-1
-    s2 = Matrix.from_columns(alg.field, [alg.multiply(upsinv, x) for x in cols], nrows=alg.dim)  # upsilon^-1 T(e_i)
+    nd, (cols, den) = alg.dim, _columns(t_map)
+
+    def matrix(factors):
+        return _matrix(alg.field, nd, nd, _stacked(_products(alg, factors), nd))
+
+    s1 = matrix(((col, den), upsinv) for col in cols)
+    s2 = matrix((upsinv, (col, den)) for col in cols)
     return ((s1, ups, alg.unit), (s2, alg.unit, ups))
 
 
@@ -306,6 +334,18 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     exactly the checks of verify_quasi_hopf on the stored object; the
     constructor adds none.  Raises CertificationError with kind
     "axiom-failure" on the first failed check.
+
+    Every map is assembled on integer tables, each read once from the
+    certified data: zeta, zetabar, gamma, gammabar and pi as the leg
+    images of their columns (_columns), the structure tensors of H, H*,
+    B, C and C* grouped by one leg (_by), and the carrier vectors
+    eps # b_u and f_t # 1 as leg images.  A map is a chain of _leg_map
+    steps, each replacing one leg (or two adjacent legs read as one) by
+    its images, with _permuted reordering the legs where the closed form
+    interleaves C and B indices, and _power_product for the products in
+    C* # B; the chain's (support, den) form is converted once into the
+    stored Tensor3, Vector or Matrix.  phi and phi^-1 go to the verifier
+    in that form, so it does not scan their n^3 dense lists again.
 
     No second form of a structure map is compared, because each would
     agree by an identity already certified (p comes from certify_pams,
@@ -338,125 +378,87 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
       a linear system could only return T again.
     """
     q = p.quotient
-    h = q.parent
-    bsub = q.coideal
-    field = q.field
-    n = h.dim
-    bdim = bsub.dim
-    cdim = q.dim
+    h, bsub, field, hs = q.parent, q.coideal, q.field, q.hstar
+    n, bdim, cdim = h.dim, bsub.dim, q.dim
     nd = cdim * bdim
 
-    hs = q.hstar
-    hsalg = hs.algebra
-    rho = _grouped(q.action, 2)  # rho(f_t) = sum f_s (x) h*_i as ((s, i), c) at [t]
-    hit = _grouped(q.action, 1)  # ((s, g), c) of h_m harpoon f_g = sum c f_s at [m]
-    coact = _grouped(bsub.coaction, 0)  # ((m, k), c) of the coaction of b_j at [j]
+    # the certified maps as leg images: zeta and zetabar take e_m to sum zeta[u,m] b_u, their
+    # transposes take u to zeta_u in H*; gamma takes c_t to gamma_t, its transpose h*_p to gamma*(h*_p)
+    zeta, zbar = _columns(p.zeta.matrix), _columns(p.zeta_bar.matrix)
+    zeta_t, zbar_t = _columns(p.zeta.matrix.transpose()), _columns(p.zeta_bar.matrix.transpose())
+    gamma_t = _columns(p.gamma.matrix.transpose())
+    eps_c, one_b = _sparse(q.coalgebra.counit), _sparse(bsub.unit)
+    ebs = _table(_kron(eps_c, ({u: 1}, 1), bdim) for u in range(bdim))  # u -> eps # b_u
+    f1 = _table(_kron(({t: 1}, 1), one_b, bdim) for t in range(cdim))  # t -> f_t # 1
+    gbs1 = _then(_columns(p.gamma_bar.matrix.transpose()), f1)  # h*_r -> gammabar*(h*_r) # 1
+    hs_rows, hs_cols = _by(hs.algebra.mult, 0), _by(hs.algebra.mult, 1)  # h*_k -> h*_k h*_m, h*_m h*_k at (m, r)
 
-    cstar = q.cstar
-    bunit = bsub.unit
-    eb = [Vector.basis(field, bdim, u) for u in range(bdim)]
-    ebs = [cstar.unit.tensor(eb[u]) for u in range(bdim)]
-    unit_vec = cstar.unit.tensor(bunit)
+    # multiplication (f_a # b)(f_g # d) = sum f_a (b_(-1) harpoon f_g) # b_(0) d: the coaction of b_b at
+    # (m, k), h_m harpoon f_g = sum f_s at (s, g), f_a f_s at (a, t) and b_k b_d at (d, e), to (a, b, g, d, t, e)
+    m = _leg_map(_stacked(_by(bsub.coaction, 0), n * bdim), (bdim, n, bdim), 1, cdim * cdim, _by(q.action, 1))
+    m = _leg_map(m, (bdim, cdim, cdim, bdim), 1, cdim * cdim, _by(q.cstar.mult, 1))
+    m = _leg_map(m, (bdim, cdim, cdim, cdim, bdim), 4, bdim * bdim, _by(bsub.mult, 0))
+    m = _permuted(m, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
+    alg = Algebra(field, _tensor3(field, (nd, nd, nd), [m]), _dense(field, nd, _kron(eps_c, one_b, bdim)))
+    pairs = _pairs(alg)
 
-    zs = [p.zeta.matrix.row(u) for u in range(bdim)]
-    zbs = [p.zeta_bar.matrix.row(u) for u in range(bdim)]
-    gammastar = p.gamma.matrix.transpose()
-    gbarstar = p.gamma_bar.matrix.transpose()
-    gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
-    hsb = [Vector.basis(field, n, i) for i in range(n)]
-
-    # multiplication: (f_a # b)(f_g # d) = sum f_a (b_(-1) harpoon f_g) # b_(0) d; at ((a,b), (g,d), (t,e)) the sum of
-    # x y w z over the coaction terms x of b, terms y of h_m harpoon f_g, products w of f_a f_s and z of b_k b_d
-    cterms, bterms = cstar.terms, bsub.algebra.terms
-    mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
-    for a in range(cdim):
-        for b in range(bdim):
-            plane = mdata[a * bdim + b]
-            for (m, k), x in coact[b]:
-                for (s, g), y in hit[m]:
-                    for t, w in cterms[a][s]:
-                        xyw = x * y * w
-                        for d in range(bdim):
-                            row = plane[g * bdim + d]
-                            for e, z in bterms[k][d]:
-                                row[t * bdim + e] += xyw * z
-    mult = Tensor3._of(field, mdata, (nd, nd, nd))
-    alg = Algebra(field, mult, unit_vec)
-
-    # comultiplication on f_a # 1 and on eps # b, summed over the nonzeros of
-    # the carrier vectors g2[u][i] = gamma*(h*_i zeta_u) # 1 and zgm[t][m] = eps # zeta(gamma_t h_m)
-    g2 = [[flat_nonzeros((gammastar @ hsalg.multiply(hsb[i], z)).tensor(bunit)) for i in range(n)] for z in zs]
-    zgm = [[flat_nonzeros(cstar.unit.tensor(p.zeta(h.algebra.multiply(g, h.basis(m))))) for m in range(n)] for g in gcol]
-    d32 = []
-    for a in range(cdim):
-        out = [field.zero] * (nd * nd)
-        for (s, i), x in rho[a]:
-            for u in range(bdim):
-                base = (s * bdim + u) * nd
-                for j, y in g2[u][i]:
-                    out[base + j] += x * y
-        d32.append(Vector._of(field, out))
-    d33 = []
-    for b in range(bdim):
-        out = [field.zero] * (nd * nd)
-        for (m, k), x in coact[b]:
-            for t in range(cdim):
-                for j, y in zgm[t][m]:
-                    out[j * nd + t * bdim + k] += x * y
-        d33.append(Vector._of(field, out))
-
+    # comultiplication on the generators: Delta(f_a # 1) = sum f_s # b_u (x) gamma*(h*_i zeta_u) # 1 over
+    # rho(f_a) = sum f_s (x) h*_i, and Delta(eps # b) = sum eps # zeta(gamma_t h_m) (x) f_t # b_k over the
+    # coaction h_m (x) b_k of b; g2 takes h*_i to sum_u e_u (x) gamma*(h*_i zeta_u) # 1 at (u, y)
+    gs1 = _then(gamma_t, f1)  # h*_r -> gamma*(h*_r) # 1
+    g2 = _table(_leg_map(_leg_map((row, hs_rows[1]), (n, n), 0, bdim, zeta), (bdim, n), 1, nd, gs1) for row in hs_rows[0])
+    # and g3 takes h_m to sum_t eps # zeta(gamma_t h_m) (x) f_t at (j, t): e_p h_m at (p, r), gamma_t's
+    # coordinates on leg p and eps # zeta(e_r) on leg r
+    h_cols, ze = _by(h.algebra.mult, 1), _then(zeta, ebs)
+    g3 = _table(_permuted(_leg_map(_leg_map((col, h_cols[1]), (n, n), 0, cdim, gamma_t), (cdim, n), 1, nd, ze), (cdim, nd), (1, 0))
+                for col in h_cols[0])
+    rho, coact = _by(q.action, 2), _by(bsub.coaction, 0)
+    d32 = [_leg_map((x, rho[1]), (cdim, n), 1, bdim * nd, g2) for x in rho[0]]
+    d33 = [_leg_map((x, coact[1]), (n, bdim), 0, nd * cdim, g3) for x in coact[0]]
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
-    planes = []
-    for a in range(cdim):
-        for b in range(bdim):
-            col = power_multiply(alg, 2, d32[a], d33[b]).entries
-            planes.append([col[j * nd : (j + 1) * nd] for j in range(nd)])
-    coalg = Coalgebra(field, Tensor3._of(field, planes, (nd, nd, nd)), q.pi(h.unit).tensor(bsub.counit))
-
-    # associator and its inverse: sum c ebs[u] (x) leg2[v][j] (x) leg3[v][k] over u, v and
-    # the nonzeros ((j, k), c) of Delta(zetas[u]) in H*, each leg a list of carrier nonzeros
-    leg1 = [flat_nonzeros(x) for x in ebs]
-
-    def associator(zetas, leg2, leg3):
-        out = [field.zero] * (nd ** 3)
-        for u, z in enumerate(zetas):
-            for (j, k), c in _support(hs.coalgebra.comultiply_flat(z), n, 2):
-                for i1, x1 in leg1[u]:
-                    for v in range(bdim):
-                        for i2, x2 in leg2[v][j]:
-                            base, cx = (i1 * nd + i2) * nd, c * x1 * x2
-                            for i3, x3 in leg3[v][k]:
-                                out[base + i3] += cx * x3
-        return Vector._of(field, out)
-
-    gs = gbarstar @ hs.antipode_inverse()  # gammabar* S^-1
-    phi = associator(
-        zbs,
-        [[flat_nonzeros(alg.multiply(e, gs.column(j).tensor(bunit))) for j in range(n)] for e in ebs],
-        [[flat_nonzeros((gs @ hsalg.multiply(z, hsb[k])).tensor(bunit)) for k in range(n)] for z in zbs],
+    pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, _columns(q.pi.matrix))
+    coalg = Coalgebra(
+        field, _tensor3(field, (nd, nd, nd), [_power_product(alg, 2, x, y) for x in d32 for y in d33]),
+        _dense(field, nd, _kron(pi_one, _sparse(bsub.counit), bdim)),
     )
-    phi_inv = associator(zs, [[flat_nonzeros(gammastar.column(j).tensor(e)) for j in range(n)] for e in eb], g2)
 
-    # preantipode: T(f_a # b) = sum_u (eps # b_u)(gammabar*(pi*(f_a) (iota(b) harpoon zetabar_u)) # 1), where
-    # iota(b) harpoon zetabar_u = (y -> zetabar_u(y iota(b))) sums the columns of Delta(zetabar_u) against iota(b)
-    pistar_rows = [q.pi.matrix.row(t) for t in range(cdim)]
-    dzbar = [hs.coalgebra.comultiply(z) for z in zbs]  # zetabar_u(e_j e_k) at [u] (j, k)
-    harpoon = [[d @ bsub.iota.column(bb) for d in dzbar] for bb in range(bdim)]
-    t_cols = []
-    for a in range(cdim):
-        for bb in range(bdim):
-            acc = Vector.zero(field, nd)
-            for u in range(bdim):
-                w = hsalg.multiply(pistar_rows[a], harpoon[bb][u])
-                acc = acc + alg.multiply(ebs[u], (gbarstar @ w).tensor(bunit))
-            t_cols.append(acc)
-    t_map = Matrix.from_columns(field, t_cols, nrows=nd)
+    # associator and its inverse: Delta(zetabar_u) (or Delta(zeta_u)) in H* at (u, j, k); e_k -> (v, y)
+    # by leg3, the two legs (j, v) -> x by leg2, and u -> eps # b_u
+    def associator(deltas, leg3, leg2):
+        u = _leg_map(deltas, (bdim, n, n), 2, bdim * nd, leg3)
+        u = _leg_map(_leg_map(u, (bdim, n * bdim, nd), 1, nd, leg2), (bdim, nd, nd), 0, nd, ebs)
+        return field.reduce(u[0]), u[1]
 
-    ups = t_map @ unit_vec
-    antipodes = _derive_antipodes(alg, t_map, ups)
+    dzbar = _stacked(_then(zbar_t, hs.coalgebra.int_comult), n * n)
+    gbs = _then(_columns(hs.antipode_inverse()), gbs1)  # h*_j -> gammabar* S^-1(h*_j) # 1
+    phi = associator(
+        dzbar,
+        _table(_leg_map(_leg_map((col, hs_cols[1]), (n, n), 0, bdim, zbar), (bdim, n), 1, nd, gbs) for col in hs_cols[0]),
+        _products(alg, (((e, ebs[1]), (g, gbs[1])) for g in gbs[0] for e in ebs[0])),
+    )
+    phi_inv = associator(
+        _stacked(_then(zeta_t, hs.coalgebra.int_comult), n * n),
+        g2,
+        _table(_kron((g, gamma_t[1]), ({v: 1}, 1), bdim) for g in gamma_t[0] for v in range(bdim)),
+    )
+
+    # preantipode: T(f_a # b) = sum_u (eps # b_u)(gammabar*(pi*(f_a) (iota(b) harpoon zetabar_u)) # 1), with
+    # iota(b) harpoon zetabar_u = sum Delta(zetabar_u) at (j, k) with iota(b) on leg k: from Delta(zetabar_u)
+    # at (u, j, k) to (u, j, b), pi*(f_a) h*_j at (a, r), gammabar*(h*_r) # 1 at y, then (eps # b_u) y at z
+    pi_h = _table(_leg_map((col, hs_cols[1]), (n, n), 0, cdim, _columns(q.pi.matrix)) for col in hs_cols[0])
+    t = _leg_map(dzbar, (bdim, n, n), 2, bdim, _columns(bsub.iota.matrix.transpose()))
+    t = _leg_map(_leg_map(t, (bdim, n, bdim), 1, cdim * n, pi_h), (bdim, cdim, n, bdim), 2, nd, gbs1)
+    t = _leg_map(_permuted(t, (bdim, cdim, nd, bdim), (1, 3, 0, 2)), (cdim, bdim, bdim, nd), 2, nd, ebs)
+    t = _leg_map(t, (nd, nd * nd), 1, nd, pairs)  # column a dim(B) + b at (column, z)
+    t_map = _matrix(field, nd, nd, t)
+    ups = _dense(field, nd, _leg_map(t, (nd, nd), 0, 1, _functional(alg.unit)))
+
     report = Report(f"left partial dual (dim {nd} over {field.descriptor})")
-    qh = QuasiHopfAlgebra(alg, coalg, phi, phi_inv, t_map, ups, antipodes, p, report)
-    report.checks.extend(verify_quasi_hopf(qh).checks)
+    qh = QuasiHopfAlgebra(
+        alg, coalg, _dense(field, nd**3, phi), _dense(field, nd**3, phi_inv), t_map, ups,
+        _derive_antipodes(alg, t_map, ups), p, report,
+    )
+    report.checks.extend(_verify_quasi_hopf(qh, (phi, phi_inv)).checks)
     _raise_first(report, "axiom-failure")
     return qh
 
@@ -477,6 +479,11 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     triples when present.  Returns the report; inspect `.ok` or call
     `.raise_if_failed()`.
     """
+    return _verify_quasi_hopf(qh, (_sparse(qh.phi), _sparse(qh.phi_inv)))
+
+
+def _verify_quasi_hopf(qh: QuasiHopfAlgebra, associators: tuple[Sparse, Sparse]) -> Report:
+    """verify_quasi_hopf given (phi, phi^-1) of qh in (support, den) form."""
     alg, coalg = qh.algebra, qh.coalgebra
     field, nd = alg.field, alg.dim
     parts = [(coalg, "comultiplication"), (qh.phi, "associator"), (qh.phi_inv, "associator"),
@@ -487,7 +494,6 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     report = Report("quasi-Hopf axioms")
     verify_algebra(alg, report)
     verify_compatibility(alg, coalg, report)
-    associators = _sparse(qh.phi), _sparse(qh.phi_inv)
     verify_quasi_bialgebra(alg, coalg, *associators, report)
 
     # integer forms, once: T's columns, upsilon, 1, eps and Delta, and the tables
@@ -537,65 +543,55 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     """Construct the right partial dual on C (x) B* and certify the exact
     duality against the left side, which is built first when not passed
     in.  Raises CertificationError with kind "duality-failure" if any
-    pairing identity fails."""
+    pairing identity fails.
+
+    The basis is c_t (x) b*_j at flat index t*dim(B)+j.  Both structure
+    tensors are chains of _leg_map steps over integer tables read once,
+    as in left_partial_dual: Delta(c (x) b*) = sum (c_1 (x) (h*_i |> b*_1))
+    (x) ((c_2 <| h_i) (x) b*_2), and (c (x) b*)(c' (x) b*') = sum
+    (c <| (zeta(b_1) harpoon gamma(c'_1))) (x) (zeta(b_2)(gamma(c'_2) -) |> b*'),
+    the sums over Delta(c), Delta(c'), the dual basis h*_i and the
+    comultiplication of B* dual to the product of B."""
     if left is None:
         left = left_partial_dual(p)
     q = p.quotient
-    h = q.parent
-    bsub = q.coideal
-    field = q.field
-    n = h.dim
-    bdim = bsub.dim
-    cdim = q.dim
+    h, bsub, field, btr = q.parent, q.coideal, q.field, _btr_tensor(q)
+    n, bdim, cdim = h.dim, bsub.dim, q.dim
     nd = cdim * bdim
     report = Report(f"right partial dual (dim {nd} over {field.descriptor})")
+    mult_b = _stacked(_by(bsub.mult, 2), bdim * bdim)  # b_a b_c = sum x b_u at (u, a, c)
 
-    gcol = [p.gamma.matrix.column(t) for t in range(cdim)]
-    zs = [p.zeta.matrix.row(u) for u in range(bdim)]
+    # comultiplication: Delta(c_p) at (s, t) beside b_a b_c at (u, a, c); b*_a -> f_i |> b*_a at (i, v),
+    # then the two legs (t, i) -> c_t <| h_i at g, to (p, u, s, v, g, c)
+    comult = _kron(_stacked(q.coalgebra.int_comult, cdim * cdim), mult_b, bdim**3)
+    comult = _leg_map(comult, (cdim, cdim, cdim, bdim, bdim, bdim), 4, n * bdim, _by(btr, 1))
+    comult = _permuted(comult, (cdim, cdim, cdim, bdim, n, bdim, bdim), (0, 3, 1, 5, 2, 4, 6))
+    act = _int_supports(field, [row for plane in _rows(q.action) for row in plane])  # (t, i) -> c_t <| h_i
+    comult = _leg_map(comult, (cdim, bdim, cdim, bdim, cdim * n, bdim), 4, cdim, act)
 
-    dbs = _grouped(bsub.mult, 2)  # ((a2, c2), c) of b_a2 b_c2 = sum c b_u at [u]
-    ccs = q.coalgebra.terms  # ((s, t), c) of Delta(x_p) at [p]
+    # multiplication: b_a b_c at (u, a, c); b*_c's factor zeta_c(gamma_t h_y) at (t, y) and h*_y |> b*_v at
+    # (v, j); c_t -> the (s, q) with c_s c_t in Delta(c_q); b*_a's factor: Delta(gamma_s) at (k, y) with
+    # zeta_a on leg k, and c_pp <| h_y at (pp, i); to (pp, u, q, v, i, j)
+    zeta, gamma_t = p.zeta.matrix, _columns(p.gamma.matrix.transpose())
+    dz = _then(_columns(zeta.transpose()), q.hstar.coalgebra.int_comult)  # zeta_c -> Delta(zeta_c) in H*
+    dg = _then(_columns(p.gamma.matrix), h.coalgebra.int_comult)  # c_s -> Delta(gamma_s)
+    mult = _leg_map(mult_b, (bdim, bdim, bdim), 2, cdim * n, _table(
+        _leg_map((x, dz[1]), (n, n), 0, cdim, gamma_t) for x in dz[0]
+    ))
+    mult = _leg_map(mult, (bdim, bdim, cdim, n), 3, bdim * bdim, _by(btr, 0))
+    mult = _leg_map(mult, (bdim, bdim, cdim, bdim, bdim), 2, cdim * cdim, _by(q.cstar.mult, 1))
+    mult = _leg_map(mult, (bdim, bdim, cdim, cdim, bdim, bdim), 2, n * n, _table(
+        _permuted((x, dg[1]), (n, n), (1, 0)) for x in dg[0]
+    ))
+    zeta_ak = _functional(Vector._of(field, [x for row in zeta.rows for x in row]))  # (a, k) -> zeta_a(e_k)
+    mult = _leg_map(mult, (bdim, bdim * n, n, cdim, bdim, bdim), 1, 1, zeta_ak)
+    mult = _leg_map(mult, (bdim, n, cdim, bdim, bdim), 1, cdim * cdim, _by(q.action, 1))
+    mult = _permuted(mult, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
 
-    brows = _rows(_btr_tensor(q))  # at [i][a2]: the (v, c) of f_i |> b*_a2 = sum c b*_v
-    arows = _rows(q.action)  # at [t][i]: the (g, c) of c_t <| h_i = sum c c_g
-    cdata = []
-    for p2 in range(cdim):
-        for u in range(bdim):
-            plane = [[field.zero] * nd for _ in range(nd)]
-            for (s, t), x1 in ccs[p2]:
-                for (a2, c2), x2 in dbs[u]:
-                    x = x1 * x2
-                    for i in range(n):
-                        for v, y in brows[i][a2]:
-                            row, xy = plane[s * bdim + v], x * y
-                            for g, w in arows[t][i]:
-                                row[g * bdim + c2] += xy * w
-            cdata.append(plane)
-    comult_r = Tensor3._of(field, cdata, (nd, nd, nd))
-    counit_r = q.coalgebra.counit.tensor(bsub.unit)
-    unit_r = q.pi(h.unit).tensor(bsub.counit)
-
-    # the nonzero columns of c_pp -> c_pp <| (zeta_a2 harpoon gamma_s) at [a2][s] and of
-    # b* -> (y -> zeta_c2(gamma_t y)) |> b* at [c2][t], from the rows of Delta(zeta_c2) in H*
-    lcols = [[[flat_nonzeros(c) for c in btl_matrix(q, hit_left(h, z, g)).columns()] for g in gcol] for z in zs]
-    rcols = [
-        [[flat_nonzeros(c) for c in btr_matrix(q, dz.transpose() @ g).columns()] for g in gcol]
-        for dz in map(q.hstar.coalgebra.comultiply, zs)
-    ]
-    mdata = [[[field.zero] * nd for _ in range(nd)] for _ in range(nd)]
-    for u in range(bdim):
-        for q2 in range(cdim):
-            for (a2, c2), x2 in dbs[u]:
-                for (s, t), x1 in ccs[q2]:
-                    x, left_cols, right_cols = x1 * x2, lcols[a2][s], rcols[c2][t]
-                    for pp in range(cdim):
-                        for v in range(bdim):
-                            row_out = mdata[pp * bdim + u][q2 * bdim + v]
-                            for i, y in left_cols[pp]:
-                                xy = x * y
-                                for j, w in right_cols[v]:
-                                    row_out[i * bdim + j] += xy * w
-    mult_r = Tensor3._of(field, mdata, (nd, nd, nd))
+    comult_r, mult_r = _tensor3(field, (nd, nd, nd), [comult]), _tensor3(field, (nd, nd, nd), [mult])
+    counit_r = _dense(field, nd, _kron(_sparse(q.coalgebra.counit), _sparse(bsub.unit), bdim))
+    pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, _columns(q.pi.matrix))
+    unit_r = _dense(field, nd, _kron(pi_one, _sparse(bsub.counit), bdim))
 
     coalg = Coalgebra(field, comult_r, counit_r)
     verify_coalgebra(coalg, report)

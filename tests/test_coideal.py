@@ -9,8 +9,7 @@ from partialdual.coideal import (
     _CERTIFIED,
     CoidealQuotient,
     CoidealSubalgebra,
-    btl_matrix,
-    btr_matrix,
+    _btr_tensor,
     build_quotient,
     certify_coideal,
     dual_coideal,
@@ -57,14 +56,10 @@ def test_taft_quotient_is_group_like(taft):
 def test_taft_quotient_action(taft):
     h, b, _ = taft
     q = build_quotient(b)
-    one_bar = q.basis(0)
-    g_bar = q.basis(1)
-    g = Vector.basis(QQ, 4, 1)
-    x = Vector.basis(QQ, 4, 2)
-    assert btl_matrix(q, g) @ one_bar == g_bar
-    assert btl_matrix(q, g) @ g_bar == one_bar
-    assert btl_matrix(q, x) @ one_bar == Vector.zero(QQ, 2)
-    assert btl_matrix(q, g) == Matrix(QQ, [[0, 1], [1, 0]])
+    # q.action[r, i, t]: the x_t coordinate of x_r <| e_i; g = e_1 swaps the
+    # two classes and x = e_2 kills the class of 1
+    assert [[q.action[r, 1, t] for t in range(2)] for r in range(2)] == [[0, 1], [1, 0]]
+    assert [q.action[0, 2, t] for t in range(2)] == [0, 0]
 
 
 def test_group_case_quotient_dimensions():
@@ -174,16 +169,13 @@ def test_dual_coideal_certifies(taft):
 def test_btr_action_values(taft):
     h, b, _ = taft
     q = build_quotient(b)
-    # dual basis: p_1, p_g, p_x, p_xg on (1, g, x, xg); B* basis (1*, x*)
-    p1 = Vector.basis(QQ, 4, 0)
-    pg = Vector.basis(QQ, 4, 1)
-    px = Vector.basis(QQ, 4, 2)
-    one_star = Vector.basis(QQ, 2, 0)
-    x_star = Vector.basis(QQ, 2, 1)
-    assert btr_matrix(q, p1) @ one_star == one_star
-    assert btr_matrix(q, pg) @ one_star == Vector.zero(QQ, 2)
+    # dual basis: p_1, p_g, p_x, p_xg on (1, g, x, xg); B* basis (1*, x*);
+    # btr[i, j, v]: the v*-coordinate of p_i |> j*
+    btr = _btr_tensor(q)
+    assert [btr[0, 0, v] for v in range(2)] == [1, 0]
+    assert [btr[1, 0, v] for v in range(2)] == [0, 0]
     # <p_x |> 1*, b> = <1*, b <- p_x>: only b = x has x in a left coaction leg
-    assert btr_matrix(q, px) @ one_star == x_star
+    assert [btr[2, 0, v] for v in range(2)] == [0, 1]
 
 
 HOPF_AXIOMS = {

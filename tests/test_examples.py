@@ -22,7 +22,6 @@ from partialdual.hopf import (
     LinMap,
     convolution_inverse,
     dual,
-    hit_left,
     verify_hopf,
 )
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
@@ -83,14 +82,6 @@ def test_taft4_is_hopf_over_q_and_f5():
 def test_taft4_rejects_characteristic_two():
     with pytest.raises(ValueError):
         taft4(PrimeField(2), 0)
-
-
-def test_taft4_hit_action_golden():
-    h, _, _ = taft4(QQ, 0)
-    # (p_1 - p_g) hit from the left on x gives back x
-    hstar = Vector(QQ, [1, -1, 0, 0])
-    x = Vector.basis(QQ, 4, 2)
-    assert hit_left(h, hstar, x) == x
 
 
 def test_taft4_zeta_convolution_inverse_golden():

@@ -22,8 +22,6 @@ from partialdual.hopf import (
     convolution_unit,
     coopposite,
     dual,
-    hit_left,
-    hit_right,
     opposite,
     power_multiply,
     tensor_apply,
@@ -235,16 +233,6 @@ def test_convolution_inverse_names_a_one_sided_inverse():
     with pytest.raises(CertificationError) as err:
         convolution_inverse(f, coalgebra, algebra)
     assert err.value.kind == "convolution-inverse-one-sided"
-
-
-def test_hit_actions_on_group_likes():
-    h = cyclic_group_hopf(3)
-    hstar = Vector(QQ, [2, 5, 7])
-    for i in range(3):
-        g = h.basis(i)
-        # group-likes rescale by the functional value on both sides
-        assert hit_left(h, hstar, g) == g.scale(hstar[i])
-        assert hit_right(h, g, hstar) == g.scale(hstar[i])
 
 
 def test_element_inverse_in_group_algebra():

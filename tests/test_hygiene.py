@@ -741,12 +741,13 @@ def test_scalar_parts_are_read_only_in_linalg(path):
 
 
 # the axiom verifiers, the checks of a mapping system and of a transport, the
-# convolution kernels and the certifier of a mapping system: everything they
-# reach compares integer tables
+# convolution kernels, the certifier of a mapping system and the constructors
+# of both partial duals: everything they reach computes on integer tables
 AXIOM_VERIFIERS = {
     "verify_algebra", "verify_coalgebra", "verify_compatibility", "verify_quasi_bialgebra", "verify_hopf",
     "verify_quasi_hopf", "_check_primal", "_module_map", "_biunitary", "_transport_checks",
     "convolution_product", "convolution_inverse", "_gamma", "certify_pams",
+    "left_partial_dual", "right_partial_dual", "_derive_antipodes",
 }
 FIELD_SCALAR_PRODUCTS = {"multiply", "_weighted_sum"}
 
