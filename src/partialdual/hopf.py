@@ -430,11 +430,11 @@ class HopfAlgebra:
 #
 # Elements of mixed tensor products V_1 (x) ... (x) V_k are flat Vectors with a
 # dims tuple (n_1, ..., n_k), flattened row-major.  The tensor-power kernels
-# _power_product, _leg_map (rewrite a leg) and _kron take and return one sparse
-# form, (support, den): `support` maps the flat index of each nonzero coordinate
-# to an int, and the coordinate is that int over `den`.  _sparse and _dense
-# convert a Vector to and from it; _comparable makes two sides compare equal
-# exactly when their values agree.
+# _power_product, _leg_map (rewrite a leg), _permuted (reorder the legs) and
+# _kron take and return one sparse form, (support, den): `support` maps the flat
+# index of each nonzero coordinate to an int, and the coordinate is that int
+# over `den`.  _sparse and _dense convert a Vector to and from it; _comparable
+# makes two sides compare equal exactly when their values agree.
 
 Sparse = tuple[dict[int, int], int]
 
@@ -523,8 +523,8 @@ def _tensor3(field: Field, dims: tuple[int, int, int], slices: Sequence[Sparse])
     part per slice i, or the whole tensor as one."""
     planes, rows, width = dims
     flat = [x for s in slices for x in _dense(field, planes * rows * width // len(slices), s).entries]
-    cut = range(0, len(flat), width)
-    return Tensor3._of(field, ([flat[k : k + width] for k in cut[i * rows : (i + 1) * rows]] for i in range(planes)), dims)
+    lines = [flat[k : k + width] for k in range(0, len(flat), width)]
+    return Tensor3._of(field, (lines[i * rows : (i + 1) * rows] for i in range(planes)), dims)
 
 
 def _stacked(images: tuple[Sequence, int], width: int) -> Sparse:

@@ -10,6 +10,14 @@ their comultiplication and counit as a hopf.Coalgebra, as a Hopf algebra
 does, so every reader takes the nonzeros of Delta from Coalgebra.terms
 and none reshapes a Delta matrix or regroups its tensor.
 
+Both constructors assemble their maps on integer tables, as the
+verifiers check them: each certified map and structure tensor is read
+once as leg images in (support, den) form, each structure map is a
+chain of hopf's kernels over them (_leg_map, _permuted, _power_product,
+_kron, _then, _stacked), and each result is converted once into the
+Tensor3, Vector or Matrix that is stored.  No constructor multiplies
+field scalars itself.
+
 The left constructor builds each structure map from one form and makes
 no check of its own: it certifies the assembled object with
 verify_quasi_hopf, the one statement of the quasi-Hopf axiom suite, and
@@ -277,8 +285,8 @@ def _antipode_axioms(
     es, ss = [({i: 1}, 1) for i in range(nd)], [(col, s[1]) for col in s[0]]
 
     # the products every identity below is assembled from, once per triple
-    e_beta, alpha_e = _products(alg, ((e, beta) for e in es)), _products(alg, ((alpha, e) for e in es))
-    s_alpha, beta_s = _products(alg, ((x, alpha) for x in ss)), _products(alg, ((beta, x) for x in ss))
+    e_beta, alpha_e = _products(alg, ((e, beta) for e in es)), _products(alg, ((alpha, e) for e in es))  # e_i beta, alpha e_k
+    s_alpha, beta_s = _products(alg, ((x, alpha) for x in ss)), _products(alg, ((beta, x) for x in ss))  # S(e_i) alpha, beta S(e_k)
 
     def check(name, text, sides, size=1):
         report.add(prefix + name, *_slice_mismatch(field, text.format, sides, size))
@@ -336,16 +344,20 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     "axiom-failure" on the first failed check.
 
     Every map is assembled on integer tables, each read once from the
-    certified data: zeta, zetabar, gamma, gammabar and pi as the leg
-    images of their columns (_columns), the structure tensors of H, H*,
-    B, C and C* grouped by one leg (_by), and the carrier vectors
-    eps # b_u and f_t # 1 as leg images.  A map is a chain of _leg_map
-    steps, each replacing one leg (or two adjacent legs read as one) by
-    its images, with _permuted reordering the legs where the closed form
-    interleaves C and B indices, and _power_product for the products in
-    C* # B; the chain's (support, den) form is converted once into the
-    stored Tensor3, Vector or Matrix.  phi and phi^-1 go to the verifier
-    in that form, so it does not scan their n^3 dense lists again.
+    certified data: zeta, zetabar, gamma, gammabar, pi, iota and S^-1 of
+    H* as the leg images of their columns (_columns), the structure
+    tensors of H, H*, B, C and C* grouped by one leg (_by), and the
+    carrier vectors eps # b_u and f_t # 1 as leg images.  A map is a
+    chain of _leg_map steps, each replacing one leg (or two adjacent legs
+    read as one) by its images, with _permuted reordering the legs where
+    the closed form interleaves C and B indices, and _power_product for
+    the products in C* # B: m is one chain; Delta is the products of the
+    chains of its generators; phi and phi^-1 run Delta(zetabar_u) or
+    Delta(zeta_u) in H* through three leg maps; T runs Delta(zetabar_u)
+    through iota, pi*, gammabar* and a product in C* # B.  Each chain's
+    (support, den) form is converted once into the stored Tensor3,
+    Vector or Matrix.  phi and phi^-1 go to the verifier in that form, so
+    it does not scan their dense lists of dim^3 scalars again.
 
     No second form of a structure map is compared, because each would
     agree by an identity already certified (p comes from certify_pams,
