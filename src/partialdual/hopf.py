@@ -518,9 +518,8 @@ def _columns(m: Matrix) -> tuple[tuple, int]:
 
 
 def _tensor3(field: Field, dims: tuple[int, int, int], slices: Sequence[Sparse]) -> Tensor3:
-    """The Tensor3 of shape dims whose flat entries, cut into len(slices)
-    equal consecutive parts, have the (support, den) forms slices: one
-    part per slice i, or the whole tensor as one."""
+    """The Tensor3 of shape dims whose flat entries, cut into len(slices) equal
+    consecutive parts, have the (support, den) forms slices: a part per slice, or one."""
     planes, rows, width = dims
     flat = [x for s in slices for x in _dense(field, planes * rows * width // len(slices), s).entries]
     lines = [flat[k : k + width] for k in range(0, len(flat), width)]

@@ -264,6 +264,13 @@ def _by(t: Tensor3, axis: int) -> tuple[tuple, int]:
     return _int_supports(t.field, [[(x * width + y, c) for (x, y), c in group] for group in _grouped(t, axis)])
 
 
+def _flat_cols(a: Algebra) -> tuple[list[dict[int, int]], int]:
+    """(table, den) with table[k] = {m n + r: m[m,k,r] den}: e_m e_k for every m,
+    the twin of hopf._flat_rows, read from int_terms."""
+    n, (terms, den) = a.dim, a.int_terms
+    return [{m * n + r: x for m in range(n) for r, x in terms[m][k].items()} for k in range(n)], den
+
+
 def _matrix(field: Field, nrows: int, ncols: int, cols: Sparse) -> Matrix:
     """The matrix whose entry (r, c) is at c nrows + r of the (support, den) form cols."""
     flat = _dense(field, nrows * ncols, cols).entries
@@ -284,9 +291,10 @@ def _antipode_axioms(
     s, alpha, beta = _columns(s), _sparse(alpha), _sparse(beta)
     es, ss = [({i: 1}, 1) for i in range(nd)], [(col, s[1]) for col in s[0]]
 
-    # the products every identity below is assembled from, once per triple
-    e_beta, alpha_e = _products(alg, ((e, beta) for e in es)), _products(alg, ((alpha, e) for e in es))  # e_i beta, alpha e_k
-    s_alpha, beta_s = _products(alg, ((x, alpha) for x in ss)), _products(alg, ((beta, x) for x in ss))  # S(e_i) alpha, beta S(e_k)
+    # the products every identity below is assembled from, once per triple:
+    # e_i beta, alpha e_k, S(e_i) alpha and beta S(e_k)
+    e_beta, alpha_e = _products(alg, ((e, beta) for e in es)), _products(alg, ((alpha, e) for e in es))
+    s_alpha, beta_s = _products(alg, ((x, alpha) for x in ss)), _products(alg, ((beta, x) for x in ss))
 
     def check(name, text, sides, size=1):
         report.add(prefix + name, *_slice_mismatch(field, text.format, sides, size))
@@ -343,21 +351,13 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     constructor adds none.  Raises CertificationError with kind
     "axiom-failure" on the first failed check.
 
-    Every map is assembled on integer tables, each read once from the
-    certified data: zeta, zetabar, gamma, gammabar, pi, iota and S^-1 of
-    H* as the leg images of their columns (_columns), the structure
-    tensors of H, H*, B, C and C* grouped by one leg (_by), and the
-    carrier vectors eps # b_u and f_t # 1 as leg images.  A map is a
-    chain of _leg_map steps, each replacing one leg (or two adjacent legs
-    read as one) by its images, with _permuted reordering the legs where
-    the closed form interleaves C and B indices, and _power_product for
-    the products in C* # B: m is one chain; Delta is the products of the
-    chains of its generators; phi and phi^-1 run Delta(zetabar_u) or
-    Delta(zeta_u) in H* through three leg maps; T runs Delta(zetabar_u)
-    through iota, pi*, gammabar* and a product in C* # B.  Each chain's
-    (support, den) form is converted once into the stored Tensor3,
-    Vector or Matrix.  phi and phi^-1 go to the verifier in that form, so
-    it does not scan their dense lists of dim^3 scalars again.
+    The maps are assembled on integer tables, as the module docstring
+    says: m is one chain of leg maps; Delta is the products of the chains
+    of its generators; phi and phi^-1 carry Delta(zetabar_u), or
+    Delta(zeta_u), in H* through three leg maps; T carries
+    Delta(zetabar_u) through iota, pi*, gammabar* and a product in C* # B.
+    phi and phi^-1 reach the verifier in (support, den) form, so it does
+    not scan their dense lists of dim^3 scalars again.
 
     No second form of a structure map is compared, because each would
     agree by an identity already certified (p comes from certify_pams,
@@ -403,13 +403,13 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     ebs = _table(_kron(eps_c, ({u: 1}, 1), bdim) for u in range(bdim))  # u -> eps # b_u
     f1 = _table(_kron(({t: 1}, 1), one_b, bdim) for t in range(cdim))  # t -> f_t # 1
     gbs1 = _then(_columns(p.gamma_bar.matrix.transpose()), f1)  # h*_r -> gammabar*(h*_r) # 1
-    hs_rows, hs_cols = _by(hs.algebra.mult, 0), _by(hs.algebra.mult, 1)  # h*_k -> h*_k h*_m, h*_m h*_k at (m, r)
+    hs_rows, hs_cols = _flat_rows(hs.algebra), _flat_cols(hs.algebra)  # h*_k -> h*_k h*_m, h*_m h*_k at (m, r)
 
     # multiplication (f_a # b)(f_g # d) = sum f_a (b_(-1) harpoon f_g) # b_(0) d: the coaction of b_b at
     # (m, k), h_m harpoon f_g = sum f_s at (s, g), f_a f_s at (a, t) and b_k b_d at (d, e), to (a, b, g, d, t, e)
     m = _leg_map(_stacked(_by(bsub.coaction, 0), n * bdim), (bdim, n, bdim), 1, cdim * cdim, _by(q.action, 1))
-    m = _leg_map(m, (bdim, cdim, cdim, bdim), 1, cdim * cdim, _by(q.cstar.mult, 1))
-    m = _leg_map(m, (bdim, cdim, cdim, cdim, bdim), 4, bdim * bdim, _by(bsub.mult, 0))
+    m = _leg_map(m, (bdim, cdim, cdim, bdim), 1, cdim * cdim, _flat_cols(q.cstar))
+    m = _leg_map(m, (bdim, cdim, cdim, cdim, bdim), 4, bdim * bdim, _flat_rows(bsub.algebra))
     m = _permuted(m, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
     alg = Algebra(field, _tensor3(field, (nd, nd, nd), [m]), _dense(field, nd, _kron(eps_c, one_b, bdim)))
     pairs = _pairs(alg)
@@ -421,14 +421,17 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     g2 = _table(_leg_map(_leg_map((row, hs_rows[1]), (n, n), 0, bdim, zeta), (bdim, n), 1, nd, gs1) for row in hs_rows[0])
     # and g3 takes h_m to sum_t eps # zeta(gamma_t h_m) (x) f_t at (j, t): e_p h_m at (p, r), gamma_t's
     # coordinates on leg p and eps # zeta(e_r) on leg r
-    h_cols, ze = _by(h.algebra.mult, 1), _then(zeta, ebs)
-    g3 = _table(_permuted(_leg_map(_leg_map((col, h_cols[1]), (n, n), 0, cdim, gamma_t), (cdim, n), 1, nd, ze), (cdim, nd), (1, 0))
-                for col in h_cols[0])
+    h_cols, ze = _flat_cols(h.algebra), _then(zeta, ebs)
+    g3 = _table(
+        _permuted(_leg_map(_leg_map((col, h_cols[1]), (n, n), 0, cdim, gamma_t), (cdim, n), 1, nd, ze), (cdim, nd), (1, 0))
+        for col in h_cols[0]
+    )
     rho, coact = _by(q.action, 2), _by(bsub.coaction, 0)
     d32 = [_leg_map((x, rho[1]), (cdim, n), 1, bdim * nd, g2) for x in rho[0]]
     d33 = [_leg_map((x, coact[1]), (n, bdim), 0, nd * cdim, g3) for x in coact[0]]
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
-    pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, _columns(q.pi.matrix))
+    pi = _columns(q.pi.matrix)
+    pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, pi)
     coalg = Coalgebra(
         field, _tensor3(field, (nd, nd, nd), [_power_product(alg, 2, x, y) for x in d32 for y in d33]),
         _dense(field, nd, _kron(pi_one, _sparse(bsub.counit), bdim)),
@@ -457,7 +460,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     # preantipode: T(f_a # b) = sum_u (eps # b_u)(gammabar*(pi*(f_a) (iota(b) harpoon zetabar_u)) # 1), with
     # iota(b) harpoon zetabar_u = sum Delta(zetabar_u) at (j, k) with iota(b) on leg k: from Delta(zetabar_u)
     # at (u, j, k) to (u, j, b), pi*(f_a) h*_j at (a, r), gammabar*(h*_r) # 1 at y, then (eps # b_u) y at z
-    pi_h = _table(_leg_map((col, hs_cols[1]), (n, n), 0, cdim, _columns(q.pi.matrix)) for col in hs_cols[0])
+    pi_h = _table(_leg_map((col, hs_cols[1]), (n, n), 0, cdim, pi) for col in hs_cols[0])
     t = _leg_map(dzbar, (bdim, n, n), 2, bdim, _columns(bsub.iota.matrix.transpose()))
     t = _leg_map(_leg_map(t, (bdim, n, bdim), 1, cdim * n, pi_h), (bdim, cdim, n, bdim), 2, nd, gbs1)
     t = _leg_map(_permuted(t, (bdim, cdim, nd, bdim), (1, 3, 0, 2)), (cdim, bdim, bdim, nd), 2, nd, ebs)
@@ -557,13 +560,13 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     in.  Raises CertificationError with kind "duality-failure" if any
     pairing identity fails.
 
-    The basis is c_t (x) b*_j at flat index t*dim(B)+j.  Both structure
-    tensors are chains of _leg_map steps over integer tables read once,
-    as in left_partial_dual: Delta(c (x) b*) = sum (c_1 (x) (h*_i |> b*_1))
-    (x) ((c_2 <| h_i) (x) b*_2), and (c (x) b*)(c' (x) b*') = sum
-    (c <| (zeta(b_1) harpoon gamma(c'_1))) (x) (zeta(b_2)(gamma(c'_2) -) |> b*'),
-    the sums over Delta(c), Delta(c'), the dual basis h*_i and the
-    comultiplication of B* dual to the product of B."""
+    The basis is c_t (x) b*_j at flat index t*dim(B)+j.  Both tensors
+    are chains of leg maps over integer tables, as in left_partial_dual:
+    Delta(c (x) b*) = sum (c_1 (x) (h*_i |> b*_1)) (x) ((c_2 <| h_i) (x)
+    b*_2), and (c (x) b*)(c' (x) b*') = sum (c <| (zeta(b_1) harpoon
+    gamma(c'_1))) (x) (zeta(b_2)(gamma(c'_2) -) |> b*'), summed over
+    Delta(c), Delta(c'), the dual bases of H and H*, and Delta(b*) dual to
+    the product of B."""
     if left is None:
         left = left_partial_dual(p)
     q = p.quotient
@@ -591,7 +594,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
         _leg_map((x, dz[1]), (n, n), 0, cdim, gamma_t) for x in dz[0]
     ))
     mult = _leg_map(mult, (bdim, bdim, cdim, n), 3, bdim * bdim, _by(btr, 0))
-    mult = _leg_map(mult, (bdim, bdim, cdim, bdim, bdim), 2, cdim * cdim, _by(q.cstar.mult, 1))
+    mult = _leg_map(mult, (bdim, bdim, cdim, bdim, bdim), 2, cdim * cdim, _flat_cols(q.cstar))
     mult = _leg_map(mult, (bdim, bdim, cdim, cdim, bdim, bdim), 2, n * n, _table(
         _permuted((x, dg[1]), (n, n), (1, 0)) for x in dg[0]
     ))
