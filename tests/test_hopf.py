@@ -1,5 +1,6 @@
 """Hopf layer: axiom verification, duals, convolution, hit actions."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -30,8 +31,9 @@ from partialdual.hopf import (
     tensor_permute,
     verify_hopf,
 )
-from partialdual.examples import group_algebra, symmetric, taft4
+from partialdual.examples import cyclic, group_algebra, symmetric, taft4
 from partialdual.linalg import QQ, FieldMismatchError, Matrix, ModInt, PrimeField, Tensor3, Vector, contract
+from partialdual.serialize import serialize
 
 # the largest prime below 2**31: residues and their products outgrow a machine word
 BIG_PRIME = PrimeField(2147483647)
@@ -756,3 +758,37 @@ def test_algebra_multiply_rejects_mixed_fields_and_wrong_lengths():
     for u, v in ((one, short), (short, one)):
         with pytest.raises(ValueError):
             algebra.multiply(u, v)
+
+
+# SHA-256 over the documents of dual, opposite, coopposite, biopposite and
+# dual of dual, in that order, for each parent of TRANSPORT_PARENTS in turn
+TRANSPORT_DIGEST = "c921ccf19b60979fdf723d9b5fe31103c3ce2e84055f126df989555d38bce927"
+TRANSPORT_PARENTS = [
+    lambda: taft4(QQ, 1)[0],
+    lambda: taft4(PrimeField(7), 3)[0],
+    lambda: group_algebra(symmetric(3), QQ),
+    lambda: group_algebra(symmetric(3), PrimeField(7)),
+    lambda: group_algebra(cyclic(4), PrimeField(7)),
+]
+
+
+def test_transport_documents_are_pinned():
+    digest = hashlib.sha256()
+    for parent in TRANSPORT_PARENTS:
+        h = parent()
+        for t in (dual(h), opposite(h), coopposite(h), biopposite(h), dual(dual(h))):
+            digest.update(serialize(t).encode())
+    assert digest.hexdigest() == TRANSPORT_DIGEST
+
+
+def test_power_multiply_rejects_operands_of_the_wrong_length():
+    """Each operand must have length dim**k; a longer one is not read past
+    dim**k as a wrapped index."""
+    algebra = cyclic_group_hopf(2).algebra
+    for k, (lu, lv) in ((0, (5, 4)), (0, (1, 2)), (1, (3, 2)), (1, (2, 3)), (2, (5, 4)), (2, (4, 3))):
+        u = Vector.basis(QQ, lu, lu - 1)
+        v = Vector.basis(QQ, lv, 0)
+        with pytest.raises(ValueError):
+            power_multiply(algebra, k, u, v)
+    one = Vector.basis(QQ, 1, 0)
+    assert power_multiply(algebra, 0, one, one) == one
