@@ -29,14 +29,14 @@ from partialdual.hopf import (
     HopfAlgebra,
     LinMap,
     Report,
-    _columns,
-    _comparable,
     _kron,
     _leg_map,
     _flat_rows,
     _slice_mismatch,
-    _sparse,
+    _stacked,
+    _table,
     _tensor3,
+    _transposed,
     coopposite,
     dual,
     flat_nonzeros,
@@ -47,6 +47,10 @@ from partialdual.linalg import (
     Matrix,
     Tensor3,
     Vector,
+    _columns,
+    _comparable,
+    _int_supports,
+    _sparse,
     nullspace,
 )
 
@@ -65,8 +69,8 @@ _CERTIFIED = object()
 class CoidealSubalgebra:
     """A certified left coideal subalgebra B of a Hopf algebra.
 
-    Stores the inclusion, the induced multiplication and unit in B
-    coordinates, the restricted counit, and the coaction tensor
+    Stores the inclusion, the induced algebra in B coordinates, the
+    restricted counit, and the coaction tensor
     Delta(iota b) = sum coaction[b, j, k] e_j (x) iota(e_k).
     """
 
@@ -75,8 +79,7 @@ class CoidealSubalgebra:
         token: object,
         parent: HopfAlgebra,
         iota: LinMap,
-        mult: Tensor3,
-        unit: Vector,
+        algebra: Algebra,
         counit: Vector,
         coaction: Tensor3,
         report: Report,
@@ -86,22 +89,19 @@ class CoidealSubalgebra:
         self.parent = parent
         self.iota = iota
         self.dim = iota.source
-        self.mult = mult
-        self.unit = unit
+        self.algebra = algebra
+        self.unit = algebra.unit
         self.counit = counit
         self.coaction = coaction
         self.report = report
-        self._algebra: Algebra | None = None
 
     @property
     def field(self):
         return self.parent.field
 
     @property
-    def algebra(self) -> Algebra:
-        if self._algebra is None:
-            self._algebra = Algebra(self.field, self.mult, self.unit)
-        return self._algebra
+    def mult(self) -> Tensor3:
+        return self.algebra.mult
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
@@ -177,7 +177,7 @@ def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
         field, "iota(e{0}) iota(e{1}) is not in the image of iota".format, unsolved(mult_rows), b, (b,)
     ))
     report.raise_if_failed()
-    mult_b = Tensor3._of(field, [[x.entries for x in plane] for plane in mult_rows], (b, b, b))
+    algebra = Algebra._of(field, _int_supports(field, [flat_nonzeros(x) for plane in mult_rows for x in plane]), unit_b)
 
     coaction_rows = [[inclusion.solution(1 + b * b + i * n + j) for j in range(n)] for i in range(b)]
     report.add("left-coideal", *_slice_mismatch(
@@ -187,7 +187,7 @@ def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     coaction = Tensor3._of(field, [[x.entries for x in plane] for plane in coaction_rows], (b, n, b))
 
     counit_b = Vector._of(field, [h.counit.dot(iota.column(i)) for i in range(b)])
-    return CoidealSubalgebra(_CERTIFIED, h, iota, mult_b, unit_b, counit_b, coaction, report)
+    return CoidealSubalgebra(_CERTIFIED, h, iota, algebra, counit_b, coaction, report)
 
 
 class CoidealQuotient:
@@ -246,9 +246,8 @@ class CoidealQuotient:
         """C*, the dual algebra of the quotient coalgebra (convolution
         product, unit eps_C), built once."""
         if self._cstar is None:
-            comult, c = self.coalgebra.comult, self.dim
-            mult = [[[comult[k, i, j] for k in range(c)] for j in range(c)] for i in range(c)]
-            self._cstar = Algebra(self.field, Tensor3._of(comult.field, mult, (c, c, c)), self.coalgebra.counit)
+            c = self.coalgebra
+            self._cstar = Algebra._of(self.field, _transposed(c.int_comult, self.dim**2), c.counit)
         return self._cstar
 
     @property
@@ -383,9 +382,9 @@ def build_quotient(
         return u
 
     # Delta_C(x_r) = (pi (x) pi) Delta(lift(x_r))
-    comult_c = _tensor3(field, (c, c, c), [projected((x, lifts[1]), h.coalgebra.int_comult, (0, 1)) for x in lifts[0]])
+    comult_c = _table(projected((x, lifts[1]), h.coalgebra.int_comult, (0, 1)) for x in lifts[0])
     counit_c = Vector._of(field, [h.counit.dot(lift.column(r)) for r in range(c)])
-    coalg = Coalgebra(field, comult_c, counit_c)
+    coalg = Coalgebra._of(field, comult_c, counit_c)
 
     def coinvariance(u):  # sum u_1 (x) pi(u_2) and u (x) pi(1)
         return projected(u, h.coalgebra.int_comult, (1,)), _kron(u, one_c, c)
@@ -403,7 +402,7 @@ def build_quotient(
 
     # x_r <| e_i = pi(lift(x_r) e_i)
     rows = _flat_rows(h.algebra)
-    action = _tensor3(field, (c, n, c), [projected((x, lifts[1]), rows, (1,)) for x in lifts[0]])
+    action = _tensor3(field, (c, n, c), _stacked(_table(projected((x, lifts[1]), rows, (1,)) for x in lifts[0]), n * c))
 
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
 

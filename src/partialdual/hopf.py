@@ -8,18 +8,16 @@ Conventions, fixed once for the whole package:
 * the dual basis of H* is indexed like the basis of H, and tensor legs
   flatten row-major: index of e_i (x) e_j in H (x) H is i*dim + j
 
-Products read the nonzero structure constants: Algebra.terms lists, for
-each pair of basis indices, the nonzero (k, m[i,j,k]), and
-Algebra.multiply walks only the nonzero coordinates of its operands
-against it; no n x n matrix is built for a product.  Its twin,
-Coalgebra.terms, lists the nonzero ((j, k), d[i,j,k]) of each Delta(e_i)
-for every reader of a comultiplication.  The tensor-power kernels, and
-the verifiers that chain them, compute on the sparse integer form of a
-flat tensor.  Flat tensors and structure tensors are read through
-three decoders: _support lists the nonzeros of a flat k-leg tensor with
-their leg indices, _grouped lists the nonzeros of a Tensor3 grouped by
-one leg, and _rows lists them row by row, as Algebra.terms does.  No
-other module decodes a flat index by hand.
+An Algebra holds its product, and a Coalgebra its Delta, as one table
+of ints in the sparse (support, den) form of a flat tensor: int_terms
+and int_comult.  Every product, every tensor-power kernel and every
+verifier reads these tables, and the transports rewrite them: dual
+transposes them, opposite and coopposite swap their legs.  The dense
+Tensor3 `mult` and `comult` are views, built on demand for documents
+and the public API.  Dense data is read through three decoders: _support
+lists the nonzeros of a flat k-leg tensor with their leg indices,
+_grouped lists those of a Tensor3 grouped by one leg, and _rows lists
+them row by row.  No other module decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -42,10 +40,18 @@ from partialdual.linalg import (
     Field,
     Matrix,
     Scalar,
+    Sparse,
     Tensor3,
     Vector,
+    _columns,
+    _comparable,
+    _dense,
+    _functional,
+    _int_supports,
+    _matrix,
     _same_field,
-    contract,
+    _scalars,
+    _sparse,
     solve,
     tensor_of,
 )
@@ -160,15 +166,19 @@ def _slice_mismatch(
     return True, ""
 
 
+def _set_slots(obj: object, **parts: object) -> None:
+    """Set the slots of an immutable object."""
+    for name, value in parts.items():
+        object.__setattr__(obj, name, value)
+
+
 class LinMap:
     """A linear map between based spaces; columns of `matrix` are images."""
 
     __slots__ = ("matrix", "source", "target")
 
     def __init__(self, matrix: Matrix):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "source", matrix.ncols)
-        object.__setattr__(self, "target", matrix.nrows)
+        _set_slots(self, matrix=matrix, source=matrix.ncols, target=matrix.nrows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LinMap is immutable")
@@ -203,17 +213,14 @@ class Algebra:
     """Unital algebra given by structure constants; verify_algebra checks
     associativity and the unit law.
 
-    `terms[i][j]` lists the nonzero (k, m[i,j,k]) of e_i e_j.  It is
-    built once here, and every product (multiply, power_multiply) reads
-    it instead of the dense tensor; `int_terms` is (table, den) with
-    table[i][j] = {k: m[i,j,k] den}, so (table[i][j], den) is e_i e_j in
-    the (support, den) form of a flat tensor.  multiply stays on field
-    scalars for a single product (an integer one through int_terms
-    measured slower); the axiom verifiers, which build whole tables of
-    products, compute them from int_terms.
+    The product is stored once, as `int_terms` = (table, den), reduced by
+    the field: (table[i][j], den) is e_i e_j in (support, den) form, and
+    the view `mult` is built from it on each read.  The public
+    constructor checks a dense tensor and scans it once; a kernel output
+    enters through the trusted _of, which takes the table as given.
     """
 
-    __slots__ = ("field", "dim", "mult", "unit", "terms", "int_terms")
+    __slots__ = ("field", "dim", "unit", "int_terms")
 
     def __init__(self, field: Field, mult: Tensor3, unit: Vector):
         n = mult.dims[0]
@@ -223,37 +230,54 @@ class Algebra:
             raise ValueError("algebra data must live over the stated field")
         if len(unit) != n:
             raise ValueError("unit vector has the wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "unit", unit)
-        terms = _rows(mult)
-        object.__setattr__(self, "terms", terms)
-        table, den = _int_supports(field, [pair for row in terms for pair in row])
-        object.__setattr__(self, "int_terms", (tuple(table[i * n : (i + 1) * n] for i in range(n)), den))
+        self._hold(field, unit, _int_supports(field, [row for plane in _rows(mult) for row in plane]))
+
+    @classmethod
+    def _of(cls, field: Field, table: tuple[Sequence[dict[int, int]], int], unit: Vector) -> "Algebra":
+        """The algebra whose e_i e_j is (pairs[i dim + j], den) for table = (pairs, den),
+        stored without a check: for kernel outputs only."""
+        a = object.__new__(cls)
+        a._hold(field, unit, table)
+        return a
+
+    def _hold(self, field: Field, unit: Vector, table: tuple[Sequence[dict[int, int]], int]) -> None:
+        (pairs, den), n = table, len(unit)
+        rows = tuple(tuple(map(field.reduce, pairs[i * n : (i + 1) * n])) for i in range(n))
+        _set_slots(self, field=field, dim=n, unit=unit, int_terms=(rows, den))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Algebra is immutable")
 
-    def multiply(self, u: Vector, v: Vector) -> Vector:
-        """u v: sums u_a v_b m[a,b,t] over the nonzero u_a, v_b and terms[a][b]."""
-        field = self.field
-        _same_field(field, u.field, "algebra and vector")
-        _same_field(field, v.field, "algebra and vector")
+    @property
+    def mult(self) -> Tensor3:
+        """The multiplication tensor, built from int_terms."""
         n = self.dim
-        if len(u) != n or len(v) != n:
-            raise ValueError(
-                f"cannot multiply vectors of lengths {len(u)} and {len(v)} in dimension {n}"
-            )
-        return Vector._of(field, _terms_product(self.terms, field.zero, u.entries, v.entries))
+        return _tensor3(self.field, (n, n, n), _stacked(_pairs(self), n))
+
+    def _operands(self, *vectors: Vector) -> None:
+        for v in vectors:
+            _same_field(self.field, v.field, "algebra and vector")
+        if any(len(v) != self.dim for v in vectors):
+            lengths = " and ".join(str(len(v)) for v in vectors)
+            raise ValueError(f"cannot multiply vectors of lengths {lengths} in dimension {self.dim}")
+
+    def multiply(self, u: Vector, v: Vector) -> Vector:
+        """u v: _power_product over the nonzero coordinates of u and v."""
+        self._operands(u, v)
+        return _dense(self.field, self.dim, _power_product(self, 1, _sparse(u), _sparse(v)))
 
     def left_mult_matrix(self, u: Vector) -> Matrix:
-        """Matrix of v -> u v."""
-        return contract(self.mult, 0, u).transpose()
+        """Matrix of v -> u v: u on the first leg of every e_i e_j."""
+        return self._mult_matrix(u, _flat_rows(self))
 
     def right_mult_matrix(self, v: Vector) -> Matrix:
-        """Matrix of u -> u v."""
-        return contract(self.mult, 1, v).transpose()
+        """Matrix of u -> u v: v on the second leg of every e_i e_j."""
+        return self._mult_matrix(v, _flat_cols(self))
+
+    def _mult_matrix(self, u: Vector, table: tuple[Sequence, int]) -> Matrix:
+        n = self.dim
+        self._operands(u)
+        return _matrix(self.field, n, n, _leg_map(_sparse(u), (n,), 0, n * n, table))
 
     def element_inverse(self, u: Vector) -> Vector:
         """Two-sided inverse of u; raises ValueError when u is not a unit."""
@@ -281,43 +305,15 @@ class Algebra:
         return f"Algebra(dim={self.dim} over {self.field.descriptor})"
 
 
-def _terms_product(
-    terms: Sequence, zero: Scalar, u: Sequence[Scalar], v: Sequence[Scalar]
-) -> list[Scalar]:
-    """The product of two coordinate lists through an Algebra.terms table:
-    sums u_a v_b m[a,b,t] over the nonzero u_a, v_b and terms[a][b]."""
-    out = [zero] * len(terms)
-    v_nonzeros = [(b, y) for b, y in enumerate(v) if y]
-    for a, x in enumerate(u):
-        if not x:
-            continue
-        row = terms[a]
-        for b, y in v_nonzeros:
-            pair = row[b]
-            if not pair:
-                continue
-            xy = x * y
-            for t, w in pair:
-                out[t] = out[t] + xy * w
-    return out
-
-
-def _int_supports(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) -> tuple[tuple, int]:
-    """(supports, den): each group of (index, x) becomes {index: x den}, ints over one denominator."""
-    ints, den = field.to_ints([x for group in groups for _, x in group])
-    it = iter(ints)
-    return tuple({i: next(it) for i, _ in group} for group in groups), den
-
-
 class Coalgebra:
     """Comultiplication and counit by structure constants; Delta need not be
     coassociative (a quasi-Hopf algebra keeps its Delta here too), and
-    verify_coalgebra checks that it is.  `terms[i]` lists the nonzero
-    ((j, k), d[i,j,k]) of Delta(e_i), the twin of Algebra.terms;
-    `int_comult` is (images, den) with images[i] = {j n + k: d[i,j,k] den},
-    so (images[i], den) is Delta(e_i) in (support, den) form."""
+    verify_coalgebra checks that it is.  Delta is stored once, as
+    `int_comult` = (images, den), reduced by the field: (images[i], den) is
+    Delta(e_i) flat in (support, den) form, and the view `comult` is built
+    from it.  The constructors are Algebra's."""
 
-    __slots__ = ("field", "dim", "comult", "counit", "terms", "int_comult")
+    __slots__ = ("field", "dim", "counit", "int_comult")
 
     def __init__(self, field: Field, comult: Tensor3, counit: Vector):
         n = comult.dims[0]
@@ -327,16 +323,29 @@ class Coalgebra:
             raise ValueError("coalgebra data must live over the stated field")
         if len(counit) != n:
             raise ValueError("counit vector has the wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "comult", comult)
-        object.__setattr__(self, "counit", counit)
-        object.__setattr__(self, "terms", tuple(map(tuple, _grouped(comult, 0))))
-        images = [[(j * n + k, x) for (j, k), x in group] for group in self.terms]
-        object.__setattr__(self, "int_comult", _int_supports(field, images))
+        images = [[(j * n + k, x) for (j, k), x in group] for group in _grouped(comult, 0)]
+        self._hold(field, counit, _int_supports(field, images))
+
+    @classmethod
+    def _of(cls, field: Field, images: tuple[Sequence[dict[int, int]], int], counit: Vector) -> "Coalgebra":
+        """The coalgebra whose Delta(e_i) is (images[0][i], images[1]), stored without
+        a check: for kernel outputs only."""
+        c = object.__new__(cls)
+        c._hold(field, counit, images)
+        return c
+
+    def _hold(self, field: Field, counit: Vector, images: tuple[Sequence[dict[int, int]], int]) -> None:
+        table = tuple(map(field.reduce, images[0])), images[1]
+        _set_slots(self, field=field, dim=len(counit), counit=counit, int_comult=table)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Coalgebra is immutable")
+
+    @property
+    def comult(self) -> Tensor3:
+        """The comultiplication tensor, built from int_comult."""
+        n = self.dim
+        return _tensor3(self.field, (n, n, n), _stacked(self.int_comult, n * n))
 
     def comultiply(self, v: Vector) -> Matrix:
         """Delta(v) as the matrix whose (j, k) entry is the e_j (x) e_k coefficient."""
@@ -380,12 +389,7 @@ class HopfAlgebra:
             raise ValueError("algebra and coalgebra differ in field or dimension")
         if antipode.field is not field or (antipode.nrows, antipode.ncols) != (n, n):
             raise ValueError("antipode matrix has the wrong shape or field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coalgebra", coalgebra)
-        object.__setattr__(self, "antipode", antipode)
-        object.__setattr__(self, "name", name)
+        _set_slots(self, field=field, dim=n, algebra=algebra, coalgebra=coalgebra, antipode=antipode, name=name)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HopfAlgebra is immutable")
@@ -431,37 +435,13 @@ class HopfAlgebra:
 # Elements of mixed tensor products V_1 (x) ... (x) V_k are flat Vectors with a
 # dims tuple (n_1, ..., n_k), flattened row-major.  The tensor-power kernels
 # _power_product, _leg_map (rewrite a leg), _permuted (reorder the legs) and
-# _kron take and return one sparse form, (support, den): `support` maps the flat
-# index of each nonzero coordinate to an int, and the coordinate is that int
-# over `den`.  _sparse and _dense convert a Vector to and from it; _comparable
-# makes two sides compare equal exactly when their values agree.
-
-Sparse = tuple[dict[int, int], int]
-
+# _kron take and return the sparse form (support, den) of linalg, whose
+# _sparse and _dense convert a Vector to and from it.  A table of leg images
+# (table, den) holds one support per basis index, all over one den; _stacked
+# and _cut turn it into one flat tensor and back.
 
 def flat_nonzeros(v: Vector) -> list[tuple[int, Scalar]]:
     return [(i, x) for i, x in enumerate(v.entries) if x]
-
-
-def _sparse(v: Vector) -> Sparse:
-    """The (support, den) form of a flat tensor, converting only its nonzeros."""
-    nonzeros = [i for i, x in enumerate(v.entries) if x]
-    ints, den = v.field.to_ints([v.entries[i] for i in nonzeros])
-    return dict(zip(nonzeros, ints)), den
-
-
-def _dense(field: Field, size: int, s: Sparse) -> Vector:
-    """The flat tensor of length `size` whose (support, den) form is s."""
-    ints = [0] * size
-    for i, x in s[0].items():
-        ints[i] = x
-    return Vector._of(field, field.from_ints(ints, s[1]))
-
-
-def _comparable(field: Field, lhs: Sparse, rhs: Sparse) -> tuple[Sparse, Sparse]:
-    """lhs and rhs over one denominator and reduced by the field: equal exactly when their values are."""
-    (sl, dl), (sr, dr) = lhs, rhs
-    return tuple((field.reduce({i: x * d for i, x in s.items()}), dl * dr) for s, d in ((sl, dr), (sr, dl)))
 
 
 def _kron(u: Sparse, v: Sparse, width: int) -> Sparse:
@@ -512,16 +492,10 @@ def _apply_leg(u: Vector, dims: Sequence[int], leg: int, width: int, images: tup
     return _dense(u.field, len(u) // dims[leg] * width, _leg_map(_sparse(u), dims, leg, width, images))
 
 
-def _columns(m: Matrix) -> tuple[tuple, int]:
-    """The columns of m as leg images: (table, den) with table[d] = {r: m[r,d] den}."""
-    return _int_supports(m.field, [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)])
-
-
-def _tensor3(field: Field, dims: tuple[int, int, int], slices: Sequence[Sparse]) -> Tensor3:
-    """The Tensor3 of shape dims whose flat entries, cut into len(slices) equal
-    consecutive parts, have the (support, den) forms slices: a part per slice, or one."""
+def _tensor3(field: Field, dims: tuple[int, int, int], s: Sparse) -> Tensor3:
+    """The Tensor3 of shape dims whose flat entries have the (support, den) form s."""
     planes, rows, width = dims
-    flat = [x for s in slices for x in _dense(field, planes * rows * width // len(slices), s).entries]
+    flat = _dense(field, planes * rows * width, s).entries
     lines = [flat[k : k + width] for k in range(0, len(flat), width)]
     return Tensor3._of(field, (lines[i * rows : (i + 1) * rows] for i in range(planes)), dims)
 
@@ -532,15 +506,32 @@ def _stacked(images: tuple[Sequence, int], width: int) -> Sparse:
     return {d * width + r: x for d, image in enumerate(table) for r, x in image.items()}, den
 
 
+def _cut(s: Sparse, parts: int, width: int) -> tuple[list[dict[int, int]], int]:
+    """A flat tensor cut into `parts` consecutive slices of length `width`, as leg images: _stacked undone."""
+    out: list[dict[int, int]] = [{} for _ in range(parts)]
+    for idx, x in s[0].items():
+        part, r = divmod(idx, width)
+        out[part][r] = x
+    return out, s[1]
+
+
+def _transposed(images: tuple[Sequence, int], width: int) -> tuple[list[dict[int, int]], int]:
+    """Leg images read the other way round: out[r] = {d: x} for each x at r < width of
+    images[d].  So a coproduct table becomes the product table of the dual, and back."""
+    d = len(images[0])
+    return _cut(_permuted(_stacked(images, width), (d, width), (1, 0)), width, d)
+
+
+def _table(images) -> tuple[list, int]:
+    """(support, den) forms over one den as the leg images (table, den)."""
+    images = list(images)
+    return [s for s, _ in images], images[0][1]
+
+
 def _then(f: tuple[Sequence, int], g: tuple[Sequence, int]) -> tuple[list, int]:
     """The leg images of g f from those of f and of g."""
     table, den = f
     return [_leg_map((image, 1), (len(g[0]),), 0, 1, g)[0] for image in table], den * g[1]
-
-
-def _functional(phi: Vector) -> tuple[tuple, int]:
-    """A functional as leg images of width 1: table[d] = {0: phi_d den}."""
-    return _int_supports(phi.field, [[(0, w)] if w else [] for w in phi.entries])
 
 
 def tensor_apply(u: Vector, dims: Sequence[int], leg: int, m: Matrix) -> Vector:
@@ -621,6 +612,8 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
     field = algebra.field
     _same_field(field, u.field, "algebra and vector")
     _same_field(field, v.field, "algebra and vector")
+    if len(u) != algebra.dim**k or len(v) != algebra.dim**k:
+        raise ValueError(f"operands of lengths {len(u)} and {len(v)}, the tensor power has {algebra.dim**k}")
     if k == 0:
         return Vector._of(field, [u[0] * v[0]])
     return _dense(field, algebra.dim**k, _power_product(algebra, k, _sparse(u), _sparse(v)))
@@ -681,6 +674,12 @@ def _flat_rows(a: Algebra) -> tuple[list[dict[int, int]], int]:
     return [{j * n + k: x for j, pair in enumerate(row) for k, x in pair.items()} for row in terms], den
 
 
+def _flat_cols(a: Algebra) -> tuple[list[dict[int, int]], int]:
+    """(table, den) with table[k] = {m n + r: m[m,k,r] den}: e_m e_k for every m, the twin of _flat_rows."""
+    n, (terms, den) = a.dim, a.int_terms
+    return [{m * n + r: x for m in range(n) for r, x in terms[m][k].items()} for k in range(n)], den
+
+
 def _multiplicative(
     rows: tuple[Sequence, int], m: Matrix, pairs: tuple[list, int], anti: bool = False,
     witness: Callable[..., str] = "pair ({0},{1})".format,
@@ -713,7 +712,7 @@ def _comultiplicative(
     n, t, cols = m.ncols, m.nrows, _columns(m)
     images, den = deltas
     if flip:
-        images = [{idx % n * n + idx // n: x for idx, x in image.items()} for image in images]
+        images = [_permuted((image, 1), (n, n), (1, 0))[0] for image in images]
 
     def sides(a):
         lhs = _leg_map(_leg_map((images[a], den), (n, n), 0, t, cols), (n, n), 1, t, cols)
@@ -849,20 +848,30 @@ def dual(h: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis; both parts are new.
 
     Products dualize comultiplication, (f_i f_j)(e_k) = (f_i (x) f_j)(Delta e_k),
-    and comultiplication dualizes products.  S^T is the antipode: under
-    that pairing the identities S * id = eps 1 = id * S of End(H)
-    transpose to S^T * id = eps 1 = id * S^T in End(H*) (Sweedler, Hopf
-    Algebras, 1969).
+    and comultiplication dualizes products: each table is the other one
+    _transposed.  S^T is the antipode: under that pairing the identities
+    S * id = eps 1 = id * S of End(H) transpose to S^T * id = eps 1 =
+    id * S^T in End(H*) (Sweedler, Hopf Algebras, 1969).
     """
     n, f = h.dim, h.field
-    mult = [[[h.comult[k, i, j] for k in range(n)] for j in range(n)] for i in range(n)]
-    comult = [[[h.mult[j, k, i] for k in range(n)] for j in range(n)] for i in range(n)]
     return HopfAlgebra(
-        Algebra(f, Tensor3._of(f, mult, (n, n, n)), h.counit),
-        Coalgebra(f, Tensor3._of(f, comult, (n, n, n)), h.unit),
+        Algebra._of(f, _transposed(h.coalgebra.int_comult, n * n), h.counit),
+        Coalgebra._of(f, _transposed(_pairs(h.algebra), n), h.unit),
         h.antipode.transpose(),
         name=f"dual({h.name})" if h.name else "",
     )
+
+
+def _opposite_algebra(a: Algebra) -> Algebra:
+    """The product e_i .op e_j = e_j e_i: the legs of the table swapped."""
+    terms, den = a.int_terms
+    return Algebra._of(a.field, ([row[i] for i in range(a.dim) for row in terms], den), a.unit)
+
+
+def _coopposite_coalgebra(c: Coalgebra) -> Coalgebra:
+    """Delta^op: the two legs of every Delta(e_i) swapped."""
+    (images, den), n = c.int_comult, c.dim
+    return Coalgebra._of(c.field, ([_permuted((i, 1), (n, n), (1, 0))[0] for i in images], den), c.counit)
 
 
 def opposite(h: HopfAlgebra) -> HopfAlgebra:
@@ -870,12 +879,8 @@ def opposite(h: HopfAlgebra) -> HopfAlgebra:
     becomes its inverse.  S^{-1} is the antipode of H^op: S, an algebra
     anti-map, sends sum h_2 S^{-1}(h_1) to sum h_1 S(h_2) = eps(h) 1 (and
     the other side likewise), and S is bijective with S(1) = 1."""
-    return HopfAlgebra(
-        Algebra(h.field, h.mult.flip01(), h.unit),
-        h.coalgebra,
-        h.antipode_inverse(),
-        name=f"op({h.name})" if h.name else "",
-    )
+    name = f"op({h.name})" if h.name else ""
+    return HopfAlgebra(_opposite_algebra(h.algebra), h.coalgebra, h.antipode_inverse(), name)
 
 
 def coopposite(h: HopfAlgebra) -> HopfAlgebra:
@@ -883,12 +888,8 @@ def coopposite(h: HopfAlgebra) -> HopfAlgebra:
     becomes its inverse.  S^{-1} is the antipode of H^cop: S sends
     sum S^{-1}(h_2) h_1 to sum S(h_1) h_2 = eps(h) 1 (and the other side
     likewise), and S is bijective with S(1) = 1."""
-    return HopfAlgebra(
-        h.algebra,
-        Coalgebra(h.field, h.comult.flip12(), h.counit),
-        h.antipode_inverse(),
-        name=f"cop({h.name})" if h.name else "",
-    )
+    name = f"cop({h.name})" if h.name else ""
+    return HopfAlgebra(h.algebra, _coopposite_coalgebra(h.coalgebra), h.antipode_inverse(), name)
 
 
 def biopposite(h: HopfAlgebra) -> HopfAlgebra:
@@ -896,12 +897,8 @@ def biopposite(h: HopfAlgebra) -> HopfAlgebra:
     unchanged.  S is the antipode of H^bop: its left identity there,
     sum S(h_2) .op h_1, is sum h_1 S(h_2) = eps(h) 1 in H, and the right
     one is S * id = eps 1 in H."""
-    return HopfAlgebra(
-        Algebra(h.field, h.mult.flip01(), h.unit),
-        Coalgebra(h.field, h.comult.flip12(), h.counit),
-        h.antipode,
-        name=f"biop({h.name})" if h.name else "",
-    )
+    name = f"biop({h.name})" if h.name else ""
+    return HopfAlgebra(_opposite_algebra(h.algebra), _coopposite_coalgebra(h.coalgebra), h.antipode, name)
 
 
 # --- convolution ----------------------------------------------------------------
@@ -909,13 +906,7 @@ def biopposite(h: HopfAlgebra) -> HopfAlgebra:
 
 def convolution_unit(c: Coalgebra, a: Algebra) -> LinMap:
     """The unit of the convolution algebra Hom(C, A): x -> eps(x) 1."""
-    return LinMap(
-        Matrix._of(
-            a.field,
-            [[u * e for e in c.counit.entries] for u in a.unit.entries],
-            c.dim,
-        )
-    )
+    return LinMap(Matrix._of(a.field, [[u * e for e in c.counit.entries] for u in a.unit.entries], c.dim))
 
 
 def convolution_product(f: LinMap, g: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
@@ -941,39 +932,23 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
     """
     if f.source != c.dim or f.target != a.dim:
         raise ValueError("map is not an element of Hom(C, A)")
-    nc, na = c.dim, a.dim
-    field = a.field
-    zero = field.zero
-    # the unknown is X[k * na + b] = <e*_b, X(c_k)>; row (i, r) of f * X = unit
-    # sums x f[s, j] m[s, b, r] over the terms x c_j (x) c_k of Delta(c_i)
-    f_rows = f.matrix.rows
+    nc, na, field = c.dim, a.dim, a.field
+    # the unknown is X[k * na + b] = <e*_b, X(c_k)>; row (i, r) of f * X = unit is the r
+    # coordinate of sum x f(c_j) X(c_k) over the terms x c_j (x) c_k of Delta(c_i): f(c_j) at
+    # (s, k), e_s e_b at (b, r, k), then cut at r into rows over (k, b)
+    (images, den), f_cols, rows_a = c.int_comult, _columns(f.matrix), _flat_rows(a)
     rows: list[dict] = []
     rhs = []
-    for i, support in enumerate(c.terms):
-        block: list[dict] = [{} for _ in range(na)]
-        for (j, k), x in support:
-            for s in range(na):
-                if not f_rows[s][j]:
-                    continue
-                w = x * f_rows[s][j]
-                for b in range(na):
-                    at = k * na + b
-                    for r, y in a.terms[s][b]:
-                        block[r][at] = block[r].get(at, zero) + w * y
-        rows += block
+    for i, image in enumerate(images):
+        u = _leg_map(_leg_map((image, den), (nc, nc), 0, na, f_cols), (na, nc), 0, na * na, rows_a)
+        block, bden = _cut(_permuted(u, (na, na, nc), (1, 2, 0)), na, nc * na)
+        rows += [_scalars(field, (row, bden)) for row in block]
         rhs.extend(a.unit.scale(c.counit[i]).entries)
     x = Elimination(field, nc * na, rows, [rhs]).solution()
     if x is None:
-        raise CertificationError(
-            "not-convolution-invertible",
-            "f * X = unit has no solution",
-        )
-    cols = [
-        Vector._of(field, x.entries[k * na : (k + 1) * na]) for k in range(nc)
-    ]
-    inv = LinMap(Matrix.from_columns(field, cols, nrows=na))
-    check = convolution_product(inv, f, c, a)
-    if check != convolution_unit(c, a):
+        raise CertificationError("not-convolution-invertible", "f * X = unit has no solution")
+    inv = LinMap(Matrix._of(field, zip(*(x.entries[k * na : (k + 1) * na] for k in range(nc))), nc))
+    if convolution_product(inv, f, c, a) != convolution_unit(c, a):
         raise CertificationError(
             "convolution-inverse-one-sided",
             "right convolution inverse is not a left inverse; "

@@ -2,7 +2,9 @@
 
 Scalars are `fractions.Fraction` over Q and `ModInt` residues over F_p;
 floating point is rejected outright.  Vectors, matrices and rank-3
-tensors are stored dense.
+tensors are stored dense; structure constants are not: an algebra or a
+coalgebra of `hopf` holds one sparse integer table, described below, and
+builds a `Tensor3` from it only as a view.
 
 Scalars are coerced once, at the boundary.  The public constructors
 `Vector(...)`, `Matrix(...)` and `Tensor3(...)` coerce and validate
@@ -21,7 +23,9 @@ of a flat tensor instead, a coordinate being support[index] / den: a
 field's `to_ints` gives ints over one denominator (residues over F_p,
 numerators over the lcm of the denominators over Q), `reduce` reduces a
 support (mod p) and drops its zeros, and `from_ints` builds a scalar per
-nonzero result.  Only this module reads what a scalar is made of.
+nonzero result.  The helpers at the end of this module convert vectors,
+matrices and groups of scalars to and from that form.  Only this module
+reads what a scalar is made of.
 
 Every linear system is solved by one sparse elimination, `Elimination`:
 rows are {column: scalar} mappings, right-hand sides ride along beside
@@ -915,49 +919,81 @@ def contract(t: Tensor3, axis: int, v: Vector) -> Matrix:
     axis 0 gives R[j, k] = sum_i v_i T[i, j, k], and so on.
     """
     _same_field(t.field, v.field, "tensor and vector")
-    d0, d1, d2 = t.dims
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
     if len(v) != t.dims[axis]:
         raise ValueError(
             f"vector length {len(v)} does not match axis {axis} of size {t.dims[axis]}"
         )
-    zero = t.field.zero
-    if axis == 0:
-        out = [[zero] * d2 for _ in range(d1)]
-        for i, c in enumerate(v):
-            if not c:
-                continue
-            plane = t.data[i]
-            for j in range(d1):
-                row = plane[j]
-                for k in range(d2):
-                    if row[k]:
-                        out[j][k] = out[j][k] + c * row[k]
-        return Matrix._of(t.field, out, d2)
-    if axis == 1:
-        out = [[zero] * d2 for _ in range(d0)]
-        for j, c in enumerate(v):
-            if not c:
-                continue
-            for i in range(d0):
-                row = t.data[i][j]
-                for k in range(d2):
-                    if row[k]:
-                        out[i][k] = out[i][k] + c * row[k]
-        return Matrix._of(t.field, out, d2)
-    out = [[zero] * d1 for _ in range(d0)]
-    for k, c in enumerate(v):
-        if not c:
-            continue
-        for i in range(d0):
-            plane = t.data[i]
-            for j in range(d1):
-                if plane[j][k]:
-                    out[i][j] = out[i][j] + c * plane[j][k]
-    return Matrix._of(t.field, out, d1)
+    rows, cols = (d for a, d in enumerate(t.dims) if a != axis)
+    out = [[t.field.zero] * cols for _ in range(rows)]
+    for index, x in t.nonzero():
+        c = v[index[axis]]
+        if c:
+            i, j = index[:axis] + index[axis + 1 :]
+            out[i][j] = out[i][j] + c * x
+    return Matrix._of(t.field, out, cols)
 
 
 def tensor_of(vectors: Sequence[Vector]) -> Vector:
     """The Kronecker product of the vectors, in order."""
     return reduce(Vector.tensor, vectors)
+
+
+# --- the sparse integer form ----------------------------------------------------
+#
+# A flat tensor in (support, den) form maps the flat index of each nonzero
+# coordinate to an int, the coordinate being that int over `den`.  These
+# helpers convert vectors, matrices and groups of scalars to and from it;
+# hopf's kernels compute on it.
+
+Sparse = tuple[dict[int, int], int]
+
+
+def _int_supports(field: Field, groups: Sequence[Sequence[tuple[int, Scalar]]]) -> tuple[tuple, int]:
+    """(supports, den): each group of (index, x) becomes {index: x den}, ints over one denominator."""
+    ints, den = field.to_ints([x for group in groups for _, x in group])
+    it = iter(ints)
+    return tuple({i: next(it) for i, _ in group} for group in groups), den
+
+
+def _sparse(v: Vector) -> Sparse:
+    """The (support, den) form of a flat tensor, converting only its nonzeros."""
+    nonzeros = [i for i, x in enumerate(v.entries) if x]
+    ints, den = v.field.to_ints([v.entries[i] for i in nonzeros])
+    return dict(zip(nonzeros, ints)), den
+
+
+def _dense(field: Field, size: int, s: Sparse) -> Vector:
+    """The flat tensor of length `size` whose (support, den) form is s: zeros but for its nonzeros."""
+    entries = [field.zero] * size
+    for i, x in _scalars(field, s).items():
+        entries[i] = x
+    return Vector._of(field, entries)
+
+
+def _scalars(field: Field, s: Sparse) -> dict[int, Scalar]:
+    """The nonzero coordinates of a (support, den) form as field scalars: a row of an Elimination."""
+    return {i: x for i, x in zip(s[0], field.from_ints(list(s[0].values()), s[1])) if x}
+
+
+def _comparable(field: Field, lhs: Sparse, rhs: Sparse) -> tuple[Sparse, Sparse]:
+    """lhs and rhs over one denominator and reduced by the field: equal exactly when their values are."""
+    (sl, dl), (sr, dr) = lhs, rhs
+    return tuple((field.reduce({i: x * d for i, x in s.items()}), dl * dr) for s, d in ((sl, dr), (sr, dl)))
+
+
+def _columns(m: Matrix) -> tuple[tuple, int]:
+    """The columns of m as leg images: (table, den) with table[d] = {r: m[r,d] den}."""
+    return _int_supports(m.field, [[(r, row[d]) for r, row in enumerate(m.rows) if row[d]] for d in range(m.ncols)])
+
+
+def _matrix(field: Field, nrows: int, ncols: int, cols: Sparse) -> Matrix:
+    """The matrix whose entry (r, c) is at c nrows + r of the (support, den) form cols."""
+    flat = _dense(field, nrows * ncols, cols).entries
+    return Matrix._of(field, zip(*(flat[c * nrows : (c + 1) * nrows] for c in range(ncols))), ncols)
+
+
+def _functional(phi: Vector) -> tuple[tuple, int]:
+    """A functional as leg images of width 1: table[d] = {0: phi_d den}."""
+    return _int_supports(phi.field, [[(0, w)] if w else [] for w in phi.entries])

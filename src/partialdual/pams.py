@@ -30,16 +30,15 @@ from .hopf import (
     CertificationError,
     LinMap,
     Report,
-    _columns,
+    _cut,
     _flat_rows,
-    _functional,
     _leg_map,
     _legs_product,
     _pairs,
     _slice_mismatch,
-    _sparse,
     _stacked,
     _then,
+    _transposed,
     biopposite,
     convolution_inverse,
     convolution_product,
@@ -53,6 +52,10 @@ from .linalg import (
     Field,
     Matrix,
     Vector,
+    _columns,
+    _functional,
+    _scalars,
+    _sparse,
     contract,
 )
 
@@ -252,26 +255,19 @@ def cointegral_space(q: CoidealQuotient) -> tuple[Vector | None, Matrix]:
     n = h.dim
     bdim = bsub.dim
     zero = field.zero
-    # <e*_m, iota(b_beta) e_j> at [beta][j] and <b*_t, b_beta b_s> at [beta][t]
-    left_h = [
-        [flat_nonzeros(h.algebra.multiply(bsub.iota.column(beta), h.basis(j))) for j in range(n)]
-        for beta in range(bdim)
-    ]
-    left_b: list[list[list]] = [[[] for _ in range(bdim)] for _ in range(bdim)]
-    for beta in range(bdim):
-        for s in range(bdim):
-            for t, x in bsub.algebra.terms[beta][s]:
-                left_b[beta][t].append((s, x))
-
+    (included, iden), rows_h, (terms, bden) = _columns(bsub.iota.matrix), _flat_rows(h.algebra), bsub.algebra.int_terms
     rows: list[dict] = []
     rhs = []
-    for beta in range(bdim):
+    for beta, col in enumerate(included):
+        # <e*_m, iota(b_beta) e_j> at [j][m] and <b*_t, b_beta b_s> at [t][s], over one den
+        left_h, hden = _cut(_leg_map((col, iden), (n,), 0, n * n, rows_h), n, n)
+        left_b = _transposed((terms[beta], bden), bdim)[0]
         for t in range(bdim):
             for j in range(n):
-                row = {t * n + m: x for m, x in left_h[beta][j]}
-                for s, x in left_b[beta][t]:
-                    row[s * n + j] = row.get(s * n + j, zero) - x
-                rows.append(row)
+                row = {t * n + m: x * bden for m, x in left_h[j].items()}
+                for s, x in left_b[t].items():
+                    row[s * n + j] = row.get(s * n + j, 0) - x * hden
+                rows.append(_scalars(field, (row, hden * bden)))
                 rhs.append(zero)
     for t in range(bdim):
         rows.append({t * n + m: x for m, x in flat_nonzeros(h.unit)})

@@ -7,16 +7,19 @@ assembled from structure constants and certified identity by identity.
 The right partial dual lives on C (x) B* and is produced together with
 the bit-exact duality pairing against the left side.  Both sides keep
 their comultiplication and counit as a hopf.Coalgebra, as a Hopf algebra
-does, so every reader takes the nonzeros of Delta from Coalgebra.terms
-and none reshapes a Delta matrix or regroups its tensor.
+does, so every reader takes the nonzeros of Delta from
+Coalgebra.int_comult and none reshapes a Delta matrix or regroups its
+tensor.
 
 Both constructors assemble their maps on integer tables, as the
 verifiers check them: each certified map and structure tensor is read
-once as leg images in (support, den) form, each structure map is a
+once as leg images in (support, den) form, and each structure map is a
 chain of hopf's kernels over them (_leg_map, _permuted, _power_product,
-_kron, _then, _stacked), and each result is converted once into the
-Tensor3, Vector or Matrix that is stored.  No constructor multiplies
-field scalars itself.
+_kron, _then, _stacked).  The product and Delta tables are handed to
+Algebra._of and Coalgebra._of as they come out, cut by _cut where a
+chain yields one flat tensor; the rest is converted once into the
+Vector or Matrix that is stored.  No constructor multiplies field
+scalars itself.
 
 The left constructor builds each structure map from one form and makes
 no check of its own: it certifies the assembled object with
@@ -37,14 +40,11 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
-    Sparse,
-    _columns,
     _comultiplicative,
-    _dense,
+    _cut,
+    _flat_cols,
     _flat_rows,
-    _functional,
     _grouped,
-    _int_supports,
     _kron,
     _leg_map,
     _legs_product,
@@ -55,10 +55,10 @@ from .hopf import (
     _rows,
     _scale,
     _slice_mismatch,
-    _sparse,
     _stacked,
-    _tensor3,
+    _table,
     _then,
+    _transposed,
     _unit_sides,
     convolution_inverse,
     power_unit,
@@ -70,7 +70,19 @@ from .hopf import (
     verify_hopf,
     verify_quasi_bialgebra,
 )
-from .linalg import Field, Matrix, Tensor3, Vector, _same_field
+from .linalg import (
+    Matrix,
+    Sparse,
+    Tensor3,
+    Vector,
+    _columns,
+    _dense,
+    _functional,
+    _int_supports,
+    _matrix,
+    _same_field,
+    _sparse,
+)
 from .pams import Pams
 
 __all__ = [
@@ -246,12 +258,6 @@ class HopfDetection:
         return f"HopfDetection(kind={self.kind!r}, diagnostics={self.diagnostics!r})"
 
 
-def _table(images) -> tuple[list, int]:
-    """(support, den) forms over one den as the leg images (table, den)."""
-    images = list(images)
-    return [s for s, _ in images], images[0][1]
-
-
 def _products(alg: Algebra, factors) -> tuple[list, int]:
     """The products x y of the (support, den) pairs `factors`, as leg images."""
     return _table(_power_product(alg, 1, x, y) for x, y in factors)
@@ -262,19 +268,6 @@ def _by(t: Tensor3, axis: int) -> tuple[tuple, int]:
     for each nonzero c at d whose other two indices are (x, y), w the length of y's leg."""
     width = t.dims[1 if axis == 2 else 2]
     return _int_supports(t.field, [[(x * width + y, c) for (x, y), c in group] for group in _grouped(t, axis)])
-
-
-def _flat_cols(a: Algebra) -> tuple[list[dict[int, int]], int]:
-    """(table, den) with table[k] = {m n + r: m[m,k,r] den}: e_m e_k for every m,
-    the twin of hopf._flat_rows, read from int_terms."""
-    n, (terms, den) = a.dim, a.int_terms
-    return [{m * n + r: x for m in range(n) for r, x in terms[m][k].items()} for k in range(n)], den
-
-
-def _matrix(field: Field, nrows: int, ncols: int, cols: Sparse) -> Matrix:
-    """The matrix whose entry (r, c) is at c nrows + r of the (support, den) form cols."""
-    flat = _dense(field, nrows * ncols, cols).entries
-    return Matrix._of(field, zip(*(flat[c * nrows : (c + 1) * nrows] for c in range(ncols))), ncols)
 
 
 def _antipode_axioms(
@@ -411,7 +404,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     m = _leg_map(m, (bdim, cdim, cdim, bdim), 1, cdim * cdim, _flat_cols(q.cstar))
     m = _leg_map(m, (bdim, cdim, cdim, cdim, bdim), 4, bdim * bdim, _flat_rows(bsub.algebra))
     m = _permuted(m, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
-    alg = Algebra(field, _tensor3(field, (nd, nd, nd), [m]), _dense(field, nd, _kron(eps_c, one_b, bdim)))
+    alg = Algebra._of(field, _cut(m, nd * nd, nd), _dense(field, nd, _kron(eps_c, one_b, bdim)))
     pairs = _pairs(alg)
 
     # comultiplication on the generators: Delta(f_a # 1) = sum f_s # b_u (x) gamma*(h*_i zeta_u) # 1 over
@@ -432,8 +425,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
     pi = _columns(q.pi.matrix)
     pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, pi)
-    coalg = Coalgebra(
-        field, _tensor3(field, (nd, nd, nd), [_power_product(alg, 2, x, y) for x in d32 for y in d33]),
+    coalg = Coalgebra._of(
+        field, _table(_power_product(alg, 2, x, y) for x in d32 for y in d33),
         _dense(field, nd, _kron(pi_one, _sparse(bsub.counit), bdim)),
     )
 
@@ -574,7 +567,7 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     n, bdim, cdim = h.dim, bsub.dim, q.dim
     nd = cdim * bdim
     report = Report(f"right partial dual (dim {nd} over {field.descriptor})")
-    mult_b = _stacked(_by(bsub.mult, 2), bdim * bdim)  # b_a b_c = sum x b_u at (u, a, c)
+    mult_b = _stacked(_transposed(_pairs(bsub.algebra), bdim), bdim * bdim)  # b_a b_c = sum x b_u at (u, a, c)
 
     # comultiplication: Delta(c_p) at (s, t) beside b_a b_c at (u, a, c); b*_a -> f_i |> b*_a at (i, v),
     # then the two legs (t, i) -> c_t <| h_i at g, to (p, u, s, v, g, c)
@@ -603,30 +596,27 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     mult = _leg_map(mult, (bdim, n, cdim, bdim, bdim), 1, cdim * cdim, _by(q.action, 1))
     mult = _permuted(mult, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
 
-    comult_r, mult_r = _tensor3(field, (nd, nd, nd), [comult]), _tensor3(field, (nd, nd, nd), [mult])
     counit_r = _dense(field, nd, _kron(_sparse(q.coalgebra.counit), _sparse(bsub.unit), bdim))
     pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, _columns(q.pi.matrix))
     unit_r = _dense(field, nd, _kron(pi_one, _sparse(bsub.counit), bdim))
 
-    coalg = Coalgebra(field, comult_r, counit_r)
+    coalg = Coalgebra._of(field, _cut(comult, nd, nd * nd), counit_r)
     verify_coalgebra(coalg, report)
-    right = CoquasiHopfAlgebra(coalg, Algebra(field, mult_r, unit_r), p, report)
+    right = CoquasiHopfAlgebra(coalg, Algebra._of(field, _cut(mult, nd * nd, nd), unit_r), p, report)
     report.add("unit-law", *_slice_mismatch(field, "basis {0}".format, _unit_sides(right.algebra), nd))
 
-    # exact duality with the left side under the flat pairing: the stored nonzeros
-    # of both sides as integer tables, slice i at (j, k)
-    def sliced(groups, flip=False):
-        return _int_supports(field, [[(k * nd + j if flip else j * nd + k, x) for (j, k), x in g] for g in groups])
-
+    # exact duality with the left side under the flat pairing: each table of the left side
+    # against the right side's other table _transposed, slice (i, j) at k and slice i at (j, k)
     def paired(lhs, rhs):
         return lambda i: ((lhs[0][i], lhs[1]), (rhs[0][i], rhs[1]))
 
     lual, lcoalg, entry = left.algebra, left.coalgebra, "entry ({0},{1},{2})".format
     report.add("multiplication-comultiplication-duality", *_slice_mismatch(
-        field, entry, paired(_flat_rows(lual), sliced(_grouped(comult_r, 1), flip=True)), nd, (nd, nd)
+        field, lambda ij, k, *_: entry(*divmod(ij, nd), k),
+        paired(_pairs(lual), _transposed(coalg.int_comult, nd * nd)), nd * nd, (nd,)
     ))
     report.add("comultiplication-multiplication-duality", *_slice_mismatch(
-        field, entry, paired(lcoalg.int_comult, sliced(_grouped(mult_r, 2))), nd, (nd, nd)
+        field, entry, paired(lcoalg.int_comult, _transposed(_pairs(right.algebra), nd)), nd, (nd, nd)
     ))
     report.add("unit-counit-duality", lual.unit == counit_r, "unit vs counit")
     report.add("counit-unit-duality", lcoalg.counit == unit_r, "counit vs unit")

@@ -120,7 +120,7 @@ def test_dimension_law_abort_on_corrupt_data(taft):
     h, b, _ = taft
     # only certify_coideal holds the token, so corrupt data has to forge it
     corrupt = CoidealSubalgebra(
-        _CERTIFIED, h, b.iota, b.mult, b.unit, Vector.zero(QQ, 2), b.coaction, b.report
+        _CERTIFIED, h, b.iota, b.algebra, Vector.zero(QQ, 2), b.coaction, b.report
     )
     with pytest.raises(CertificationError) as err:
         build_quotient(corrupt)
@@ -131,7 +131,7 @@ def test_certified_types_are_built_only_by_their_certifiers(taft):
     h, b, _ = taft
     q = build_quotient(b)
     with pytest.raises(TypeError, match="built only by certify_coideal"):
-        CoidealSubalgebra(object(), h, b.iota, b.mult, b.unit, b.counit, b.coaction, b.report)
+        CoidealSubalgebra(object(), h, b.iota, b.algebra, b.counit, b.coaction, b.report)
     with pytest.raises(TypeError, match="built only by build_quotient"):
         CoidealQuotient(
             object(), b, q.pi, q.lift, q.coalgebra, q.action, q.ideal_basis, q.canonical, q.report

@@ -110,9 +110,12 @@ def _with_quasi_hopf(qh, **changes):
     return _replace(qh, QuasiHopfAlgebra, fields, **changes)
 
 
-def _with_coideal(b, **changes):
-    """A copy of a certified coideal with corrupted data, built past certify_coideal."""
-    fields = ("parent", "iota", "mult", "unit", "counit", "coaction", "report")
+def _with_coideal(b, mult=None, **changes):
+    """A copy of a certified coideal with corrupted data, built past certify_coideal;
+    a corrupted multiplication tensor `mult` replaces its algebra."""
+    if mult is not None:
+        changes["algebra"] = Algebra(b.field, mult, b.unit)
+    fields = ("parent", "iota", "algebra", "counit", "coaction", "report")
     return _replace(b, functools.partial(CoidealSubalgebra, _CERTIFIED), fields, **changes)
 
 

@@ -474,8 +474,10 @@ def test_grouped_matches_nonzero_and_digit_walker(field):
                 (rest[:axis] + (d,) + rest[axis:], c) for d, group in enumerate(groups) for rest, c in group
             ) == nonzero, (t, axis)
         if len(set(t.dims)) == 1:  # a cubic tensor can be a comultiplication
-            terms = Coalgebra(field, t, Vector.zero(field, t.dims[0])).terms
-            assert [list(group) for group in terms] == _ref_grouped(t, 0), t
+            n = t.dims[0]
+            images, den = Coalgebra(field, t, Vector.zero(field, n)).int_comult
+            values = [zip(image, field.from_ints(list(image.values()), den)) for image in images]
+            assert [[(divmod(idx, n), x) for idx, x in group] for group in values] == _ref_grouped(t, 0), t
 
 
 def test_power_multiply_in_tensor_square():
@@ -488,9 +490,10 @@ def test_power_multiply_in_tensor_square():
 
 # --- products against dense references ------------------------------------------
 #
-# Algebra.multiply and power_multiply both read Algebra.terms.  The
-# oracle for a single product is the dense left-multiplication matrix
-# built from the multiplication tensor, kept here only.  An operand of
+# Algebra.multiply and power_multiply both run _power_product over
+# Algebra.int_terms.  The oracle for a single product is the dense
+# left-multiplication matrix contracted from the dense view `mult`, kept
+# here only.  An operand of
 # power_multiply is a list of pure tensors (c, [x_1, ..., x_k]) standing
 # for sum c x_1 (x) ... (x) x_k; its reference multiplies two of them
 # leg by leg with the dense oracle and reassembles with tensor_of, so it
@@ -792,3 +795,30 @@ def test_power_multiply_rejects_operands_of_the_wrong_length():
             power_multiply(algebra, k, u, v)
     one = Vector.basis(QQ, 1, 0)
     assert power_multiply(algebra, 0, one, one) == one
+
+
+def test_trusted_constructors_match_the_public_ones_over_a_scaled_denominator():
+    """Algebra._of and Coalgebra._of take a table over any den: the tables of
+    kC2 on the basis (1, 2 g), scaled to den 6 (from 1 and 2), give the
+    objects that the public constructors build from the dense tensors.  The
+    trusted constructors are the subject here, so they are called as plain
+    functions, as the counting tests call Vector._of."""
+    h = kc2_on_basis(2)
+    (terms, den), (images, cden) = h.algebra.int_terms, h.coalgebra.int_comult
+    assert (den, cden) == (1, 2)
+
+    def scaled(table, den):
+        return [{k: x * (6 // den) for k, x in image.items()} for image in table], 6
+
+    algebra = Algebra.__dict__["_of"].__func__(Algebra, QQ, scaled([p for row in terms for p in row], den), h.unit)
+    coalgebra = Coalgebra.__dict__["_of"].__func__(Coalgebra, QQ, scaled(images, cden), h.counit)
+    assert (algebra.int_terms[1], coalgebra.int_comult[1]) == (6, 6)
+    assert algebra == h.algebra and h.algebra == algebra and coalgebra == h.coalgebra
+    assert algebra.mult == h.mult and coalgebra.comult == h.comult
+    vectors = [h.unit, h.basis(1), Vector(QQ, [Fraction(1, 3), -2])]
+    for u in vectors:
+        assert algebra.left_mult_matrix(u) == h.algebra.left_mult_matrix(u)
+        assert coalgebra.comultiply(u) == h.coalgebra.comultiply(u)
+        for v in vectors:
+            assert algebra.multiply(u, v) == h.algebra.multiply(u, v)
+    assert verify_hopf(HopfAlgebra(algebra, coalgebra, h.antipode)).ok

@@ -32,8 +32,13 @@ loop over the coordinates of a flat tensor decodes an index with
 `divmod`: `hopf._support` lists the nonzeros with their leg indices.  No
 loop regroups the `.nonzero()` entries of a tensor into per-index lists
 by hand: that is `hopf._grouped`.  No code groups a comultiplication
-with `_grouped(<...>.comult, 0)`: its nonzeros are `Coalgebra.terms`,
-grouped once by the `Coalgebra` constructor.  `verify_hopf` is called
+with `_grouped(<...>.comult, 0)`: its grouped nonzeros are
+`Coalgebra.int_comult`, which the public `Coalgebra` constructor groups
+once and `Coalgebra._of` takes as given.  Only the builders of `examples`
+and the document reader `serialize._read_part` call the public `Algebra`
+and `Coalgebra` constructors, which check and scan a dense tensor; every
+other builder hands its integer table to `Algebra._of` or
+`Coalgebra._of`.  `verify_hopf` is called
 only where a Hopf algebra enters without certification:
 `certify_coideal`, the entry of the pipeline, and the commands and
 constructors that build or reassemble a Hopf algebra of their own.  The
@@ -521,9 +526,9 @@ def test_checker_flags_a_comultiplication_grouped_by_hand():
         "def f(c, q, b):\n"
         "    a = _grouped(c.comult, 0)\n"
         "    d = hopf._grouped(q.coalgebra.comult, 0)\n"
-        "    return a, d, _grouped(b.mult, 2), _grouped(c.comult, 1), c.terms\n"
+        "    return a, d, _grouped(b.mult, 2), _grouped(c.comult, 1), c.int_comult\n"
         "def __init__(self, field, comult, counit):\n"
-        "    self.terms = _grouped(comult, 0)\n"
+        "    self.int_comult = _grouped(comult, 0)\n"
     )
     assert comultiplications_grouped_by_hand(source) == ["c.comult (line 2)", "q.coalgebra.comult (line 3)"]
 
@@ -572,6 +577,39 @@ def callers(source: str, module: str, callee: str) -> list[str]:
 
     visit(ast.parse(source), [])
     return found
+
+
+# the only functions of the package that call the public Algebra or Coalgebra
+# constructor: the builders of examples, and the document reader, which calls
+# the class its callers hand it as `part`
+PUBLIC_CONSTRUCTOR_CALLERS = {
+    "examples.group_algebra",
+    "examples.taft4",
+    "examples.bismash_product",
+    "serialize._read_part",
+}
+
+
+def test_checker_tells_the_public_constructors_from_the_trusted_ones():
+    source = (
+        "from partialdual import hopf\n"
+        "def read(field, mult, unit):\n"
+        "    return Algebra(field, mult, unit)\n"
+        "def build(field, table, images, unit):\n"
+        "    return hopf.Algebra._of(field, table, unit), Coalgebra._of(field, images, unit)\n"
+        "def view(a):\n"
+        "    return hopf.Coalgebra(a.field, a.comult, a.counit), Algebra\n"
+    )
+    assert callers(source, "m", "Algebra") == ["m.read"]
+    assert callers(source, "m", "Coalgebra") == ["m.view"]
+
+
+def test_only_examples_and_the_reader_call_the_public_structure_constructors():
+    found = {
+        c for path in MODULES for callee in ("Algebra", "Coalgebra", "part")
+        for c in callers(path.read_text(), path.stem, callee)
+    }
+    assert found == PUBLIC_CONSTRUCTOR_CALLERS
 
 
 def test_checker_names_the_callers_of_verify_hopf():

@@ -367,17 +367,22 @@ def test_every_reader_takes_delta_from_the_stored_coalgebra(taft1, monkeypatch):
     q = build_quotient(certify_coideal(h, LinMap(Matrix(F7, [[1, 0], [0, 0], [0, 1], [0, 0]]))))
     built = [taft1[2], left_partial_dual(certify_pams(q, find_cointegral(q)))]
     counts = {"Coalgebra": 0, "_grouped": 0}
-    init, grouped = Coalgebra.__init__, hopf._grouped
+    init, of, grouped = Coalgebra.__init__, Coalgebra.__dict__["_of"].__func__, hopf._grouped
 
     def counting_init(self, *args):
         counts["Coalgebra"] += 1
         init(self, *args)
+
+    def counting_of(cls, *args):
+        counts["Coalgebra"] += 1
+        return of(cls, *args)
 
     def counting_grouped(*args):
         counts["_grouped"] += 1
         return grouped(*args)
 
     monkeypatch.setattr(Coalgebra, "__init__", counting_init)
+    monkeypatch.setattr(Coalgebra, "_of", classmethod(counting_of))
     monkeypatch.setattr(hopf, "_grouped", counting_grouped)
     monkeypatch.setattr(partial_dual, "_grouped", counting_grouped)
     for qh in built:
@@ -396,14 +401,19 @@ def test_readers_and_transports_reuse_the_parts_they_hold(taft1, monkeypatch):
     right = right_partial_dual(p, qh)
     built = []
 
-    def counting(cls):
-        init = cls.__init__
+    def counting(cls):  # both the public constructor and the trusted _of
+        init, of = cls.__init__, cls.__dict__["_of"].__func__
 
         def counting_init(self, *args):
             built.append(cls.__name__)
             init(self, *args)
 
+        def counting_of(klass, *args):
+            built.append(cls.__name__)
+            return of(klass, *args)
+
         monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "_of", classmethod(counting_of))
 
     counting(hopf.Algebra)
     counting(Coalgebra)
