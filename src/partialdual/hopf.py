@@ -595,13 +595,13 @@ def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
                 pair = row[b]
                 if not pair:
                     continue
-                grown = [(base * n + t, c * w) for base, c in partial for t, w in pair.items()]
                 if level < k - 1:
-                    descend(su, sv, level + 1, grown)
+                    descend(su, sv, level + 1, [(base * n + t, c * w) for base, c in partial for t, w in pair.items()])
                     continue
                 cuv = su * sv
-                for idx, c in grown:
-                    out[idx] += cuv * c
+                for base, c in partial:
+                    for t, w in pair.items():
+                        out[base * n + t] += cuv * c * w
 
     descend(tree(u[0]), tree(v[0]), 0, [(0, 1)])
     return algebra.field.reduce(out), u[1] * v[1] * den**k
