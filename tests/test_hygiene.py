@@ -38,17 +38,17 @@ once and `Coalgebra._of` takes as given.  Only the builders of `examples`
 and the document reader `serialize._read_part` call the public `Algebra`
 and `Coalgebra` constructors, which check and scan a dense tensor; every
 other builder hands its integer table to `Algebra._of` or
-`Coalgebra._of`.  `verify_hopf` is called
-only where a Hopf algebra enters without certification:
-`certify_coideal`, the entry of the pipeline, and the commands and
-constructors that build or reassemble a Hopf algebra of their own.  The
-same checker pins the callers of `coideal._certify_inclusion`, which
-certifies a coideal without `verify_hopf`: `certify_coideal` after its
-own verification, and the three places whose parent is a transport of a
-certified parent (`dual_coideal`, `induced_pams`,
-`pams_from_split_projection`).  `partial_dual.left_partial_dual` states
-no check of its own, neither a `report.add` nor a linear system to
-reduce: every check of its report comes from `verify_quasi_hopf`.  What
+`Coalgebra._of`.  `verify_hopf` is called only where a Hopf algebra
+enters without certification: `certify_coideal`, the entry of the
+pipeline, and the commands and constructors that build or reassemble a
+Hopf algebra of their own.  The same checker pins the callers of
+`coideal._certify_inclusion`, which certifies a coideal without
+`verify_hopf`: `certify_coideal` after its own verification, and the
+three places whose parent is a transport of a certified parent
+(`dual_coideal`, `induced_pams`, `pams_from_split_projection`).
+`partial_dual.left_partial_dual` states no check of its own, neither a
+`report.add` nor a linear system to reduce: every check of its report
+comes from `verify_quasi_hopf`.  What
 a scalar is made of (the `numerator` and `denominator` of a `Fraction`,
 the residue `v` of a `ModInt`) and the modulus `p` of a prime field are
 read only in `linalg`, whose fields convert scalars to and from ints and
