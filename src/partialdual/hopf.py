@@ -13,11 +13,12 @@ of ints in the sparse (support, den) form of a flat tensor: int_terms
 and int_comult.  Every product, every tensor-power kernel and every
 verifier reads these tables, and the transports rewrite them: dual
 transposes them, opposite and coopposite swap their legs.  The dense
-Tensor3 `mult` and `comult` are views, built on demand for documents
-and the public API.  Dense data is read through three decoders: _support
-lists the nonzeros of a flat k-leg tensor with their leg indices,
-_grouped lists those of a Tensor3 grouped by one leg, and _rows lists
-them row by row.  No other module decodes a flat index by hand.
+Tensor3 `mult` and `comult` are views, built on demand for the public
+API and ==; documents are written from the tables.  Dense data is read
+through two decoders: _grouped lists the nonzeros of a Tensor3 grouped
+by one leg, and _rows lists them row by row.  _support lists the
+nonzeros of a flat tensor in (support, den) form with their leg
+indices, for documents.  No other module decodes a flat index by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -72,7 +73,6 @@ __all__ = [
     "convolution_product",
     "convolution_inverse",
     "tensor_apply",
-    "tensor_permute",
     "power_multiply",
     "power_unit",
     "tensor_of",
@@ -449,12 +449,12 @@ def _kron(u: Sparse, v: Sparse, width: int) -> Sparse:
     return {i * width + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1]
 
 
-def _support(v: Vector, n: int, k: int) -> list[tuple[tuple[int, ...], Scalar]]:
-    """The nonzeros of a flat k-leg tensor over legs of length n, as
-    ((d_0, ..., d_{k-1}), c) for c e_{d_0} (x) ... (x) e_{d_{k-1}}, in
-    flat (lexicographic) order."""
-    strides = [n ** (k - 1 - leg) for leg in range(k)]
-    return [(tuple(idx // s % n for s in strides), c) for idx, c in flat_nonzeros(v)]
+def _support(s: Sparse, dims: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzeros of a flat tensor over legs of lengths dims, given in
+    (support, den) form, as ((d_0, ..., d_{k-1}), x) for the coordinate
+    x / den of e_{d_0} (x) ... (x) e_{d_{k-1}}, in flat (lexicographic) order."""
+    strides = [prod(dims[leg + 1 :]) for leg in range(len(dims))]
+    return [(tuple(idx // st % n for st, n in zip(strides, dims)), x) for idx, x in sorted(s[0].items())]
 
 
 def _rows(t: Tensor3) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
@@ -558,15 +558,6 @@ def _permuted(u: Sparse, dims: Sequence[int], perm: Sequence[int]) -> Sparse:
             j += d * stride[p]
         out[j] = c
     return out, u[1]
-
-
-def tensor_permute(u: Vector, dims: Sequence[int], perm: Sequence[int]) -> Vector:
-    """Reorder legs: new leg l carries what old leg perm[l] carried."""
-    if len(u) != prod(dims):
-        raise ValueError(f"flat tensor has length {len(u)}, dims {dims} need {prod(dims)}")
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{tuple(perm)} is not a permutation of the {len(dims)} legs")
-    return _dense(u.field, len(u), _permuted(_sparse(u), dims, perm))
 
 
 def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:

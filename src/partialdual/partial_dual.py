@@ -17,9 +17,11 @@ once as leg images in (support, den) form, and each structure map is a
 chain of hopf's kernels over them (_leg_map, _permuted, _power_product,
 _kron, _then, _stacked).  The product and Delta tables are handed to
 Algebra._of and Coalgebra._of as they come out, cut by _cut where a
-chain yields one flat tensor; the rest is converted once into the
-Vector or Matrix that is stored.  No constructor multiplies field
-scalars itself.
+chain yields one flat tensor, and phi and phi^-1 to QuasiHopfAlgebra._of;
+the rest is converted once into the Vector or Matrix that is stored.
+Every reader of phi, the verifier, the transport checks, detect_hopf
+and the documents, takes the stored tables; the dense views are for
+the public API and ==.  No constructor multiplies field scalars itself.
 
 The left constructor builds each structure map from one form and makes
 no check of its own: it certifies the assembled object with
@@ -61,9 +63,6 @@ from .hopf import (
     _transposed,
     _unit_sides,
     convolution_inverse,
-    power_unit,
-    tensor_apply,
-    tensor_permute,
     verify_algebra,
     verify_coalgebra,
     verify_compatibility,
@@ -103,48 +102,63 @@ class QuasiHopfAlgebra:
 
     `algebra` holds the smash multiplication and `coalgebra` the
     comultiplication and counit, as a Hopf algebra holds them (a Coalgebra
-    whose Delta is only quasi-coassociative).  `phi` and `phi_inv` are the
-    associator and its inverse flattened in the triple tensor power,
-    `t_map` is the preantipode, and `antipodes`, when present, is the pair
-    of certified triples (S, alpha, beta).  When upsilon is not invertible
-    `antipodes` is None, repr calls out the defect, and the report's
-    antipode-availability check confirms that upsilon is indeed not
-    invertible.
+    whose Delta is only quasi-coassociative).  The associator and its
+    inverse are stored once, flat in the triple tensor power, as
+    `int_phi` and `int_phi_inv` in (support, den) form reduced by the
+    field; the views `phi` and `phi_inv` build the dense Vectors on each
+    read.  `t_map` is the preantipode, and `antipodes`, when present, is
+    the pair of certified triples (S, alpha, beta).  When upsilon is not
+    invertible `antipodes` is None, repr calls out the defect, and the
+    report's antipode-availability check confirms that upsilon is indeed
+    not invertible.
+
+    The public constructor checks that phi and phi^-1 live over the
+    field of the algebra and have dim^3 entries, and that T is dim x dim,
+    and converts each associator once; a kernel output enters through the
+    trusted _of, which takes the two tables as given.
     """
 
-    __slots__ = (
-        "algebra",
-        "coalgebra",
-        "phi",
-        "phi_inv",
-        "t_map",
-        "upsilon",
-        "antipodes",
-        "pams",
-        "report",
-    )
+    __slots__ = ("algebra", "coalgebra", "int_phi", "int_phi_inv", "t_map", "upsilon", "antipodes", "pams", "report")
 
     def __init__(
-        self,
-        algebra: Algebra,
-        coalgebra: Coalgebra,
-        phi: Vector,
-        phi_inv: Vector,
-        t_map: Matrix,
-        upsilon: Vector,
-        antipodes: tuple[tuple[Matrix, Vector, Vector], tuple[Matrix, Vector, Vector]] | None,
-        pams: Pams | None,
+        self, algebra: Algebra, coalgebra: Coalgebra, phi: Vector, phi_inv: Vector, t_map: Matrix, upsilon: Vector,
+        antipodes: tuple[tuple[Matrix, Vector, Vector], tuple[Matrix, Vector, Vector]] | None, pams: Pams | None,
         report: Report,
     ):
-        self.algebra = algebra
-        self.coalgebra = coalgebra
-        self.phi = phi
-        self.phi_inv = phi_inv
-        self.t_map = t_map
-        self.upsilon = upsilon
-        self.antipodes = antipodes
-        self.pams = pams
-        self.report = report
+        n = algebra.dim
+        for v in (phi, phi_inv):
+            _same_field(algebra.field, v.field, "multiplication and associator")
+            if len(v) != n**3:
+                raise ValueError(f"associator has {len(v)} entries, dimension {n} needs {n**3}")
+        if (t_map.nrows, t_map.ncols) != (n, n):
+            raise ValueError(f"preantipode is {t_map.nrows} x {t_map.ncols}, dimension {n} needs {n} x {n}")
+        self._hold(algebra, coalgebra, _sparse(phi), _sparse(phi_inv), t_map, upsilon, antipodes, pams, report)
+
+    @classmethod
+    def _of(cls, algebra: Algebra, coalgebra: Coalgebra, int_phi: Sparse, int_phi_inv: Sparse, *rest) -> "QuasiHopfAlgebra":
+        """The quasi-Hopf algebra whose phi and phi^-1 have the (support, den) forms
+        int_phi and int_phi_inv, the rest as the constructor takes it, stored
+        without a check: for kernel outputs only."""
+        qh = object.__new__(cls)
+        qh._hold(algebra, coalgebra, int_phi, int_phi_inv, *rest)
+        return qh
+
+    def _hold(self, algebra: Algebra, coalgebra: Coalgebra, *rest) -> None:
+        """Set the slots in their order, phi and phi^-1 reduced by the field."""
+        (phi, den), (bar, bar_den), *rest = rest
+        tables = (algebra.field.reduce(phi), den), (algebra.field.reduce(bar), bar_den)
+        for name, value in zip(self.__slots__, (algebra, coalgebra, *tables, *rest)):
+            setattr(self, name, value)
+
+    @property
+    def phi(self) -> Vector:
+        """The associator flat in the triple tensor power, built from int_phi."""
+        return _dense(self.field, self.dim**3, self.int_phi)
+
+    @property
+    def phi_inv(self) -> Vector:
+        """The inverse associator, built from int_phi_inv."""
+        return _dense(self.field, self.dim**3, self.int_phi_inv)
 
     @property
     def field(self):
@@ -349,8 +363,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     of its generators; phi and phi^-1 carry Delta(zetabar_u), or
     Delta(zeta_u), in H* through three leg maps; T carries
     Delta(zetabar_u) through iota, pi*, gammabar* and a product in C* # B.
-    phi and phi^-1 reach the verifier in (support, den) form, so it does
-    not scan their dense lists of dim^3 scalars again.
+    phi and phi^-1 are stored in the (support, den) form they are built
+    in, and no dense list of dim^3 scalars is made.
 
     No second form of a structure map is compared, because each would
     agree by an identity already certified (p comes from certify_pams,
@@ -434,8 +448,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     # by leg3, the two legs (j, v) -> x by leg2, and u -> eps # b_u
     def associator(deltas, leg3, leg2):
         u = _leg_map(deltas, (bdim, n, n), 2, bdim * nd, leg3)
-        u = _leg_map(_leg_map(u, (bdim, n * bdim, nd), 1, nd, leg2), (bdim, nd, nd), 0, nd, ebs)
-        return field.reduce(u[0]), u[1]
+        return _leg_map(_leg_map(u, (bdim, n * bdim, nd), 1, nd, leg2), (bdim, nd, nd), 0, nd, ebs)
 
     dzbar = _stacked(_then(zbar_t, hs.coalgebra.int_comult), n * n)
     gbs = _then(_columns(hs.antipode_inverse()), gbs1)  # h*_j -> gammabar* S^-1(h*_j) # 1
@@ -462,11 +475,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     ups = _dense(field, nd, _leg_map(t, (nd, nd), 0, 1, _functional(alg.unit)))
 
     report = Report(f"left partial dual (dim {nd} over {field.descriptor})")
-    qh = QuasiHopfAlgebra(
-        alg, coalg, _dense(field, nd**3, phi), _dense(field, nd**3, phi_inv), t_map, ups,
-        _derive_antipodes(alg, t_map, ups), p, report,
-    )
-    report.checks.extend(_verify_quasi_hopf(qh, (phi, phi_inv)).checks)
+    qh = QuasiHopfAlgebra._of(alg, coalg, phi, phi_inv, t_map, ups, _derive_antipodes(alg, t_map, ups), p, report)
+    report.checks.extend(verify_quasi_hopf(qh).checks)
     _raise_first(report, "axiom-failure")
     return qh
 
@@ -485,17 +495,12 @@ def verify_quasi_hopf(qh: QuasiHopfAlgebra) -> Report:
     through it: it checks exactly what the tuple (m, 1, Delta, eps, phi, T)
     must satisfy on its own, plus the axioms of both stored antipode
     triples when present.  Returns the report; inspect `.ok` or call
-    `.raise_if_failed()`.
+    `.raise_if_failed()`.  phi and phi^-1 are read as the tables
+    int_phi and int_phi_inv, whose field the constructor has checked.
     """
-    return _verify_quasi_hopf(qh, (_sparse(qh.phi), _sparse(qh.phi_inv)))
-
-
-def _verify_quasi_hopf(qh: QuasiHopfAlgebra, associators: tuple[Sparse, Sparse]) -> Report:
-    """verify_quasi_hopf given (phi, phi^-1) of qh in (support, den) form."""
-    alg, coalg = qh.algebra, qh.coalgebra
+    alg, coalg, associators = qh.algebra, qh.coalgebra, (qh.int_phi, qh.int_phi_inv)
     field, nd = alg.field, alg.dim
-    parts = [(coalg, "comultiplication"), (qh.phi, "associator"), (qh.phi_inv, "associator"),
-             (qh.t_map, "preantipode"), (qh.upsilon, "upsilon")]
+    parts = [(coalg, "comultiplication"), (qh.t_map, "preantipode"), (qh.upsilon, "upsilon")]
     parts += [(x, "antipode") for triple in qh.antipodes or () for x in triple]
     for v, what in parts:
         _same_field(field, v.field, "multiplication and " + what)
@@ -626,13 +631,25 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
 
 
 def _transport_checks(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra, m: Matrix, flip: bool, report: Report) -> None:
-    """algebra-anti-map, unit-transport, comultiplication-transport and
-    counit-transport of m from q1 to q2: m reverses products, keeps the
-    unit and the counit, and carries Delta to Delta, to Delta^op with flip."""
+    """algebra-anti-map, unit-transport, comultiplication-transport,
+    counit-transport, associator-transport and associator-inverse-transport
+    of m from q1 to q2: m reverses products, keeps the unit and the counit,
+    carries Delta to Delta and, on every leg, phi^-1 and phi to phi and
+    phi^-1; with flip (biop) it carries Delta to Delta^op, and phi and
+    phi^-1 with their legs reversed to phi and phi^-1."""
     report.add("algebra-anti-map", *_multiplicative(_flat_rows(q1.algebra), m, _pairs(q2.algebra), anti=True))
     report.add("unit-transport", m @ q1.algebra.unit == q2.algebra.unit, "unit")
     report.add("comultiplication-transport", *_comultiplicative(q1.coalgebra.int_comult, m, q2.coalgebra.int_comult, flip))
     report.add("counit-transport", m.transpose() @ q2.coalgebra.counit == q1.coalgebra.counit, "counit")
+    dims3, cols = (m.ncols,) * 3, _columns(m)
+    sources = [(q1.int_phi, "phi"), (q1.int_phi_inv, "phi inverse")] if flip else [
+        (q1.int_phi_inv, "phi inverse to phi"), (q1.int_phi, "phi to phi inverse")
+    ]
+    for name, (u, text), target in zip(("associator", "associator-inverse"), sources, (q2.int_phi, q2.int_phi_inv)):
+        u = _permuted(u, dims3, (2, 1, 0)) if flip else u
+        for leg in range(3):
+            u = _leg_map(u, dims3, leg, m.nrows, cols)
+        report.add(name + "-transport", *_slice_mismatch(m.field, text.format, lambda _: (u, target)))
 
 
 def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
@@ -659,17 +676,6 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
     theta_inv = theta.transpose()
 
     _transport_checks(q1, q2, theta, True, report)
-
-    dims3 = (nd, nd, nd)
-
-    def push3(u: Vector) -> Vector:
-        w = tensor_permute(u, dims3, (2, 1, 0))
-        for leg in range(3):
-            w = tensor_apply(w, dims3, leg, theta)
-        return w
-
-    report.add("associator-transport", push3(q1.phi) == q2.phi, "phi")
-    report.add("associator-inverse-transport", push3(q1.phi_inv) == q2.phi_inv, "phi inverse")
     report.add("upsilon-transport", theta @ q1.upsilon == q2.upsilon, "upsilon")
     report.add("preantipode-transport", theta @ q1.t_map @ theta_inv == q2.t_map, "preantipode")
     report.add(
@@ -678,7 +684,7 @@ def biop_iso_check(q1: QuasiHopfAlgebra, q2: QuasiHopfAlgebra) -> Report:
         "one side lacks antipodes",
     )
     if q1.antipodes is not None:
-        associators = _sparse(q2.phi), _sparse(q2.phi_inv)
+        associators = q2.int_phi, q2.int_phi_inv
         for label, (sm, alpha, beta) in zip(("s1", "s2"), q1.antipodes):
             transported = theta @ sm @ theta_inv, theta @ beta, theta @ alpha
             _antipode_axioms(q2, *transported, associators, report, f"transported-{label}-")
@@ -736,17 +742,6 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
 
     _transport_checks(q1, q_op, phim, False, report)
 
-    dims3 = (nd, nd, nd)
-
-    def push3(u: Vector) -> Vector:
-        w = u
-        for leg in range(3):
-            w = tensor_apply(w, dims3, leg, phim)
-        return w
-
-    report.add("associator-transport", push3(q1.phi_inv) == q_op.phi, "phi inverse to phi")
-    report.add("associator-inverse-transport", push3(q1.phi) == q_op.phi_inv, "phi to phi inverse")
-
     _raise_first(report, "mismatch")
     return report
 
@@ -788,7 +783,9 @@ def detect_hopf(qh: QuasiHopfAlgebra) -> HopfDetection:
     if qh.pams is None:
         raise ValueError("hopf detection needs the mapping system for its diagnostics")
     diagnostics = _sufficiency_diagnostics(qh.pams)
-    trivial = qh.phi == power_unit(qh.algebra, 3)
+    one = _sparse(qh.algebra.unit)
+    one3 = _kron(_kron(one, one, qh.dim), one, qh.dim)  # 1 (x) 1 (x) 1
+    trivial = _slice_mismatch(qh.field, "".format, lambda _: (qh.int_phi, one3))[0]
     if trivial:
         hop = HopfAlgebra(qh.algebra, qh.coalgebra, qh.t_map, name="left partial dual")
         rep = verify_hopf(hop)

@@ -10,16 +10,28 @@ field (lowest-terms "a/b" or "a" over Q, the least residue over F_p).
 Serialization of equal objects therefore yields identical text, and
 parse(serialize(x)) returns an equal object for every kind.
 
+Documents are written from and read into the integer tables the engine
+stores: _entries writes any flat tensor in (support, den) form (the
+product and Delta tables, phi and phi^-1, vectors and matrices), and
+_read_flat reads one back after _read_entries has checked every index
+against its shape.  Products, Deltas and associators go to the trusted
+Algebra._of, Coalgebra._of and QuasiHopfAlgebra._of, so no dense
+tensor is built on either side.
+
 The grammar and the shapes expected for each kind are documented in
 FORMAT.md at the repository root.
 """
 
 import json
+from math import prod
+from operator import mul
 
 from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
 from partialdual.examples import MatchedPair, FiniteGroup
-from partialdual.hopf import Coalgebra, Algebra, HopfAlgebra, LinMap, Report, _support
-from partialdual.linalg import Field, Matrix, Tensor3, Vector, field_from_descriptor
+from partialdual.hopf import Coalgebra, Algebra, HopfAlgebra, LinMap, Report, _cut, _pairs, _permuted, _stacked, _support
+from partialdual.linalg import (
+    Field, Matrix, Sparse, Vector, _columns, _dense, _int_supports, _matrix, _sparse, field_from_descriptor,
+)
 from partialdual.pams import Pams, certify_pams
 from partialdual.partial_dual import (
     CoquasiHopfAlgebra,
@@ -38,40 +50,36 @@ class DocumentError(ValueError):
     """A document that cannot be parsed: syntax, shape, or field errors."""
 
 
+def _entries(field: Field, sparse: Sparse, dims: tuple) -> list:
+    """The nonzeros of a flat tensor over dims, in (support, den) form reduced
+    by the field, as [index-list, scalar-string] entries in flat order."""
+    support = _support(sparse, dims)
+    scalars = field.from_ints([x for _, x in support], sparse[1])
+    return [[list(index), field.to_str(c)] for (index, _), c in zip(support, scalars)]
+
+
 def _vector_entries(v: Vector) -> list:
-    field = v.field
-    return [[[i], field.to_str(c)] for i, c in enumerate(v.entries) if c]
+    return _entries(v.field, _sparse(v), (len(v),))
 
 
 def _matrix_entries(m: Matrix) -> list:
-    field = m.field
-    out = []
-    for r in range(m.nrows):
-        row = m.rows[r]
-        for c in range(m.ncols):
-            if row[c]:
-                out.append([[r, c], field.to_str(row[c])])
-    return out
+    """m with entry (r, c) at r ncols + c: its columns stacked, then the two legs swapped."""
+    return _entries(m.field, _permuted(_stacked(_columns(m), m.nrows), (m.ncols, m.nrows), (1, 0)), (m.nrows, m.ncols))
 
 
-def _tensor_entries(t: Tensor3) -> list:
-    field = t.field
-    return [[list(idx), field.to_str(c)] for idx, c in t.nonzero()]
-
-
-def _flat_cube_entries(v: Vector, n: int) -> list:
-    """A length n^3 vector written with unflattened three-part indices."""
-    return [[list(index), v.field.to_str(c)] for index, c in _support(v, n, 3)]
+def _parts(a: Algebra, c: Coalgebra, names: tuple[str, ...] = ("mult", "unit", "comult", "counit")) -> dict:
+    """The product and unit of a, then Delta and the counit of c, under `names`."""
+    n, cube = a.dim, (a.dim,) * 3
+    return {
+        names[0]: _entries(a.field, _stacked(_pairs(a), n), cube),
+        names[1]: _vector_entries(a.unit),
+        names[2]: _entries(c.field, _stacked(c.int_comult, n * n), cube),
+        names[3]: _vector_entries(c.counit),
+    }
 
 
 def _hopf_tensors(h: HopfAlgebra) -> dict:
-    return {
-        "mult": _tensor_entries(h.mult),
-        "unit": _vector_entries(h.unit),
-        "comult": _tensor_entries(h.comult),
-        "counit": _vector_entries(h.counit),
-        "antipode": _matrix_entries(h.antipode),
-    }
+    return {**_parts(h.algebra, h.coalgebra), "antipode": _matrix_entries(h.antipode)}
 
 
 def serialize(obj) -> str:
@@ -100,25 +108,17 @@ def serialize(obj) -> str:
             tensors,
         )
     elif isinstance(obj, QuasiHopfAlgebra):
-        n = obj.dim
+        n, f = obj.dim, obj.field
         tensors = {
-            "mult": _tensor_entries(obj.algebra.mult),
-            "unit": _vector_entries(obj.algebra.unit),
-            "delta": _tensor_entries(obj.coalgebra.comult),
-            "eps": _vector_entries(obj.coalgebra.counit),
-            "phi": _flat_cube_entries(obj.phi, n),
-            "phi_inv": _flat_cube_entries(obj.phi_inv, n),
+            **_parts(obj.algebra, obj.coalgebra, ("mult", "unit", "delta", "eps")),
+            "phi": _entries(f, obj.int_phi, (n, n, n)),
+            "phi_inv": _entries(f, obj.int_phi_inv, (n, n, n)),
             "t": _matrix_entries(obj.t_map),
             "upsilon": _vector_entries(obj.upsilon),
         }
-        doc = _envelope("quasi-hopf", obj.field.descriptor, {"dim": n}, tensors)
+        doc = _envelope("quasi-hopf", f.descriptor, {"dim": n}, tensors)
     elif isinstance(obj, CoquasiHopfAlgebra):
-        tensors = {
-            "comult": _tensor_entries(obj.coalgebra.comult),
-            "counit": _vector_entries(obj.coalgebra.counit),
-            "mult": _tensor_entries(obj.mult),
-            "unit": _vector_entries(obj.unit),
-        }
+        tensors = _parts(obj.algebra, obj.coalgebra)
         doc = _envelope("coquasi-hopf", obj.field.descriptor, {"dim": obj.dim}, tensors)
     elif isinstance(obj, MatchedPair):
         doc = {
@@ -189,38 +189,30 @@ def _read_entries(raw, shape: tuple, field: Field, name: str) -> dict:
     return seen
 
 
+def _read_flat(tensors: dict, name: str, dims: tuple, field: Field) -> Sparse:
+    """One tensor's entries, validated against dims by _read_entries, as a flat (support, den) form."""
+    entries = _read_entries(tensors.get(name, []), dims, field, name)
+    strides = [prod(dims[leg + 1 :]) for leg in range(len(dims))]
+    (support,), den = _int_supports(field, [[(sum(map(mul, index, strides)), x) for index, x in entries.items()]])
+    return support, den
+
+
 def _read_vector(tensors: dict, name: str, n: int, field: Field) -> Vector:
-    entries = _read_entries(tensors.get(name, []), (n,), field, name)
-    out = [field.zero] * n
-    for (i,), c in entries.items():
-        out[i] = c
-    return Vector(field, out)
+    return _dense(field, n, _read_flat(tensors, name, (n,), field))
 
 
 def _read_matrix(tensors: dict, name: str, nrows: int, ncols: int, field: Field) -> Matrix:
-    entries = _read_entries(tensors.get(name, []), (nrows, ncols), field, name)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        rows[r][c] = v
-    return Matrix(field, rows)
-
-
-def _read_tensor(tensors: dict, name: str, dims: tuple, field: Field) -> Tensor3:
-    entries = _read_entries(tensors.get(name, []), dims, field, name)
-    return Tensor3.from_entries(field, dims, list(entries.items()))
-
-
-def _read_cube_vector(tensors: dict, name: str, n: int, field: Field) -> Vector:
-    entries = _read_entries(tensors.get(name, []), (n, n, n), field, name)
-    out = [field.zero] * (n ** 3)
-    for (i, j, k), c in entries.items():
-        out[i * n * n + j * n + k] = c
-    return Vector(field, out)
+    """The matrix of entries (r, c), read at r ncols + c and swapped to the column order of _matrix."""
+    rows = _read_flat(tensors, name, (nrows, ncols), field)
+    return _matrix(field, nrows, ncols, _permuted(rows, (nrows, ncols), (1, 0)))
 
 
 def _read_part(part: type, tensors: dict, names: tuple[str, str], n: int, field: Field):
-    """An Algebra or a Coalgebra from its cubic tensor and its vector, named by `names`."""
-    return part(field, _read_tensor(tensors, names[0], (n, n, n), field), _read_vector(tensors, names[1], n, field))
+    """An Algebra or a Coalgebra from its cubic tensor and its vector, named by
+    `names`: the tensor cut into the n n products or the n coproducts that _of takes."""
+    parts = n * n if part is Algebra else n
+    cut = _cut(_read_flat(tensors, names[0], (n, n, n), field), parts, n**3 // parts)
+    return part._of(field, cut, _read_vector(tensors, names[1], n, field))
 
 
 def _read_hopf(dims: dict, tensors: dict, field: Field) -> HopfAlgebra:
@@ -320,11 +312,11 @@ def parse(text: str):
         coalg = _read_part(Coalgebra, tensors, ("delta", "eps"), n, field)
         t_map = _read_matrix(tensors, "t", n, n, field)
         ups = _read_vector(tensors, "upsilon", n, field)
-        return QuasiHopfAlgebra(
+        return QuasiHopfAlgebra._of(
             alg,
             coalg,
-            _read_cube_vector(tensors, "phi", n, field),
-            _read_cube_vector(tensors, "phi_inv", n, field),
+            _read_flat(tensors, "phi", (n, n, n), field),
+            _read_flat(tensors, "phi_inv", (n, n, n), field),
             t_map,
             ups,
             _derive_antipodes(alg, t_map, ups),

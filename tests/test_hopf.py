@@ -28,7 +28,6 @@ from partialdual.hopf import (
     tensor_apply,
     tensor_comult_leg,
     tensor_of,
-    tensor_permute,
     verify_hopf,
 )
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
@@ -248,10 +247,10 @@ def test_element_inverse_in_group_algebra():
 # --- flat tensor utilities ----------------------------------------------------
 
 
-def test_tensor_permute_and_apply():
+def test_permuted_and_tensor_apply():
     u = Vector(QQ, [1, 2, 3, 4, 5, 6])  # dims (2, 3)
-    swapped = tensor_permute(u, (2, 3), (1, 0))
-    assert swapped == Vector(QQ, [1, 4, 2, 5, 3, 6])
+    swapped = hopf._permuted(hopf._sparse(u), (2, 3), (1, 0))
+    assert hopf._dense(QQ, 6, swapped) == Vector(QQ, [1, 4, 2, 5, 3, 6])
     doubled = tensor_apply(u, (2, 3), 0, Matrix(QQ, [[2, 0], [0, 2]]))
     assert doubled == u.scale(2)
 
@@ -349,7 +348,8 @@ def test_leg_functions_match_digit_walkers(field):
                     paired = hopf._apply_leg(u, dims, leg, 1, hopf._functional(phi))
                     assert paired == _ref_functional(u, dims, leg, phi), (dims, leg)
             for perm in permutations(range(len(dims))):
-                assert tensor_permute(u, dims, perm) == _ref_permute(u, dims, perm), (dims, perm)
+                permuted = hopf._permuted(hopf._sparse(u), dims, perm)
+                assert hopf._dense(field, len(u), permuted) == _ref_permute(u, dims, perm), (dims, perm)
 
 
 def _check_comult_leg(coalgebra, rng):
@@ -388,11 +388,6 @@ def test_leg_functions_reject_malformed_input():
         tensor_apply(Vector(QQ, [1, 2, 3, 4, 5]), (2, 3), 0, Matrix.identity(QQ, 2))
     with pytest.raises(ValueError):  # three entries for dims (2,)
         tensor_comult_leg(kc2.coalgebra, Vector(QQ, [1, 2, 3]), (2,), 0)
-    with pytest.raises(ValueError):
-        tensor_permute(Vector(QQ, [1, 2, 3, 4, 5]), (2, 3), (1, 0))
-    for perm in ((0, 0), (1,), (0, 1, 2), (1, 2)):
-        with pytest.raises(ValueError):
-            tensor_permute(u, (2, 3), perm)
 
 
 def _ref_kron(legs, dims):
@@ -424,18 +419,25 @@ def test_tensor_of_and_vector_tensor_are_the_kronecker_product(field):
             assert all(type(x) is type(field.zero) for x in chained.entries), dims
 
 
-SUPPORT_SHAPES = [(3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 4), (2, 4)]
+SUPPORT_DIMS = [(3,), (2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (1, 1, 1, 1), (2, 2, 2, 2), (2, 3, 4), (4, 1, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_support_matches_digit_walker(field):
+    """_support decodes a (support, den) form, inserted in shuffled order, into
+    the leg indices and ints of its nonzeros in flat order, on equal and on
+    unequal leg lengths."""
     rng = random.Random(14)
-    for n, k in SUPPORT_SHAPES:
-        dims = (n,) * k
-        operands = _flat_operands(field, n**k, rng) + [_ref_kron(_flat_operands(field, n, rng)[2:3] * k, dims)]
+    for dims in SUPPORT_DIMS:
+        operands = _flat_operands(field, prod(dims), rng) + [_ref_kron([_flat_operands(field, n, rng)[2] for n in dims], dims)]
         for u in operands:
+            support, den = hopf._sparse(u)
+            keys = list(support)
+            rng.shuffle(keys)
+            got = _support(({i: support[i] for i in keys}, den), dims)
             expected = [(_ref_decode(idx, dims), c) for idx, c in enumerate(u.entries) if c]
-            assert _support(u, n, k) == expected, (n, k, u)
+            assert [index for index, _ in got] == [index for index, _ in expected], (dims, u)
+            assert field.from_ints([x for _, x in got], den) == [c for _, c in expected], (dims, u)
 
 
 def _ref_grouped(t, axis):

@@ -29,16 +29,19 @@ package (tests, demos, the benchmark) nothing calls a private trusted
 constructor such as `Vector._of`: external input always enters through
 a coercing constructor.  Outside `hopf`, which owns the flat layout, no
 loop over the coordinates of a flat tensor decodes an index with
-`divmod`: `hopf._support` lists the nonzeros with their leg indices.  No
+`divmod`: `hopf._support` lists the nonzeros of a (support, den) form
+with their leg indices.  No
 loop regroups the `.nonzero()` entries of a tensor into per-index lists
 by hand: that is `hopf._grouped`.  No code groups a comultiplication
 with `_grouped(<...>.comult, 0)`: its grouped nonzeros are
 `Coalgebra.int_comult`, which the public `Coalgebra` constructor groups
 once and `Coalgebra._of` takes as given.  Only the builders of `examples`
-and the document reader `serialize._read_part` call the public `Algebra`
-and `Coalgebra` constructors, which check and scan a dense tensor; every
-other builder hands its integer table to `Algebra._of` or
-`Coalgebra._of`.  `verify_hopf` is called only where a Hopf algebra
+call the public `Algebra` and `Coalgebra` constructors, which check and
+scan a dense tensor, and no function of the package calls the public
+`QuasiHopfAlgebra` constructor, which checks and converts dense
+associators.  Every other builder, the document reader included, hands
+its integer tables to `Algebra._of`, `Coalgebra._of` or
+`QuasiHopfAlgebra._of`.  `verify_hopf` is called only where a Hopf algebra
 enters without certification: `certify_coideal`, the entry of the
 pipeline, and the commands and constructors that build or reassemble a
 Hopf algebra of their own.  The same checker pins the callers of
@@ -580,13 +583,11 @@ def callers(source: str, module: str, callee: str) -> list[str]:
 
 
 # the only functions of the package that call the public Algebra or Coalgebra
-# constructor: the builders of examples, and the document reader, which calls
-# the class its callers hand it as `part`
+# constructor: the builders of examples; none calls the public QuasiHopfAlgebra
 PUBLIC_CONSTRUCTOR_CALLERS = {
     "examples.group_algebra",
     "examples.taft4",
     "examples.bismash_product",
-    "serialize._read_part",
 }
 
 
@@ -604,9 +605,9 @@ def test_checker_tells_the_public_constructors_from_the_trusted_ones():
     assert callers(source, "m", "Coalgebra") == ["m.view"]
 
 
-def test_only_examples_and_the_reader_call_the_public_structure_constructors():
+def test_only_examples_call_the_public_structure_constructors():
     found = {
-        c for path in MODULES for callee in ("Algebra", "Coalgebra", "part")
+        c for path in MODULES for callee in ("Algebra", "Coalgebra", "QuasiHopfAlgebra")
         for c in callers(path.read_text(), path.stem, callee)
     }
     assert found == PUBLIC_CONSTRUCTOR_CALLERS

@@ -258,25 +258,48 @@ def _over(field, x):
     return Matrix(field, [[int(c) for c in row] for row in x.rows])
 
 
-@pytest.mark.parametrize("part", ["t_map", "upsilon", "antipodes"])
+@pytest.mark.parametrize("part", ["t_map", "upsilon", "antipodes", "phi", "phi_inv"])
 def test_verify_quasi_hopf_rejects_a_preantipode_over_another_field(part):
-    """The preantipode, upsilon and both antipode triples meet the same
-    field check as Delta and phi: kC2 over Q with the integer entries of
-    one of them over F_7 raises instead of passing."""
+    """The preantipode, upsilon, both antipode triples and both associators
+    meet the same field check as Delta: kC2 over Q with the integer entries
+    of one of them over F_7 raises instead of passing.  phi and phi^-1 are
+    checked by the constructor, which converts them to integer tables; the
+    rest by verify_quasi_hopf."""
     h = group_algebra(cyclic(2), QQ)
     ident = LinMap.identity(QQ, 2)
     qh = left_partial_dual(certify_pams(build_quotient(certify_coideal(h, ident)), ident))
-    parts = {"t_map": qh.t_map, "upsilon": qh.upsilon, "antipodes": qh.antipodes}
+    parts = {name: getattr(qh, name) for name in ("phi", "phi_inv", "t_map", "upsilon", "antipodes")}
     if part == "antipodes":
         parts[part] = tuple(tuple(_over(F7, x) for x in triple) for triple in qh.antipodes)
     else:
         parts[part] = _over(F7, parts[part])
-    mixed = QuasiHopfAlgebra(
-        qh.algebra, qh.coalgebra, qh.phi, qh.phi_inv, parts["t_map"], parts["upsilon"], parts["antipodes"],
-        qh.pams, qh.report,
-    )
     with pytest.raises(FieldMismatchError):
-        verify_quasi_hopf(mixed)
+        verify_quasi_hopf(QuasiHopfAlgebra(qh.algebra, qh.coalgebra, **parts, pams=qh.pams, report=qh.report))
+
+
+def test_public_constructor_rejects_wrongly_shaped_associators_and_preantipode(taft1):
+    """phi and phi^-1 of other than dim^3 entries, and a T that is not
+    dim x dim, are refused as Algebra refuses a unit of the wrong length.
+    They used to be accepted, and verify_quasi_hopf then passed Taft-4 with
+    both associators padded by zeros, phi cut by its last (zero) entry, or T
+    given an extra zero row or column."""
+    _, _, qh = taft1
+    n, zero = qh.dim, QQ.zero
+    phi, bar, rows = list(qh.phi.entries), list(qh.phi_inv.entries), [list(row) for row in qh.t_map.rows]
+    assert phi[-1] == zero
+    shapes = [
+        {"phi": phi + [zero], "phi_inv": bar + [zero]},
+        {"phi": phi + [zero] * n**3, "phi_inv": bar + [zero] * n**3},
+        {"phi": phi[:-1]},
+        {"t_map": Matrix(QQ, rows + [[zero] * n])},
+        {"t_map": Matrix(QQ, [row + [zero] for row in rows])},
+    ]
+    for changes in shapes:
+        parts = {"phi": qh.phi, "phi_inv": qh.phi_inv, "t_map": qh.t_map}
+        parts.update({k: Vector(QQ, v) if k != "t_map" else v for k, v in changes.items()})
+        with pytest.raises(ValueError):
+            QuasiHopfAlgebra(qh.algebra, qh.coalgebra, **parts, upsilon=qh.upsilon, antipodes=qh.antipodes,
+                             pams=qh.pams, report=qh.report)
 
 
 def _trivial_coideal_lpd(h):

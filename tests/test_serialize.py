@@ -1,6 +1,7 @@
 """Document round trips, canonical form, and rejection of bad input."""
 
 import json
+import random
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_parse_accepts_non_canonical_scalars():
     doc = json.loads(serialize(h))
     doc["tensors"]["unit"] = [[[0], "2/2"]]
     assert parse(json.dumps(doc)) == h
+
+
+def test_quasi_hopf_document_with_shuffled_phi_reads_back_canonically(taft_pams):
+    """phi's entries in another order, with an explicit "0" and a "2/2", parse
+    to the same associator, and the object writes the canonical text again."""
+    qh = left_partial_dual(taft_pams)
+    text = serialize(qh)
+    doc = json.loads(text)
+    entries = doc["tensors"]["phi"]
+    assert [1, 1, 1] not in [idx for idx, _ in entries] and entries[0][1] == "1"
+    entries[0][1] = "2/2"
+    entries.append([[1, 1, 1], "0"])
+    random.Random(0).shuffle(entries)
+    q2 = parse(json.dumps(doc))
+    assert q2.phi == qh.phi
+    assert verify_quasi_hopf(q2).ok
+    assert serialize(q2) == text
 
 
 def corrupt(obj, mutate):
