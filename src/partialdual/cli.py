@@ -5,28 +5,25 @@ transform commands compose in a shell pipe.  The verify commands print
 their report to stdout instead; the report is the product there.  Every
 FILE argument accepts ``-`` for stdin and defaults to it.  Exit status
 is 0 exactly when everything that was asked for certified.
+
+Each process runs one command, so each command imports what it runs:
+only linalg, hopf and serialize are imported up front, and coideal,
+pams, partial_dual and examples by the commands that call them (parse
+imports the certifiers of the kind it reads).  A command on Hopf
+documents compiles none of the certifiers.
 """
+
+from __future__ import annotations
 
 import functools
 import sys
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 import click
 
-from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
-from partialdual.examples import (
-    MatchedPair,
-    bismash_product,
-    cyclic,
-    direct_product_pair,
-    group_algebra,
-    matched_pair_hopf,
-    pams_from_split_projection,
-    s3_pair,
-    symmetric,
-    taft4,
-)
 from partialdual.hopf import (
+    INDUCED_KINDS,
     CertificationError,
     HopfAlgebra,
     LinMap,
@@ -38,14 +35,11 @@ from partialdual.hopf import (
     verify_hopf,
 )
 from partialdual.linalg import Matrix, field_from_descriptor
-from partialdual.pams import INDUCED_KINDS, Pams, certify_pams, find_cointegral, induced_pams
-from partialdual.partial_dual import (
-    QuasiHopfAlgebra,
-    left_partial_dual,
-    right_partial_dual,
-    verify_quasi_hopf,
-)
 from partialdual.serialize import DocumentError, parse, parse_matrix_text, serialize
+
+if TYPE_CHECKING:
+    from partialdual.coideal import CoidealSubalgebra
+    from partialdual.examples import MatchedPair
 
 __all__ = ["main"]
 
@@ -55,11 +49,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str, want: type, noun: str):
-    obj = parse(_read(path))
-    if not isinstance(obj, want):
-        raise DocumentError(f"expected a {noun} document")
-    return obj
+def _load(path: str, kind: str):
+    """The document at path, refused unless it is of this kind."""
+    return parse(_read(path), kind)
 
 
 def _emit(obj) -> None:
@@ -117,13 +109,13 @@ def main() -> None:
 @checked
 def verify_hopf_cmd(file: str) -> None:
     """Check every axiom of a Hopf algebra document."""
-    h = _load(file, HopfAlgebra, "hopf")
+    h = _load(file, "hopf")
     _verdict(verify_hopf(h))
 
 
 def _transform(file: str, op) -> None:
     # the input is verified, not the output: a transport of a Hopf algebra is Hopf
-    h = _load(file, HopfAlgebra, "hopf")
+    h = _load(file, "hopf")
     rep = verify_hopf(h)
     _note(rep)
     if not rep.ok:
@@ -169,7 +161,9 @@ def biop_cmd(file: str) -> None:
 @checked
 def coideal_cmd(file: str, iota_file: str) -> None:
     """Certify a left coideal subalgebra given by an inclusion matrix."""
-    h = _load(file, HopfAlgebra, "hopf")
+    from partialdual.coideal import certify_coideal
+
+    h = _load(file, "hopf")
     iota = LinMap(parse_matrix_text(_read(iota_file), h.field))
     b = certify_coideal(h, iota)
     _note(b.report)
@@ -184,10 +178,10 @@ def pams_group() -> None:
 def _coideal_from(h: HopfAlgebra, text: str) -> CoidealSubalgebra:
     # a bare JSON array is an inclusion matrix; anything else must be a document
     if text.lstrip()[:1] == "[":
+        from partialdual.coideal import certify_coideal
+
         return certify_coideal(h, LinMap(parse_matrix_text(text, h.field)))
-    b = parse(text)
-    if not isinstance(b, CoidealSubalgebra):
-        raise DocumentError("--coideal takes a coideal document or a matrix file")
+    b = parse(text, "coideal")
     if b.parent != h:
         raise DocumentError("the coideal document was built over a different parent")
     return b
@@ -202,7 +196,10 @@ def _coideal_from(h: HopfAlgebra, text: str) -> CoidealSubalgebra:
 @checked
 def pams_find(file: str, coideal_file: str, seed: int, bound: int, max_attempts: int) -> None:
     """Search for a certified mapping system on H over the given coideal."""
-    h = _load(file, HopfAlgebra, "hopf")
+    from partialdual.coideal import build_quotient
+    from partialdual.pams import certify_pams, find_cointegral
+
+    h = _load(file, "hopf")
     b = _coideal_from(h, _read(coideal_file))
     q = build_quotient(b)
     zeta = find_cointegral(
@@ -219,7 +216,7 @@ def pams_find(file: str, coideal_file: str, seed: int, bound: int, max_attempts:
 @checked
 def pams_verify(file: str) -> None:
     """Re-run the whole certification of a mapping-system document."""
-    p = _load(file, Pams, "pams")
+    p = _load(file, "pams")
     _verdict(p.report)
 
 
@@ -229,7 +226,9 @@ def pams_verify(file: str) -> None:
 @checked
 def pams_induce(file: str, kind: str) -> None:
     """Derive one of the induced mapping systems and re-certify it."""
-    p = _load(file, Pams, "pams")
+    from partialdual.pams import induced_pams
+
+    p = _load(file, "pams")
     out = induced_pams(p, kind)
     _note(out.report)
     _emit(out)
@@ -245,7 +244,9 @@ def partial_dual_group() -> None:
 @checked
 def partial_dual_left(pamsfile: str) -> None:
     """Build the left partial dual, a quasi-Hopf algebra."""
-    p = _load(pamsfile, Pams, "pams")
+    from partialdual.partial_dual import left_partial_dual
+
+    p = _load(pamsfile, "pams")
     qh = left_partial_dual(p)
     _note(qh.report)
     _emit(qh)
@@ -256,7 +257,9 @@ def partial_dual_left(pamsfile: str) -> None:
 @checked
 def partial_dual_right(pamsfile: str) -> None:
     """Build the right partial dual, a coquasi-Hopf algebra."""
-    p = _load(pamsfile, Pams, "pams")
+    from partialdual.partial_dual import right_partial_dual
+
+    p = _load(pamsfile, "pams")
     co = right_partial_dual(p)
     _note(co.report)
     _emit(co)
@@ -267,7 +270,9 @@ def partial_dual_right(pamsfile: str) -> None:
 @checked
 def verify_quasi_hopf_cmd(file: str) -> None:
     """Check every quasi-Hopf axiom of a document, antipodes included."""
-    qh = _load(file, QuasiHopfAlgebra, "quasi-hopf")
+    from partialdual.partial_dual import verify_quasi_hopf
+
+    qh = _load(file, "quasi-hopf")
     _verdict(verify_quasi_hopf(qh))
 
 
@@ -282,6 +287,10 @@ def example_group() -> None:
 @checked
 def example_taft4(lam: str, field_desc: str) -> None:
     """The 4-dimensional Taft algebra with its canonical mapping system."""
+    from partialdual.coideal import build_quotient
+    from partialdual.examples import taft4
+    from partialdual.pams import certify_pams
+
     field = field_from_descriptor(field_desc)
     h, b, zeta = taft4(field, field.from_str(lam))
     q = build_quotient(b)
@@ -296,14 +305,14 @@ _PAIR_FIELD_HELP = "Q or Fp:<p>  [default: the field of the pair; Q for s3 and c
 
 def _pair_from(arg: str, field_desc: str | None) -> MatchedPair:
     """The pair, over `field_desc` when given and over its own field otherwise."""
+    from partialdual.examples import MatchedPair, cyclic, direct_product_pair, s3_pair
+
     if arg == "s3":
         m = s3_pair()
     elif arg == "c2xc3":
         m = direct_product_pair(cyclic(2), cyclic(3))
     else:
-        m = parse(_read(arg))
-        if not isinstance(m, MatchedPair):
-            raise DocumentError("expected a matched-pair document")
+        m = parse(_read(arg), "matched-pair")
     if field_desc is None:
         return m
     return MatchedPair(m.f, m.g, m.act_on_f, m.act_on_g, field_from_descriptor(field_desc))
@@ -322,6 +331,8 @@ def _pair_from(arg: str, field_desc: str | None) -> MatchedPair:
 @checked
 def example_matched_pair(fixture: str, field_desc: str | None, emit: str) -> None:
     """A matched pair of groups: built in (s3, c2xc3) or from a file."""
+    from partialdual.examples import matched_pair_hopf
+
     m = _pair_from(fixture, field_desc)
     if emit == "pair":
         _emit(m)
@@ -337,6 +348,8 @@ def example_matched_pair(fixture: str, field_desc: str | None, emit: str) -> Non
 @checked
 def example_bismash(fixture: str, field_desc: str | None) -> None:
     """The bismash product Hopf algebra of a matched pair."""
+    from partialdual.examples import bismash_product
+
     m = _pair_from(fixture, field_desc)
     h = bismash_product(m, m.field)
     rep = verify_hopf(h)
@@ -347,6 +360,8 @@ def example_bismash(fixture: str, field_desc: str | None) -> None:
 
 
 def _split_fixture(name: str, field):
+    from partialdual.examples import cyclic, direct_product_pair, group_algebra, symmetric, taft4
+
     if name == "s3-sign":
         perms = sorted(permutations(range(3)))
 
@@ -379,6 +394,8 @@ def _split_fixture(name: str, field):
 @checked
 def example_split_projection(fixture: str, field_desc: str) -> None:
     """A mapping system induced by a split projection of Hopf algebras."""
+    from partialdual.examples import pams_from_split_projection
+
     field = field_from_descriptor(field_desc)
     h, a, pi, gamma = _split_fixture(fixture, field)
     p = pams_from_split_projection(h, a, pi, gamma)

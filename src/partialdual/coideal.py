@@ -29,9 +29,11 @@ from partialdual.hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _cut,
     _kron,
     _leg_map,
     _flat_rows,
+    _power_product,
     _slice_mismatch,
     _stacked,
     _table,
@@ -49,7 +51,9 @@ from partialdual.linalg import (
     Vector,
     _columns,
     _comparable,
+    _dense,
     _int_supports,
+    _scalars,
     _sparse,
     nullspace,
 )
@@ -151,11 +155,16 @@ def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
     report = Report(f"coideal subalgebra of {h.name or 'H'}")
 
     # one reduction of iota answers the unit, every product and every
-    # coaction leg: right-hand side 0 is 1, then products, then legs
-    cols = [iota.column(i) for i in range(b)]
-    products = [h.algebra.multiply(cols[i], cols[j]).entries for i in range(b) for j in range(b)]
-    legs = [row for i in range(b) for row in h.coalgebra.comultiply(cols[i]).rows]
-    inclusion = Elimination.of_matrix(iota.matrix, [h.unit.entries, *products, *legs])
+    # coaction leg: right-hand side 0 is 1, then products, then legs,
+    # each read off the integer tables of H
+    cols, den = _columns(iota.matrix)
+    products = [_power_product(h.algebra, 1, (u, den), (v, den)) for u in cols for v in cols]
+    legs = []
+    for u in cols:  # the rows of Delta(iota(e_i)): the coordinates e_j (x) - for each j
+        rows, d = _cut(_leg_map((u, den), (n,), 0, n * n, h.coalgebra.int_comult), n, n)
+        legs += [(row, d) for row in rows]
+    rhs = [_dense(field, n, s).entries for s in products + legs]
+    inclusion = Elimination.of_matrix(iota.matrix, [h.unit.entries, *rhs])
 
     report.add(
         "iota-injective",
@@ -317,13 +326,13 @@ def build_quotient(
     report = Report("quotient by B+ H")
 
     bplus = nullspace(Matrix._of(b.counit.field, [b.counit.entries], b.dim))
+    rows = _flat_rows(h.algebra)
     spanning = []
-    for r in range(bplus.nrows):
-        v = b.iota(bplus.row(r))
-        for j in range(n):
-            spanning.append(h.algebra.multiply(v, h.basis(j)))
+    for r in range(bplus.nrows):  # v e_j for every j, v = iota of a basis vector of B+
+        products, den = _cut(_leg_map(_sparse(b.iota(bplus.row(r))), (n,), 0, n * n, rows), n, n)
+        spanning += [_scalars(field, (s, den)) for s in products]
     # the reduced span is the canonical ideal basis; its pivots fix the quotient basis
-    reduction = Elimination(field, n, [dict(flat_nonzeros(v)) for v in spanning])
+    reduction = Elimination(field, n, spanning)
     ideal = reduction.reduced_rows()
     c = n - ideal.nrows
 
@@ -401,7 +410,6 @@ def build_quotient(
     report.raise_if_failed()
 
     # x_r <| e_i = pi(lift(x_r) e_i)
-    rows = _flat_rows(h.algebra)
     action = _tensor3(field, (c, n, c), _stacked(_table(projected((x, lifts[1]), rows, (1,)) for x in lifts[0]), n * c))
 
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)

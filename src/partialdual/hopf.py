@@ -892,6 +892,11 @@ def biopposite(h: HopfAlgebra) -> HopfAlgebra:
     return HopfAlgebra(_opposite_algebra(h.algebra), _coopposite_coalgebra(h.coalgebra), h.antipode, name)
 
 
+# the rows of pams.induced_pams, named by the transport of H or of H* that
+# carries each; defined here so the CLI offers them without importing pams
+INDUCED_KINDS = ("identity", "op", "cop", "biop-dual", "cop-dual", "op-dual")
+
+
 # --- convolution ----------------------------------------------------------------
 
 

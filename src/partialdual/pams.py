@@ -27,6 +27,7 @@ from .coideal import (
     build_quotient,
 )
 from .hopf import (
+    INDUCED_KINDS,
     CertificationError,
     LinMap,
     Report,
@@ -69,9 +70,6 @@ __all__ = [
     "gamma_from_zeta",
     "induced_pams",
 ]
-
-INDUCED_KINDS = ("identity", "op", "cop", "biop-dual", "cop-dual", "op-dual")
-
 
 # held only by certify_pams, the certifier
 _CERTIFIED = object()

@@ -34,6 +34,8 @@ nothing is ever repaired silently.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .coideal import _btr_tensor
 from .hopf import (
     Algebra,
@@ -82,7 +84,9 @@ from .linalg import (
     _same_field,
     _sparse,
 )
-from .pams import Pams
+
+if TYPE_CHECKING:  # annotations only: verifying a parsed document needs no pams
+    from .pams import Pams
 
 __all__ = [
     "CoquasiHopfAlgebra",

@@ -18,25 +18,24 @@ against its shape.  Products, Deltas and associators go to the trusted
 Algebra._of, Coalgebra._of and QuasiHopfAlgebra._of, so no dense
 tensor is built on either side.
 
+Only linalg and hopf are imported up front.  The modules of the other
+kinds are imported by the branch of parse that reads their kind, and
+serialize tells those kinds apart without importing anything, so a
+command of the CLI that handles Hopf documents alone never compiles the
+certifiers.
+
 The grammar and the shapes expected for each kind are documented in
 FORMAT.md at the repository root.
 """
 
 import json
+import sys
 from math import prod
 from operator import mul
 
-from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
-from partialdual.examples import MatchedPair, FiniteGroup
 from partialdual.hopf import Coalgebra, Algebra, HopfAlgebra, LinMap, Report, _cut, _pairs, _permuted, _stacked, _support
 from partialdual.linalg import (
     Field, Matrix, Sparse, Vector, _columns, _dense, _int_supports, _matrix, _sparse, field_from_descriptor,
-)
-from partialdual.pams import Pams, certify_pams
-from partialdual.partial_dual import (
-    CoquasiHopfAlgebra,
-    QuasiHopfAlgebra,
-    _derive_antipodes,
 )
 
 __all__ = ["DocumentError", "parse", "parse_matrix_text", "serialize"]
@@ -82,18 +81,25 @@ def _hopf_tensors(h: HopfAlgebra) -> dict:
     return {**_parts(h.algebra, h.coalgebra), "antipode": _matrix_entries(h.antipode)}
 
 
+def _instance(obj, module: str, name: str) -> bool:
+    """isinstance(obj, partialdual.<module>.<name>), without importing the
+    module: until it is imported, no object of its classes exists."""
+    loaded = sys.modules.get(f"partialdual.{module}")
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
+
+
 def serialize(obj) -> str:
     """Render any supported object as canonical document text."""
     if isinstance(obj, HopfAlgebra):
         doc = _envelope("hopf", obj.field.descriptor, {"dim": obj.dim}, _hopf_tensors(obj))
-    elif isinstance(obj, CoidealSubalgebra):
+    elif _instance(obj, "coideal", "CoidealSubalgebra"):
         h = obj.parent
         tensors = _hopf_tensors(h)
         tensors["iota"] = _matrix_entries(obj.iota.matrix)
         doc = _envelope(
             "coideal", h.field.descriptor, {"dim": h.dim, "bdim": obj.dim}, tensors
         )
-    elif isinstance(obj, Pams):
+    elif _instance(obj, "pams", "Pams"):
         q = obj.quotient
         h = q.parent
         tensors = _hopf_tensors(h)
@@ -107,7 +113,7 @@ def serialize(obj) -> str:
             {"dim": h.dim, "bdim": q.coideal.dim, "cdim": q.dim},
             tensors,
         )
-    elif isinstance(obj, QuasiHopfAlgebra):
+    elif _instance(obj, "partial_dual", "QuasiHopfAlgebra"):
         n, f = obj.dim, obj.field
         tensors = {
             **_parts(obj.algebra, obj.coalgebra, ("mult", "unit", "delta", "eps")),
@@ -117,10 +123,10 @@ def serialize(obj) -> str:
             "upsilon": _vector_entries(obj.upsilon),
         }
         doc = _envelope("quasi-hopf", f.descriptor, {"dim": n}, tensors)
-    elif isinstance(obj, CoquasiHopfAlgebra):
+    elif _instance(obj, "partial_dual", "CoquasiHopfAlgebra"):
         tensors = _parts(obj.algebra, obj.coalgebra)
         doc = _envelope("coquasi-hopf", obj.field.descriptor, {"dim": obj.dim}, tensors)
-    elif isinstance(obj, MatchedPair):
+    elif _instance(obj, "examples", "MatchedPair"):
         doc = {
             "format": FORMAT,
             "kind": "matched-pair",
@@ -246,12 +252,13 @@ def _read_int_table(tables: dict, name: str, nrows: int, ncols: int, bound: int)
     return out
 
 
-def parse(text: str):
+def parse(text: str, expect: str | None = None):
     """Decode document text into the object it describes.
 
     Raises DocumentError for anything malformed (with line and column
-    for syntax errors) and lets certification errors from the
-    mathematical constructors propagate unchanged.
+    for syntax errors), and for a document whose kind is not `expect`
+    when one is given, before anything is certified.  Certification
+    errors from the mathematical constructors propagate unchanged.
     """
     try:
         doc = json.loads(text)
@@ -267,6 +274,8 @@ def parse(text: str):
     kind = _want(doc, "kind", str, "document")
     if kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
+    if expect is not None and kind != expect:
+        raise DocumentError(f"expected a {expect} document")
     try:
         field = field_from_descriptor(_want(doc, "field", str, "document"))
     except ValueError as exc:
@@ -274,6 +283,8 @@ def parse(text: str):
     dims = _want(doc, "dims", dict, "document")
 
     if kind == "matched-pair":
+        from partialdual.examples import FiniteGroup, MatchedPair
+
         tables = _want(doc, "tables", dict, "document")
         nf = _dim(dims, "f_order")
         ng = _dim(dims, "g_order")
@@ -291,10 +302,15 @@ def parse(text: str):
     if kind == "hopf":
         return _read_hopf(dims, tensors, field)
     if kind == "coideal":
+        from partialdual.coideal import certify_coideal
+
         h = _read_hopf(dims, tensors, field)
         iota = LinMap(_read_matrix(tensors, "iota", h.dim, _dim(dims, "bdim"), field))
         return certify_coideal(h, iota)
     if kind == "pams":
+        from partialdual.coideal import build_quotient, certify_coideal
+        from partialdual.pams import certify_pams
+
         h = _read_hopf(dims, tensors, field)
         n = h.dim
         bdim = _dim(dims, "bdim")
@@ -307,6 +323,8 @@ def parse(text: str):
         )
         return certify_pams(q, LinMap(_read_matrix(tensors, "zeta", bdim, n, field)))
     if kind == "quasi-hopf":
+        from partialdual.partial_dual import QuasiHopfAlgebra, _derive_antipodes
+
         n = _dim(dims, "dim")
         alg = _read_part(Algebra, tensors, ("mult", "unit"), n, field)
         coalg = _read_part(Coalgebra, tensors, ("delta", "eps"), n, field)
@@ -324,6 +342,8 @@ def parse(text: str):
             Report("parsed quasi-Hopf algebra"),
         )
     # coquasi-hopf
+    from partialdual.partial_dual import CoquasiHopfAlgebra
+
     n = _dim(dims, "dim")
     return CoquasiHopfAlgebra(
         _read_part(Coalgebra, tensors, ("comult", "counit"), n, field),

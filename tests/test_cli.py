@@ -1,14 +1,22 @@
 """Driving the command line: pipes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import partialdual
 from partialdual.cli import main
+from partialdual.coideal import build_quotient
 from partialdual.examples import taft4
 from partialdual.hopf import power_unit
 from partialdual.linalg import QQ
+from partialdual.pams import certify_pams
+from partialdual.partial_dual import left_partial_dual
 from partialdual.serialize import parse, serialize
 
 
@@ -153,7 +161,81 @@ def test_usage_and_kind_errors(runner):
     assert "syntax error" in result.output
 
 
+def test_a_wrong_kind_document_is_refused_before_certification(runner):
+    # a corrupted zeta fails certify_pams: the kind must be refused first
+    doc = json.loads(run(runner, ["example", "taft4", "--lambda", "1"]).stdout)
+    doc["tensors"]["zeta"][0][1] = "7"
+    result = runner.invoke(main, ["verify-quasi-hopf", "-"], input=json.dumps(doc))
+    assert result.exit_code == 1
+    assert result.stderr == "document error: expected a quasi-hopf document\n"
+    assert result.stdout == ""
+
+
 def test_char_two_taft_is_refused(runner):
     result = runner.invoke(main, ["example", "taft4", "--field", "Fp:2"])
     assert result.exit_code == 1
     assert "characteristic" in result.output
+
+
+# runs the command given after the output file, then writes there the
+# partialdual modules the process imported
+MODULE_PROBE = """
+import sys
+from partialdual.cli import main
+try:
+    main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(sorted(m[len("partialdual."):] for m in sys.modules if m.startswith("partialdual."))))
+"""
+HOPF_SET = {"linalg", "hopf", "serialize", "cli"}
+COIDEAL_SET = HOPF_SET | {"coideal"}
+PAMS_SET = COIDEAL_SET | {"pams"}
+
+
+@pytest.fixture(scope="module")
+def taft_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("taft")
+    h, b, zeta = taft4(QQ, 1)
+    p = certify_pams(build_quotient(b), zeta)
+    texts = {
+        "hopf": serialize(h),
+        "iota": json.dumps([[QQ.to_str(x) for x in row] for row in b.iota.matrix.rows]),
+        "coideal": serialize(b),
+        "pams": serialize(p),
+        "quasi-hopf": serialize(left_partial_dual(p)),
+    }
+    for name, text in texts.items():
+        (folder / f"{name}.json").write_text(text)
+    return folder
+
+
+# each command, with the documents it reads, and the modules it must import
+COMMAND_MODULES = {
+    "verify-hopf {hopf}": HOPF_SET,
+    "dual {hopf}": HOPF_SET,
+    "op {hopf}": HOPF_SET,
+    "cop {hopf}": HOPF_SET,
+    "biop {hopf}": HOPF_SET,
+    "coideal {hopf} --iota {iota}": COIDEAL_SET,
+    "pams find {hopf} --coideal {coideal}": PAMS_SET,
+    "pams verify {pams}": PAMS_SET,
+    "pams induce {pams} --kind op": PAMS_SET,
+    "partial-dual left {pams}": PAMS_SET | {"partial_dual"},
+    "partial-dual right {pams}": PAMS_SET | {"partial_dual"},
+    "verify-quasi-hopf {quasi-hopf}": COIDEAL_SET | {"partial_dual"},
+    "example taft4": PAMS_SET | {"examples"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES, ids=lambda c: c.split(" {")[0])
+def test_each_command_imports_only_what_it_runs(taft_files, tmp_path, command):
+    names = {p.stem: str(p) for p in taft_files.iterdir()}
+    out = tmp_path / "modules.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(partialdual.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, str(out), *command.format(**names).split()],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(out.read_text().split()) == COMMAND_MODULES[command]

@@ -17,8 +17,8 @@ from partialdual.coideal import build_quotient, certify_coideal
 from partialdual.examples import cyclic, group_algebra, symmetric
 from partialdual.hopf import LinMap, convolution_inverse
 from partialdual.linalg import QQ, Matrix, PrimeField, Vector
-from partialdual.pams import certify_pams, find_cointegral, gamma_from_zeta
-from partialdual.partial_dual import detect_hopf, left_partial_dual, right_partial_dual
+from partialdual.pams import certify_pams, find_cointegral, gamma_from_zeta, induced_pams
+from partialdual.partial_dual import biop_iso_check, detect_hopf, left_partial_dual, right_partial_dual
 from partialdual.serialize import serialize
 
 F7 = PrimeField(7)
@@ -193,3 +193,28 @@ def test_map_law_diagnostics_and_convolution_inverses_are_pinned(field):
         )
         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == MAP_LAW_DIGEST
+
+
+def _reversal_symmetric(phi: Vector, n: int) -> bool:
+    """phi equals itself with its three legs reversed."""
+    return all(phi[(a * n + b) * n + c] == phi[(c * n + b) * n + a] for a in range(n) for b in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_biop_transport_on_every_leg_asymmetric_associator(field):
+    """biop_iso_check against the left dual of the biop-dual system, on each
+    proper subgroup system of order <= 8 whose phi changes when its legs
+    are reversed: only there does a biop transport that leaves the legs
+    of phi in place fail."""
+    asymmetric = []
+    for name, k in SYSTEMS:
+        if GROUPS[name].order > 8 or len(k) in (1, GROUPS[name].order):
+            continue
+        q = _quotient(GROUPS[name], k, field)
+        p = certify_pams(q, find_cointegral(q))
+        qh = left_partial_dual(p)
+        if _reversal_symmetric(qh.phi, qh.dim):
+            continue
+        asymmetric.append(f"{name}-{'.'.join(map(str, k))}")
+        assert biop_iso_check(qh, left_partial_dual(induced_pams(p, "biop-dual"))).ok
+    assert len(asymmetric) == 13, asymmetric

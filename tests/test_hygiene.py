@@ -2,9 +2,12 @@
 helper in the package goes unused.
 
 No linter ships with the project, so these stdlib-`ast` checks stand in
-for one.  A name bound by a module-level import must be read somewhere
-in its module or be listed in `__all__`; `__init__.py` files are exempt
-because their imports are the package's re-exports.  A name bound in a
+for one.  A name bound by a module-level import, one under
+`if TYPE_CHECKING:` included, must be read somewhere in its module or be
+listed in `__all__`; `__init__.py` files are exempt because their
+imports are the package's re-exports.  A name imported inside a
+function, as the commands of `cli` import the modules they run, must be
+read in that function or in a function nested in it.  A name bound in a
 function by a plain single-name assignment must be read in that function
 or in a function nested in it, which catches a table that a rewrite
 leaves computed but unused; tuple-unpacking targets are exempt.  A
@@ -70,10 +73,19 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 CLIENTS = sorted(p for d in ("tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py"))
 
 
-def _imported_names(tree: ast.Module) -> dict[str, int]:
-    """Names bound by the module's top-level imports, with their line."""
+def _module_statements(body: list[ast.stmt]):
+    """The module's own statements, through `if` blocks such as
+    `if TYPE_CHECKING:` but not into functions or classes."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _module_statements(node.body + node.orelse)
+
+
+def _imported_names(statements) -> dict[str, int]:
+    """Names bound by the imports among these statements, with their line."""
     bound = {}
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -115,14 +127,44 @@ def _used(tree: ast.Module) -> set[str]:
 
 
 def unused_imports(source: str) -> list[str]:
+    """Imports never read where they bind: a module-level one (under
+    `if TYPE_CHECKING:` too) in its module, as "name (line)", and one in a
+    function in that function, as "function.name (line)"."""
     tree = ast.parse(source)
     used = _used(tree) | _exported(tree)
-    return [f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used]
+    found = [(line, f"{name} (line {line})") for name, line in _imported_names(_module_statements(tree.body)).items()
+             if name not in used]
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = _used(func)
+            found += [(line, f"{func.name}.{name} (line {line})")
+                      for name, line in _imported_names(_own_scope(func)).items() if name not in read]
+    return [text for _, text in sorted(found)]
 
 
 def test_checker_flags_an_unused_import():
     source = "from typing import Callable, Sequence\nimport json\n\ndef f(x: Sequence) -> None:\n    json.dumps(x)\n"
     assert unused_imports(source) == ["Callable (line 1)"]
+
+
+def test_checker_flags_unused_local_and_type_checking_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from a import Annotated, Forgotten\n"
+        "def f(x: Annotated) -> None:\n"
+        "    import json\n"
+        "    from b import helper, unused\n"
+        "    def g():\n"
+        "        return helper(x)\n"
+        "    return g\n"
+        "def h():\n"
+        "    from c import json\n"
+        "    return 0\n"
+    )
+    assert unused_imports(source) == [
+        "Forgotten (line 3)", "f.json (line 5)", "f.unused (line 6)", "h.json (line 11)"
+    ]
 
 
 def test_checker_counts_exports_and_annotations_not_docstrings():
