@@ -22,6 +22,8 @@ stage may take what the certifiers checked as given.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from partialdual.hopf import (
     Algebra,
     CertificationError,
@@ -74,19 +76,17 @@ class CoidealSubalgebra:
     """A certified left coideal subalgebra B of a Hopf algebra.
 
     Stores the inclusion, the induced algebra in B coordinates, the
-    restricted counit, and the coaction tensor
-    Delta(iota b) = sum coaction[b, j, k] e_j (x) iota(e_k).
+    restricted counit, and the coaction delta(b) = b_-1 (x) b_0 once, as
+    `int_coaction` = (images, den) reduced by the field: (images[i], den)
+    is delta(e_i) flat over H (x) B, so Delta(iota(e_i)) = sum
+    coaction[i, j, k] e_j (x) iota(e_k) with coaction[i, j, k] at
+    j dim(B) + k.  The view `coaction` builds that dense tensor from it
+    on each read.
     """
 
     def __init__(
-        self,
-        token: object,
-        parent: HopfAlgebra,
-        iota: LinMap,
-        algebra: Algebra,
-        counit: Vector,
-        coaction: Tensor3,
-        report: Report,
+        self, token: object, parent: HopfAlgebra, iota: LinMap, algebra: Algebra, counit: Vector,
+        int_coaction: tuple[Sequence[dict[int, int]], int], report: Report,
     ):
         if token is not _CERTIFIED:
             raise TypeError("CoidealSubalgebra is built only by certify_coideal")
@@ -96,7 +96,7 @@ class CoidealSubalgebra:
         self.algebra = algebra
         self.unit = algebra.unit
         self.counit = counit
-        self.coaction = coaction
+        self.int_coaction = tuple(map(self.field.reduce, int_coaction[0])), int_coaction[1]
         self.report = report
 
     @property
@@ -106,6 +106,12 @@ class CoidealSubalgebra:
     @property
     def mult(self) -> Tensor3:
         return self.algebra.mult
+
+    @property
+    def coaction(self) -> Tensor3:
+        """The coaction tensor, built from int_coaction."""
+        n, b = self.parent.dim, self.dim
+        return _tensor3(self.field, (b, n, b), _stacked(self.int_coaction, n * b))
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
@@ -193,7 +199,9 @@ def _certify_inclusion(h: HopfAlgebra, iota: LinMap) -> CoidealSubalgebra:
         field, "Delta(iota(e{0})) has second leg outside iota(B) at e{1} (x) -".format, unsolved(coaction_rows), b, (n,)
     ))
     report.raise_if_failed()
-    coaction = Tensor3._of(field, [[x.entries for x in plane] for plane in coaction_rows], (b, n, b))
+    coaction = _int_supports(field, [
+        [(j * b + k, x) for j, v in enumerate(plane) for k, x in flat_nonzeros(v)] for plane in coaction_rows
+    ])
 
     counit_b = Vector._of(field, [h.counit.dot(iota.column(i)) for i in range(b)])
     return CoidealSubalgebra(_CERTIFIED, h, iota, algebra, counit_b, coaction, report)
@@ -203,22 +211,16 @@ class CoidealQuotient:
     """The quotient coalgebra C = H / (B+ H) with its right H-action.
 
     Carries the projection pi, a linear section lift, the quotient
-    coalgebra, the action tensor for x <| h = pi(lift(x) h), and lazy
-    dual-side data: the algebra C*, the dual coideal C* inside the
-    co-opposite dual and the action tensor for h* |> b* on B*.
+    coalgebra, the action x <| h = pi(lift(x) h) once as `int_action` =
+    (images, den) reduced by the field, with (images[r], den) the
+    x_r <| e_i flat over (i, s) for x_s, and lazy dual-side data: the
+    algebra C* and the dual coideal C* inside the co-opposite dual.  The
+    view `action` builds the dense tensor action[r, i, s] on each read.
     """
 
     def __init__(
-        self,
-        token: object,
-        b: CoidealSubalgebra,
-        pi: LinMap,
-        lift: LinMap,
-        coalgebra: Coalgebra,
-        action: Tensor3,
-        ideal_basis: Matrix,
-        canonical: bool,
-        report: Report,
+        self, token: object, b: CoidealSubalgebra, pi: LinMap, lift: LinMap, coalgebra: Coalgebra,
+        int_action: tuple[Sequence[dict[int, int]], int], ideal_basis: Matrix, canonical: bool, report: Report,
     ):
         if token is not _CERTIFIED:
             raise TypeError("CoidealQuotient is built only by build_quotient")
@@ -228,7 +230,7 @@ class CoidealQuotient:
         self.lift = lift
         self.dim = pi.target
         self.coalgebra = coalgebra
-        self.action = action
+        self.int_action = tuple(map(self.field.reduce, int_action[0])), int_action[1]
         self.ideal_basis = ideal_basis
         self.canonical = canonical
         self.report = report
@@ -237,11 +239,16 @@ class CoidealQuotient:
         self._dual_parent: HopfAlgebra | None = None
         self._dual_coideal: CoidealSubalgebra | None = None
         self._section: Matrix | None = None
-        self._btr: Tensor3 | None = None
 
     @property
     def field(self):
         return self.parent.field
+
+    @property
+    def action(self) -> Tensor3:
+        """The action tensor, built from int_action."""
+        n, c = self.parent.dim, self.dim
+        return _tensor3(self.field, (c, n, c), _stacked(self.int_action, n * c))
 
     @property
     def hstar(self) -> HopfAlgebra:
@@ -410,7 +417,7 @@ def build_quotient(
     report.raise_if_failed()
 
     # x_r <| e_i = pi(lift(x_r) e_i)
-    action = _tensor3(field, (c, n, c), _stacked(_table(projected((x, lifts[1]), rows, (1,)) for x in lifts[0]), n * c))
+    action = _table(projected((x, lifts[1]), rows, (1,)) for x in lifts[0])
 
     return CoidealQuotient(_CERTIFIED, b, pi, lift, coalg, action, ideal, canonical, report)
 
@@ -429,26 +436,6 @@ def _dual_section(q: CoidealQuotient) -> Matrix:
         cols = [iota_star.solution(j) for j in range(bdim)]
         q._section = Matrix.from_columns(q.field, cols, nrows=q.parent.dim)
     return q._section
-
-
-def _btr_tensor(q: CoidealQuotient) -> Tensor3:
-    """Action tensor of h* |> b* = iota*(h* varsigma(b*)), read off the coaction.
-
-    For any section varsigma of iota*, the product of H* being Delta^T
-    and Delta(iota(b_t)) = sum coaction[t, i, l] e_i (x) iota(b_l) (the
-    coaction certify_coideal solved for),
-    <f_i |> b*_j, b_t> = <f_i (x) varsigma(b*_j), Delta(iota(b_t))>
-    = coaction[t, i, j].  So the action is well defined, and it is
-    adjoint to the right hit of functionals on B by construction.
-    """
-    if q._btr is None:
-        coaction, n, bdim = q.coideal.coaction, q.parent.dim, q.coideal.dim
-        q._btr = Tensor3._of(
-            q.field,
-            [[[coaction[t, i, j] for t in range(bdim)] for j in range(bdim)] for i in range(n)],
-            (n, bdim, bdim),
-        )
-    return q._btr
 
 
 def dual_coideal(q: CoidealQuotient) -> CoidealSubalgebra:

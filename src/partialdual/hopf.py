@@ -14,11 +14,13 @@ and int_comult.  Every product, every tensor-power kernel and every
 verifier reads these tables, and the transports rewrite them: dual
 transposes them, opposite and coopposite swap their legs.  The dense
 Tensor3 `mult` and `comult` are views, built on demand for the public
-API and ==; documents are written from the tables.  Dense data is read
-through two decoders: _grouped lists the nonzeros of a Tensor3 grouped
-by one leg, and _rows lists them row by row.  _support lists the
-nonzeros of a flat tensor in (support, den) form with their leg
-indices, for documents.  No other module decodes a flat index by hand.
+API; == compares the tables by value.  Documents are written from the
+tables.  A dense tensor is read once, by _flat, which converts the
+nonzeros of a Tensor3 row by row into one (support, den) form for the
+public constructors; _by regroups any table by one of its legs.
+_support lists the nonzeros of a flat tensor in (support, den) form with
+their leg indices, for documents.  No other module decodes a flat index
+by hand.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -230,7 +232,7 @@ class Algebra:
             raise ValueError("algebra data must live over the stated field")
         if len(unit) != n:
             raise ValueError("unit vector has the wrong length")
-        self._hold(field, unit, _int_supports(field, [row for plane in _rows(mult) for row in plane]))
+        self._hold(field, unit, _cut(_flat(mult), n * n, n))
 
     @classmethod
     def _of(cls, field: Field, table: tuple[Sequence[dict[int, int]], int], unit: Vector) -> "Algebra":
@@ -299,7 +301,8 @@ class Algebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.mult == other.mult and self.unit == other.unit
+        n = self.dim
+        return self.unit == other.unit and _same_values(self.field, _stacked(_pairs(self), n), _stacked(_pairs(other), n))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim} over {self.field.descriptor})"
@@ -323,8 +326,7 @@ class Coalgebra:
             raise ValueError("coalgebra data must live over the stated field")
         if len(counit) != n:
             raise ValueError("counit vector has the wrong length")
-        images = [[(j * n + k, x) for (j, k), x in group] for group in _grouped(comult, 0)]
-        self._hold(field, counit, _int_supports(field, images))
+        self._hold(field, counit, _cut(_flat(comult), n, n * n))
 
     @classmethod
     def _of(cls, field: Field, images: tuple[Sequence[dict[int, int]], int], counit: Vector) -> "Coalgebra":
@@ -366,7 +368,10 @@ class Coalgebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coalgebra):
             return NotImplemented
-        return self.comult == other.comult and self.counit == other.counit
+        n = self.dim
+        return self.counit == other.counit and _same_values(
+            self.field, _stacked(self.int_comult, n * n), _stacked(other.int_comult, n * n)
+        )
 
     def __repr__(self) -> str:
         return f"Coalgebra(dim={self.dim} over {self.field.descriptor})"
@@ -457,19 +462,25 @@ def _support(s: Sparse, dims: Sequence[int]) -> list[tuple[tuple[int, ...], int]
     return [(tuple(idx // st % n for st, n in zip(strides, dims)), x) for idx, x in sorted(s[0].items())]
 
 
-def _rows(t: Tensor3) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
-    """The nonzeros of t row by row: entry [i][j] lists the (k, t[i,j,k]) with t[i,j,k] != 0."""
-    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane) for plane in t.data)
+def _flat(t: Tensor3) -> Sparse:
+    """The (support, den) form of t flat, row-major: its nonzeros only, read row by row."""
+    rows, width = (row for plane in t.data for row in plane), t.dims[2]
+    nonzeros = [(r * width + k, x) for r, row in enumerate(rows) for k, x in enumerate(row) if x]
+    (support,), den = _int_supports(t.field, [nonzeros])
+    return support, den
 
 
-def _grouped(t: Tensor3, axis: int) -> list[list[tuple[tuple[int, int], Scalar]]]:
-    """The nonzeros of t grouped by their index on leg `axis`: entry d lists
-    ((the other two indices), c) for the nonzeros with index d there, in
-    lexicographic order."""
-    out: list[list] = [[] for _ in range(t.dims[axis])]
-    for index, c in t.nonzero():
-        out[index[axis]].append((index[:axis] + index[axis + 1 :], c))
-    return out
+def _by(s: Sparse, dims: Sequence[int], perm: Sequence[int]) -> tuple[list[dict[int, int]], int]:
+    """A flat tensor over legs of lengths dims as leg images from leg perm[0]:
+    table[d] holds the nonzeros with index d there, the other legs in the
+    order perm[1:], flattened.  _permuted, then _cut."""
+    return _cut(_permuted(s, dims, perm), dims[perm[0]], prod(dims) // dims[perm[0]])
+
+
+def _same_values(field: Field, lhs: Sparse, rhs: Sparse) -> bool:
+    """Whether two (support, den) forms hold the same values, whatever their dens."""
+    (left, _), (right, _) = _comparable(field, lhs, rhs)
+    return left == right
 
 
 def _leg_map(u: Sparse, dims: Sequence[int], leg: int, width: int, images: tuple[Sequence, int]) -> Sparse:
@@ -518,8 +529,7 @@ def _cut(s: Sparse, parts: int, width: int) -> tuple[list[dict[int, int]], int]:
 def _transposed(images: tuple[Sequence, int], width: int) -> tuple[list[dict[int, int]], int]:
     """Leg images read the other way round: out[r] = {d: x} for each x at r < width of
     images[d].  So a coproduct table becomes the product table of the dual, and back."""
-    d = len(images[0])
-    return _cut(_permuted(_stacked(images, width), (d, width), (1, 0)), width, d)
+    return _by(_stacked(images, width), (len(images[0]), width), (1, 0))
 
 
 def _table(images) -> tuple[list, int]:
@@ -937,7 +947,7 @@ def convolution_inverse(f: LinMap, c: Coalgebra, a: Algebra) -> LinMap:
     rhs = []
     for i, image in enumerate(images):
         u = _leg_map(_leg_map((image, den), (nc, nc), 0, na, f_cols), (na, nc), 0, na * na, rows_a)
-        block, bden = _cut(_permuted(u, (na, na, nc), (1, 2, 0)), na, nc * na)
+        block, bden = _by(u, (na, na, nc), (1, 2, 0))
         rows += [_scalars(field, (row, bden)) for row in block]
         rhs.extend(a.unit.scale(c.counit[i]).entries)
     x = Elimination(field, nc * na, rows, [rhs]).solution()

@@ -692,22 +692,6 @@ class Tensor3:
                     if x:
                         yield (i, j, k), x
 
-    def flip01(self) -> "Tensor3":
-        d0, d1, d2 = self.dims
-        return Tensor3._of(
-            self.field,
-            [[self.data[i][j] for i in range(d0)] for j in range(d1)],
-            (d1, d0, d2),
-        )
-
-    def flip12(self) -> "Tensor3":
-        d0, d1, d2 = self.dims
-        return Tensor3._of(
-            self.field,
-            [list(zip(*plane)) if plane else [()] * d2 for plane in self.data],
-            (d0, d2, d1),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented

@@ -55,9 +55,9 @@ from .linalg import (
     Vector,
     _columns,
     _functional,
+    _matrix,
     _scalars,
     _sparse,
-    contract,
 )
 
 __all__ = [
@@ -216,9 +216,7 @@ def biunitarize(q: CoidealQuotient, zeta0: LinMap) -> LinMap:
     zeta0(1) (zeta0_bar * zeta0) zeta0_bar(1) are eps 1.
     """
     _shape_guard(q, zeta0)
-    h = q.parent
-    bsub = q.coideal
-    field = q.field
+    h, bsub, field, n = q.parent, q.coideal, q.field, q.parent.dim
     ok, w = _module_map(q, zeta0)
     if not ok:
         raise CertificationError("zeta-not-module-map", w)
@@ -229,8 +227,10 @@ def biunitarize(q: CoidealQuotient, zeta0: LinMap) -> LinMap:
 
     z1 = LinMap(bsub.algebra.right_mult_matrix(zbar0(h.unit)) @ zeta0.matrix)
     zb1 = LinMap(bsub.algebra.left_mult_matrix(zeta0(h.unit)) @ zbar0.matrix)
-    phi = Vector._of(field, [bsub.counit.dot(zb1.column(j)) for j in range(h.dim)])
-    zeta2 = LinMap(z1.matrix @ contract(h.comult, 2, phi).transpose())
+    phi = Vector._of(field, [bsub.counit.dot(zb1.column(j)) for j in range(n)])
+    # h -> sum h_1 phi(h_2): phi on the second leg of each Delta(e_i), column i
+    delta = _stacked(h.coalgebra.int_comult, n * n)
+    zeta2 = LinMap(z1.matrix @ _matrix(field, n, n, _leg_map(delta, (n, n, n), 2, 1, _functional(phi))))
     for ok, w in (_module_map(q, zeta2), _biunitary(q, zeta2)):
         if not ok:
             raise CertificationError("biunitarize-failed", w)
@@ -463,10 +463,12 @@ def certify_pams(
     in H*, u in B*, x* in C*; H* and B* multiply by Delta^T and
     comultiply by m^T, so <a_1 (x) a_2, h (x) h'> = <a, h h'>, and C*
     multiplies by Delta_C^T; delta(b) = b_-1 (x) b_0 is the certified
-    coaction, so Delta iota = (id (x) iota) delta; a |> u is the action of
-    _btr_tensor.  The transposes of f, g in End(H) convolve in End(H*) in
-    the same order, (f * g)^T = f^T * g^T, since <phi, f(h_1) g(h_2)> =
-    <f^T(phi_1) g^T(phi_2), h>, and S* = S^T.  H is a Hopf algebra, so
+    coaction, so Delta iota = (id (x) iota) delta; a |> u = iota*(a
+    varsigma(u)) for any section varsigma of iota*, well defined as
+    <f_i |> b*_j, b_t> = coaction[t, i, j], which is how right_partial_dual
+    reads it off int_coaction.  The transposes of f, g in End(H)
+    convolve in End(H*) in the same order, (f * g)^T = f^T * g^T, since
+    <phi, f(h_1) g(h_2)> = <f^T(phi_1) g^T(phi_2), h>, and S* = S^T.  H is a Hopf algebra, so
     id * S = eps 1 = S * id, S is a coalgebra anti-map and x_2 S^-1(x_1)
     = eps(x) 1; zeta_bar is the two-sided convolution inverse of zeta.
 
@@ -497,7 +499,7 @@ def certify_pams(
       transpose of gamma-comodule-map, (id (x) pi) Delta gamma = (gamma
       (x) id) Delta_C.
     - iota-star-module-law, iota*(a a') = a |> iota*(a'): <a a', iota(b)>
-      = <a (x) a', (id (x) iota) delta(b)> is how _btr_tensor defines |>.
+      = <a (x) a', (id (x) iota) delta(b)> is how the coaction defines |>.
     - btr-zeta-star-form, a |> u = iota*(a zeta*(u)): by
       iota-star-module-law the right side is a |> (zeta iota)*(u), and
       zeta iota = id by zeta-splits-iota.

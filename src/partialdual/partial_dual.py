@@ -12,16 +12,19 @@ Coalgebra.int_comult and none reshapes a Delta matrix or regroups its
 tensor.
 
 Both constructors assemble their maps on integer tables, as the
-verifiers check them: each certified map and structure tensor is read
-once as leg images in (support, den) form, and each structure map is a
-chain of hopf's kernels over them (_leg_map, _permuted, _power_product,
-_kron, _then, _stacked).  The product and Delta tables are handed to
-Algebra._of and Coalgebra._of as they come out, cut by _cut where a
-chain yields one flat tensor, and phi and phi^-1 to QuasiHopfAlgebra._of;
-the rest is converted once into the Vector or Matrix that is stored.
+verifiers check them: each certified map is read once as leg images in
+(support, den) form, the structure tensors are the stored tables (m, Delta,
+B's int_coaction, C's int_action), and each structure map is a chain of
+hopf's kernels over them (_leg_map, _permuted, _power_product, _kron,
+_then, _stacked, and _by where a table is regrouped by another leg).
+The product and Delta tables are handed to Algebra._of and
+Coalgebra._of as they come out, cut by _cut where a chain yields one
+flat tensor, and phi and phi^-1 to QuasiHopfAlgebra._of; the rest is
+converted once into the Vector or Matrix that is stored.
 Every reader of phi, the verifier, the transport checks, detect_hopf
-and the documents, takes the stored tables; the dense views are for
-the public API and ==.  No constructor multiplies field scalars itself.
+and the documents, takes the stored tables, and so does ==; the dense
+views are for the public API.  No constructor multiplies field scalars
+itself.
 
 The left constructor builds each structure map from one form and makes
 no check of its own: it certifies the assembled object with
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .coideal import _btr_tensor
 from .hopf import (
     Algebra,
     CertificationError,
@@ -44,11 +46,11 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _by,
     _comultiplicative,
     _cut,
     _flat_cols,
     _flat_rows,
-    _grouped,
     _kron,
     _leg_map,
     _legs_product,
@@ -56,7 +58,7 @@ from .hopf import (
     _pairs,
     _permuted,
     _power_product,
-    _rows,
+    _same_values,
     _scale,
     _slice_mismatch,
     _stacked,
@@ -79,7 +81,6 @@ from .linalg import (
     _columns,
     _dense,
     _functional,
-    _int_supports,
     _matrix,
     _same_field,
     _sparse,
@@ -191,8 +192,8 @@ class QuasiHopfAlgebra:
         return (
             self.algebra == other.algebra
             and self.coalgebra == other.coalgebra
-            and self.phi == other.phi
-            and self.phi_inv == other.phi_inv
+            and _same_values(self.field, self.int_phi, other.int_phi)
+            and _same_values(self.field, self.int_phi_inv, other.int_phi_inv)
             and self.t_map == other.t_map
             and self.upsilon == other.upsilon
             and self.antipodes == other.antipodes
@@ -251,7 +252,7 @@ class CoquasiHopfAlgebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoquasiHopfAlgebra):
             return NotImplemented
-        return self.coalgebra == other.coalgebra and self.mult == other.mult and self.unit == other.unit
+        return self.coalgebra == other.coalgebra and self.algebra == other.algebra
 
     def __repr__(self) -> str:
         return f"CoquasiHopfAlgebra(dim={self.dim} over {self.field.descriptor})"
@@ -279,13 +280,6 @@ class HopfDetection:
 def _products(alg: Algebra, factors) -> tuple[list, int]:
     """The products x y of the (support, den) pairs `factors`, as leg images."""
     return _table(_power_product(alg, 1, x, y) for x, y in factors)
-
-
-def _by(t: Tensor3, axis: int) -> tuple[tuple, int]:
-    """The nonzeros of t grouped by leg `axis` as leg images: table[d] = {x w + y: c den}
-    for each nonzero c at d whose other two indices are (x, y), w the length of y's leg."""
-    width = t.dims[1 if axis == 2 else 2]
-    return _int_supports(t.field, [[(x * width + y, c) for (x, y), c in group] for group in _grouped(t, axis)])
 
 
 def _antipode_axioms(
@@ -404,6 +398,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
     h, bsub, field, hs = q.parent, q.coideal, q.field, q.hstar
     n, bdim, cdim = h.dim, bsub.dim, q.dim
     nd = cdim * bdim
+    action, coact = _stacked(q.int_action, n * cdim), bsub.int_coaction  # c_r <| h_i at (r, i, s); b_b at (b, m, k)
 
     # the certified maps as leg images: zeta and zetabar take e_m to sum zeta[u,m] b_u, their
     # transposes take u to zeta_u in H*; gamma takes c_t to gamma_t, its transpose h*_p to gamma*(h*_p)
@@ -418,7 +413,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
 
     # multiplication (f_a # b)(f_g # d) = sum f_a (b_(-1) harpoon f_g) # b_(0) d: the coaction of b_b at
     # (m, k), h_m harpoon f_g = sum f_s at (s, g), f_a f_s at (a, t) and b_k b_d at (d, e), to (a, b, g, d, t, e)
-    m = _leg_map(_stacked(_by(bsub.coaction, 0), n * bdim), (bdim, n, bdim), 1, cdim * cdim, _by(q.action, 1))
+    m = _leg_map(_stacked(coact, n * bdim), (bdim, n, bdim), 1, cdim * cdim, _by(action, (cdim, n, cdim), (1, 0, 2)))
     m = _leg_map(m, (bdim, cdim, cdim, bdim), 1, cdim * cdim, _flat_cols(q.cstar))
     m = _leg_map(m, (bdim, cdim, cdim, cdim, bdim), 4, bdim * bdim, _flat_rows(bsub.algebra))
     m = _permuted(m, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
@@ -437,7 +432,7 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         _permuted(_leg_map(_leg_map((col, h_cols[1]), (n, n), 0, cdim, gamma_t), (cdim, n), 1, nd, ze), (cdim, nd), (1, 0))
         for col in h_cols[0]
     )
-    rho, coact = _by(q.action, 2), _by(bsub.coaction, 0)
+    rho = _by(action, (cdim, n, cdim), (2, 0, 1))
     d32 = [_leg_map((x, rho[1]), (cdim, n), 1, bdim * nd, g2) for x in rho[0]]
     d33 = [_leg_map((x, coact[1]), (n, bdim), 0, nd * cdim, g3) for x in coact[0]]
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
@@ -572,19 +567,20 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     if left is None:
         left = left_partial_dual(p)
     q = p.quotient
-    h, bsub, field, btr = q.parent, q.coideal, q.field, _btr_tensor(q)
+    h, bsub, field = q.parent, q.coideal, q.field
     n, bdim, cdim = h.dim, bsub.dim, q.dim
     nd = cdim * bdim
+    # c_t <| h_i at (t, i, s); the coaction of b_t at (t, i, j), the action f_i |> b*_j = sum_t coaction[t, i, j] b*_t
+    action, coaction = _stacked(q.int_action, n * cdim), _stacked(bsub.int_coaction, n * bdim)
     report = Report(f"right partial dual (dim {nd} over {field.descriptor})")
     mult_b = _stacked(_transposed(_pairs(bsub.algebra), bdim), bdim * bdim)  # b_a b_c = sum x b_u at (u, a, c)
 
     # comultiplication: Delta(c_p) at (s, t) beside b_a b_c at (u, a, c); b*_a -> f_i |> b*_a at (i, v),
     # then the two legs (t, i) -> c_t <| h_i at g, to (p, u, s, v, g, c)
     comult = _kron(_stacked(q.coalgebra.int_comult, cdim * cdim), mult_b, bdim**3)
-    comult = _leg_map(comult, (cdim, cdim, cdim, bdim, bdim, bdim), 4, n * bdim, _by(btr, 1))
+    comult = _leg_map(comult, (cdim, cdim, cdim, bdim, bdim, bdim), 4, n * bdim, _by(coaction, (bdim, n, bdim), (2, 1, 0)))
     comult = _permuted(comult, (cdim, cdim, cdim, bdim, n, bdim, bdim), (0, 3, 1, 5, 2, 4, 6))
-    act = _int_supports(field, [row for plane in _rows(q.action) for row in plane])  # (t, i) -> c_t <| h_i
-    comult = _leg_map(comult, (cdim, bdim, cdim, bdim, cdim * n, bdim), 4, cdim, act)
+    comult = _leg_map(comult, (cdim, bdim, cdim, bdim, cdim * n, bdim), 4, cdim, _cut(action, cdim * n, cdim))
 
     # multiplication: b_a b_c at (u, a, c); b*_c's factor zeta_c(gamma_t h_y) at (t, y) and h*_y |> b*_v at
     # (v, j); c_t -> the (s, q) with c_s c_t in Delta(c_q); b*_a's factor: Delta(gamma_s) at (k, y) with
@@ -595,14 +591,14 @@ def right_partial_dual(p: Pams, left: QuasiHopfAlgebra | None = None) -> Coquasi
     mult = _leg_map(mult_b, (bdim, bdim, bdim), 2, cdim * n, _table(
         _leg_map((x, dz[1]), (n, n), 0, cdim, gamma_t) for x in dz[0]
     ))
-    mult = _leg_map(mult, (bdim, bdim, cdim, n), 3, bdim * bdim, _by(btr, 0))
+    mult = _leg_map(mult, (bdim, bdim, cdim, n), 3, bdim * bdim, _by(coaction, (bdim, n, bdim), (1, 2, 0)))
     mult = _leg_map(mult, (bdim, bdim, cdim, bdim, bdim), 2, cdim * cdim, _flat_cols(q.cstar))
     mult = _leg_map(mult, (bdim, bdim, cdim, cdim, bdim, bdim), 2, n * n, _table(
         _permuted((x, dg[1]), (n, n), (1, 0)) for x in dg[0]
     ))
     zeta_ak = _functional(Vector._of(field, [x for row in zeta.rows for x in row]))  # (a, k) -> zeta_a(e_k)
     mult = _leg_map(mult, (bdim, bdim * n, n, cdim, bdim, bdim), 1, 1, zeta_ak)
-    mult = _leg_map(mult, (bdim, n, cdim, bdim, bdim), 1, cdim * cdim, _by(q.action, 1))
+    mult = _leg_map(mult, (bdim, n, cdim, bdim, bdim), 1, cdim * cdim, _by(action, (cdim, n, cdim), (1, 0, 2)))
     mult = _permuted(mult, (bdim, cdim, cdim, cdim, bdim, bdim), (1, 0, 3, 4, 2, 5))
 
     counit_r = _dense(field, nd, _kron(_sparse(q.coalgebra.counit), _sparse(bsub.unit), bdim))
@@ -706,13 +702,8 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     failure; returns the report."""
     if q1.pams is None:
         raise ValueError("the left side needs its mapping system for the carrier layout")
-    p = q1.pams
-    q = p.quotient
-    bsub = q.coideal
-    field = q1.field
-    nd = q1.dim
-    cdim = q.dim
-    bdim = bsub.dim
+    q, field, nd = q1.pams.quotient, q1.field, q1.dim
+    bsub, cdim, bdim = q.coideal, q.dim, q.coideal.dim
     if q_op.dim != nd:
         raise CertificationError("mismatch", f"carrier dims {nd} and {q_op.dim} differ")
     report = Report("opposite comparison")
@@ -724,9 +715,8 @@ def op_iso_check(q1: QuasiHopfAlgebra, q_op: QuasiHopfAlgebra) -> Report:
     phim = Matrix.from_columns(field, cols, nrows=nd)
 
     # rho[a]: action[s, i, a] at (s, i); legs[b]: h*_m -> sum coaction[b, m, k] b*_k
-    rho, rden = _int_supports(field, [[(s * nd + i, x) for (s, i), x in group] for group in _grouped(q.action, 2)])
-    table, den = _int_supports(field, [pair for plane in _rows(bsub.coaction) for pair in plane])
-    legs = [(table[b * nd : (b + 1) * nd], den) for b in range(bdim)]
+    rho, rden = _by(_stacked(q.int_action, nd * cdim), (cdim, nd, cdim), (2, 0, 1))
+    legs = [_cut((image, bsub.int_coaction[1]), nd, bdim) for image in bsub.int_coaction[0]]
     twisted = [_then(_columns(q.hstar.antipode_inverse()), leg) for leg in legs]
 
     def forms(i):  # column a bdim + b: rho[a] with twisted[b] on its leg i, at s bdim + k

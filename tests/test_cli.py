@@ -223,7 +223,7 @@ COMMAND_MODULES = {
     "pams induce {pams} --kind op": PAMS_SET,
     "partial-dual left {pams}": PAMS_SET | {"partial_dual"},
     "partial-dual right {pams}": PAMS_SET | {"partial_dual"},
-    "verify-quasi-hopf {quasi-hopf}": COIDEAL_SET | {"partial_dual"},
+    "verify-quasi-hopf {quasi-hopf}": HOPF_SET | {"partial_dual"},
     "example taft4": PAMS_SET | {"examples"},
 }
 

@@ -9,13 +9,12 @@ from partialdual.coideal import (
     _CERTIFIED,
     CoidealQuotient,
     CoidealSubalgebra,
-    _btr_tensor,
     build_quotient,
     certify_coideal,
     dual_coideal,
 )
 from partialdual.examples import cyclic, group_algebra, symmetric, taft4
-from partialdual.hopf import Algebra, CertificationError, Coalgebra, HopfAlgebra, LinMap, coopposite, dual
+from partialdual.hopf import Algebra, CertificationError, Coalgebra, HopfAlgebra, LinMap, _by, _stacked, coopposite, dual
 from partialdual.linalg import QQ, Matrix, Tensor3, Vector
 
 
@@ -120,7 +119,7 @@ def test_dimension_law_abort_on_corrupt_data(taft):
     h, b, _ = taft
     # only certify_coideal holds the token, so corrupt data has to forge it
     corrupt = CoidealSubalgebra(
-        _CERTIFIED, h, b.iota, b.algebra, Vector.zero(QQ, 2), b.coaction, b.report
+        _CERTIFIED, h, b.iota, b.algebra, Vector.zero(QQ, 2), b.int_coaction, b.report
     )
     with pytest.raises(CertificationError) as err:
         build_quotient(corrupt)
@@ -131,10 +130,10 @@ def test_certified_types_are_built_only_by_their_certifiers(taft):
     h, b, _ = taft
     q = build_quotient(b)
     with pytest.raises(TypeError, match="built only by certify_coideal"):
-        CoidealSubalgebra(object(), h, b.iota, b.algebra, b.counit, b.coaction, b.report)
+        CoidealSubalgebra(object(), h, b.iota, b.algebra, b.counit, b.int_coaction, b.report)
     with pytest.raises(TypeError, match="built only by build_quotient"):
         CoidealQuotient(
-            object(), b, q.pi, q.lift, q.coalgebra, q.action, q.ideal_basis, q.canonical, q.report
+            object(), b, q.pi, q.lift, q.coalgebra, q.int_action, q.ideal_basis, q.canonical, q.report
         )
 
 
@@ -168,14 +167,16 @@ def test_dual_coideal_certifies(taft):
 
 def test_btr_action_values(taft):
     h, b, _ = taft
-    q = build_quotient(b)
-    # dual basis: p_1, p_g, p_x, p_xg on (1, g, x, xg); B* basis (1*, x*);
-    # btr[i, j, v]: the v*-coordinate of p_i |> j*
-    btr = _btr_tensor(q)
-    assert [btr[0, 0, v] for v in range(2)] == [1, 0]
-    assert [btr[1, 0, v] for v in range(2)] == [0, 0]
+    # dual basis: p_1, p_g, p_x, p_xg on (1, g, x, xg); B* basis (1*, x*); the
+    # v*-coordinate of p_i |> j* is coaction[v, i, j], which right_partial_dual
+    # reads regrouped by i, at j dim(B) + v
+    table, den = _by(_stacked(b.int_coaction, 4 * 2), (2, 4, 2), (1, 2, 0))
+    btr = [[QQ.from_ints([table[i].get(j * 2 + v, 0) for v in range(2)], den) for j in range(2)] for i in range(4)]
+    assert btr[0][0] == [1, 0]
+    assert btr[1][0] == [0, 0]
     # <p_x |> 1*, b> = <1*, b <- p_x>: only b = x has x in a left coaction leg
-    assert [btr[2, 0, v] for v in range(2)] == [0, 1]
+    assert btr[2][0] == [0, 1]
+    assert btr == [[[b.coaction[v, i, j] for v in range(2)] for j in range(2)] for i in range(4)]
 
 
 HOPF_AXIOMS = {

@@ -34,6 +34,8 @@ from partialdual.hopf import (
     HopfAlgebra,
     LinMap,
     Report,
+    _cut,
+    _flat,
     verify_hopf,
 )
 from partialdual.linalg import QQ, Matrix, PrimeField, Tensor3, Vector
@@ -110,19 +112,30 @@ def _with_quasi_hopf(qh, **changes):
     return _replace(qh, QuasiHopfAlgebra, fields, **changes)
 
 
-def _with_coideal(b, mult=None, **changes):
+def _table(t):
+    """A dense tensor as the table the certified types store: its first leg's images."""
+    return _cut(_flat(t), t.dims[0], t.dims[1] * t.dims[2])
+
+
+def _with_coideal(b, mult=None, coaction=None, **changes):
     """A copy of a certified coideal with corrupted data, built past certify_coideal;
-    a corrupted multiplication tensor `mult` replaces its algebra."""
+    a corrupted multiplication tensor `mult` replaces its algebra, and a
+    corrupted coaction tensor `coaction` its int_coaction."""
     if mult is not None:
         changes["algebra"] = Algebra(b.field, mult, b.unit)
-    fields = ("parent", "iota", "algebra", "counit", "coaction", "report")
+    if coaction is not None:
+        changes["int_coaction"] = _table(coaction)
+    fields = ("parent", "iota", "algebra", "counit", "int_coaction", "report")
     return _replace(b, functools.partial(CoidealSubalgebra, _CERTIFIED), fields, **changes)
 
 
-def _with_quotient(q, **changes):
-    """A copy of a certified quotient with corrupted data, built past build_quotient."""
+def _with_quotient(q, action=None, **changes):
+    """A copy of a certified quotient with corrupted data, built past
+    build_quotient; a corrupted action tensor `action` replaces its int_action."""
     changes.setdefault("b", q.coideal)
-    fields = ("b", "pi", "lift", "coalgebra", "action", "ideal_basis", "canonical", "report")
+    if action is not None:
+        changes["int_action"] = _table(action)
+    fields = ("b", "pi", "lift", "coalgebra", "int_action", "ideal_basis", "canonical", "report")
     return _replace(q, functools.partial(CoidealQuotient, _CERTIFIED), fields, **changes)
 
 

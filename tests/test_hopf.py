@@ -15,7 +15,8 @@ from partialdual.hopf import (
     Coalgebra,
     HopfAlgebra,
     LinMap,
-    _grouped,
+    _by,
+    _flat as flat_form,
     _support,
     biopposite,
     convolution_inverse,
@@ -457,6 +458,9 @@ def _ref_grouped(t, axis):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_grouped_matches_nonzero_and_digit_walker(field):
+    """_by(_flat(t), t.dims, perm) regroups the nonzeros of t by leg perm[0]
+    as the digit walker does, on every axis, and a public Coalgebra groups
+    its Delta by the first leg."""
     rng = random.Random(16)
     h, b, _ = taft4(field, 1)
     tensors = [h.mult, h.comult, b.coaction, b.mult, Tensor3.zeros(field, (2, 3, 1))]
@@ -470,7 +474,13 @@ def test_grouped_matches_nonzero_and_digit_walker(field):
     for t in tensors:
         nonzero = list(t.nonzero())
         for axis in range(3):
-            groups = _grouped(t, axis)
+            others = [leg for leg in range(3) if leg != axis]
+            table, den = _by(flat_form(t), t.dims, [axis] + others)
+            width = t.dims[others[1]]
+            groups = [
+                [(divmod(key, width), field.from_ints([x], den)[0]) for key, x in sorted(image.items())]
+                for image in table
+            ]
             assert groups == _ref_grouped(t, axis), (t, axis)
             assert sorted(
                 (rest[:axis] + (d,) + rest[axis:], c) for d, group in enumerate(groups) for rest, c in group

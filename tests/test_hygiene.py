@@ -33,12 +33,14 @@ constructor such as `Vector._of`: external input always enters through
 a coercing constructor.  Outside `hopf`, which owns the flat layout, no
 loop over the coordinates of a flat tensor decodes an index with
 `divmod`: `hopf._support` lists the nonzeros of a (support, den) form
-with their leg indices.  No
-loop regroups the `.nonzero()` entries of a tensor into per-index lists
-by hand: that is `hopf._grouped`.  No code groups a comultiplication
-with `_grouped(<...>.comult, 0)`: its grouped nonzeros are
-`Coalgebra.int_comult`, which the public `Coalgebra` constructor groups
-once and `Coalgebra._of` takes as given.  Only the builders of `examples`
+with their leg indices.  Dense
+tensors are read only at the public boundary: outside `linalg`, no code
+reads a dense view (`.mult`, `.comult`, `.coaction`, `.action`, `.phi`,
+`.phi_inv`) or the entries of a `Tensor3` (`.data`, `.nonzero()`), or
+calls `hopf._tensor3`, except the view and forwarding properties of
+those names and `hopf._flat`, which decodes the dense tensor a public
+constructor takes; every other reader takes the stored integer tables.
+Only the builders of `examples`
 call the public `Algebra` and `Coalgebra` constructors, which check and
 scan a dense tensor, and no function of the package calls the public
 `QuasiHopfAlgebra` constructor, which checks and converts dense
@@ -507,28 +509,64 @@ def test_no_flat_index_decoded_by_hand_outside_hopf(path):
     assert hand_decoded_flat_indices(path.read_text()) == []
 
 
-def hand_regrouped_nonzeros(source: str) -> list[str]:
-    """Loops over `<tensor>.nonzero()` that append to `<table>[index]`, as
-    "function (line)" of the loop; `_grouped` itself is the one allowed."""
-    found = set()
-    for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_grouped":
-            continue
-        for loop, sources in _loops(func):
-            walks_nonzero = any(
-                isinstance(s, ast.Call) and getattr(s.func, "attr", None) == "nonzero" for s in sources
-            )
-            if walks_nonzero and any(
-                isinstance(n, ast.Call)
-                and getattr(n.func, "attr", None) == "append"
-                and isinstance(n.func.value, ast.Subscript)
-                for n in ast.walk(loop)
-            ):
-                found.add((loop.lineno, func.name))
-    return [f"{name} (line {line})" for line, name in sorted(found)]
+# the dense views of the stored tables (m, Delta, B's coaction, C's action,
+# phi, phi^-1), and the entries of a Tensor3
+DENSE_READS = {"mult", "comult", "coaction", "action", "phi", "phi_inv", "data", "nonzero"}
+
+
+def dense_reads(source: str) -> list[str]:
+    """Reads of a dense tensor: `.mult`, `.comult`, `.coaction`, `.action`,
+    `.phi`, `.phi_inv`, `.data` and `.nonzero`, and calls of `_tensor3`,
+    as "expression (line)".  The properties of those names, the views and
+    the forwarding ones, and `_flat`, the one decoder of a dense tensor,
+    are exempt."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (func.name == "_flat" or (
+            func.name in DENSE_READS and any(getattr(d, "id", None) == "property" for d in func.decorator_list)
+        ))
+        for node in ast.walk(func)
+    }
+    found = [
+        (node.lineno, node.col_offset, f"{ast.unparse(node)} (line {node.lineno})")
+        for node in ast.walk(tree)
+        if id(node) not in exempt and (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in DENSE_READS
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_tensor3"
+        )
+    ]
+    return [text for _, _, text in sorted(found)]
+
+
+def test_checker_flags_dense_reads_outside_the_views():
+    source = (
+        "class A:\n"
+        "    @property\n"
+        "    def mult(self):\n"
+        "        return _tensor3(self.field, self.dims, _stacked(self.int_terms, 2))\n"
+        "    @property\n"
+        "    def comult(self):\n"
+        "        return self.coalgebra.comult\n"
+        "    def __eq__(self, other):\n"
+        "        return self.mult == other.mult and self.phi_inv == other.int_phi_inv\n"
+        "def _flat(t):\n"
+        "    return [x for plane in t.data for row in plane for x in row]\n"
+        "def f(q, b, t):\n"
+        "    q.int_action = _by(t, q.dims, (1, 0, 2))\n"
+        "    return q.action, b.coaction[0, 1, 0], t.nonzero(), t.data, _tensor3(t.field, t.dims, t)\n"
+    )
+    assert dense_reads(source) == [
+        "self.mult (line 9)", "other.mult (line 9)", "self.phi_inv (line 9)",
+        "q.action (line 14)", "b.coaction (line 14)", "t.nonzero (line 14)", "t.data (line 14)",
+        "_tensor3(t.field, t.dims, t) (line 14)",
+    ]
 
 
 def test_checker_flags_a_hand_regrouped_nonzero_walk():
+    """The boundary rule flags every walk over `.nonzero()`, so the input of
+    the retired rule against regrouping one by hand, `_grouped` included."""
     source = (
         "def f(t, n):\n"
         "    rho = [[] for _ in range(n)]\n"
@@ -544,29 +582,12 @@ def test_checker_flags_a_hand_regrouped_nonzero_walk():
         "        out[index[axis]].append(c)\n"
         "    return out\n"
     )
-    assert hand_regrouped_nonzeros(source) == ["f (line 3)"]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_nonzero_regrouped_by_hand(path):
-    assert hand_regrouped_nonzeros(path.read_text()) == []
-
-
-def comultiplications_grouped_by_hand(source: str) -> list[str]:
-    """Calls `_grouped(<expr>.comult, 0)`, as "expr (line)"."""
-    return [
-        f"{ast.unparse(node.args[0])} (line {node.lineno})"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and "_grouped" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and len(node.args) == 2
-        and getattr(node.args[0], "attr", None) == "comult"
-        and isinstance(node.args[1], ast.Constant)
-        and node.args[1].value == 0
-    ]
+    assert dense_reads(source) == ["t.nonzero (line 3)", "t.nonzero (line 6)", "t.nonzero (line 11)"]
 
 
 def test_checker_flags_a_comultiplication_grouped_by_hand():
+    """The boundary rule flags every read of a `.comult` view, so the input
+    of the retired rule against `_grouped(<...>.comult, 0)`."""
     source = (
         "def f(c, q, b):\n"
         "    a = _grouped(c.comult, 0)\n"
@@ -575,12 +596,14 @@ def test_checker_flags_a_comultiplication_grouped_by_hand():
         "def __init__(self, field, comult, counit):\n"
         "    self.int_comult = _grouped(comult, 0)\n"
     )
-    assert comultiplications_grouped_by_hand(source) == ["c.comult (line 2)", "q.coalgebra.comult (line 3)"]
+    assert dense_reads(source) == [
+        "c.comult (line 2)", "q.coalgebra.comult (line 3)", "b.mult (line 4)", "c.comult (line 4)"
+    ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_comultiplication_grouped_outside_the_coalgebra(path):
-    assert comultiplications_grouped_by_hand(path.read_text()) == []
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_dense_tensors_are_read_only_at_the_boundary(path):
+    assert dense_reads(path.read_text()) == []
 
 
 # the only functions of the package that may run verify_hopf: the entry
@@ -735,15 +758,10 @@ def test_left_partial_dual_states_no_check_of_its_own():
     assert own_checks((PACKAGE / "partial_dual.py").read_text(), "left_partial_dual") == []
 
 
-# Tensor3 methods that return a new tensor built from the receiver
-TENSOR_BUILDING_METHODS = {"flip01", "flip12"}
-
-
 def own_predictions(source: str, function: str) -> list[str]:
     """What a module-level function builds or refuses itself, nested
-    helpers included: its `Tensor3(...)`, `Tensor3.<constructor>(...)`
-    and `.flip01()`/`.flip12()` calls and its `raise
-    CertificationError(...)`, as "what (line)"."""
+    helpers included: its `Tensor3(...)` and `Tensor3.<constructor>(...)`
+    calls and its `raise CertificationError(...)`, as "what (line)"."""
     found = []
     for func in ast.parse(source).body:
         if not isinstance(func, ast.FunctionDef) or func.name != function:
@@ -751,11 +769,7 @@ def own_predictions(source: str, function: str) -> list[str]:
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 callee = node.func
-                if (
-                    getattr(callee, "id", None) == "Tensor3"
-                    or getattr(getattr(callee, "value", None), "id", None) == "Tensor3"
-                    or getattr(callee, "attr", None) in TENSOR_BUILDING_METHODS
-                ):
+                if "Tensor3" in (getattr(callee, "id", None), getattr(getattr(callee, "value", None), "id", None)):
                     found.append((node.lineno, f"{ast.unparse(callee)} (line {node.lineno})"))
             elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 if getattr(node.exc.func, "id", None) == "CertificationError":
@@ -766,7 +780,7 @@ def own_predictions(source: str, function: str) -> list[str]:
 def test_checker_flags_structure_a_function_predicts_itself():
     source = (
         "def induce(p, kind):\n"
-        "    mult = p.mult.flip01()\n"
+        "    mult = p.mult\n"
         "    def tensor(fn):\n"
         "        return Tensor3._of(p.field, fn(), p.dims)\n"
         "    if tensor(p.fn) != Tensor3(p.field, p.data):\n"
@@ -778,7 +792,7 @@ def test_checker_flags_structure_a_function_predicts_itself():
         "    raise CertificationError('axiom', 'fails')\n"
     )
     assert own_predictions(source, "induce") == [
-        "p.mult.flip01 (line 2)", "Tensor3._of (line 4)", "Tensor3 (line 5)", "raise CertificationError (line 6)"
+        "Tensor3._of (line 4)", "Tensor3 (line 5)", "raise CertificationError (line 6)"
     ]
     assert own_predictions(source, "certify") == ["raise CertificationError (line 11)"]
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from partialdual import pams
-from partialdual.coideal import CoidealQuotient, _btr_tensor, build_quotient, certify_coideal, dual_coideal
+from partialdual.coideal import CoidealQuotient, build_quotient, certify_coideal, dual_coideal
 from partialdual.examples import cyclic, group_algebra, pams_from_split_projection, symmetric, taft4
 from partialdual.hopf import (
     CertificationError,
@@ -276,7 +276,7 @@ def _closed_forms(p):
     counit, the action of H2 on C2)."""
     q, bsub = p.quotient, p.coideal
     n, bdim, cdim = q.parent.dim, bsub.dim, q.dim
-    sinv, btr, zero = q.parent.antipode_inverse(), _btr_tensor(q), q.field.zero
+    sinv, zero = q.parent.antipode_inverse(), q.field.zero
     mult_b, coaction, comult_c, counit_c, action = bsub.mult, bsub.coaction, q.coalgebra.comult, q.coalgebra.counit, q.action
 
     def tensor(dims, fn):
@@ -289,13 +289,15 @@ def _closed_forms(p):
         return tensor(t.dims, lambda a, j, c: sum((sinv[j, m] * t[a, m, c] for m in range(n)), zero))
 
     dual_action = tensor((cdim, n, cdim), lambda t, i, s: action[s, i, t])
-    btr_action = tensor((bdim, n, bdim), lambda r, i, t: btr[i, r, t])
+    btr_action = tensor((bdim, n, bdim), lambda r, i, t: coaction[t, i, r])  # f_i |> b*_r at b*_t
+    mult_b_op = tensor((bdim,) * 3, lambda i, j, k: mult_b[j, i, k])
+    comult_c_op = tensor((cdim,) * 3, lambda i, j, k: comult_c[i, k, j])
     mult_c = tensor((cdim,) * 3, lambda i, j, k: comult_c[k, i, j])
     comult_b = tensor((bdim,) * 3, lambda i, j, k: mult_b[j, k, i])
     return {
         "identity": (mult_b, coaction, comult_c, counit_c, action),
-        "op": (mult_b.flip01(), coaction, comult_c.flip12(), counit_c, sinv_after(action)),
-        "cop": (mult_b.flip01(), sinv_before(coaction), comult_c.flip12(), counit_c, action),
+        "op": (mult_b_op, coaction, comult_c_op, counit_c, sinv_after(action)),
+        "cop": (mult_b_op, sinv_before(coaction), comult_c_op, counit_c, action),
         "biop-dual": (
             tensor((cdim,) * 3, lambda i, j, k: comult_c[k, j, i]),
             dual_action,

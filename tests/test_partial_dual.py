@@ -1,11 +1,12 @@
 """Left and right partial duals: golden values, isomorphisms, detection."""
 
 import hashlib
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from partialdual import hopf, partial_dual
+from partialdual import hopf
 from partialdual.coideal import build_quotient, certify_coideal
 from partialdual.examples import (
     MatchedPair,
@@ -18,8 +19,10 @@ from partialdual.examples import (
     symmetric,
     taft4,
 )
-from partialdual.hopf import CertificationError, Coalgebra, LinMap, convolution_inverse, dual, power_unit, verify_hopf
-from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Vector
+from partialdual.hopf import (
+    Algebra, CertificationError, Coalgebra, LinMap, convolution_inverse, dual, power_unit, verify_hopf,
+)
+from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector
 from partialdual.pams import certify_pams, find_cointegral, induced_pams
 from partialdual.partial_dual import (
     QuasiHopfAlgebra,
@@ -30,7 +33,7 @@ from partialdual.partial_dual import (
     right_partial_dual,
     verify_quasi_hopf,
 )
-from partialdual.serialize import serialize
+from partialdual.serialize import parse, serialize
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -170,6 +173,38 @@ def test_right_dual_pairs_with_left(taft1):
     assert rh.comult == qh.coalgebra.comult
     assert rh.counit == qh.coalgebra.counit
     assert rh.antipode == qh.t_map
+
+
+def test_equality_compares_the_tables_by_value():
+    """== reads the stored tables by value, whatever their dens: the
+    pipeline's duals of Taft-4 at lam = 1/2 and their parsed documents
+    carry different dens and are equal; a one-entry bump of the product,
+    Delta or phi, or the same system over F_5 (where 1/2 = 3), is not."""
+    _, p, qh = taft_lpd(QQ, Fraction(1, 2))
+    right = right_partial_dual(p, qh)
+    qh2, right2 = parse(serialize(qh)), parse(serialize(right))
+    assert qh.coalgebra.int_comult[1] != qh2.coalgebra.int_comult[1]
+    assert (qh.int_phi[1], qh.int_phi_inv[1]) != (qh2.int_phi[1], qh2.int_phi_inv[1])
+    assert right.algebra.int_terms[1] != right2.algebra.int_terms[1]
+    assert qh == qh2 and right == right2
+    assert qh.coalgebra == qh2.coalgebra and right.algebra == right2.algebra
+
+    def bump(t):
+        data = [[list(row) for row in plane] for plane in t.data]
+        data[0][1][1] += 1
+        return Tensor3(t.field, data)
+
+    a, c = qh.algebra, qh.coalgebra
+    assert Algebra(QQ, bump(a.mult), a.unit) != a
+    assert Coalgebra(QQ, bump(c.comult), c.counit) != c
+    phi = list(qh.phi.entries)
+    phi[0] += 1
+    parts = qh.t_map, qh.upsilon, qh.antipodes, qh.pams, qh.report
+    assert QuasiHopfAlgebra(a, c, Vector(QQ, phi), qh.phi_inv, *parts) != qh
+    assert QuasiHopfAlgebra(a, c, qh.phi, qh.phi_inv, *parts) == qh
+    _, p5, qh5 = taft_lpd(F5, 3)
+    assert qh5 != qh and qh5.algebra != a and qh5.coalgebra != c
+    assert right_partial_dual(p5, qh5) != right
 
 
 @pytest.mark.parametrize("lam", [0, 1], ids=["0", "1"])
@@ -384,13 +419,14 @@ def test_left_report_is_the_verifiers(taft1, c4_strict):
 
 def test_every_reader_takes_delta_from_the_stored_coalgebra(taft1, monkeypatch):
     """A quasi-Hopf algebra holds its Delta as one Coalgebra: verifying it
-    builds no second Coalgebra and regroups no comultiplication tensor,
-    and neither do verify_hopf and convolution_inverse on a built one."""
+    builds no second Coalgebra and decodes no dense tensor (_flat, the
+    one decoder, is not called), and neither do verify_hopf and
+    convolution_inverse on a built one."""
     h = group_algebra(cyclic(4), F7)
     q = build_quotient(certify_coideal(h, LinMap(Matrix(F7, [[1, 0], [0, 0], [0, 1], [0, 0]]))))
     built = [taft1[2], left_partial_dual(certify_pams(q, find_cointegral(q)))]
-    counts = {"Coalgebra": 0, "_grouped": 0}
-    init, of, grouped = Coalgebra.__init__, Coalgebra.__dict__["_of"].__func__, hopf._grouped
+    counts = {"Coalgebra": 0, "_flat": 0}
+    init, of, flat = Coalgebra.__init__, Coalgebra.__dict__["_of"].__func__, hopf._flat
 
     def counting_init(self, *args):
         counts["Coalgebra"] += 1
@@ -400,20 +436,19 @@ def test_every_reader_takes_delta_from_the_stored_coalgebra(taft1, monkeypatch):
         counts["Coalgebra"] += 1
         return of(cls, *args)
 
-    def counting_grouped(*args):
-        counts["_grouped"] += 1
-        return grouped(*args)
+    def counting_flat(*args):
+        counts["_flat"] += 1
+        return flat(*args)
 
     monkeypatch.setattr(Coalgebra, "__init__", counting_init)
     monkeypatch.setattr(Coalgebra, "_of", classmethod(counting_of))
-    monkeypatch.setattr(hopf, "_grouped", counting_grouped)
-    monkeypatch.setattr(partial_dual, "_grouped", counting_grouped)
+    monkeypatch.setattr(hopf, "_flat", counting_flat)
     for qh in built:
         assert verify_quasi_hopf(qh).ok
-    assert counts == {"Coalgebra": 0, "_grouped": 0}
+    assert counts == {"Coalgebra": 0, "_flat": 0}
     assert verify_hopf(h).ok
     convolution_inverse(LinMap.identity(F7, 4), h.coalgebra, h.algebra)
-    assert counts == {"Coalgebra": 0, "_grouped": 0}
+    assert counts == {"Coalgebra": 0, "_flat": 0}
 
 
 def test_readers_and_transports_reuse_the_parts_they_hold(taft1, monkeypatch):
