@@ -40,7 +40,10 @@ reads a dense view (`.mult`, `.comult`, `.coaction`, `.action`, `.phi`,
 calls `hopf._tensor3`, except the view and forwarding properties of
 those names and `hopf._flat`, which decodes the dense tensor a public
 constructor takes; every other reader takes the stored integer tables.
-Only the builders of `examples`
+In particular, in `linalg` too, no loop regroups the `.nonzero()`
+entries of a tensor into per-index lists by hand, and no code groups a
+comultiplication with `_grouped(<...>.comult, 0)`: its grouped nonzeros
+are `Coalgebra.int_comult`.  Only the builders of `examples`
 call the public `Algebra` and `Coalgebra` constructors, which check and
 scan a dense tensor, and no function of the package calls the public
 `QuasiHopfAlgebra` constructor, which checks and converts dense
@@ -564,9 +567,31 @@ def test_checker_flags_dense_reads_outside_the_views():
     ]
 
 
+def hand_regrouped_nonzeros(source: str) -> list[str]:
+    """Loops over `<tensor>.nonzero()` that append to `<table>[index]`, as
+    "function (line)" of the loop.  No function is exempt: the stored
+    tables are regrouped from (support, den) forms by `hopf._by`."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop, sources in _loops(func):
+            walks_nonzero = any(
+                isinstance(s, ast.Call) and getattr(s.func, "attr", None) == "nonzero" for s in sources
+            )
+            if walks_nonzero and any(
+                isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) == "append"
+                and isinstance(n.func.value, ast.Subscript)
+                for n in ast.walk(loop)
+            ):
+                found.add((loop.lineno, func.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
 def test_checker_flags_a_hand_regrouped_nonzero_walk():
-    """The boundary rule flags every walk over `.nonzero()`, so the input of
-    the retired rule against regrouping one by hand, `_grouped` included."""
+    """The boundary rule flags every walk over `.nonzero()`; the narrower
+    rule flags the walks that regroup one by hand, `_grouped` included."""
     source = (
         "def f(t, n):\n"
         "    rho = [[] for _ in range(n)]\n"
@@ -583,11 +608,32 @@ def test_checker_flags_a_hand_regrouped_nonzero_walk():
         "    return out\n"
     )
     assert dense_reads(source) == ["t.nonzero (line 3)", "t.nonzero (line 6)", "t.nonzero (line 11)"]
+    assert hand_regrouped_nonzeros(source) == ["f (line 3)", "_grouped (line 11)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nonzero_regrouped_by_hand(path):
+    assert hand_regrouped_nonzeros(path.read_text()) == []
+
+
+def comultiplications_grouped_by_hand(source: str) -> list[str]:
+    """Calls `_grouped(<expr>.comult, 0)`, as "expr (line)": the grouped
+    nonzeros of a comultiplication are `Coalgebra.int_comult`."""
+    return [
+        f"{ast.unparse(node.args[0])} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "_grouped" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and len(node.args) == 2
+        and getattr(node.args[0], "attr", None) == "comult"
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == 0
+    ]
 
 
 def test_checker_flags_a_comultiplication_grouped_by_hand():
-    """The boundary rule flags every read of a `.comult` view, so the input
-    of the retired rule against `_grouped(<...>.comult, 0)`."""
+    """The boundary rule flags every read of a `.comult` view; the narrower
+    rule flags only `_grouped(<...>.comult, 0)`."""
     source = (
         "def f(c, q, b):\n"
         "    a = _grouped(c.comult, 0)\n"
@@ -599,6 +645,12 @@ def test_checker_flags_a_comultiplication_grouped_by_hand():
     assert dense_reads(source) == [
         "c.comult (line 2)", "q.coalgebra.comult (line 3)", "b.mult (line 4)", "c.comult (line 4)"
     ]
+    assert comultiplications_grouped_by_hand(source) == ["c.comult (line 2)", "q.coalgebra.comult (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_comultiplication_grouped_outside_the_coalgebra(path):
+    assert comultiplications_grouped_by_hand(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
