@@ -1,13 +1,19 @@
 """Concrete input builders: groups, group algebras, the Taft algebra,
 matched pairs and their bismash products, and split-projection systems.
 
-Everything returned here is certified on the way out, so tests and the
-command line can treat these as known-good objects.
+Each builder hands its product and Delta to `Algebra._of` and
+`Coalgebra._of` as integer tables (e_i e_j at i dim + j, Delta(e_i) flat
+at j dim + k), so none builds a dense tensor.  The groups validate
+themselves, and `group_algebra` is Hopf by construction: it is not
+verified here, and `certify_coideal` verifies every parent of the
+pipeline.  `taft4` and `matched_pair_hopf` certify a coideal and so verify
+H on every call, `bismash_product` runs `verify_hopf` on its result, and
+every mapping system returned is certified by `certify_pams`.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Sequence
 
 from partialdual.coideal import CoidealSubalgebra, build_quotient, certify_coideal
@@ -27,7 +33,7 @@ from partialdual.hopf import (
     tensor_apply,
     verify_hopf,
 )
-from partialdual.linalg import QQ, Field, Matrix, Tensor3, Vector, nullspace
+from partialdual.linalg import QQ, Field, Matrix, Vector, nullspace
 from partialdual.pams import Pams, certify_pams, gamma_from_zeta
 
 __all__ = [
@@ -134,26 +140,15 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def group_algebra(g: FiniteGroup, field: Field) -> HopfAlgebra:
-    """The group algebra kG on the group-like basis."""
+    """The group algebra kG on the group-like basis: e_i e_j = e_{ij},
+    Delta(e_i) = e_i (x) e_i and S(e_i) = e_{i^-1}."""
     m = g.order
-    mult = Tensor3.from_entries(
-        field,
-        (m, m, m),
-        [(((i, j, g.mul(i, j))), 1) for i in range(m) for j in range(m)],
-    )
-    comult = Tensor3.from_entries(
-        field, (m, m, m), [(((i, i, i)), 1) for i in range(m)]
-    )
-    antipode = Matrix(
-        field,
-        [[1 if i == g.inverse(j) else 0 for j in range(m)] for i in range(m)],
-    )
-    return HopfAlgebra(
-        Algebra(field, mult, Vector.basis(field, m, g.identity)),
-        Coalgebra(field, comult, Vector(field, [1] * m)),
-        antipode,
-        name=f"k[{g.name}]" if g.name else "group algebra",
-    )
+    mult = [{g.mul(i, j): 1} for i in range(m) for j in range(m)], 1
+    comult = [{i * m + i: 1} for i in range(m)], 1
+    antipode = Matrix(field, [[int(i == g.inverse(j)) for j in range(m)] for i in range(m)])
+    unit, counit = Vector.basis(field, m, g.identity), Vector(field, [1] * m)
+    algebra, coalgebra = Algebra._of(field, mult, unit), Coalgebra._of(field, comult, counit)
+    return HopfAlgebra(algebra, coalgebra, antipode, name=f"k[{g.name}]" if g.name else "group algebra")
 
 
 def taft4(field: Field, lam: object) -> tuple[HopfAlgebra, CoidealSubalgebra, LinMap]:
@@ -167,52 +162,24 @@ def taft4(field: Field, lam: object) -> tuple[HopfAlgebra, CoidealSubalgebra, Li
     if field.characteristic == 2:
         raise ValueError("the Taft algebra needs characteristic different from 2")
     lam = field.coerce(lam)
-    one = field.one
-
-    entries = []
-    # left multiplication by 1 and right multiplication by 1
-    for j in range(4):
-        entries.append(((0, j, j), one))
-        if j:
-            entries.append(((j, 0, j), one))
-    entries.extend(
-        [
-            ((1, 1, 0), one),  # g g = 1
-            ((1, 2, 3), -one),  # g x = -xg
-            ((1, 3, 2), -one),  # g xg = -x
-            ((2, 1, 3), one),  # x g = xg
-            ((3, 1, 2), one),  # xg g = x
-        ]
-    )
-    mult = Tensor3.from_entries(field, (4, 4, 4), entries)
-    comult = Tensor3.from_entries(
-        field,
-        (4, 4, 4),
-        [
-            ((0, 0, 0), one),
-            ((1, 1, 1), one),
-            ((2, 2, 0), one),  # Delta x = x (x) 1 + g (x) x
-            ((2, 1, 2), one),
-            ((3, 3, 1), one),  # Delta xg = xg (x) g + 1 (x) xg
-            ((3, 0, 3), one),
-        ],
-    )
-    counit = Vector(field, [1, 1, 0, 0])
-    antipode = Matrix(
-        field,
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, -1],  # S(x) = xg, S(xg) = -x
-            [0, 0, 1, 0],
-        ],
-    )
-    h = HopfAlgebra(
-        Algebra(field, mult, Vector.basis(field, 4, 0)),
-        Coalgebra(field, comult, counit),
-        antipode,
-        name="taft4",
-    )
+    # e_i e_j at 4 i + j
+    mult = [
+        {0: 1}, {1: 1}, {2: 1}, {3: 1},  # 1 e_j = e_j
+        {1: 1}, {0: 1}, {3: -1}, {2: -1},  # g g = 1, g x = -xg, g xg = -x
+        {2: 1}, {3: 1}, {}, {},  # x g = xg, x x = 0
+        {3: 1}, {2: 1}, {}, {},  # xg g = x
+    ], 1
+    # Delta(e_i), e_j (x) e_k at 4 j + k
+    comult = [
+        {0: 1},  # 1 (x) 1
+        {5: 1},  # g (x) g
+        {6: 1, 8: 1},  # Delta x = g (x) x + x (x) 1
+        {3: 1, 13: 1},  # Delta xg = 1 (x) xg + xg (x) g
+    ], 1
+    antipode = Matrix(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])  # S(x) = xg, S(xg) = -x
+    unit, counit = Vector.basis(field, 4, 0), Vector(field, [1, 1, 0, 0])
+    algebra, coalgebra = Algebra._of(field, mult, unit), Coalgebra._of(field, comult, counit)
+    h = HopfAlgebra(algebra, coalgebra, antipode, name="taft4")
     iota = LinMap(Matrix(field, [[1, 0], [0, 0], [0, 1], [0, 0]]))
     b = certify_coideal(h, iota)
     zeta = LinMap(Matrix(field, [[1, 1, 0, 0], [0, lam, 1, 1]]))
@@ -315,31 +282,17 @@ def matched_pair_hopf(m: MatchedPair, field: Field) -> tuple[HopfAlgebra, Coidea
     certified system: B = kF along b -> (b, 1), the quotient is kG with
     projection (b, y) -> y and section y -> (1, y), and the retraction
     is zeta(b, y) = b, a left B-module map since (b, y) = (b, 1)(1, y)."""
-    bow = m.group
-    h = group_algebra(bow, field)
+    h = group_algebra(m.group, field)
     nf, ng = m.f.order, m.g.order
     n = nf * ng
-    eg = m.g.identity
-    ef = m.f.identity
-    iota = LinMap(
-        Matrix.from_columns(
-            field, [Vector.basis(field, n, b * ng + eg) for b in range(nf)], nrows=n
-        )
-    )
-    bsub = certify_coideal(h, iota)
-    one = field.one
-    zero = field.zero
-    pi = LinMap(
-        Matrix(field, [[one if i % ng == y else zero for i in range(n)] for y in range(ng)])
-    )
-    lift = LinMap(
-        Matrix.from_columns(
-            field, [Vector.basis(field, n, ef * ng + y) for y in range(ng)], nrows=n
-        )
-    )
+
+    def columns(images: Sequence[int], rows: int) -> LinMap:  # the map e_j -> e_{images[j]}
+        return LinMap(Matrix.from_columns(field, [Vector.basis(field, rows, i) for i in images], nrows=rows))
+
+    bsub = certify_coideal(h, columns([b * ng + m.g.identity for b in range(nf)], n))
+    pi, lift = columns([i % ng for i in range(n)], ng), columns([m.f.identity * ng + y for y in range(ng)], n)
     q = build_quotient(bsub, pi=pi, lift=lift)
-    zeta = LinMap(Matrix.from_columns(field, [Vector.basis(field, nf, i // ng) for i in range(n)], nrows=nf))
-    p = certify_pams(q, zeta)
+    p = certify_pams(q, columns([i // ng for i in range(n)], nf))
     return h, bsub, p
 
 
@@ -350,30 +303,16 @@ def bismash_product(m: MatchedPair, field: Field) -> HopfAlgebra:
     Algebra 9, 1981).  The whole structure is verified on the way out."""
     nf, ng = m.f.order, m.g.order
     n = ng * nf
-    one = field.one
-    mult_entries = []
-    for x in range(ng):
-        for b in range(nf):
-            for c in range(nf):
-                y = m.act_on_g[x][b]
-                mult_entries.append(
-                    ((x * nf + b, y * nf + c, x * nf + m.f.mul(b, c)), one)
-                )
-    mult = Tensor3.from_entries(field, (n, n, n), mult_entries)
-    comult_entries = []
-    for x in range(ng):
-        for b in range(nf):
-            for y in range(ng):
-                left = m.g.mul(x, m.g.inverse(y)) * nf + m.act_on_f[y][b]
-                comult_entries.append(((x * nf + b, left, y * nf + b), one))
-    comult = Tensor3.from_entries(field, (n, n, n), comult_entries)
-    unit = Vector(
-        field, [one if i % nf == m.f.identity else field.zero for i in range(n)]
-    )
-    counit = Vector(
-        field, [one if i // nf == m.g.identity else field.zero for i in range(n)]
-    )
-    algebra, coalgebra = Algebra(field, mult, unit), Coalgebra(field, comult, counit)
+    mult: list[dict[int, int]] = [{} for _ in range(n * n)]  # (p_x # b)(p_y # c) = p_x # bc when y = x <| b
+    for x, b, c in product(range(ng), range(nf), range(nf)):
+        mult[(x * nf + b) * n + m.act_on_g[x][b] * nf + c] = {x * nf + m.f.mul(b, c): 1}
+    comult = [
+        {(m.g.mul(x, m.g.inverse(y)) * nf + m.act_on_f[y][b]) * n + y * nf + b: 1 for y in range(ng)}
+        for x in range(ng) for b in range(nf)
+    ]
+    unit = Vector(field, [int(i % nf == m.f.identity) for i in range(n)])
+    counit = Vector(field, [int(i // nf == m.g.identity) for i in range(n)])
+    algebra, coalgebra = Algebra._of(field, (mult, 1), unit), Coalgebra._of(field, (comult, 1), counit)
     s = Matrix.from_columns(field, [
         Vector.basis(field, n, m.g.inverse(m.act_on_g[x][b]) * nf + m.f.inverse(m.act_on_f[x][b]))
         for x in range(ng) for b in range(nf)

@@ -15,9 +15,12 @@ verifier reads these tables, and the transports rewrite them: dual
 transposes them, opposite and coopposite swap their legs.  The dense
 Tensor3 `mult` and `comult` are views, built on demand for the public
 API; == compares the tables by value.  Documents are written from the
-tables.  A dense tensor is read once, by _flat, which converts the
-nonzeros of a Tensor3 row by row into one (support, den) form for the
-public constructors; _by regroups any table by one of its legs.
+tables.  Every builder of the package, the examples and the document
+reader included, hands its tables to the trusted _of constructors.  A
+dense tensor is read only by the public constructors, kept for callers
+outside the package, through _flat, which converts the nonzeros of a
+Tensor3 row by row into one (support, den) form; _by regroups any table
+by one of its legs.
 _support lists the nonzeros of a flat tensor in (support, den) form with
 their leg indices, for documents.  No other module decodes a flat index
 by hand.
@@ -218,8 +221,10 @@ class Algebra:
     The product is stored once, as `int_terms` = (table, den), reduced by
     the field: (table[i][j], den) is e_i e_j in (support, den) form, and
     the view `mult` is built from it on each read.  The public
-    constructor checks a dense tensor and scans it once; a kernel output
-    enters through the trusted _of, which takes the table as given.
+    constructor, for callers outside the package, checks a dense tensor
+    and scans it once; every table built in the package, a builder's or
+    a kernel output, enters through the trusted _of, which takes it as
+    given.
     """
 
     __slots__ = ("field", "dim", "unit", "int_terms")
@@ -237,7 +242,7 @@ class Algebra:
     @classmethod
     def _of(cls, field: Field, table: tuple[Sequence[dict[int, int]], int], unit: Vector) -> "Algebra":
         """The algebra whose e_i e_j is (pairs[i dim + j], den) for table = (pairs, den),
-        stored without a check: for kernel outputs only."""
+        stored without a check: for kernel outputs and the tables of the builders only."""
         a = object.__new__(cls)
         a._hold(field, unit, table)
         return a
@@ -331,7 +336,7 @@ class Coalgebra:
     @classmethod
     def _of(cls, field: Field, images: tuple[Sequence[dict[int, int]], int], counit: Vector) -> "Coalgebra":
         """The coalgebra whose Delta(e_i) is (images[0][i], images[1]), stored without
-        a check: for kernel outputs only."""
+        a check: for kernel outputs and the tables of the builders only."""
         c = object.__new__(cls)
         c._hold(field, counit, images)
         return c

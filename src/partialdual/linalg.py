@@ -8,12 +8,15 @@ builds a `Tensor3` from it only as a view.
 
 Scalars are coerced once, at the boundary.  The public constructors
 `Vector(...)`, `Matrix(...)` and `Tensor3(...)` coerce and validate
-every entry; parsing, the examples, the command line, tests and user
-code build through them.  A result computed from containers already
-over the field holds field scalars by construction, since arithmetic
-among a field's scalars stays in the field, so every kernel output is
-built by the private trusted constructors `Vector._of`, `Matrix._of` and
-`Tensor3._of`, which store their entries as given.  Kernel code
+every entry; parsing, the examples and the command line build their
+vectors and matrices through them, tests and user code their tensors
+too.  Outside this module no package code builds a `Tensor3` but the
+dense views, through `hopf._tensor3`.  A result computed from
+containers already over the field holds field scalars by construction,
+since arithmetic among a field's scalars stays in the field, so every
+kernel output is built by the private trusted constructors
+`Vector._of`, `Matrix._of` and `Tensor3._of`, which store their entries
+as given.  Kernel code
 therefore starts every accumulator from `field.zero`, never from a bare
 int, so that no `int` reaches a trusted constructor, and a copy of
 another container's entries is built over that container's field, so

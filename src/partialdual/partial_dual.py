@@ -260,7 +260,7 @@ class CoquasiHopfAlgebra:
 
 class HopfDetection:
     """Outcome of detect_hopf: `kind` is "hopf" or "strictly-quasi",
-    `hopf` carries the re-verified Hopf algebra in the first case, and
+    `hopf` carries the Hopf algebra in the first case, and
     `diagnostics` records which sufficient criteria on (zeta, gamma)
     hold.  The diagnostics are informational: none of them is necessary
     for the associator to be trivial."""
@@ -770,22 +770,38 @@ def detect_hopf(qh: QuasiHopfAlgebra) -> HopfDetection:
     """Decide whether the constructed associator is trivial.
 
     When phi = 1 (x) 1 (x) 1 the carrier is an honest Hopf algebra with
-    antipode the preantipode itself; the result is assembled and fully
-    re-verified.  Otherwise the object is reported as strictly quasi.
+    antipode the preantipode T itself, and upsilon = 1; otherwise the
+    object is reported as strictly quasi.  Nothing is verified again: qh
+    must carry the passed report of verify_quasi_hopf, as the result of
+    left_partial_dual does, and at phi = 1 (x) 1 (x) 1 its checks are
+    every check of verify_hopf, plus upsilon = 1:
+
+    * verify_algebra and verify_compatibility are the same calls;
+    * counit-law-left and counit-law-right are the two halves of
+      counit-law;
+    * quasi-coassociativity, phi (Delta (x) id)Delta(a) =
+      (id (x) Delta)Delta(a) phi, is coassociativity;
+    * preantipode-associator, sum phi1 T(phi2) phi3 = 1, is T(1) = 1,
+      so upsilon = 1 by upsilon-is-t-of-unit;
+    * preantipode-left, T(a_1 b) a_2 = eps(a) T(b), reads
+      T(a_1) a_2 = eps(a) 1 at b = 1 by T(1) = 1, which is
+      antipode-left for S = T; preantipode-right, a_1 T(b a_2) =
+      eps(a) T(b), gives antipode-right the same way.
+
     Sufficient-criteria diagnostics for the mapping system ride along
-    either way."""
+    either way.  Raises ValueError when qh carries no mapping system or
+    no passed report."""
     if qh.pams is None:
         raise ValueError("hopf detection needs the mapping system for its diagnostics")
+    if not qh.report.checks or not qh.report.ok:
+        raise ValueError("hopf detection needs a quasi-Hopf algebra that passed verify_quasi_hopf")
     diagnostics = _sufficiency_diagnostics(qh.pams)
     one = _sparse(qh.algebra.unit)
     one3 = _kron(_kron(one, one, qh.dim), one, qh.dim)  # 1 (x) 1 (x) 1
     trivial = _slice_mismatch(qh.field, "".format, lambda _: (qh.int_phi, one3))[0]
-    if trivial:
-        hop = HopfAlgebra(qh.algebra, qh.coalgebra, qh.t_map, name="left partial dual")
-        rep = verify_hopf(hop)
-        rep.add("upsilon-trivial", qh.upsilon == qh.algebra.unit, "upsilon != 1")
-        rep.raise_if_failed()
-        return HopfDetection("hopf", hop, diagnostics, rep)
     rep = Report("hopf detection")
-    rep.add("associator-nontrivial", True)
-    return HopfDetection("strictly-quasi", None, diagnostics, rep)
+    rep.add("associator-trivial" if trivial else "associator-nontrivial", True)
+    if not trivial:
+        return HopfDetection("strictly-quasi", None, diagnostics, rep)
+    hop = HopfAlgebra(qh.algebra, qh.coalgebra, qh.t_map, name="left partial dual")
+    return HopfDetection("hopf", hop, diagnostics, rep)

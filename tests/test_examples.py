@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from partialdual import hopf
 from partialdual.examples import (
     FiniteGroup,
     MatchedPair,
@@ -18,13 +19,15 @@ from partialdual.examples import (
     taft4,
 )
 from partialdual.hopf import (
+    Algebra,
     CertificationError,
+    Coalgebra,
     LinMap,
     convolution_inverse,
     dual,
     verify_hopf,
 )
-from partialdual.linalg import QQ, Matrix, PrimeField, Vector
+from partialdual.linalg import QQ, Matrix, PrimeField, Tensor3, Vector
 
 F5 = PrimeField(5)
 
@@ -132,6 +135,39 @@ def test_bismash_products_are_hopf():
         bp = bismash_product(pair, QQ)
         assert bp.dim == 6
         assert verify_hopf(bp).ok
+
+
+BUILDERS = {
+    "kS4 over F7": lambda: group_algebra(symmetric(4), PrimeField(7)),
+    "taft4 over Q": lambda: taft4(QQ, 1)[0],
+    "bismash S3 over Q": lambda: bismash_product(s3_pair(), QQ),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_decode_no_dense_tensor(name, monkeypatch):
+    """The builders hand integer tables to Algebra._of and Coalgebra._of:
+    they neither decode a dense tensor (hopf._flat) nor build one
+    (Tensor3._of).  The public constructors, fed the dense views, are the
+    oracle for the tables."""
+    counts = {"_flat": 0, "Tensor3._of": 0}
+    flat, of = hopf._flat, Tensor3.__dict__["_of"].__func__
+
+    def counting_flat(t):
+        counts["_flat"] += 1
+        return flat(t)
+
+    def counting_of(klass, *args):
+        counts["Tensor3._of"] += 1
+        return of(klass, *args)
+
+    monkeypatch.setattr(hopf, "_flat", counting_flat)
+    monkeypatch.setattr(Tensor3, "_of", classmethod(counting_of))
+    h = BUILDERS[name]()
+    assert counts == {"_flat": 0, "Tensor3._of": 0}
+    assert Algebra(h.field, h.mult, h.unit) == h.algebra
+    assert Coalgebra(h.field, h.comult, h.counit) == h.coalgebra
+    assert counts == {"_flat": 2, "Tensor3._of": 2}
 
 
 def sign_projection_s3():

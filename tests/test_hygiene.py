@@ -43,14 +43,15 @@ constructor takes; every other reader takes the stored integer tables.
 In particular, in `linalg` too, no loop regroups the `.nonzero()`
 entries of a tensor into per-index lists by hand, and no code groups a
 comultiplication with `_grouped(<...>.comult, 0)`: its grouped nonzeros
-are `Coalgebra.int_comult`.  Only the builders of `examples`
-call the public `Algebra` and `Coalgebra` constructors, which check and
-scan a dense tensor, and no function of the package calls the public
-`QuasiHopfAlgebra` constructor, which checks and converts dense
-associators.  Every other builder, the document reader included, hands
-its integer tables to `Algebra._of`, `Coalgebra._of` or
-`QuasiHopfAlgebra._of`.  `verify_hopf` is called only where a Hopf algebra
-enters without certification: `certify_coideal`, the entry of the
+are `Coalgebra.int_comult`.  No function of the package calls the
+public `Algebra`, `Coalgebra` or `QuasiHopfAlgebra` constructor, which
+check and scan a dense tensor or associator, or builds a dense tensor
+with `Tensor3(...)` or `Tensor3.from_entries`: every builder, those of
+`examples` and the document reader included, hands its integer tables to
+`Algebra._of`, `Coalgebra._of` or `QuasiHopfAlgebra._of`, and only the
+views build a `Tensor3`, through the trusted `Tensor3._of`.
+`verify_hopf` is called only where a Hopf algebra enters without
+certification: `certify_coideal`, the entry of the
 pipeline, and the commands and constructors that build or reassemble a
 Hopf algebra of their own.  The same checker pins the callers of
 `coideal._certify_inclusion`, which certifies a coideal without
@@ -667,7 +668,6 @@ VERIFY_HOPF_CALLERS = {
     "cli.example_bismash",
     "examples.bismash_product",
     "partial_dual.CoquasiHopfAlgebra.hopf_view",
-    "partial_dual.detect_hopf",
 }
 # the only functions that certify a coideal without verify_hopf: the entry
 # itself, and code whose parent is a transport of a certified parent
@@ -699,13 +699,11 @@ def callers(source: str, module: str, callee: str) -> list[str]:
     return found
 
 
-# the only functions of the package that call the public Algebra or Coalgebra
-# constructor: the builders of examples; none calls the public QuasiHopfAlgebra
-PUBLIC_CONSTRUCTOR_CALLERS = {
-    "examples.group_algebra",
-    "examples.taft4",
-    "examples.bismash_product",
-}
+# the functions of the package that call a public structure constructor
+# (Algebra, Coalgebra, QuasiHopfAlgebra) or build a dense Tensor3 (Tensor3,
+# Tensor3.from_entries): none, every builder hands its tables to _of
+PUBLIC_CONSTRUCTOR_CALLERS: set[str] = set()
+PUBLIC_CONSTRUCTORS = ("Algebra", "Coalgebra", "QuasiHopfAlgebra", "Tensor3", "from_entries")
 
 
 def test_checker_tells_the_public_constructors_from_the_trusted_ones():
@@ -717,14 +715,18 @@ def test_checker_tells_the_public_constructors_from_the_trusted_ones():
         "    return hopf.Algebra._of(field, table, unit), Coalgebra._of(field, images, unit)\n"
         "def view(a):\n"
         "    return hopf.Coalgebra(a.field, a.comult, a.counit), Algebra\n"
+        "def dense(field, dims, rows):\n"
+        "    return Tensor3(field, rows), linalg.Tensor3.from_entries(field, dims, []), Tensor3._of(field, rows, dims)\n"
     )
     assert callers(source, "m", "Algebra") == ["m.read"]
     assert callers(source, "m", "Coalgebra") == ["m.view"]
+    assert callers(source, "m", "Tensor3") == ["m.dense"]
+    assert callers(source, "m", "from_entries") == ["m.dense"]
 
 
 def test_only_examples_call_the_public_structure_constructors():
     found = {
-        c for path in MODULES for callee in ("Algebra", "Coalgebra", "QuasiHopfAlgebra")
+        c for path in MODULES for callee in PUBLIC_CONSTRUCTORS
         for c in callers(path.read_text(), path.stem, callee)
     }
     assert found == PUBLIC_CONSTRUCTOR_CALLERS

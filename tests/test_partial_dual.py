@@ -20,7 +20,7 @@ from partialdual.examples import (
     taft4,
 )
 from partialdual.hopf import (
-    Algebra, CertificationError, Coalgebra, LinMap, convolution_inverse, dual, power_unit, verify_hopf,
+    Algebra, CertificationError, Coalgebra, LinMap, Report, convolution_inverse, dual, power_unit, verify_hopf,
 )
 from partialdual.linalg import QQ, FieldMismatchError, Matrix, PrimeField, Tensor3, Vector
 from partialdual.pams import certify_pams, find_cointegral, induced_pams
@@ -386,6 +386,22 @@ def test_verify_quasi_hopf_applies_the_preantipode_once(monkeypatch):
     monkeypatch.undo()
     assert report.ok
     assert applied == []
+
+
+def test_detection_reads_the_verifier_report(taft1):
+    """detect_hopf verifies nothing again: verify_quasi_hopf's passed checks
+    at phi = 1 (x) 1 (x) 1 imply verify_hopf's and upsilon = 1, and a qh
+    whose report is empty or failed is refused."""
+    _, _, qh = taft1
+    det = detect_hopf(qh)
+    assert det.report.checks == [("associator-trivial", True, "")]
+    assert verify_hopf(det.hopf).ok and qh.upsilon == qh.algebra.unit
+    failed = Report("failed")
+    failed.add("pentagon", False, "pentagon identity")
+    parts = qh.algebra, qh.coalgebra, qh.phi, qh.phi_inv, qh.t_map, qh.upsilon, qh.antipodes, qh.pams
+    for report in (Report("empty"), failed):
+        with pytest.raises(ValueError, match="verify_quasi_hopf"):
+            detect_hopf(QuasiHopfAlgebra(*parts, report))
 
 
 def test_strictly_quasi_detection(c4_strict):
