@@ -25,6 +25,10 @@ _support lists the nonzeros of a flat tensor in (support, den) form with
 their leg indices, for documents.  No other module decodes a flat index
 by hand.
 
+_power_product takes its operands as prefix trees (_tree), and the tree of
+an operand used more than once is built once: the Delta(e_i) of
+verify_compatibility, phi and phi^-1 of verify_quasi_bialgebra.
+
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
 check and a witness.  Every check over an index grid, here and in the
@@ -494,6 +498,12 @@ def _leg_map(u: Sparse, dims: Sequence[int], leg: int, width: int, images: tuple
     (support, du), (table, den) = u, images
     n, inner = dims[leg], prod(dims[leg + 1 :])
     out: dict[int, int] = defaultdict(int)
+    if inner == 1:  # the last leg: e_d is the low digit, one divmod
+        for idx, c in support.items():
+            outer, d = divmod(idx, n)
+            for r, w in table[d].items():
+                out[outer * width + r] += c * w
+        return out, du * den
     for idx, c in support.items():
         outer, rest = divmod(idx, n * inner)
         d, low = divmod(rest, inner)
@@ -575,25 +585,53 @@ def _permuted(u: Sparse, dims: Sequence[int], perm: Sequence[int]) -> Sparse:
     return out, u[1]
 
 
-def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
-    """u v in the k-fold tensor power, k >= 1, the result reduced by the field."""
-    n = algebra.dim
-    terms, den = algebra.int_terms
+def _tree(n: int, k: int, s: Sparse) -> Sparse:
+    """The prefix tree of a flat tensor over k legs of length n, with its den:
+    tree[d_0]...[d_{k-1}] is the int at e_{d_0} (x) ... (x) e_{d_{k-1}}."""
     strides = [n ** (k - 1 - leg) for leg in range(k - 1)]
+    root: dict = {}
+    for idx, c in s[0].items():
+        node = root
+        for st in strides:
+            node = node.setdefault(idx // st % n, {})
+        node[idx % n] = c
+    return root, s[1]
+
+
+def _unit_leg(tree: dict, leg: int, n: int) -> dict:
+    """The tree t with a unit leg, the index n of _with_unit, inserted before `leg`."""
+    return {n: tree} if leg == 0 else {d: _unit_leg(sub, leg - 1, n) for d, sub in tree.items()}
+
+
+def _with_unit(a: Algebra) -> Algebra:
+    """a whose table has one more index n, for _power_product only: e_n = den_1 1
+    for the unit's (support, den_1), and e_i e_n and e_n e_j are read from a's table."""
+    n, (terms, den), one = a.dim, a.int_terms, (_sparse(a.unit)[0], 1)
+    es = [({i: 1}, 1) for i in range(n)]
+    rows = [[*row, _power_product(a, 1, e, one)[0]] for row, e in zip(terms, es)]
+    rows.append([_power_product(a, 1, one, e)[0] for e in es])
+    view = object.__new__(Algebra)
+    _set_slots(view, field=a.field, dim=n, unit=a.unit, int_terms=(rows, den))
+    return view
+
+
+def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
+    """u v in the k-fold tensor power, the result in (support, den) form reduced
+    by the field, for u and v given as the prefix trees of _tree, which at k = 1
+    are the supports themselves; a caller builds the tree of an operand it reuses once."""
+    n, (terms, den) = algebra.dim, algebra.int_terms
     out: dict[int, int] = defaultdict(int)
+    if k == 1:  # a plain double loop over the two supports
+        for a, x in u[0].items():
+            row = terms[a]
+            for b, y in v[0].items():
+                for t, w in row[b].items():
+                    out[t] += x * y * w
+        return algebra.field.reduce(out), u[1] * v[1] * den
 
-    def tree(support: dict[int, int]) -> dict:  # tree[d_0]...[d_{k-1}]: the int at e_{d_0} (x) ... (x) e_{d_{k-1}}
-        root: dict = {}
-        for idx, c in support.items():
-            node = root
-            for s in strides:
-                node = node.setdefault(idx // s % n, {})
-            node[idx % n] = c
-        return root
-
-    # both operands are walked as prefix trees in step, one leg per level;
-    # no pair is expanded past a leg whose product is zero, and the
-    # operand coefficients are multiplied only at the leaves
+    # both trees are walked in step, one leg per level; no pair is expanded
+    # past a leg whose product is zero, and the operand coefficients are
+    # multiplied only at the leaves
     def descend(tu: dict, tv: dict, level: int, partial: list[tuple[int, int]]) -> None:
         for a, su in tu.items():
             row = terms[a]
@@ -609,7 +647,7 @@ def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
                     for t, w in pair.items():
                         out[base * n + t] += cuv * c * w
 
-    descend(tree(u[0]), tree(v[0]), 0, [(0, 1)])
+    descend(u[0], v[0], 0, [(0, 1)])
     return algebra.field.reduce(out), u[1] * v[1] * den**k
 
 
@@ -622,7 +660,8 @@ def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
         raise ValueError(f"operands of lengths {len(u)} and {len(v)}, the tensor power has {algebra.dim**k}")
     if k == 0:
         return Vector._of(field, [u[0] * v[0]])
-    return _dense(field, algebra.dim**k, _power_product(algebra, k, _sparse(u), _sparse(v)))
+    n = algebra.dim
+    return _dense(field, n**k, _power_product(algebra, k, _tree(n, k, _sparse(u)), _tree(n, k, _sparse(v))))
 
 
 def power_unit(algebra: Algebra, k: int) -> Vector:
@@ -764,10 +803,10 @@ def verify_compatibility(a: Algebra, c: Coalgebra, report: Report) -> None:
     checks shared by Hopf and quasi-Hopf verification."""
     f, n = a.field, a.dim
     (rows, mden), (images, cden) = _flat_rows(a), c.int_comult
-    deltas = [(image, cden) for image in images]
+    trees = [_tree(n, 2, (image, cden)) for image in images]
 
     def products(i):  # Delta(e_i) Delta(e_j) at (j, coordinate)
-        out = [_power_product(a, 2, deltas[i], d) for d in deltas]
+        out = [_power_product(a, 2, trees[i], d) for d in trees]
         return {j * n * n + k: x for j, (s, _) in enumerate(out) for k, x in s.items()}, out[0][1]
 
     # slice i: Delta of e_i e_j = sum_t m[i,j,t] e_t, applied to its one leg, for every j
@@ -787,7 +826,12 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi_s: Sparse, bar_s: Spars
     """The counit laws of a Delta that need not be coassociative, then the
     axioms of its associator phi, given with its inverse in (support, den)
     form: phi phi_inv = 1, normalization, quasi-coassociativity and the
-    pentagon."""
+    pentagon.  The trees of phi and phi^-1 are built once, for all their
+    products: associator-invertible, quasi-coassociativity and the pentagon's
+    phi (x) 1 and 1 (x) phi, which stay on phi's three legs, the unit leg as the
+    index n of _with_unit.  That is exact: x (phi (x) 1) = sum x^1 phi^1 (x) x^2
+    phi^2 (x) x^3 phi^3 (x) x^4 1 with x^4 1 read from the product table, never
+    taken to be x^4, so the ints and den are those of the expanded product."""
     f, n = a.field, a.dim
     (images, den), dims2, dims3 = c.int_comult, (n, n), (n, n, n)
     deltas = [(image, den) for image in images]
@@ -802,7 +846,8 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi_s: Sparse, bar_s: Spars
         report.add(f"counit-law-{side}", *_slice_mismatch(
             f, basis, lambda i: (_leg_map(deltas[i], dims2, leg, 1, eps_images), ({i: 1}, 1)), n
         ))
-    orders = ((phi_s, bar_s), (bar_s, phi_s))
+    phi, bar = _tree(n, 3, phi_s), _tree(n, 3, bar_s)
+    orders = ((phi, bar), (bar, phi))
     report.add("associator-invertible", *_slice_mismatch(
         f, "phi phi_inv != 1".format, lambda s: (_power_product(a, 3, *orders[s]), _kron(one2, one, n)), 2
     ))
@@ -810,11 +855,13 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi_s: Sparse, bar_s: Spars
         f, "eps on a leg of phi".format, lambda leg: (_leg_map(phi_s, dims3, leg, 1, eps_images), one2), 3
     ))
     report.add("quasi-coassociativity", *_slice_mismatch(f, basis, lambda i: (
-        _power_product(a, 3, phi_s, split(deltas[i], dims2, 0)), _power_product(a, 3, split(deltas[i], dims2, 1), phi_s)
+        _power_product(a, 3, phi, _tree(n, 3, split(deltas[i], dims2, 0))),
+        _power_product(a, 3, _tree(n, 3, split(deltas[i], dims2, 1)), phi),
     ), n))
     # (1 (x) phi)(id (x) Delta (x) id)(phi)(phi (x) 1) = (id (x) id (x) Delta)(phi)(Delta (x) id (x) id)(phi)
-    lhs = _power_product(a, 4, _kron(one, phi_s, n**3), _power_product(a, 4, split(phi_s, dims3, 1), _kron(phi_s, one, n)))
-    rhs = _power_product(a, 4, split(phi_s, dims3, 2), split(phi_s, dims3, 0))
+    au, (phi_1, one_phi) = _with_unit(a), ((_unit_leg(phi[0], leg, n), phi[1] * one[1]) for leg in (3, 0))
+    lhs = _power_product(au, 4, one_phi, _tree(n, 4, _power_product(au, 4, _tree(n, 4, split(phi_s, dims3, 1)), phi_1)))
+    rhs = _power_product(a, 4, _tree(n, 4, split(phi_s, dims3, 2)), _tree(n, 4, split(phi_s, dims3, 0)))
     report.add("pentagon", *_slice_mismatch(f, "pentagon identity".format, lambda _: (lhs, rhs)))
 
 

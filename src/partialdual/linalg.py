@@ -965,8 +965,12 @@ def _scalars(field: Field, s: Sparse) -> dict[int, Scalar]:
 
 
 def _comparable(field: Field, lhs: Sparse, rhs: Sparse) -> tuple[Sparse, Sparse]:
-    """lhs and rhs over one denominator and reduced by the field: equal exactly when their values are."""
+    """lhs and rhs over one denominator and reduced by the field: equal exactly when their
+    values are.  Equal dens d need no rescaling, since d is nonzero (a unit mod p): both
+    sides are only reduced and keep d, not d d, so the returned den changes, no value does."""
     (sl, dl), (sr, dr) = lhs, rhs
+    if dl == dr:
+        return (field.reduce(sl), dl), (field.reduce(sr), dr)
     return tuple((field.reduce({i: x * d for i, x in s.items()}), dl * dr) for s, d in ((sl, dr), (sr, dl)))
 
 

@@ -65,6 +65,7 @@ from .hopf import (
     _table,
     _then,
     _transposed,
+    _tree,
     _unit_sides,
     convolution_inverse,
     verify_algebra,
@@ -433,8 +434,8 @@ def left_partial_dual(p: Pams) -> QuasiHopfAlgebra:
         for col in h_cols[0]
     )
     rho = _by(action, (cdim, n, cdim), (2, 0, 1))
-    d32 = [_leg_map((x, rho[1]), (cdim, n), 1, bdim * nd, g2) for x in rho[0]]
-    d33 = [_leg_map((x, coact[1]), (n, bdim), 0, nd * cdim, g3) for x in coact[0]]
+    d32 = [_tree(nd, 2, _leg_map((x, rho[1]), (cdim, n), 1, bdim * nd, g2)) for x in rho[0]]
+    d33 = [_tree(nd, 2, _leg_map((x, coact[1]), (n, bdim), 0, nd * cdim, g3)) for x in coact[0]]
     # Delta(f_a # b) = Delta(f_a # 1) Delta(eps # b), a product in (C* # B)^(x)2
     pi = _columns(q.pi.matrix)
     pi_one = _leg_map(_sparse(h.unit), (n,), 0, cdim, pi)

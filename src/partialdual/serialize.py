@@ -30,6 +30,7 @@ FORMAT.md at the repository root.
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from operator import mul
 
@@ -49,19 +50,23 @@ class DocumentError(ValueError):
     """A document that cannot be parsed: syntax, shape, or field errors."""
 
 
-def _entries(field: Field, sparse: Sparse, dims: tuple) -> list:
-    """The nonzeros of a flat tensor over dims, in (support, den) form reduced
-    by the field, as [index-list, scalar-string] entries in flat order."""
+def _entries(field: Field, sparse: Sparse, dims: tuple) -> str:
+    """The nonzeros of a flat tensor over dims, in (support, den) form reduced by the field, as [index-list,
+    scalar-string] entries in flat order, in the text json.dumps(indent=1) writes in "tensors"."""
     support = _support(sparse, dims)
     scalars = field.from_ints([x for _, x in support], sparse[1])
-    return [[list(index), field.to_str(c)] for (index, _), c in zip(support, scalars)]
+    items = ",\n".join(
+        "   [\n    [\n     " + ",\n     ".join(map(str, index)) + "\n    ],\n    " + _quote(field.to_str(c)) + "\n   ]"
+        for (index, _), c in zip(support, scalars)
+    )
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
-def _vector_entries(v: Vector) -> list:
+def _vector_entries(v: Vector) -> str:
     return _entries(v.field, _sparse(v), (len(v),))
 
 
-def _matrix_entries(m: Matrix) -> list:
+def _matrix_entries(m: Matrix) -> str:
     """m with entry (r, c) at r ncols + c: its columns stacked, then the two legs swapped."""
     return _entries(m.field, _permuted(_stacked(_columns(m), m.nrows), (m.ncols, m.nrows), (1, 0)), (m.nrows, m.ncols))
 
@@ -127,7 +132,7 @@ def serialize(obj) -> str:
         tensors = _parts(obj.algebra, obj.coalgebra)
         doc = _envelope("coquasi-hopf", obj.field.descriptor, {"dim": obj.dim}, tensors)
     elif _instance(obj, "examples", "MatchedPair"):
-        doc = {
+        return json.dumps({
             "format": FORMAT,
             "kind": "matched-pair",
             "field": obj.field.descriptor,
@@ -138,14 +143,17 @@ def serialize(obj) -> str:
                 "act_on_f": [list(row) for row in obj.act_on_f],
                 "act_on_g": [list(row) for row in obj.act_on_g],
             },
-        }
+        }, sort_keys=True, indent=1) + "\n"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return doc
 
 
-def _envelope(kind: str, field: str, dims: dict, tensors: dict) -> dict:
-    return {"format": FORMAT, "kind": kind, "field": field, "dims": dims, "tensors": tensors}
+def _envelope(kind: str, field: str, dims: dict, tensors: dict) -> str:
+    """The document as json.dumps(sort_keys=True, indent=1) writes it: "tensors", its last key, from _entries."""
+    head = json.dumps({"format": FORMAT, "kind": kind, "field": field, "dims": dims}, sort_keys=True, indent=1)
+    body = ",\n".join(f"  {_quote(name)}: {text}" for name, text in sorted(tensors.items()))
+    return f'{head[:-2]},\n "tensors": {{\n{body}\n }}\n}}\n'
 
 
 def _want(doc: dict, key: str, typ, where: str):

@@ -4,7 +4,10 @@ Each checker is driven to FAIL by a one-entry perturbation of certified
 data, and its whole report is pinned check by check: the names in order,
 which checks pass, and for each failure the witness of the first failing
 index in lexicographic order.  A passing check carries no witness, so a
-report is pinned by its check names and its failures.
+report is pinned by its check names and its failures.  The quasi-Hopf
+pins include a fully dense associator (kC4 over k1 with zeta = eps, over
+Q and F_7), under every one-entry bump of phi, phi^-1, Delta and the
+product.
 
 A guard covers every one-entry perturbation of what a mapping system
 hands to left_partial_dual: each is rejected, or it builds the unperturbed
@@ -212,6 +215,28 @@ def _left(name):
     return _system(name)[1]
 
 
+@functools.cache
+def _dense_left(field_name):
+    """The left partial dual of kC4 over the trivial coideal k1 with zeta =
+    eps, over Q or F_7: its phi and phi^-1 are fully dense, so every product
+    of the associator checks is a dense one."""
+    field, group = QQ if field_name == "Q" else PrimeField(7), cyclic(4)
+    h = group_algebra(group, field)
+    q = build_quotient(certify_coideal(h, LinMap(Matrix.from_columns(field, [h.basis(group.identity)], nrows=4))))
+    return left_partial_dual(certify_pams(q, LinMap(Matrix(field, [[field.one] * 4]))))
+
+
+def _dense_bumped(field_name, part, at):
+    """verify_quasi_hopf of _dense_left with one entry of phi, phi^-1, Delta or the product bumped."""
+    qh = _dense_left(field_name)
+    if part in ("phi", "phi_inv"):
+        return verify_quasi_hopf(_with_quasi_hopf(qh, **{part: _bump_vector(getattr(qh, part), *at)}))
+    if part == "delta":
+        return verify_quasi_hopf(_with_quasi_hopf(qh, coalgebra=_bump_delta(qh, *at)))
+    mult = Algebra(qh.field, _bump_tensor(qh.algebra.mult, *at), qh.algebra.unit)
+    return verify_quasi_hopf(_with_quasi_hopf(qh, algebra=mult))
+
+
 HOPF_CHECKS = [
     "associativity", "unit-law", "coassociativity", "counit-law", "comult-algebra-map",
     "comult-unital", "counit-algebra-map", "counit-unital", "antipode-left", "antipode-right",
@@ -297,6 +322,14 @@ CASES = {
         "c4 T[2,3]+1": lambda: verify_quasi_hopf(
             _with_quasi_hopf(_left("c4"), t_map=_bump_matrix(_left("c4").t_map, 2, 3))
         ),
+        # a fully dense phi, over Q and over F_7
+        **{
+            f"c4/k1 {field} {part}[{','.join(map(str, at))}]+1": functools.partial(_dense_bumped, field, part, at)
+            for field, part, at in (
+                ("Q", "phi", (37,)), ("Q", "phi_inv", (0,)), ("Q", "delta", (5, 2)),
+                ("F7", "phi", (0,)), ("F7", "phi_inv", (37,)), ("F7", "delta", (5, 2)),
+            )
+        },
     }),
     # the constructor adds no check: its report is the verifier's
     "left_partial_dual": (QUASI_HOPF_CHECKS, {
@@ -486,6 +519,39 @@ FAILURES = {
             ("preantipode-associator-inverse", "sum T(phibar1) phibar2 T(phibar3) != T(eps#1)"),
             ("s1-preantipode-factorization", "basis 3"),
             ("s2-preantipode-factorization", "basis 3"),
+        ],
+        "c4/k1 Q phi[37]+1": [
+            ("associator-invertible", "phi phi_inv != 1"),
+            ("pentagon", "pentagon identity"),
+        ],
+        "c4/k1 Q phi_inv[0]+1": [
+            ("associator-invertible", "phi phi_inv != 1"),
+            ("preantipode-associator-inverse", "sum T(phibar1) phibar2 T(phibar3) != T(eps#1)"),
+            ("s1-associator-inverse-antipode", "sum S(phibar1) alpha phibar2 beta S(phibar3)"),
+            ("s2-associator-inverse-antipode", "sum S(phibar1) alpha phibar2 beta S(phibar3)"),
+        ],
+        "c4/k1 Q delta[5,2]+1": [
+            ("comult-algebra-map", "Delta(e2 e2): coordinate 5: 2 != 4"),
+            ("comult-unital", "Delta(1) != 1 (x) 1"),
+            ("quasi-coassociativity", "basis 0"),
+            ("pentagon", "pentagon identity"),
+        ],
+        "c4/k1 F7 phi[0]+1": [
+            ("associator-invertible", "phi phi_inv != 1"),
+            ("associator-normalized", "eps on a leg of phi"),
+            ("pentagon", "pentagon identity"),
+            ("preantipode-associator", "sum phi1 T(phi2) phi3"),
+            ("s1-associator-antipode", "sum phi1 beta S(phi2) alpha phi3"),
+            ("s2-associator-antipode", "sum phi1 beta S(phi2) alpha phi3"),
+        ],
+        "c4/k1 F7 phi_inv[37]+1": [
+            ("associator-invertible", "phi phi_inv != 1"),
+        ],
+        "c4/k1 F7 delta[5,2]+1": [
+            ("comult-algebra-map", "Delta(e2 e2): coordinate 5: 2 != 4"),
+            ("comult-unital", "Delta(1) != 1 (x) 1"),
+            ("quasi-coassociativity", "basis 0"),
+            ("pentagon", "pentagon identity"),
         ],
     },
     "left_partial_dual": {
@@ -786,6 +852,15 @@ def _split_bumps(fixture):
                     yield err.kind, err.witness
 
 
+def _dense_bumps(field_name):
+    """verify_quasi_hopf's report.checks on the dense-phi system under every
+    one-entry bump of phi, of phi^-1, of Delta and of the product: a bumped
+    product breaks the unit law, which the pentagon must not lean on."""
+    for part, dims in (("phi", (64,)), ("phi_inv", (64,)), ("delta", (16, 4)), ("mult", (4, 4, 4))):
+        for at in _cells(*dims):
+            yield _dense_bumped(field_name, part, at).checks
+
+
 def _digest(reports):
     digest = hashlib.sha256()
     for checks in reports:
@@ -819,6 +894,8 @@ DIGESTS = {
     "s3-sign split projection": "002788df371b4469a445df13b5a2851fe49f679aa5259e6bafe684e0ec9adc3c",
     "c2xc3-to-c3 split projection": "144ce0277921cefffe902e13fced528fd0830a842f3f62e9e55d8eee0b32ff6a",
     "taft split projection": "986272e9f23470132b6321c47f19630ff9bf221f5d3589dddd6f34793e9f32c7",
+    "c4/k1 Q dense phi": "7b563d9dc74ae4dd4db76dec751d5d2559947a192416682da03e861b6dc5f40f",
+    "c4/k1 F7 dense phi": "54bd23d9182961d71ca9eadf78a0c5b43cb81a14b8a89c8730322d051759814f",
 }
 PERTURBED_REPORTS = {
     "taft left_partial_dual": lambda: map(_left_checks, _perturbations("taft")),
@@ -838,6 +915,7 @@ PERTURBED_REPORTS = {
         f"{fixture} split projection": functools.partial(_split_bumps, fixture)
         for fixture in ("s3-sign", "c2xc3-to-c3", "taft")
     },
+    **{f"c4/k1 {field} dense phi": functools.partial(_dense_bumps, field) for field in ("Q", "F7")},
 }
 
 

@@ -15,6 +15,7 @@ from partialdual.hopf import (
     Coalgebra,
     HopfAlgebra,
     LinMap,
+    Report,
     _by,
     _flat as flat_form,
     _support,
@@ -596,6 +597,8 @@ POWER_ALGEBRAS = {
     # basis (1, 2 + g): (2 + g)^2 = 4 (2 + g) - 3, so a product of basis
     # elements can have more than one term
     "kC2-tilted": lambda: _in_basis(cyclic_group_hopf(2).algebra, [[1, 2], [0, 1]]),
+    # basis (2, g): the unit is b_0 / 2, a denominator in the unit
+    "kC2-unit-half": lambda: _in_basis(cyclic_group_hopf(2).algebra, [[2, 0], [0, 1]]),
     # (g/2)^2 = 1/4: a denominator in the structure constants
     "kC2-half": lambda: kc2_on_basis(Fraction(1, 2)).algebra,
     # the basis whose comultiplication has the constant 1/2 (its products are integral)
@@ -655,7 +658,7 @@ def test_power_multiply_allocates_one_residue_per_nonzero_of_the_result(monkeypa
 # of them for a mutant; each mutant must make _check_sparse_kernels fail.
 
 F5 = PrimeField(5)
-SPARSE_ALGEBRAS = ["kC2-half", "kC2-double", "kC2-tilted", "taft4-F5", "taft4-F2147483647"]
+SPARSE_ALGEBRAS = ["kC2-half", "kC2-double", "kC2-tilted", "kC2-unit-half", "taft4-F5", "taft4-F2147483647"]
 # (field, lhs, rhs, whether their values agree) for hopf._comparable
 COMPARISONS = [
     (QQ, ({0: 1, 2: 3}, 2), ({0: 2, 2: 6}, 4), True),  # 1/2 e_0 + 3/2 e_2 over two denominators
@@ -665,28 +668,75 @@ COMPARISONS = [
     (F5, ({0: 7}, 1), ({0: 3}, 1), False),
     (F5, ({0: 1}, 2), ({0: 3}, 1), True),  # 1/2 = 3 in F_5
     (BIG_PRIME, ({0: -1, 1: 2**31}, 1), ({0: 2147483646, 1: 1}, 1), True),
+    # equal denominators, which are only reduced
+    (QQ, ({0: 2, 1: 0, 2: 9}, 6), ({0: 2, 2: 9}, 6), True),
+    (QQ, ({0: 1}, 3), ({0: 2}, 3), False),
+    (F5, ({0: 7, 1: 5}, 2), ({0: 2}, 2), True),
+    (F5, ({0: 1}, 3), ({0: 6}, 3), True),
+    (F5, ({0: 1}, 3), ({0: 2}, 3), False),
 ]
 
 
+def _unit_law_broken(algebra):
+    """algebra with 1 added to the coefficient of e_0 in e_i e_{n-1}, e_i in
+    the support of the unit: 1 e_{n-1} is no longer e_{n-1}."""
+    field, n, mult = algebra.field, algebra.dim, algebra.mult
+    i = next(j for j, x in enumerate(algebra.unit) if x)
+    data = [[list(row) for row in plane] for plane in mult.data]
+    data[i][n - 1][0] += field.one
+    broken = Algebra(field, Tensor3(field, data, dims=mult.dims), algebra.unit)
+    report = Report("broken unit")
+    hopf.verify_algebra(broken, report)
+    assert "unit-law" in dict(report.failures())
+    return broken
+
+
+def _check_unit_legs(algebra, rng):
+    """_power_product over _with_unit, with a unit leg inserted into one operand
+    at every position, against the product with the unit expanded by _kron: the
+    same ints and den, for k = 2..4 and the unit's operand on either side."""
+    field, n = algebra.field, algebra.dim
+    au, one = hopf._with_unit(algebra), hopf._sparse(algebra.unit)
+    for k in range(2, 5):
+        t = hopf._sparse(Vector(field, [_scalar(field, rng) for _ in range(n ** (k - 1))]))
+        x = hopf._tree(n, k, hopf._sparse(_flat_operands(field, n**k, rng)[2 if k == 4 else 3]))
+        for leg in range(k):
+            perm = [*range(leg), k - 1, *range(leg, k - 1)]
+            expanded = hopf._tree(n, k, hopf._permuted(hopf._kron(t, one, n), (n,) * k, perm))
+            with_unit = hopf._unit_leg(hopf._tree(n, k - 1, t)[0], leg, n), t[1] * one[1]
+            for pair, ref in (((with_unit, x), (expanded, x)), ((x, with_unit), (x, expanded))):
+                assert hopf._power_product(au, k, *pair) == hopf._power_product(algebra, k, *ref), (k, leg)
+
+
 def _check_sparse_kernels():
-    """Raise AssertionError unless _power_product, _leg_map, _kron and
-    _comparable agree with the dense references."""
+    """Raise AssertionError unless _power_product (on reused trees, on bare
+    supports at k = 1, and over the unit legs of _with_unit), _leg_map, _kron
+    and _comparable agree with the dense references."""
     for field, lhs, rhs, equal in COMPARISONS:
         sides = hopf._comparable(field, lhs, rhs)
         assert (sides[0] == sides[1]) == equal, (field, lhs, rhs)
+    # a mismatch over one den renders its values over that den
+    for field, text in ((QQ, "1/3 != 2/3"), (F5, "2 != 4")):
+        assert hopf._slice_mismatch(field, "{1} != {2}".format, lambda _: (({0: 1}, 3), ({0: 2}, 3))) == (False, text)
     for name in SPARSE_ALGEBRAS:
         algebra = POWER_ALGEBRAS[name]()
         field, n = algebra.field, algebra.dim
         for k in range(1, 5):
             ops = _operands(field, n, k, random.Random(10 * k + n))
             flat = {a: _flat(field, n, k, terms) for a, terms in ops.items()}
+            # each operand's tree is built once and serves every pair it is in; at k = 1
+            # the supports go to the direct path as they are
+            trees = {a: hopf._tree(n, k, hopf._sparse(u)) if k > 1 else hopf._sparse(u) for a, u in flat.items()}
             pairs = [("zero", "dense"), ("sparse", "zero"), ("sparse", "dense"), ("dense", "sparse"), ("dense", "dense")]
             for a, b in pairs:
-                got = hopf._power_product(algebra, k, hopf._sparse(flat[a]), hopf._sparse(flat[b]))
+                got = hopf._power_product(algebra, k, trees[a], trees[b])
                 ref = _reference_product(algebra, k, ops[a], ops[b])
                 assert hopf._dense(field, n**k, got) == ref, (name, k, a, b)
                 lhs, rhs = hopf._comparable(field, got, hopf._sparse(ref))
                 assert lhs == rhs, (name, k, a, b)
+            assert trees == {a: hopf._tree(n, k, hopf._sparse(u)) for a, u in flat.items()}, (name, k)
+        for a in (algebra, _unit_law_broken(algebra)):
+            _check_unit_legs(a, random.Random(n))
         # one to four legs, one of them split by a coalgebra with denominators (Q) or large residues
         coalgebra = (kc2_on_basis(Fraction(1, 2)) if field is QQ else taft4(field, 1)[0]).coalgebra
         c, rng = coalgebra.dim, random.Random(n)
@@ -720,8 +770,17 @@ def _shifted_kron(u, v, width):  # the support of v shifted by width - 1 per ind
     return {i * (width - 1) + j: x * y for i, x in u[0].items() for j, y in v[0].items()}, u[1] * v[1]
 
 
+def _unit_assumed(a):  # e_i 1 = e_i and 1 e_j = e_j taken for granted, not read from the table
+    n, (terms, den), d1 = a.dim, a.int_terms, hopf._sparse(a.unit)[1]
+    rows = [[*row, {i: d1 * den}] for i, row in enumerate(terms)] + [[{j: d1 * den} for j in range(n)]]
+    view = object.__new__(Algebra)
+    hopf._set_slots(view, field=a.field, dim=n, unit=a.unit, int_terms=(rows, den))
+    return view
+
+
 MUTANTS = {
     "no-mod-p-reduction": (PrimeField, "reduce", _unreduced),
+    "unit-law-assumed": (hopf, "_with_unit", _unit_assumed),
     "dropped-denominator": (hopf, "_comparable", _denominator_dropped),
     "wrong-kronecker-shift": (hopf, "_kron", _shifted_kron),
 }
