@@ -3,10 +3,12 @@
     python3 bench/ladder.py CHECKOUT SYSTEM RUNS
 
 prints one JSON line of medians in seconds for the checkout's src/, after
-one warm-up build.  SYSTEM is one rung of the ladder:
+one warm-up build, and the peak RSS of the process in MB (ru_maxrss, so
+run each rung in a fresh process).  SYSTEM is one rung of the ladder:
 
     kC4>k1         kC4 over the trivial coideal, zeta = eps, Q (dim 4, phi dense)
     kS4>kC2        kS4 over a transposition's kC2, Q (dim 24)
+    kS4>k1         kS4 over the trivial coideal, zeta = eps, F_7 (dim 24, phi dense)
     k(S4xC2)>kS4   k(S4 x C2) over kS4, F_7 (dim 48)
     kS5>kC5        kS5 over a 5-cycle's kC5, F_7 (dim 120)
 
@@ -17,6 +19,7 @@ Run the parent and the change back to back, on one otherwise idle core.
 """
 
 import json
+import resource
 import statistics
 import sys
 import time
@@ -62,6 +65,10 @@ def system(name):
         g, f = cyclic(4), QQ
         k = [g.identity]
         zeta = "eps"
+    elif name == "kS4>k1":
+        g, f = symmetric(4), PrimeField(7)
+        k = [g.identity]
+        zeta = "eps"
     elif name == "kS4>kC2":
         g, f = symmetric(4), QQ
         k = closure(g, [perm_index(4, (1, 0, 2, 3))])
@@ -105,4 +112,5 @@ for _ in range(runs):
     serialize(qh)
     samples["serialize"].append(time.process_time() - start)
 print(json.dumps({"system": name, "dim": p.parent.dim, "runs": runs,
-                  "median_s": {key: round(statistics.median(v), 5) for key, v in samples.items()}}))
+                  "median_s": {key: round(statistics.median(v), 5) for key, v in samples.items()},
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))

@@ -25,9 +25,10 @@ _support lists the nonzeros of a flat tensor in (support, den) form with
 their leg indices, for documents.  No other module decodes a flat index
 by hand.
 
-_power_product takes its operands as prefix trees (_tree), and the tree of
-an operand used more than once is built once: the Delta(e_i) of
-verify_compatibility, phi and phi^-1 of verify_quasi_bialgebra.
+_power_product takes its operands as prefix trees (_tree), and gives its
+product flat or as a tree; _split_tree splits a tree's leg by Delta into a
+tree.  The tree of an operand used more than once is built once: the
+Delta(e_i) of verify_compatibility, phi and phi^-1 of verify_quasi_bialgebra.
 
 Verification routines return a Report listing every identity checked;
 certification routines raise CertificationError carrying the failed
@@ -42,6 +43,7 @@ f * g is one _legs_product over each Delta(x).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial, reduce
 from math import isqrt, prod
 from typing import Callable, Sequence
 
@@ -53,6 +55,7 @@ from partialdual.linalg import (
     Sparse,
     Tensor3,
     Vector,
+    _Immutable,
     _columns,
     _comparable,
     _dense,
@@ -181,16 +184,13 @@ def _set_slots(obj: object, **parts: object) -> None:
         object.__setattr__(obj, name, value)
 
 
-class LinMap:
+class LinMap(_Immutable):
     """A linear map between based spaces; columns of `matrix` are images."""
 
     __slots__ = ("matrix", "source", "target")
 
     def __init__(self, matrix: Matrix):
         _set_slots(self, matrix=matrix, source=matrix.ncols, target=matrix.nrows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LinMap is immutable")
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "LinMap":
@@ -218,7 +218,7 @@ class LinMap:
         return f"LinMap({self.source} -> {self.target} over {self.field.descriptor})"
 
 
-class Algebra:
+class Algebra(_Immutable):
     """Unital algebra given by structure constants; verify_algebra checks
     associativity and the unit law.
 
@@ -228,10 +228,10 @@ class Algebra:
     constructor, for callers outside the package, checks a dense tensor
     and scans it once; every table built in the package, a builder's or
     a kernel output, enters through the trusted _of, which takes it as
-    given.
+    given.  `with_unit` is None until a pentagon stores _with_unit there.
     """
 
-    __slots__ = ("field", "dim", "unit", "int_terms")
+    __slots__ = ("field", "dim", "unit", "int_terms", "with_unit")
 
     def __init__(self, field: Field, mult: Tensor3, unit: Vector):
         n = mult.dims[0]
@@ -254,10 +254,7 @@ class Algebra:
     def _hold(self, field: Field, unit: Vector, table: tuple[Sequence[dict[int, int]], int]) -> None:
         (pairs, den), n = table, len(unit)
         rows = tuple(tuple(map(field.reduce, pairs[i * n : (i + 1) * n])) for i in range(n))
-        _set_slots(self, field=field, dim=n, unit=unit, int_terms=(rows, den))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Algebra is immutable")
+        _set_slots(self, field=field, dim=n, unit=unit, int_terms=(rows, den), with_unit=None)
 
     @property
     def mult(self) -> Tensor3:
@@ -317,7 +314,7 @@ class Algebra:
         return f"Algebra(dim={self.dim} over {self.field.descriptor})"
 
 
-class Coalgebra:
+class Coalgebra(_Immutable):
     """Comultiplication and counit by structure constants; Delta need not be
     coassociative (a quasi-Hopf algebra keeps its Delta here too), and
     verify_coalgebra checks that it is.  Delta is stored once, as
@@ -348,9 +345,6 @@ class Coalgebra:
     def _hold(self, field: Field, counit: Vector, images: tuple[Sequence[dict[int, int]], int]) -> None:
         table = tuple(map(field.reduce, images[0])), images[1]
         _set_slots(self, field=field, dim=len(counit), counit=counit, int_comult=table)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Coalgebra is immutable")
 
     @property
     def comult(self) -> Tensor3:
@@ -386,7 +380,7 @@ class Coalgebra:
         return f"Coalgebra(dim={self.dim} over {self.field.descriptor})"
 
 
-class HopfAlgebra:
+class HopfAlgebra(_Immutable):
     """A Hopf algebra held as its parts: an Algebra, a Coalgebra on the
     same space and an antipode matrix, as a QuasiHopfAlgebra holds them.
 
@@ -404,9 +398,6 @@ class HopfAlgebra:
         if antipode.field is not field or (antipode.nrows, antipode.ncols) != (n, n):
             raise ValueError("antipode matrix has the wrong shape or field")
         _set_slots(self, field=field, dim=n, algebra=algebra, coalgebra=coalgebra, antipode=antipode, name=name)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HopfAlgebra is immutable")
 
     @property
     def mult(self) -> Tensor3:
@@ -598,6 +589,34 @@ def _tree(n: int, k: int, s: Sparse) -> Sparse:
     return root, s[1]
 
 
+def _split_tree(t: Sparse, k: int, leg: int, images: tuple[Sequence, int]) -> Sparse:
+    """Delta on one leg of a k-level prefix tree, for a coproduct table images = (table, den), written
+    straight into k + 1 levels; colliding images are summed exactly: _tree of _leg_map's flat form."""
+    (table, den), n = images, len(images[0])
+
+    def add(into: dict, sub: dict, w: int, depth: int) -> None:  # into += w sub, for sub of depth levels
+        for d, x in sub.items():
+            if depth == 1:
+                into[d] = into.get(d, 0) + w * x
+            else:
+                add(into.setdefault(d, {}), x, w, depth - 1)
+
+    def walk(node: dict, level: int) -> dict:
+        if level < leg:
+            return {d: walk(sub, level + 1) for d, sub in node.items()}
+        out: dict = {}
+        for d, sub in node.items():
+            for r, w in table[d].items():
+                into = out.setdefault(r // n, {})
+                if level < k - 1:
+                    add(into.setdefault(r % n, {}), sub, w, k - 1 - level)
+                else:  # sub is the int at a leaf
+                    into[r % n] = into.get(r % n, 0) + w * sub
+        return out
+
+    return walk(t[0], 0), t[1] * den
+
+
 def _unit_leg(tree: dict, leg: int, n: int) -> dict:
     """The tree t with a unit leg, the index n of _with_unit, inserted before `leg`."""
     return {n: tree} if leg == 0 else {d: _unit_leg(sub, leg - 1, n) for d, sub in tree.items()}
@@ -615,12 +634,13 @@ def _with_unit(a: Algebra) -> Algebra:
     return view
 
 
-def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
-    """u v in the k-fold tensor power, the result in (support, den) form reduced
-    by the field, for u and v given as the prefix trees of _tree, which at k = 1
-    are the supports themselves; a caller builds the tree of an operand it reuses once."""
+def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse, tree: bool = False) -> Sparse:
+    """u v in the k-fold tensor power, the result in (support, den) form reduced by the
+    field, or with tree its prefix tree, for u and v given as the prefix trees of _tree,
+    which at k = 1 are the supports themselves; a caller builds the tree of an operand it reuses once."""
     n, (terms, den) = algebra.dim, algebra.int_terms
-    out: dict[int, int] = defaultdict(int)
+    # out holds the ints by flat index, or with tree a tree of defaultdicts k levels deep
+    out = reduce(lambda make, _: partial(defaultdict, make), range(k), int)() if tree else defaultdict(int)
     if k == 1:  # a plain double loop over the two supports
         for a, x in u[0].items():
             row = terms[a]
@@ -631,8 +651,9 @@ def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
 
     # both trees are walked in step, one leg per level; no pair is expanded
     # past a leg whose product is zero, and the operand coefficients are
-    # multiplied only at the leaves
-    def descend(tu: dict, tv: dict, level: int, partial: list[tuple[int, int]]) -> None:
+    # multiplied only at the leaves, at node[offset + t] for the prefix (node,
+    # offset, c): out at the flat index, or the result tree's node at leg t
+    def descend(tu: dict, tv: dict, level: int, prefixes: list[tuple[dict, int, int]]) -> None:
         for a, su in tu.items():
             row = terms[a]
             for b, sv in tv.items():
@@ -640,15 +661,20 @@ def _power_product(algebra: Algebra, k: int, u: Sparse, v: Sparse) -> Sparse:
                 if not pair:
                     continue
                 if level < k - 1:
-                    descend(su, sv, level + 1, [(base * n + t, c * w) for base, c in partial for t, w in pair.items()])
+                    descend(su, sv, level + 1, [(node[off + t], 0, c * w) if tree else (node, (off + t) * n, c * w)
+                                                for node, off, c in prefixes for t, w in pair.items()])
                     continue
                 cuv = su * sv
-                for base, c in partial:
+                for node, off, c in prefixes:
                     for t, w in pair.items():
-                        out[base * n + t] += cuv * c * w
+                        node[off + t] += cuv * c * w
 
-    descend(u[0], v[0], 0, [(0, 1)])
-    return algebra.field.reduce(out), u[1] * v[1] * den**k
+    def reduced(node: dict, depth: int) -> dict:  # leaves reduced by the field, emptied nodes dropped, read nodes let go
+        return algebra.field.reduce(node) if depth == 1 else {
+            d: sub for d in list(node) if (sub := reduced(node.pop(d), depth - 1))}
+
+    descend(u[0], v[0], 0, [(out, 0, 1)])
+    return reduced(out, k if tree else 1), u[1] * v[1] * den**k
 
 
 def power_multiply(algebra: Algebra, k: int, u: Vector, v: Vector) -> Vector:
@@ -826,20 +852,23 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi_s: Sparse, bar_s: Spars
     """The counit laws of a Delta that need not be coassociative, then the
     axioms of its associator phi, given with its inverse in (support, den)
     form: phi phi_inv = 1, normalization, quasi-coassociativity and the
-    pentagon.  The trees of phi and phi^-1 are built once, for all their
-    products: associator-invertible, quasi-coassociativity and the pentagon's
-    phi (x) 1 and 1 (x) phi, which stay on phi's three legs, the unit leg as the
-    index n of _with_unit.  That is exact: x (phi (x) 1) = sum x^1 phi^1 (x) x^2
-    phi^2 (x) x^3 phi^3 (x) x^4 1 with x^4 1 read from the product table, never
-    taken to be x^4, so the ints and den are those of the expanded product."""
+    pentagon.  The trees of phi and phi^-1 are built once from their tables.
+    Each split, of Delta(e_i) or of phi, is _split_tree of its tree and
+    int_comult, and the pentagon's inner product goes on as the tree that
+    _power_product writes; each holds the ints and den of _tree of its flat
+    form, for a leaf sums the very terms that _leg_map or the flat product
+    sums at its index, and the tree handed on is reduced as the flat one is.
+    Each tree is let go once its product has read it.
+    phi (x) 1 and 1 (x) phi stay on phi's three legs, the unit leg as the
+    index n of _with_unit, built once per algebra into a.with_unit.  That is
+    exact: x (phi (x) 1) = sum x^1 phi^1 (x) x^2 phi^2 (x) x^3 phi^3 (x) x^4 1
+    with x^4 1 read from the product table, never taken to be x^4, so the
+    ints and den are those of the expanded product."""
     f, n = a.field, a.dim
-    (images, den), dims2, dims3 = c.int_comult, (n, n), (n, n, n)
-    deltas = [(image, den) for image in images]
+    images, dims2, dims3 = c.int_comult, (n, n), (n, n, n)
+    deltas = [(image, images[1]) for image in images[0]]
     eps_images, one = _functional(c.counit), _sparse(a.unit)
     one2 = _kron(one, one, n)
-
-    def split(u, dims, leg):  # Delta applied to one leg
-        return _leg_map(u, dims, leg, n * n, c.int_comult)
 
     basis = "basis {0}".format
     for leg, side in ((0, "left"), (1, "right")):
@@ -855,13 +884,16 @@ def verify_quasi_bialgebra(a: Algebra, c: Coalgebra, phi_s: Sparse, bar_s: Spars
         f, "eps on a leg of phi".format, lambda leg: (_leg_map(phi_s, dims3, leg, 1, eps_images), one2), 3
     ))
     report.add("quasi-coassociativity", *_slice_mismatch(f, basis, lambda i: (
-        _power_product(a, 3, phi, _tree(n, 3, split(deltas[i], dims2, 0))),
-        _power_product(a, 3, _tree(n, 3, split(deltas[i], dims2, 1)), phi),
+        _power_product(a, 3, phi, _split_tree(delta := _tree(n, 2, deltas[i]), 2, 0, images)),
+        _power_product(a, 3, _split_tree(delta, 2, 1, images), phi),
     ), n))
-    # (1 (x) phi)(id (x) Delta (x) id)(phi)(phi (x) 1) = (id (x) id (x) Delta)(phi)(Delta (x) id (x) id)(phi)
-    au, (phi_1, one_phi) = _with_unit(a), ((_unit_leg(phi[0], leg, n), phi[1] * one[1]) for leg in (3, 0))
-    lhs = _power_product(au, 4, one_phi, _tree(n, 4, _power_product(au, 4, _tree(n, 4, split(phi_s, dims3, 1)), phi_1)))
-    rhs = _power_product(a, 4, _tree(n, 4, split(phi_s, dims3, 2)), _tree(n, 4, split(phi_s, dims3, 0)))
+    # (1 (x) phi)(id (x) Delta (x) id)(phi)(phi (x) 1) = (id (x) id (x) Delta)(phi)(Delta (x) id (x) id)(phi),
+    # the right side first, so that the left side's split and inner tree meet only one side
+    if a.with_unit is None:
+        _set_slots(a, with_unit=_with_unit(a))
+    au, (phi_1, one_phi) = a.with_unit, ((_unit_leg(phi[0], leg, n), phi[1] * one[1]) for leg in (3, 0))
+    rhs = _power_product(a, 4, _split_tree(phi, 3, 2, images), _split_tree(phi, 3, 0, images))
+    lhs = _power_product(au, 4, one_phi, _power_product(au, 4, _split_tree(phi, 3, 1, images), phi_1, tree=True))
     report.add("pentagon", *_slice_mismatch(f, "pentagon identity".format, lambda _: (lhs, rhs)))
 
 

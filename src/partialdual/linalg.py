@@ -332,7 +332,16 @@ def _same_field(a: Field, b: Field, what: str) -> None:
 _set = object.__setattr__
 
 
-class Vector:
+class _Immutable:
+    """A base that refuses attribute assignment: its subclasses set their slots through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Vector(_Immutable):
     """Immutable dense vector over a fixed field.
 
     `Vector(field, entries)` coerces every entry into the field: external
@@ -355,9 +364,6 @@ class Vector:
         _set(v, "field", field)
         _set(v, "entries", tuple(entries))
         return v
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Vector is immutable")
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Vector":
@@ -431,7 +437,7 @@ class Vector:
         return f"Vector({self.field.descriptor}; [{body}])"
 
 
-class Matrix:
+class Matrix(_Immutable):
     """Immutable dense matrix over a fixed field, stored row-major.
 
     `Matrix(field, rows)` coerces every entry and checks that the rows
@@ -472,9 +478,6 @@ class Matrix:
         _set(m, "nrows", len(rows))
         _set(m, "ncols", ncols)
         return m
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -612,7 +615,7 @@ class Matrix:
         return f"Matrix({self.field.descriptor}; {self.nrows}x{self.ncols})"
 
 
-class Tensor3:
+class Tensor3(_Immutable):
     """Immutable rank-3 tensor, dense, indexed as T[i, j, k].
 
     Like `Vector` and `Matrix`: the public constructor coerces and checks
@@ -660,9 +663,6 @@ class Tensor3:
         _set(t, "dims", dims)
         _set(t, "data", tuple(tuple(map(tuple, plane)) for plane in data))
         return t
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Tensor3 is immutable")
 
     @classmethod
     def zeros(cls, field: Field, dims: tuple[int, int, int]) -> "Tensor3":

@@ -60,6 +60,7 @@ from .hopf import (
     _power_product,
     _same_values,
     _scale,
+    _set_slots,
     _slice_mismatch,
     _stacked,
     _table,
@@ -79,6 +80,7 @@ from .linalg import (
     Sparse,
     Tensor3,
     Vector,
+    _Immutable,
     _columns,
     _dense,
     _functional,
@@ -103,7 +105,7 @@ __all__ = [
 ]
 
 
-class QuasiHopfAlgebra:
+class QuasiHopfAlgebra(_Immutable):
     """A quasi-Hopf algebra on the carrier C* # B.
 
     `algebra` holds the smash multiplication and `coalgebra` the
@@ -153,8 +155,7 @@ class QuasiHopfAlgebra:
         """Set the slots in their order, phi and phi^-1 reduced by the field."""
         (phi, den), (bar, bar_den), *rest = rest
         tables = (algebra.field.reduce(phi), den), (algebra.field.reduce(bar), bar_den)
-        for name, value in zip(self.__slots__, (algebra, coalgebra, *tables, *rest)):
-            setattr(self, name, value)
+        _set_slots(self, **dict(zip(self.__slots__, (algebra, coalgebra, *tables, *rest))))
 
     @property
     def phi(self) -> Vector:
@@ -205,7 +206,7 @@ class QuasiHopfAlgebra:
         return f"QuasiHopfAlgebra(dim={self.dim} over {self.field.descriptor}, {tail})"
 
 
-class CoquasiHopfAlgebra:
+class CoquasiHopfAlgebra(_Immutable):
     """The right partial dual on C (x) B*: a Coalgebra and an Algebra
     whose multiplication is unital but not necessarily associative.
     Coassociator and antipode data live implicitly in the duality with
@@ -214,10 +215,7 @@ class CoquasiHopfAlgebra:
     __slots__ = ("coalgebra", "algebra", "pams", "report")
 
     def __init__(self, coalgebra: Coalgebra, algebra: Algebra, pams: Pams | None, report: Report):
-        self.coalgebra = coalgebra
-        self.algebra = algebra
-        self.pams = pams
-        self.report = report
+        _set_slots(self, coalgebra=coalgebra, algebra=algebra, pams=pams, report=report)
 
     @property
     def mult(self) -> Tensor3:

@@ -705,13 +705,44 @@ def _check_unit_legs(algebra, rng):
             expanded = hopf._tree(n, k, hopf._permuted(hopf._kron(t, one, n), (n,) * k, perm))
             with_unit = hopf._unit_leg(hopf._tree(n, k - 1, t)[0], leg, n), t[1] * one[1]
             for pair, ref in (((with_unit, x), (expanded, x)), ((x, with_unit), (x, expanded))):
-                assert hopf._power_product(au, k, *pair) == hopf._power_product(algebra, k, *ref), (k, leg)
+                flat = hopf._power_product(algebra, k, *ref)
+                assert hopf._power_product(au, k, *pair) == flat, (k, leg)
+                assert hopf._power_product(au, k, *pair, tree=True) == hopf._tree(n, k, flat), (k, leg)
+
+
+# Delta(e_d) = SPLIT_TABLE[d] / 3 on two legs of length 3, at j 3 + m: the images
+# of e_0, e_1 and e_2 collide on every r but 0, and with equal coefficients
+# they sum to 0 at r = 1 over Q and to 5 = 0 in F_5 at r = 2, 4 and 8
+SPLIT_TABLE = [{1: 2, 2: 1, 4: 6}, {1: -2, 2: 4, 8: 3}, {0: 1, 4: -1, 8: 2}], 3
+
+
+def _check_split_trees(field, rng):
+    """_split_tree on every leg of two and three legs against _tree of
+    _leg_map: the same ints, zeros of colliding images included, and den,
+    so also the same reduced ints; the operand tree is left as it was."""
+    n = 3
+    for k in (2, 3):
+        ones = Vector(field, [1] * n**k)  # every image collides with the other two
+        for u in [ones] + _flat_operands(field, n**k, rng):
+            flat = hopf._sparse(u)
+            tree = hopf._tree(n, k, flat)
+            for leg in range(k):
+                got = hopf._split_tree(tree, k, leg, SPLIT_TABLE)
+                ref = hopf._leg_map(flat, (n,) * k, leg, n * n, SPLIT_TABLE)
+                assert got == hopf._tree(n, k + 1, ref), (field, k, leg, u)
+                leaves = dict(_leaves(got[0], k + 1, n))
+                assert (field.reduce(leaves), got[1]) == (field.reduce(ref[0]), ref[1]), (field, k, leg, u)
+                assert u is not ones or len(field.reduce(leaves)) < len(leaves), "no image summed to zero"
+            assert tree == hopf._tree(n, k, flat), (field, k)
 
 
 def _check_sparse_kernels():
     """Raise AssertionError unless _power_product (on reused trees, on bare
-    supports at k = 1, and over the unit legs of _with_unit), _leg_map, _kron
-    and _comparable agree with the dense references."""
+    supports at k = 1, over the unit legs of _with_unit, and handing its
+    product on as a tree), _split_tree, _leg_map, _kron and _comparable agree
+    with the dense references."""
+    for field in (QQ, F5):
+        _check_split_trees(field, random.Random(5))
     for field, lhs, rhs, equal in COMPARISONS:
         sides = hopf._comparable(field, lhs, rhs)
         assert (sides[0] == sides[1]) == equal, (field, lhs, rhs)
@@ -734,6 +765,8 @@ def _check_sparse_kernels():
                 assert hopf._dense(field, n**k, got) == ref, (name, k, a, b)
                 lhs, rhs = hopf._comparable(field, got, hopf._sparse(ref))
                 assert lhs == rhs, (name, k, a, b)
+                # the product handed on as a tree is the tree of the flat product
+                assert hopf._power_product(algebra, k, trees[a], trees[b], tree=True) == hopf._tree(n, k, got)
             assert trees == {a: hopf._tree(n, k, hopf._sparse(u)) for a, u in flat.items()}, (name, k)
         for a in (algebra, _unit_law_broken(algebra)):
             _check_unit_legs(a, random.Random(n))
@@ -778,9 +811,30 @@ def _unit_assumed(a):  # e_i 1 = e_i and 1 e_j = e_j taken for granted, not read
     return view
 
 
+def _leaves(node, depth, n, base=0):
+    """(flat index, int) for every leaf of a prefix tree of `depth` levels over legs of length n."""
+    for d, x in node.items():
+        if depth == 1:
+            yield base * n + d, x
+        else:
+            yield from _leaves(x, depth - 1, n, base * n + d)
+
+
+def _split_overwriting(t, k, leg, images):  # a colliding image replaces the one before it, not added to it
+    (table, den), n = images, len(images[0])
+    inner, out = n ** (k - 1 - leg), {}
+    for idx, c in _leaves(t[0], k, n):
+        outer, rest = divmod(idx, n * inner)
+        d, low = divmod(rest, inner)
+        for r, w in table[d].items():
+            out[(outer * n * n + r) * inner + low] = c * w
+    return hopf._tree(n, k + 1, (out, t[1] * den))
+
+
 MUTANTS = {
     "no-mod-p-reduction": (PrimeField, "reduce", _unreduced),
     "unit-law-assumed": (hopf, "_with_unit", _unit_assumed),
+    "split-overwrites-collisions": (hopf, "_split_tree", _split_overwriting),
     "dropped-denominator": (hopf, "_comparable", _denominator_dropped),
     "wrong-kronecker-shift": (hopf, "_kron", _shifted_kron),
 }

@@ -365,6 +365,22 @@ def test_verify_quasi_hopf_builds_no_vector_of_four_legs(system, monkeypatch):
     assert nd**4 not in lengths
 
 
+def test_unit_view_is_built_once_per_algebra(monkeypatch):
+    """The pentagon's _with_unit view is held by the algebra: the build in
+    left_partial_dual's verification serves verify_quasi_hopf on the same qh."""
+    built = []
+    with_unit = hopf._with_unit
+
+    def counting(a):
+        built.append(a)
+        return with_unit(a)
+
+    monkeypatch.setattr(hopf, "_with_unit", counting)
+    qh = _trivial_coideal_lpd(group_algebra(cyclic(4), QQ))
+    assert verify_quasi_hopf(qh).ok
+    assert len(built) == 1 and built[0] is qh.algebra
+
+
 def test_verify_quasi_hopf_applies_the_preantipode_once(monkeypatch):
     """T is read once, as the integer table of its columns: T(e_i e_j) and
     T(1) are summed from it over the nonzero products, so on kS3 over kC2
@@ -402,6 +418,24 @@ def test_detection_reads_the_verifier_report(taft1):
     for report in (Report("empty"), failed):
         with pytest.raises(ValueError, match="verify_quasi_hopf"):
             detect_hopf(QuasiHopfAlgebra(*parts, report))
+
+
+def test_quasi_hopf_results_refuse_attribute_assignment():
+    """detect_hopf trusts qh.report, so a verified qh must not take a new
+    preantipode afterwards: on the whole kC3 over Q, T = id would pass as
+    the antipode of a "hopf" detection that fails antipode-left.  Both
+    partial duals refuse assignment, as Algebra and HopfAlgebra do."""
+    h = group_algebra(cyclic(3), QQ)
+    q = build_quotient(certify_coideal(h, LinMap.identity(QQ, 3)))
+    p = certify_pams(q, LinMap.identity(QQ, 3))
+    qh = left_partial_dual(p)
+    with pytest.raises(AttributeError, match="QuasiHopfAlgebra is immutable"):
+        qh.t_map = Matrix.identity(QQ, 3)
+    assert qh.t_map == h.antipode and detect_hopf(qh).hopf == h
+    right = right_partial_dual(p, qh)
+    with pytest.raises(AttributeError, match="CoquasiHopfAlgebra is immutable"):
+        right.algebra = qh.algebra
+    assert right.report.ok
 
 
 def test_strictly_quasi_detection(c4_strict):
